@@ -1,13 +1,12 @@
 """Fixed reference kernels that track the speed of the machine.
 
-The machine the benchmark was written on is a shared 2-CPU virtual
-machine whose speed swings by up to 2x in phases of 5 to 30 seconds
-(the same flow took 0.29 s and 0.63 s a minute apart, with no CPU time
-stolen).  A 30-second run cannot average that away.  So the benchmark
-times a kernel between rounds of ops and scales each round's op times
-by ``NOMINAL_S`` over the kernel's time around that round: the
-end-to-end times are reported at the machine speed at which the kernel
-takes ``NOMINAL_S``.
+On a shared 2-CPU x86_64 virtual machine the speed swings by up to 2x
+in phases of 5 to 30 seconds (the same flow took 0.29 s and 0.63 s a
+minute apart, with no CPU time stolen).  A 30-second run cannot average
+that away.  So the benchmark times a kernel between rounds of ops and
+scales each round's op times by ``NOMINAL_S`` over the kernel's time
+around that round: the end-to-end times are reported at the machine
+speed at which the kernel takes ``NOMINAL_S``.
 
 The kernels do the kinds of work reluflow does (interpreted Python loops,
 small numpy calls, scipy ``brentq``, small HiGHS ``linprog`` programs) on

@@ -38,6 +38,11 @@ OUT = ROOT / ".perfbench-out"
 DEFAULT_SEED = 0
 # Set-up is timed in this process and in this many fresh ones; the median counts.
 SETUP_PROBES = 6
+# Seconds that importing numpy and scipy.optimize takes at the nominal machine
+# speed.  Each set-up time is scaled by this over the same process's import
+# time: the import follows the machine's speed swings, and reluflow cannot
+# change it.
+LIBRARY_NOMINAL_S = 0.6
 THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -56,17 +61,27 @@ class RunError(Exception):
     """The benchmark cannot produce a result here."""
 
 
-def prepare() -> None:
-    """Pin the thread pools and put the checkout's ``src/`` first on the path."""
+def prepare() -> float:
+    """Pin the thread pools and put the checkout's ``src/`` first on the path.
+
+    Returns the seconds spent importing numpy and scipy, the yardstick of
+    the set-up time.
+    """
     for var in THREAD_VARS:
         os.environ[var] = "1"
     if not (SRC / "reluflow" / "__init__.py").is_file():
         raise RunError(f"no reluflow package under {SRC}")
+    t0 = perf_counter()
+    import numpy  # noqa: F401
+    import scipy.optimize  # noqa: F401
+
+    library_s = perf_counter() - t0
     sys.path.insert(0, str(SRC))
     import reluflow
 
     if Path(reluflow.__file__).resolve().parent != SRC / "reluflow":
         raise RunError(f"imported reluflow from {reluflow.__file__}, not from {SRC}")
+    return library_s
 
 
 def declared_metrics() -> dict[str, dict[str, str]]:
@@ -105,7 +120,8 @@ class Ledger:
         if not same_fingerprint(seen, fp):
             problems.append(f"op {key}: output differs from an earlier pass")
         r, j = key
-        if self.pins is not None and r < len(self.pins) and not same_fingerprint(self.pins[r][j], fp):
+        pinned = self.pins[r][j] if self.pins is not None and r < len(self.pins) else None
+        if pinned is not None and not same_fingerprint(pinned, fp):
             problems.append(f"op {key}: output differs from the pinned seed-code output")
         self.failures += problems
         self.passed += not problems
@@ -224,7 +240,7 @@ def measure_layers(workload, seconds: float, ledger: Ledger) -> dict:
     }
 
 
-def setup_probes(args, count: int) -> list[float]:
+def setup_probes(args, count: int) -> list[dict]:
     """Set-up times of fresh processes started one after the other."""
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--setup-only"]
@@ -233,7 +249,7 @@ def setup_probes(args, count: int) -> list[float]:
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             raise RunError(f"set-up probe failed: {proc.stderr.strip()[-500:]}")
-        samples.append(json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"])
+        samples.append(json.loads(proc.stdout.strip().splitlines()[-1]))
     return samples
 
 
@@ -274,7 +290,7 @@ def main(argv=None) -> int:
         parser.error("--seed must be nonnegative")
 
     try:
-        prepare()
+        library_s = prepare()
         declared = declared_metrics()
     except (RunError, OSError, ValueError, KeyError) as exc:
         print(f"perfbench: cannot run here: {exc}", file=sys.stderr)
@@ -287,15 +303,15 @@ def main(argv=None) -> int:
     scratch.mkdir(exist_ok=True)
     workload = workloads.make(args.workload, args.seed, scratch)
     workload.warm_up()
-    setup_s = perf_counter() - START
+    setup = {"wall_s": perf_counter() - START, "library_s": library_s}
     if args.setup_only:
-        print(json.dumps({"setup_s": setup_s}))
+        print(json.dumps(setup))
         return 0
     pins = None
     if args.seed == DEFAULT_SEED:
         pins = json.loads((HERE / "pinned.json").read_text(encoding="utf-8"))[args.workload]
     ledger = Ledger(workload, pins)
-    setup_samples = [setup_s]
+    setup_samples = [setup]
     try:
         if args.trace:
             measured = measure_layers(workload, args.seconds, ledger)
@@ -311,7 +327,9 @@ def main(argv=None) -> int:
     if args.trace:
         wanted = declared["per_layer"]
     else:
-        measured["metrics"]["setup_s"] = statistics.median(setup_samples)
+        measured["metrics"]["setup_s"] = statistics.median(
+            s["wall_s"] * LIBRARY_NOMINAL_S / s["library_s"] for s in setup_samples
+        )
         measured["metrics"]["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         wanted = declared["end_to_end"]
     values = measured["metrics"]
@@ -327,7 +345,7 @@ def main(argv=None) -> int:
         "trace": args.trace,
         "environment": environment(args.seed),
         "inputs_sha": workloads.inputs_digest(workload),
-        "setup_samples_s": setup_samples,
+        "setup_samples": setup_samples,
         "metrics": {name: {"value": values[name], "unit": wanted[name]} for name in sorted(values)},
         "attempted": ledger.attempted,
         "failed": ledger.failed,

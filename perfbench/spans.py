@@ -20,6 +20,8 @@ from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
 
+from workloads import CAMPAIGN_KINDS
+
 # (span name, module where the caller looks the name up, attribute path).
 # A name is wrapped at every module that calls it, so each call site is
 # seen once whichever module it comes from.
@@ -50,15 +52,6 @@ SITES = (
 
 LAYERS = ("expsum", "flow", "geometry", "landscape", "criteria", "deepnet", "scenarios", "campaigns")
 
-CAMPAIGN_KINDS = (
-    "d2-global-convergence",
-    "no-deactivation",
-    "bad-min-exclusion",
-    "crossing-bound",
-    "norm-monotone-linear",
-    "census-orderings",
-    "backprop-equivalence",
-)
 
 
 def _counted(name: str, args, kwargs, result, counts: dict) -> None:

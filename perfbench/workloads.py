@@ -30,6 +30,20 @@ WITNESS_MARGIN = 1e-9
 # Tolerance for comparing a terminal point with its pinned value.
 POINT_TOL = 1e-9
 
+# The sweep's campaign kinds and scenarios, fixed here rather than read
+# from reluflow so that the workload, its pins and its metric names stay
+# the same when reluflow gains a campaign.
+CAMPAIGN_KINDS = (
+    "d2-global-convergence",
+    "no-deactivation",
+    "bad-min-exclusion",
+    "crossing-bound",
+    "norm-monotone-linear",
+    "census-orderings",
+    "backprop-equivalence",
+)
+SCENARIOS = ("example-5-1", "example-5-2", "example-5-3")
+
 
 def _digest(obj) -> str:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -182,8 +196,8 @@ class CampaignSweep:
     pool_size = 96
     trace_rounds = 1
     kernel = "mixed"
-    cycle = tuple(("campaign", kind) for kind in campaigns.CAMPAIGN_IDS) + tuple(
-        ("scenario", name) for name in scenarios.SCENARIO_NAMES
+    cycle = tuple(("campaign", kind) for kind in CAMPAIGN_KINDS) + tuple(
+        ("scenario", name) for name in SCENARIOS
     )
 
     def __init__(self, seed: int, scratch: Path):
@@ -201,7 +215,7 @@ class CampaignSweep:
             yield json.dumps(cycle).encode()
 
     def warm_up(self) -> None:
-        for kind in campaigns.CAMPAIGN_IDS:
+        for kind in CAMPAIGN_KINDS:
             campaigns.run_campaign(kind, 0, trials=1)
         self.run(("scenario", "example-5-2", 0))
 
