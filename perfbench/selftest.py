@@ -21,7 +21,6 @@ import subprocess
 import sys
 
 import run
-from spans import is_count
 
 SEED = 7
 
@@ -45,6 +44,8 @@ def fingerprints(record: dict) -> dict:
 
 
 def check(workload: str) -> list[str]:
+    from spans import is_count
+
     problems = []
     first = bench(workload, SEED, 1)
     second = bench(workload, SEED, 1)
@@ -70,6 +71,7 @@ def check(workload: str) -> list[str]:
 
 
 def main(names) -> int:
+    run.prepare()
     failed = False
     for workload in names or ["flow-events", "census-cells", "campaign-sweep"]:
         problems = check(workload)
