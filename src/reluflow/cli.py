@@ -35,6 +35,7 @@ from .flow import (
     events_to_jsonl,
     revisit_report,
     simulate_flow,
+    simulate_gd,
     simulate_linear_flow,
     trajectory_to_csv,
 )
@@ -117,37 +118,29 @@ def _run_and_store(ds, args, linear: bool) -> int:
     cfg = _flow_config(args)
     out = _out_dir(args)
     stem = "linear-flow" if linear else "flow"
+    gd = not linear and args.engine == "gd"
     if linear:
         tr = simulate_linear_flow(ds, w0, cfg)
-    elif args.engine == "gd":
-        run = scen.simulate_gd(ds, w0, args.lr, args.iters)
-        (out / f"{stem}.csv").write_text(scen._gd_to_csv(run, 400), encoding="utf-8")
-        (out / f"{stem}-events.jsonl").write_text(
-            "".join(json.dumps(e.to_json(), sort_keys=True) + "\n" for e in run.events),
-            encoding="utf-8",
-        )
-        print(
-            json.dumps(
-                {
-                    "engine": "gd",
-                    "events": [[e.kind, e.index] for e in run.events],
-                    "terminal_point": run.terminal_point.tolist(),
-                },
-                indent=2,
-            )
-        )
-        return 0
+    elif gd:
+        tr = simulate_gd(ds, w0, args.lr, args.iters)
     else:
         tr = simulate_flow(ds, w0, cfg)
     (out / f"{stem}.csv").write_text(trajectory_to_csv(tr, 400), encoding="utf-8")
     (out / f"{stem}-events.jsonl").write_text(events_to_jsonl(tr), encoding="utf-8")
-    summary = {
-        "engine": "exact",
-        "events": [[e.kind, e.index, e.t] for e in tr.events],
-        "terminal": tr.terminal,
-        "terminal_point": tr.terminal_point.tolist(),
-        "revisited": list(revisit_report(tr)),
-    }
+    if gd:
+        summary = {
+            "engine": "gd",
+            "events": [[e.kind, e.index] for e in tr.events],
+            "terminal_point": tr.terminal_point.tolist(),
+        }
+    else:
+        summary = {
+            "engine": "exact",
+            "events": [[e.kind, e.index, e.t] for e in tr.events],
+            "terminal": tr.terminal,
+            "terminal_point": tr.terminal_point.tolist(),
+            "revisited": list(revisit_report(tr)),
+        }
     print(json.dumps(summary, indent=2))
     return 0
 

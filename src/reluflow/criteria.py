@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .dataset import Dataset, RANK_RTOL
+from .dataset import Dataset
 from .errors import (
     DegenerateDirectionError,
     NumericalError,
@@ -23,7 +23,7 @@ from .errors import (
     StructuralError,
 )
 from .flow import Trajectory
-from .geometry import ActivationPattern, active_matrices, pattern_of
+from .geometry import ActivationPattern, active_matrices, pattern_of, pattern_system
 from .landscape import MinimaCensus, loss
 
 INTERPOLATION_TOL = 1e-10
@@ -127,26 +127,14 @@ def cosine_form(ds: Dataset, w0, w_gm, support) -> CosineForm:
 
 
 def _spectral(ds: Dataset, pattern: ActivationPattern):
-    """Descending eigenpairs of the pattern's Gram matrix, exact zeros below cutoff."""
-    mask = pattern.as_bool()
-    cols = ds.x[:, mask]
-    d = ds.d
-    if cols.size == 0:
-        return np.zeros(d), np.eye(d), 0
-    u, s, _ = np.linalg.svd(cols, full_matrices=True)
-    r = int(np.sum(s > RANK_RTOL * s[0]))
-    lam = np.zeros(d)
-    lam[: min(r, d)] = s[:r] ** 2
-    return lam, u, r
+    """Full eigenbasis of the pattern's Gram matrix, its rank and minimum-norm point.
 
-
-def _min_norm_solution(ds: Dataset, pattern: ActivationPattern) -> np.ndarray:
-    mask = pattern.as_bool()
-    cols = ds.x[:, mask]
-    if cols.size == 0:
-        return np.zeros(ds.d)
-    w, *_ = np.linalg.lstsq(cols.T, ds.y[mask], rcond=RANK_RTOL)
-    return w
+    Eigenvalues are descending, padded with exact zeros to length d.
+    """
+    system = pattern_system(ds, pattern)
+    lam = np.zeros(ds.d)
+    lam[: system.rank] = system.eigenvalues
+    return lam, np.hstack([system.basis, system.null_basis]), system.rank, system.point
 
 
 @dataclass(frozen=True)
@@ -202,14 +190,6 @@ class BoundaryCrossingContext:
         return self.evecs_pre.T @ self.w_star_pre
 
     @property
-    def coords_post(self) -> np.ndarray:
-        return self.evecs_post.T @ self.w0
-
-    @property
-    def extents_post(self) -> np.ndarray:
-        return self.evecs_post.T @ self.w_star_post
-
-    @property
     def eigvec_deltas(self) -> np.ndarray:
         return self.evecs_post - self.evecs_pre
 
@@ -229,12 +209,10 @@ def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCro
     if seg_pre.t_end != ev.t:
         raise StructuralError("segment/event alignment broken")
     p_pre, p_post = seg_pre.pattern, seg_post.pattern
-    lam_pre, vec_pre, r_pre = _spectral(ds, p_pre)
-    lam_post, vec_post, r_post = _spectral(ds, p_post)
+    lam_pre, vec_pre, r_pre, w_star_pre = _spectral(ds, p_pre)
+    lam_post, vec_post, r_post, w_star_post = _spectral(ds, p_post)
     if r_pre == 0 or lam_pre[0] == 0.0:
         raise NumericalError("pre-crossing Gram matrix is zero; no spectral context")
-    w_star_pre = _min_norm_solution(ds, p_pre)
-    w_star_post = _min_norm_solution(ds, p_post)
     # sign convention: nonnegative pre-side minimizer coordinates
     sign_pre = np.where(vec_pre.T @ w_star_pre < 0.0, -1.0, 1.0)
     vec_pre = vec_pre * sign_pre

@@ -121,9 +121,6 @@ class Dataset:
     def n(self) -> int:
         return self.x.shape[1]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.x[:, i]
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -30,6 +30,9 @@ ZERO_RTOL = 1e-13
 MERGE_RTOL = 1e-12
 DROP_RTOL = 5e-15
 
+# The tail bracket's step grows by this factor until the limit sign shows.
+BRACKET_FACTOR = 2.0
+
 _BRENTQ_RTOL = 4 * np.finfo(float).eps
 _BRENTQ_XTOL = 1e-30  # absolute term must not mask the machine-relative target
 
@@ -125,17 +128,14 @@ class ExpSum:
             return 0
         return 1 if self.c > 0.0 else -1
 
-    def roots(self, lo: float = 0.0, expand: float = 2.0) -> list[Root]:
-        """All isolated zeros in [lo, infinity), earliest first.
-
-        ``expand`` controls the step-doubling rate of the tail bracket.
-        """
+    def roots(self, lo: float = 0.0) -> list[Root]:
+        """All isolated zeros in [lo, infinity), earliest first."""
         if self.n_terms == 0:
             return []
         if self.n_terms == 1:
             return self._roots_single(lo)
 
-        crit = [r.t for r in self._derivative_factored().roots(lo, expand)]
+        crit = [r.t for r in self._derivative_factored().roots(lo)]
         nodes = [lo]
         for t in crit:
             if t > nodes[-1] * (1 + 1e-12) + 1e-300:
@@ -171,7 +171,7 @@ class ExpSum:
                         self.value, t_i, nodes[i + 1], xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL, maxiter=200
                     )
                 else:
-                    t_root = self._tail_root(t_i, s_i, expand)
+                    t_root = self._tail_root(t_i, s_i)
                 if t_root is not None:
                     emit(float(t_root), s_i)
         settle(limit)
@@ -190,7 +190,7 @@ class ExpSum:
         before = 0 if t <= lo else self._sgn(lo)
         return [Root(float(t), before, self._limit_sgn())]
 
-    def _tail_root(self, t_last: float, s_last: int, expand: float = 2.0):
+    def _tail_root(self, t_last: float, s_last: int):
         """Bracket the single root on the monotone tail [t_last, inf)."""
         limit = self._limit_sgn()
         step = max(1.0 / self.rates[0], 1e-6)
@@ -201,10 +201,6 @@ class ExpSum:
                 return brentq(self.value, t_lo, t_hi, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL, maxiter=200)
             if s == s_last:
                 t_lo = t_hi
-            step *= expand
+            step *= BRACKET_FACTOR
             t_hi = t_last + step
         return None  # exponent underflow reached without a sign change
-
-    def crossings(self, lo: float = 0.0) -> list[Root]:
-        """Roots where f genuinely changes sign (touches excluded)."""
-        return [r for r in self.roots(lo) if r.is_crossing]

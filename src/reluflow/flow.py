@@ -27,10 +27,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, RANK_RTOL
+from .dataset import Dataset
 from .errors import NumericalError, PreconditionError, StructuralError
 from .expsum import ExpSum
-from .geometry import ActivationPattern, active_matrices, pattern_of
+from .geometry import ActivationPattern, active_matrices, g_value, pattern_of, pattern_system
 from .landscape import gradient, loss
 
 # A converged limit must clear every boundary by this geometric margin
@@ -44,16 +44,19 @@ TERMINAL_HORIZON_RATES = 50.0
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Tolerances and guards of the simulator (all positive)."""
+    """Tolerances and guards of the simulator, all positive.
 
-    event_tol: float = 1e-12  # boundary gap tolerance at event points, in h-units
-    converge_tol: float = 1e-10  # gradient norm below which a limit counts as converged
-    t_max: float = 1e6  # hard time horizon
-    max_events: int | None = None  # defaults to 10 * n * d at simulation time
-    bracket_factor: float = 2.0  # expansion rate of the tail bracket search
+    - ``converge_tol``: gradient norm below which a limit counts as converged.
+    - ``t_max``: hard time horizon.
+    - ``max_events``: event cap; ``None`` means ``10 * n * d`` at simulation time.
+    """
+
+    converge_tol: float = 1e-10
+    t_max: float = 1e6
+    max_events: int | None = None
 
     def __post_init__(self):
-        for name in ("event_tol", "converge_tol", "t_max", "bracket_factor"):
+        for name in ("converge_tol", "t_max"):
             if not getattr(self, name) > 0.0:
                 raise PreconditionError(f"{name} must be positive")
         if self.max_events is not None and self.max_events <= 0:
@@ -172,10 +175,6 @@ class Trajectory:
         last = self.segments[-1]
         return last.value_local(t - last.t_start)
 
-    @property
-    def t_final(self) -> float:
-        return self.segments[-1].t_end
-
 
 def _segment_from(
     ds: Dataset,
@@ -190,48 +189,23 @@ def _segment_from(
     onto the sliding datum's boundary; the conserved-null machinery then
     keeps the flow on the boundary exactly.
     """
-    mask = pattern.as_bool()
-    cols = ds.x[:, mask]
-    ys = ds.y[mask]
+    system = pattern_system(ds, pattern, slide=sliding_index)
     w_start = np.asarray(w_start, dtype=float)
     if sliding_index is not None:
-        xs = ds.x[:, sliding_index]
-        xs = xs / np.linalg.norm(xs)
-        cols = cols - np.outer(xs, xs @ cols)
+        xs = ds.x[:, sliding_index] / np.linalg.norm(ds.x[:, sliding_index])
         w_start = w_start - xs * (xs @ w_start)
-    d = ds.d
-    if cols.size == 0 or not np.any(np.linalg.norm(cols, axis=0) > 0.0):
-        return FlowSegment(
-            t_start=t_start,
-            t_end=np.inf,
-            w_start=w_start,
-            pattern=pattern,
-            eigenvalues=np.empty(0),
-            eigenvectors=np.empty((d, 0)),
-            target=w_start,
-            delta=np.empty(0),
-            sliding_index=sliding_index,
-        )
-    u, s, _ = np.linalg.svd(cols, full_matrices=True)
-    # absolute floor tied to the data scale: projection can leave columns
-    # that are pure roundoff, and a purely relative cutoff would keep them
-    floor = max(RANK_RTOL * s[0], 1e-13 * float(np.max(np.linalg.norm(ds.x, axis=0))))
-    r = int(np.sum(s > floor))
-    lam = s[:r] ** 2
-    basis = u[:, :r]
-    q = cols @ ys
-    target = basis @ ((basis.T @ q) / lam)
-    if r < d:
-        null = u[:, r:]
+    target = system.point
+    if system.rank < ds.d:
+        null = system.null_basis
         target = target + null @ (null.T @ w_start)
-    delta = basis.T @ (w_start - target)
+    delta = system.basis.T @ (w_start - target)
     seg = FlowSegment(
         t_start=t_start,
         t_end=np.inf,
         w_start=w_start,
         pattern=pattern,
-        eigenvalues=lam,
-        eigenvectors=basis,
+        eigenvalues=system.eigenvalues,
+        eigenvectors=system.basis,
         target=target,
         delta=delta,
         sliding_index=sliding_index,
@@ -248,33 +222,33 @@ class _Candidate:
     kind: str  # "boundary" | "release-down" | "release-up"
 
 
-def _boundary_candidates(ds: Dataset, seg: FlowSegment, expand: float) -> list[_Candidate]:
+def _boundary_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
     out = []
     for k in range(ds.n):
         if k == seg.sliding_index:
             continue
         want = -1 if seg.pattern.bits[k] else 1
         f = seg.observable(ds.x[:, k])
-        for root in f.roots(0.0, expand):
+        for root in f.roots(0.0):
             if root.is_crossing and root.after == want:
                 out.append(_Candidate(tau=root.t, index=k, kind="boundary"))
                 break
     return out
 
 
-def _release_candidates(ds: Dataset, seg: FlowSegment, expand: float) -> list[_Candidate]:
+def _release_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
     k = seg.sliding_index
     xk = ds.x[:, k]
     hmat, qvec = active_matrices(ds, seg.pattern)
     gm = seg.observable(hmat @ xk, offset=float(xk @ qvec))
     gp = ExpSum(gm.c - float(ds.y[k]) * float(xk @ xk), gm.coeffs, gm.rates)
     out = []
-    for root in gm.roots(0.0, expand):
+    for root in gm.roots(0.0):
         # excluded-term gradient turns nonnegative: the lower side releases
         if root.is_crossing and root.after == 1:
             out.append(_Candidate(tau=root.t, index=k, kind="release-down"))
             break
-    for root in gp.roots(0.0, expand):
+    for root in gp.roots(0.0):
         # included-term gradient turns nonpositive: the upper side releases
         if root.is_crossing and root.after == -1:
             out.append(_Candidate(tau=root.t, index=k, kind="release-up"))
@@ -325,9 +299,9 @@ def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
 
     while terminal is None:
         seg = _segment_from(ds, pattern, w, t, sliding_on)
-        candidates = _boundary_candidates(ds, seg, cfg.bracket_factor)
+        candidates = _boundary_candidates(ds, seg)
         if sliding_on is not None:
-            candidates.extend(_release_candidates(ds, seg, cfg.bracket_factor))
+            candidates.extend(_release_candidates(ds, seg))
         event = None
         if candidates:
             tau_min = min(c.tau for c in candidates)
@@ -419,6 +393,57 @@ def simulate_linear_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Traj
     )
 
 
+@dataclass(frozen=True)
+class GDRun:
+    """Small-step descent proxy of a flow run (qualitative cross-check).
+
+    It shares the exact trajectory's artifact interface: ``events`` are
+    ``FlowEvent`` records and :func:`trajectory_to_csv` samples the iterates.
+    """
+
+    dataset: Dataset
+    lr: float
+    iterates: np.ndarray  # (iters + 1, d)
+    events: tuple
+    terminal_point: np.ndarray
+
+    linear = False  # the proxy descends the rectified loss
+
+    def at(self, t: float) -> np.ndarray:
+        k = min(int(round(t / self.lr)), len(self.iterates) - 1)
+        return self.iterates[k]
+
+
+def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
+    """Fixed-step descent with the strict-indicator gradient.
+
+    Pattern flips between iterates are logged as events at pseudo-time
+    ``iteration * lr`` so event sequences are comparable with the exact
+    engine's.
+    """
+    w = np.asarray(w0, dtype=float).copy()
+    iterates = [w.copy()]
+    events = []
+    bits = pattern_of(ds, w).bits
+    for k in range(iters):
+        w = w - lr * gradient(ds, w)
+        iterates.append(w.copy())
+        new_bits = pattern_of(ds, w).bits
+        if new_bits != bits:
+            for j, (a, b) in enumerate(zip(bits, new_bits)):
+                if a != b:
+                    kind = "activation" if b else "deactivation"
+                    events.append(FlowEvent(t=(k + 1) * lr, index=j, kind=kind, point=w.copy()))
+            bits = new_bits
+    return GDRun(
+        dataset=ds,
+        lr=lr,
+        iterates=np.array(iterates),
+        events=tuple(events),
+        terminal_point=w,
+    )
+
+
 def linear_loss(ds: Dataset, w) -> float:
     r = ds.x.T @ np.asarray(w, dtype=float) - ds.y
     return 0.5 * float(r @ r)
@@ -428,19 +453,21 @@ def _g_along(ds: Dataset, w: np.ndarray, linear: bool) -> float:
     if linear:
         h = ds.x @ (ds.x.T @ w - ds.y)
         return float(w @ h)
-    from .geometry import g_value
-
     return g_value(ds, w)
 
 
-def sample_trajectory(tr: Trajectory, samples: int) -> list[tuple[float, np.ndarray]]:
+def sample_trajectory(tr: Trajectory | GDRun, samples: int) -> list[tuple[float, np.ndarray]]:
     """Uniform-in-segment-local-time sample points (t, w(t)).
 
     Infinite terminal segments are sampled up to their decay horizon and
-    the analytic limit is appended as the final row.
+    the analytic limit is appended as the final row.  A descent run is
+    sampled at every ``len(iterates) // samples``-th iterate instead.
     """
     if samples < 2:
         raise PreconditionError("need at least 2 samples")
+    if isinstance(tr, GDRun):
+        stride = max(1, len(tr.iterates) // samples)
+        return [(k * tr.lr, tr.iterates[k]) for k in range(0, len(tr.iterates), stride)]
     n_seg = len(tr.segments)
     base = max(2, samples // n_seg)
     rows: list[tuple[float, np.ndarray]] = []
@@ -456,7 +483,7 @@ def sample_trajectory(tr: Trajectory, samples: int) -> list[tuple[float, np.ndar
     return rows
 
 
-def norm_profile(tr: Trajectory, samples: int) -> list[tuple[float, float, float, float]]:
+def norm_profile(tr: Trajectory | GDRun, samples: int) -> list[tuple[float, float, float, float]]:
     """(t, |w|, loss, g) along the trajectory, for monotonicity audits."""
     ds = tr.dataset
     out = []
@@ -513,14 +540,15 @@ def revisit_report(tr: Trajectory) -> tuple[int, ...]:
     return tuple(sorted(revisited))
 
 
-def events_to_jsonl(tr: Trajectory) -> str:
+def events_to_jsonl(tr: Trajectory | GDRun) -> str:
+    """One JSON line per event, keys sorted."""
     import json
 
     return "".join(json.dumps(ev.to_json(), sort_keys=True) + "\n" for ev in tr.events)
 
 
-def trajectory_to_csv(tr: Trajectory, samples: int = 200) -> str:
-    """Plot-ready CSV: t, w_1..w_d, loss, norm, g, pattern bits."""
+def trajectory_to_csv(tr: Trajectory | GDRun, samples: int = 200) -> str:
+    """Plot-ready CSV of an exact, linear or descent run: t, w_1..w_d, loss, norm, g, pattern bits."""
     ds = tr.dataset
     d = ds.d
     header = ["t"] + [f"w_{i + 1}" for i in range(d)] + ["loss", "norm", "g", "pattern"]
@@ -528,11 +556,7 @@ def trajectory_to_csv(tr: Trajectory, samples: int = 200) -> str:
     for t, w in sample_trajectory(tr, samples):
         value = linear_loss(ds, w) if tr.linear else loss(ds, w)
         g = _g_along(ds, w, tr.linear)
-        pat = (
-            "1" * ds.n
-            if tr.linear
-            else pattern_of(ds, w).to_string()
-        )
+        pat = "1" * ds.n if tr.linear else pattern_of(ds, w).to_string()
         cells = [repr(float(t))] + [repr(float(x)) for x in w]
         cells += [repr(float(value)), repr(float(np.linalg.norm(w))), repr(float(g)), pat]
         lines.append(",".join(cells))

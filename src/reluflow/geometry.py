@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .dataset import Dataset
+from .dataset import Dataset, RANK_RTOL
 from .errors import DimensionError, GeometryError, SizeError, StructuralError
 
 # A pattern is feasible iff a unit witness clears every boundary by this
@@ -89,6 +89,54 @@ def active_matrices(ds: Dataset, pattern: ActivationPattern) -> tuple[np.ndarray
     mask = pattern.as_bool()
     xa = ds.x[:, mask]
     return xa @ xa.T, xa @ ds.y[mask]
+
+
+@dataclass(frozen=True)
+class PatternSystem:
+    """Spectral data of one pattern's active columns ``X_a``.
+
+    The Gram matrix ``X_a X_a^T`` has the positive eigenvalues
+    ``eigenvalues`` (descending) on the orthonormal columns of ``basis``;
+    ``null_basis`` completes them to an orthonormal basis of R^d.
+    ``point`` is the minimum-norm minimizer of ``|X_a^T w - y_a|^2``.
+    """
+
+    eigenvalues: np.ndarray  # (r,)
+    basis: np.ndarray  # (d, r)
+    null_basis: np.ndarray  # (d, d - r)
+    point: np.ndarray  # (d,)
+
+    @property
+    def rank(self) -> int:
+        return int(self.eigenvalues.size)
+
+
+def pattern_system(ds: Dataset, pattern: ActivationPattern, slide: int | None = None) -> PatternSystem:
+    """Spectrum, null space and minimum-norm point of the pattern's active data.
+
+    With ``slide = k`` the active columns are first projected onto the
+    boundary of datum k, which is the system of a segment sliding there.
+    Singular values at or below ``max(RANK_RTOL * s_max, 1e-13 * max |x_i|)``
+    count as zero: the absolute floor, tied to the data scale, drops
+    columns that a projection has left as pure roundoff.
+    """
+    if len(pattern) != ds.n:
+        raise StructuralError("pattern length does not match dataset")
+    mask = pattern.as_bool()
+    cols = ds.x[:, mask]
+    if slide is not None:
+        xs = ds.x[:, slide] / np.linalg.norm(ds.x[:, slide])
+        cols = cols - np.outer(xs, xs @ cols)
+    d = ds.d
+    if cols.size == 0 or not np.any(np.linalg.norm(cols, axis=0) > 0.0):
+        return PatternSystem(np.empty(0), np.empty((d, 0)), np.eye(d), np.zeros(d))
+    u, s, _ = np.linalg.svd(cols, full_matrices=True)
+    floor = max(RANK_RTOL * s[0], 1e-13 * float(np.max(np.linalg.norm(ds.x, axis=0))))
+    r = int(np.sum(s > floor))
+    lam = s[:r] ** 2
+    basis = u[:, :r]
+    point = basis @ ((basis.T @ (cols @ ds.y[mask])) / lam)
+    return PatternSystem(eigenvalues=lam, basis=basis, null_basis=u[:, r:], point=point)
 
 
 def partition_count_bound(n: int, d: int) -> int:
@@ -163,11 +211,14 @@ def _boundary_angles(ds: Dataset, dedupe: float = 1e-12) -> list[float]:
     return out
 
 
-def _enumerate_2d(ds: Dataset) -> list[PartitionCell]:
-    angles = _boundary_angles(ds)
+def _arcs_2d(ds: Dataset, angles: list[float]):
+    """Walk the arcs between consecutive boundary angles counterclockwise.
+
+    Yields ``(a, b, w, margin)``: the arc's end angles (the last arc wraps
+    past 2pi), its unit midpoint ``w`` and the midpoint's smallest
+    distance to a boundary.
+    """
     unit = ds.x / np.linalg.norm(ds.x, axis=0)
-    cells: list[PartitionCell] = []
-    seen = set()
     k = len(angles)
     for j in range(k):
         a, b = angles[j], angles[(j + 1) % k]
@@ -175,7 +226,13 @@ def _enumerate_2d(ds: Dataset) -> list[PartitionCell]:
             b += 2.0 * math.pi
         mid = 0.5 * (a + b)
         w = np.array([math.cos(mid), math.sin(mid)])
-        margin = float(np.min(np.abs(unit.T @ w)))
+        yield a, b, w, float(np.min(np.abs(unit.T @ w)))
+
+
+def _enumerate_2d(ds: Dataset) -> list[PartitionCell]:
+    cells: list[PartitionCell] = []
+    seen = set()
+    for _, _, w, margin in _arcs_2d(ds, _boundary_angles(ds)):
         if margin <= FEASIBILITY_MARGIN:
             continue
         pat = pattern_of(ds, w)
@@ -268,17 +325,10 @@ def partition_order_2d(ds: Dataset) -> PartitionOrdering:
     if ds.d != 2:
         raise DimensionError(f"partition ordering requires d = 2, got d = {ds.d}")
     angles = _boundary_angles(ds)
-    unit = ds.x / np.linalg.norm(ds.x, axis=0)
     ordered: list[ActivationPattern] = []
     arcs: list[tuple[float, float]] = []
-    k = len(angles)
-    for j in range(k):
-        a, b = angles[j], angles[(j + 1) % k]
-        if j == k - 1:
-            b += 2.0 * math.pi
-        mid = 0.5 * (a + b)
-        w = np.array([math.cos(mid), math.sin(mid)])
-        if float(np.min(np.abs(unit.T @ w))) <= FEASIBILITY_MARGIN:
+    for a, b, w, margin in _arcs_2d(ds, angles):
+        if margin <= FEASIBILITY_MARGIN:
             raise GeometryError(
                 "coincident activation boundaries; the circular order is degenerate"
             )

@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 
 from .dataset import Dataset, RANK_RTOL
 from .errors import GeometryError
-from .geometry import ActivationPattern, enumerate_partitions
+from .geometry import ActivationPattern, enumerate_partitions, pattern_system
 
 # Strictness margin for deciding that a minimizer clears its boundaries.
 CONTAINMENT_MARGIN = 1e-9
@@ -191,25 +191,19 @@ def virtual_minimizer(
             loss=total_inactive,
             witness=np.zeros(ds.d),
         )
-    xa = ds.x[:, active]
-    ya = ds.y[active]
-    u, s, vt = np.linalg.svd(xa, full_matrices=True)
-    r = int(np.sum(s > RANK_RTOL * s[0]))
-    # minimum-norm solution of xa^T w ~= ya
-    coeff = (u[:, :r].T @ (xa @ ya)) / (s[:r] ** 2)
-    point = u[:, :r] @ coeff
-    null_basis = u[:, r:]
-    resid = xa.T @ point - ya
+    system = pattern_system(ds, pattern)
+    point = system.point
+    resid = ds.x[:, active].T @ point - ds.y[active]
     total = 0.5 * float(resid @ resid) + total_inactive
-    if r == ds.d:
+    if system.rank == ds.d:
         contained, witness = _containment_full_rank(ds, pattern, point)
     else:
-        contained, witness = _containment_affine(ds, pattern, point, null_basis)
+        contained, witness = _containment_affine(ds, pattern, point, system.null_basis)
     return VirtualMinimizer(
         pattern=pattern,
         point=point,
-        null_basis=null_basis,
-        rank=r,
+        null_basis=system.null_basis,
+        rank=system.rank,
         contained=contained,
         loss=total,
         witness=witness,

@@ -27,10 +27,10 @@ from .flow import (
     events_to_jsonl,
     revisit_report,
     simulate_flow,
+    simulate_gd,
     simulate_linear_flow,
     trajectory_to_csv,
 )
-from .geometry import pattern_of
 from .landscape import gradient, minima_census
 
 DEFAULT_SEED = 0
@@ -290,74 +290,6 @@ def builtin_scenario(name: str, seed: int = DEFAULT_SEED) -> Scenario:
 
 
 @dataclass(frozen=True)
-class GDRun:
-    """Small-step descent proxy of a flow run (qualitative cross-check)."""
-
-    dataset: Dataset
-    lr: float
-    iterates: np.ndarray  # (iters + 1, d)
-    events: tuple
-    terminal_point: np.ndarray
-
-    def at(self, t: float) -> np.ndarray:
-        k = min(int(round(t / self.lr)), len(self.iterates) - 1)
-        return self.iterates[k]
-
-
-def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
-    """Fixed-step descent with the strict-indicator gradient.
-
-    Pattern flips between iterates are logged as events at pseudo-time
-    ``iteration * lr`` so event sequences are comparable with the exact
-    engine's.
-    """
-    from .flow import FlowEvent
-
-    w = np.asarray(w0, dtype=float).copy()
-    iterates = [w.copy()]
-    events = []
-    bits = pattern_of(ds, w).bits
-    for k in range(iters):
-        w = w - lr * gradient(ds, w)
-        iterates.append(w.copy())
-        new_bits = pattern_of(ds, w).bits
-        if new_bits != bits:
-            for j, (a, b) in enumerate(zip(bits, new_bits)):
-                if a != b:
-                    kind = "activation" if b else "deactivation"
-                    events.append(FlowEvent(t=(k + 1) * lr, index=j, kind=kind, point=w.copy()))
-            bits = new_bits
-    return GDRun(
-        dataset=ds,
-        lr=lr,
-        iterates=np.array(iterates),
-        events=tuple(events),
-        terminal_point=w,
-    )
-
-
-def _gd_to_csv(run: GDRun, samples: int) -> str:
-    from .flow import _g_along
-    from .landscape import loss as relu_loss
-
-    ds = run.dataset
-    stride = max(1, len(run.iterates) // samples)
-    header = ["t"] + [f"w_{i + 1}" for i in range(ds.d)] + ["loss", "norm", "g", "pattern"]
-    lines = [",".join(header)]
-    for k in range(0, len(run.iterates), stride):
-        w = run.iterates[k]
-        cells = [repr(float(k * run.lr))] + [repr(float(v)) for v in w]
-        cells += [
-            repr(float(relu_loss(ds, w))),
-            repr(float(np.linalg.norm(w))),
-            repr(float(_g_along(ds, w, False))),
-            pattern_of(ds, w).to_string(),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
 class ScenarioResult:
     name: str
     checks: tuple[tuple[str, bool, str], ...]
@@ -399,25 +331,15 @@ def run_scenario(
     for run in scenario.runs:
         if run.kind == "linear":
             tr = simulate_linear_flow(ds, run.w0, scenario.config)
-            results[run.label] = tr
-            csv_text = trajectory_to_csv(tr, samples)
-            events_text = events_to_jsonl(tr)
         elif engine == "gd":
-            gd = simulate_gd(ds, run.w0, lr, iters)
-            results[run.label] = gd
-            csv_text = _gd_to_csv(gd, samples)
-            events_text = "".join(
-                json.dumps(ev.to_json(), sort_keys=True) + "\n" for ev in gd.events
-            )
+            tr = simulate_gd(ds, run.w0, lr, iters)
         else:
             tr = simulate_flow(ds, run.w0, scenario.config)
-            results[run.label] = tr
-            csv_text = trajectory_to_csv(tr, samples)
-            events_text = events_to_jsonl(tr)
+        results[run.label] = tr
         csv_path = out_dir / f"{scenario.name}-{run.label}.csv"
-        csv_path.write_text(csv_text, encoding="utf-8")
+        csv_path.write_text(trajectory_to_csv(tr, samples), encoding="utf-8")
         events_path = out_dir / f"{scenario.name}-{run.label}-events.jsonl"
-        events_path.write_text(events_text, encoding="utf-8")
+        events_path.write_text(events_to_jsonl(tr), encoding="utf-8")
         artifacts += [csv_path.name, events_path.name]  # names only: reports stay portable
     checks = []
     for exp in scenario.expectations:

@@ -14,10 +14,10 @@ from reluflow.flow import (
     sample_trajectory,
     segment_root_counts,
     simulate_flow,
+    simulate_gd,
     simulate_linear_flow,
 )
 from reluflow.geometry import pattern_of
-from reluflow.scenarios import simulate_gd
 
 from oracles import lstsq_minnorm
 
@@ -319,7 +319,7 @@ class TestTrajectoryStructure:
 class TestGuards:
     def test_config_requires_positive_entries(self):
         with pytest.raises(PreconditionError):
-            FlowConfig(event_tol=0.0)
+            FlowConfig(converge_tol=0.0)
         with pytest.raises(PreconditionError):
             FlowConfig(t_max=-1.0)
         with pytest.raises(PreconditionError):

@@ -15,9 +15,10 @@ from reluflow.geometry import (
     partition_count_bound,
     partition_order_2d,
     pattern_of,
+    pattern_system,
 )
 
-from oracles import sweep_patterns_2d
+from oracles import lstsq_minnorm, sweep_patterns_2d
 
 
 def random_a1_dataset(rng, d, n):
@@ -103,6 +104,38 @@ class TestEnumeratePartitions:
             cells = enumerate_partitions(ds)
             assert len(cells) <= partition_count_bound(n, d)
             assert len({c.pattern.bits for c in cells}) == len(cells)
+
+
+class TestPatternSystem:
+    def test_spectrum_and_point_match_independent_oracles(self, rng):
+        ds = random_a1_dataset(rng, 4, 7)
+        for bits in ("1111111", "1100000", "0010110", "0000000"):
+            pattern = ActivationPattern.from_string(bits)
+            system = pattern_system(ds, pattern)
+            h, _ = active_matrices(ds, pattern)
+            mask = pattern.as_bool()
+            assert system.rank == min(int(mask.sum()), ds.d)
+            evals = np.sort(np.linalg.eigvalsh(h))[::-1][: system.rank]
+            np.testing.assert_allclose(system.eigenvalues, evals, rtol=1e-9)
+            basis = np.hstack([system.basis, system.null_basis])
+            np.testing.assert_allclose(basis.T @ basis, np.eye(ds.d), atol=1e-12)
+            np.testing.assert_allclose(h @ system.basis, system.basis * system.eigenvalues, atol=1e-9)
+            oracle = lstsq_minnorm(ds.x[:, mask], ds.y[mask]) if mask.any() else np.zeros(ds.d)
+            np.testing.assert_allclose(system.point, oracle, atol=1e-9)
+
+    def test_slide_projects_onto_the_boundary(self, rng):
+        ds = random_a1_dataset(rng, 3, 5)
+        pattern = ActivationPattern.from_string("11011")
+        system = pattern_system(ds, pattern, slide=2)
+        xk = ds.x[:, 2] / np.linalg.norm(ds.x[:, 2])
+        assert system.rank == 2
+        np.testing.assert_allclose(xk @ system.basis, 0.0, atol=1e-12)
+        assert abs(float(xk @ system.point)) <= 1e-12 * np.linalg.norm(system.point)
+
+    def test_pattern_length_is_checked(self, rng):
+        ds = random_a1_dataset(rng, 2, 3)
+        with pytest.raises(StructuralError):
+            pattern_system(ds, ActivationPattern.from_string("11"))
 
 
 class TestPartitionInvariants:

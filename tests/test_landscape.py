@@ -5,6 +5,7 @@ import pytest
 
 from reluflow.dataset import Dataset
 from reluflow.errors import GeometryError
+from reluflow.flow import simulate_flow
 from reluflow.geometry import ActivationPattern, enumerate_partitions, pattern_of
 from reluflow.landscape import (
     compare_support_losses,
@@ -89,6 +90,18 @@ class TestVirtualMinimizer:
         assert vm.loss == pytest.approx(0.0, abs=1e-20)
         h = ds_deactivation.x.T @ vm.point
         np.testing.assert_allclose(h, ds_deactivation.y, atol=1e-12)
+
+    def test_flow_and_census_agree_on_the_rank(self):
+        # the active columns (1, 0) and (1, 1e-8) leave a second singular
+        # value of ~7e-9, below the floor 1e-13 * 1.4e6 that the large first
+        # column sets: both layers must count rank 1
+        ds = Dataset(x=np.array([[-1e6, 1.0, 1.0], [-1e6, 0.0, 1e-8]]), y=np.array([1.0, 1.0, 2.0]))
+        w0 = np.array([1.0, 0.5])
+        pattern = pattern_of(ds, w0)
+        assert pattern.to_string() == "011"
+        tr = simulate_flow(ds, w0)
+        vm = virtual_minimizer(ds, pattern, check_feasible=False)
+        assert tr.segments[0].eigenvalues.size == vm.rank == 1
 
     def test_infeasible_pattern_is_rejected(self):
         # positively parallel data always share an activation bit

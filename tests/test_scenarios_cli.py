@@ -69,14 +69,16 @@ class TestScenarios:
                 assert result.passed, (name, seed, result.checks)
 
     def test_outputs_are_byte_identical_under_a_fixed_seed(self, tmp_path):
-        outs = []
-        for run_dir in ("a", "b"):
-            run_scenario(builtin_scenario("example-5-2", seed=5), tmp_path / run_dir)
-            blob = b""
-            for path in sorted((tmp_path / run_dir).iterdir()):
-                blob += path.name.encode() + path.read_bytes()
-            outs.append(hashlib.sha256(blob).hexdigest())
-        assert outs[0] == outs[1]
+        for engine in ("exact", "gd"):
+            outs = []
+            for run_dir in ("a", "b"):
+                out_dir = tmp_path / engine / run_dir
+                run_scenario(builtin_scenario("example-5-2", seed=5), out_dir, engine=engine)
+                blob = b""
+                for path in sorted(out_dir.iterdir()):
+                    blob += path.name.encode() + path.read_bytes()
+                outs.append(hashlib.sha256(blob).hexdigest())
+            assert outs[0] == outs[1], engine
 
     def test_descent_proxy_checks_event_sequence_only(self, tmp_path):
         result = run_scenario(
@@ -296,15 +298,23 @@ class TestCli:
         assert "interpolating" in capsys.readouterr().err
 
     def test_console_script_round_trip(self, tmp_path):
-        # the installed entry point must work as a real subprocess
+        # the entry point must work as a real subprocess; it imports the
+        # same package sources as this test, installed or not
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import reluflow
+
+        src = str(Path(reluflow.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "reluflow.cli", "reproduce", "example-5-2",
              "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("[PASS]") == 5
