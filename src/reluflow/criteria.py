@@ -28,6 +28,10 @@ from .landscape import MinimaCensus, loss
 
 INTERPOLATION_TOL = 1e-10
 
+# The strict inequality of condition b2 holds only when its sides differ
+# by more than TIE_RTOL * max(1, |lhs|, |rhs|): a tie up to roundoff fails.
+TIE_RTOL = 1e-12
+
 
 def alpha_star(ds: Dataset, w0, j: int) -> float:
     """Scaling threshold for datum j along the ray through ``w0``.
@@ -321,7 +325,7 @@ def check_B_conditions(ctx: BoundaryCrossingContext) -> BConditionReport:
         np.min(per_mode)
     )
     b2_lhs = ctx.y0
-    b2 = b2_lhs < b2_rhs
+    b2 = b2_rhs - b2_lhs > TIE_RTOL * max(1.0, abs(b2_lhs), abs(b2_rhs))
 
     b3 = ctx.rank_post == d
     b4_value = float(x0 @ ctx.w_star_pre)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .errors import NumericalError
+
 # |f(t)| below ZERO_RTOL times the decay envelope counts as an exact zero.
 ZERO_RTOL = 1e-13
 
@@ -30,7 +32,8 @@ ZERO_RTOL = 1e-13
 MERGE_RTOL = 1e-12
 DROP_RTOL = 5e-15
 
-# The tail bracket's step grows by this factor until the limit sign shows.
+# The tail bracket's step grows by this factor until the limit sign shows;
+# a tail without that sign after 200 steps raises NumericalError.
 BRACKET_FACTOR = 2.0
 
 _BRENTQ_RTOL = 4 * np.finfo(float).eps
@@ -172,8 +175,7 @@ class ExpSum:
                     )
                 else:
                     t_root = self._tail_root(t_i, s_i)
-                if t_root is not None:
-                    emit(float(t_root), s_i)
+                emit(float(t_root), s_i)
         settle(limit)
         return found
 
@@ -203,4 +205,4 @@ class ExpSum:
                 t_lo = t_hi
             step *= BRACKET_FACTOR
             t_hi = t_last + step
-        return None  # exponent underflow reached without a sign change
+        raise NumericalError(f"tail root after t = {t_last!r} not bracketed in 200 steps")

@@ -3,9 +3,19 @@
 Inside one partition the flow obeys a constant-coefficient linear ODE
 whose solution is known in closed spectral form, so each segment is
 integrated exactly: no time stepping ever happens.  Every datum's
-boundary gap along a segment is a decaying exponential sum, and the
-isolator in :mod:`reluflow.expsum` certifies its earliest admissible
-zero.  At a boundary hit the strict-indicator gradient (the boundary
+boundary gap along a segment is a decaying exponential sum over the
+segment's shared decay rates, and the next event is the earliest
+admissible zero among them, found in two stages:
+
+- bound: interval enclosures of all n gaps at once, on one geometric
+  time grid, give each datum a certified lower bound on its first zero
+  (infinite when no zero exists);
+- isolate: the data are visited in order of that bound, and the isolator
+  in :mod:`reluflow.expsum` certifies each one's earliest admissible
+  zero, until the next bound lies beyond the tie window of the best
+  zero found.  No datum that could win or tie is skipped.
+
+At a boundary hit the strict-indicator gradient (the boundary
 term excluded) decides the outcome:
 
 - a falling gap with nonnegative excluded-gradient alignment exits into
@@ -29,7 +39,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import NumericalError, PreconditionError, StructuralError
-from .expsum import ExpSum
+from .expsum import MERGE_RTOL, ExpSum
 from .geometry import ActivationPattern, active_matrices, g_value, pattern_of, pattern_system
 from .landscape import gradient, loss
 
@@ -38,8 +48,21 @@ from .landscape import gradient, loss
 INTERIOR_MARGIN = 1e-9
 
 # Local sampling horizon of a terminal segment, in units of the slowest
-# positive decay: exp(-50) is far below double precision.
+# positive decay: exp(-50) is far below double precision.  The gap
+# bounds' grid also ends there.
 TERMINAL_HORIZON_RATES = 50.0
+
+# Candidates within EVENT_TIE_RTOL * max(1, tau) of the earliest one tie,
+# and the lowest data index among them wins.
+EVENT_TIE_RTOL = 1e-12
+
+# The gap bounds' grid starts with [0, BOUND_T0_RATES / lam_max] and
+# doubles from there.  A cell is zero-free only when its enclosure clears
+# 0 by BOUND_SLACK_RTOL * (|c| + sum |a|): 1e4 above the isolator's
+# ZERO_RTOL, so the zeros that isolator reports, and the terms it drops,
+# stay inside the slack.
+BOUND_T0_RATES = 1e-6
+BOUND_SLACK_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -222,16 +245,65 @@ class _Candidate:
     kind: str  # "boundary" | "release-down" | "release-up"
 
 
+def gap_lower_bounds(rates, coeffs, consts) -> np.ndarray:
+    """Certified lower bound on the first zero of each row's exponential sum.
+
+    Row k is ``consts[k] + sum_j coeffs[k, j] * exp(-rates[j] * t)`` on
+    [0, inf).  The rows share one time grid: ``[0, t0]``, doubling cells
+    up to ``TERMINAL_HORIZON_RATES / min(rates)``, then a last cell to
+    infinity.  On a cell [t_a, t_b] a term with a > 0 lies in
+    ``[a exp(-mu t_b), a exp(-mu t_a)]`` (Moore, *Interval Analysis*,
+    1966), and each rate mu enters as the interval between
+    ``mu - MERGE_RTOL * max(rates)`` and mu, so the enclosure also holds
+    for the sum :class:`ExpSum` builds after merging near-equal rates.
+    A row's bound is the left end of its first cell whose enclosure does
+    not clear zero by the slack, or ``inf`` when every cell does: then
+    ``ExpSum(consts[k], coeffs[k], rates).roots(0.0)`` is empty.
+    """
+    rates = np.asarray(rates, dtype=float)
+    consts = np.asarray(consts, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float).reshape(consts.size, rates.size)
+    if rates.size == 0:
+        return np.full(consts.size, np.inf)
+    lam_min, lam_max = float(rates.min()), float(rates.max())
+    t0 = BOUND_T0_RATES / lam_max
+    doublings = int(np.ceil(np.log2(TERMINAL_HORIZON_RATES / lam_min / t0)))
+    edges = np.concatenate(([0.0], t0 * 2.0 ** np.arange(doublings + 1), [np.inf]))
+    slowest = np.maximum(rates - MERGE_RTOL * lam_max, lam_min)
+    # each term's largest and smallest magnitude on every cell: (n, cells, r)
+    at_left = coeffs[:, None, :] * np.exp(-np.multiply.outer(edges[:-1], slowest))
+    at_right = coeffs[:, None, :] * np.exp(-np.multiply.outer(edges[1:], rates))
+    lo = consts[:, None] + np.minimum(at_left, at_right).sum(axis=2)
+    hi = consts[:, None] + np.maximum(at_left, at_right).sum(axis=2)
+    slack = (BOUND_SLACK_RTOL * (np.abs(consts) + np.abs(coeffs).sum(axis=1)))[:, None]
+    may_vanish = (lo <= slack) & (hi >= -slack)
+    first = np.argmax(may_vanish, axis=1)
+    return np.where(may_vanish.any(axis=1), edges[first], np.inf)
+
+
 def _boundary_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
+    """Earliest admissible boundary zero of each datum that can come first.
+
+    The data are isolated in order of their gap bounds.  Once the next
+    bound lies beyond the tie window of the best zero found, no remaining
+    datum can win or tie, so the search stops there.
+    """
+    lower = gap_lower_bounds(
+        seg.eigenvalues, (ds.x.T @ seg.eigenvectors) * seg.delta, ds.x.T @ seg.target
+    )
+    if seg.sliding_index is not None:
+        lower[seg.sliding_index] = np.inf
     out = []
-    for k in range(ds.n):
-        if k == seg.sliding_index:
-            continue
+    best = np.inf
+    for k in np.argsort(lower, kind="stable"):
+        if np.isinf(lower[k]) or lower[k] > best + EVENT_TIE_RTOL * max(1.0, best):
+            break
+        k = int(k)
         want = -1 if seg.pattern.bits[k] else 1
-        f = seg.observable(ds.x[:, k])
-        for root in f.roots(0.0):
+        for root in seg.observable(ds.x[:, k]).roots(0.0):
             if root.is_crossing and root.after == want:
                 out.append(_Candidate(tau=root.t, index=k, kind="boundary"))
+                best = min(best, root.t)
                 break
     return out
 
@@ -305,7 +377,7 @@ def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
         event = None
         if candidates:
             tau_min = min(c.tau for c in candidates)
-            window = 1e-12 * max(1.0, tau_min)
+            window = EVENT_TIE_RTOL * max(1.0, tau_min)
             event = min(
                 (c for c in candidates if c.tau <= tau_min + window),
                 key=lambda c: c.index,

@@ -5,7 +5,9 @@ least squares go through numpy's lstsq/pinv, pattern counts through dense
 angular sweeps, gradients through central finite differences, and deep
 gradients through a direct forward/backward pass.  Expected values in the
 tests are produced by these routines (or frozen from them), never by the
-code under test.
+code under test.  The one exception is ``boundary_candidates_exhaustive``:
+it shares the flow's root isolator and is the reference for the flow's
+pruned event search, from which it differs only by isolating every datum.
 """
 
 from __future__ import annotations
@@ -112,3 +114,23 @@ def grid_sign_changes(fn, t_hi: float, points: int = 200000) -> int:
     signs = np.sign(vals)
     nz = signs[signs != 0]
     return int(np.sum(nz[1:] != nz[:-1]))
+
+
+def boundary_candidates_exhaustive(ds, seg):
+    """Earliest admissible boundary zero of every datum, each isolated in full.
+
+    The flow's bounded search must select the same event as this scan,
+    which isolates every root of every gap on [0, inf) with no pruning.
+    """
+    from reluflow.flow import _Candidate
+
+    out = []
+    for k in range(ds.n):
+        if k == seg.sliding_index:
+            continue
+        want = -1 if seg.pattern.bits[k] else 1
+        for root in seg.observable(ds.x[:, k]).roots(0.0):
+            if root.is_crossing and root.after == want:
+                out.append(_Candidate(tau=root.t, index=k, kind="boundary"))
+                break
+    return out

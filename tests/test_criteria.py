@@ -1,6 +1,8 @@
 """Initialization certificates: scaling thresholds, activation protection,
 minimum exclusion, and the boundary-crossing condition reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,17 @@ class TestCrossingContext:
         assert np.isfinite(report.b2_lhs) and np.isfinite(report.b2_rhs)
         assert len(report.b1_lhs) == 3
         assert not report.all_hold
+
+    def test_b2_tie_up_to_roundoff_does_not_hold(self, ds_deactivation):
+        # here b2's right side equals the label 0.05 in exact arithmetic, so
+        # a last-digit perturbation of w* must not decide the condition
+        tr = simulate_flow(ds_deactivation, np.array([1e-4, 5e-5, 8e-5]))
+        ctx = crossing_context(ds_deactivation, tr, 0)
+        bumped = dataclasses.replace(ctx, w_star_pre=ctx.w_star_pre * (1 + 1e-13))
+        report = check_B_conditions(bumped)
+        assert report.b2_rhs == pytest.approx(report.b2_lhs, abs=1e-12)
+        assert report.b2_rhs > report.b2_lhs
+        assert not report.b2
 
     def test_activation_crossing_adds_the_outer_product(self, ds_reactivation):
         rng = np.random.default_rng(3)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from reluflow import expsum
+from reluflow.errors import NumericalError
 from reluflow.expsum import ExpSum
 
 from oracles import grid_sign_changes
@@ -114,3 +116,11 @@ class TestEdgeCases:
         for t in rng.uniform(0.0, 5.0, 20):
             fd = (f.value(t + 1e-7) - f.value(t - 1e-7)) / 2e-7
             np.testing.assert_allclose(df.value(t), fd, atol=1e-6)
+
+    def test_unbracketed_tail_root_raises(self, monkeypatch):
+        # the sum falls from 1.49 to its limit -0.01 through one root near
+        # t = 4.6; a bracket step that never grows cannot reach it, and the
+        # root must not be dropped silently
+        monkeypatch.setattr(expsum, "BRACKET_FACTOR", 1.0)
+        with pytest.raises(NumericalError):
+            ExpSum(-0.01, [1.0, 0.5], [1.0, 2.0]).roots()

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reluflow.flow as flow_engine
 from reluflow.dataset import Dataset
-from reluflow.errors import PreconditionError
+from reluflow.errors import PreconditionError, ReluFlowError
+from reluflow.expsum import ExpSum
 from reluflow.flow import (
     FlowConfig,
     count_hyperplane_crossings,
+    gap_lower_bounds,
     linear_loss,
     norm_profile,
     revisit_report,
@@ -19,7 +24,7 @@ from reluflow.flow import (
 )
 from reluflow.geometry import pattern_of
 
-from oracles import lstsq_minnorm
+from oracles import boundary_candidates_exhaustive, lstsq_minnorm
 
 
 def small_cube_start(rng, d):
@@ -410,3 +415,115 @@ class TestSampling:
         w = np.array([1.0, 2.0, 3.0])
         r = ds_deactivation.x.T @ w - ds_deactivation.y
         assert linear_loss(ds_deactivation, w) == pytest.approx(0.5 * float(r @ r))
+
+
+def adversarial_flow(rng, kind):
+    """A seeded (dataset, start) pair of one kind of the event-search mix."""
+    d = int(rng.integers(2, 6))
+    n = int(rng.integers(2, 10))
+    x = rng.uniform(0.05, 1.0, size=(d, n))
+    y = rng.uniform(0.1, 3.0, n)
+    w0 = rng.normal(size=d)
+    if kind == "mixed-sign":
+        x, y = rng.normal(size=(d, n)), rng.normal(size=n)
+    elif kind == "scaled":
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        x, w0 = x * scale, w0 / scale
+    elif kind == "column-scales":
+        x = x * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    elif kind in ("parallel", "near-parallel"):
+        x[:, 1] = x[:, 0] * rng.uniform(0.5, 2.0)
+        if kind == "near-parallel":
+            x[:, 1] += 1e-9 * rng.normal(size=d)
+    return Dataset(x=x, y=y), w0
+
+
+def flow_outcome(ds, w0):
+    """Events, verdict and terminal point of a flow, or the error type it raised."""
+    try:
+        tr = simulate_flow(ds, w0)
+    except ReluFlowError as err:
+        return type(err)
+    events = [(e.index, e.kind, e.t, e.point.tolist()) for e in tr.events]
+    return events, tr.terminal, tr.terminal_point.tolist()
+
+
+class TestBoundedEventSearch:
+    def test_matches_the_exhaustive_scan(self, monkeypatch):
+        # the pruned search must pick bitwise the same events as isolating
+        # every datum in full, on every kind of degenerate input
+        rng = np.random.default_rng(11)
+        kinds = ("positive", "mixed-sign", "scaled", "column-scales", "parallel", "near-parallel")
+        cases = [adversarial_flow(rng, kind) for kind in kinds for _ in range(12)]
+        bounded = [flow_outcome(ds, w0) for ds, w0 in cases]
+        monkeypatch.setattr(flow_engine, "_boundary_candidates", boundary_candidates_exhaustive)
+        exhaustive = [flow_outcome(ds, w0) for ds, w0 in cases]
+        assert bounded == exhaustive
+        kinds_seen = {e[1] for out in bounded if isinstance(out, tuple) for e in out[0]}
+        assert "sliding" in kinds_seen
+
+    def test_isolates_far_fewer_gaps(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        ds = Dataset(x=rng.uniform(0.05, 1.0, size=(6, 24)), y=rng.uniform(0.1, 3.0, 24))
+        w0 = rng.normal(size=6)
+        calls = {"n": 0}
+        observable = flow_engine.FlowSegment.observable
+
+        def counted(seg, v, offset=0.0):
+            calls["n"] += 1
+            return observable(seg, v, offset)
+
+        monkeypatch.setattr(flow_engine.FlowSegment, "observable", counted)
+        tr = simulate_flow(ds, w0)
+        assert tr.terminal == "converged"
+        # the exhaustive scan isolates all n gaps in every segment
+        assert calls["n"] < 0.5 * ds.n * len(tr.segments)
+
+
+@st.composite
+def ill_conditioned_sums(draw):
+    """Rows sharing near-equal rates, near-cancelling terms and c near -sum(a)."""
+    r = draw(st.integers(1, 4))
+    base = draw(st.floats(1e-3, 1e3))
+    spread = draw(st.sampled_from([1e-10, 1e-8, 1e-4, 1.0]))
+    rates = base * (1.0 + np.array(draw(st.lists(st.floats(0.0, spread), min_size=r, max_size=r))))
+    # a fast rate far above the cluster makes ExpSum merge the cluster's rates
+    rates[-1] *= draw(st.sampled_from([1.0, 1.0, 1e4, 1e6]))
+    rows = draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0)
+    coeffs = np.array(draw(st.lists(unit, min_size=rows * r, max_size=rows * r))).reshape(rows, r)
+    if r > 1 and draw(st.booleans()):
+        coeffs[:, 1] = -coeffs[:, 0] * (1.0 + draw(st.floats(-1e-8, 1e-8)))
+    consts = -coeffs.sum(axis=1)
+    consts += np.array(draw(st.lists(st.floats(-1e-12, 1e-12), min_size=rows, max_size=rows)))
+    consts += draw(st.sampled_from([0.0, 0.0, 0.3, -0.7])) * np.array(
+        draw(st.lists(unit, min_size=rows, max_size=rows))
+    )
+    return rates, coeffs, consts
+
+
+class TestGapBounds:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ill_conditioned_sums())
+    def test_bound_never_passes_the_first_root(self, case):
+        rates, coeffs, consts = case
+        bounds = gap_lower_bounds(rates, coeffs, consts)
+        for bound, a, c in zip(bounds, coeffs, consts):
+            roots = ExpSum(c, a, rates).roots(0.0)
+            if roots:
+                assert bound <= roots[0].t
+            if np.isinf(bound):
+                assert roots == []
+
+    def test_bound_is_infinite_when_the_sign_never_changes(self):
+        bounds = gap_lower_bounds([2.0, 1.0], [[1.0, 1.0], [-1.0, 0.5]], [0.5, 2.0])
+        assert np.all(np.isinf(bounds))
+
+    def test_bound_brackets_a_known_root(self):
+        # 1 - 2 exp(-t) vanishes at log 2; the bound is the left end of the
+        # doubling cell that holds it
+        bound = gap_lower_bounds([1.0], [[-2.0]], [1.0])[0]
+        assert np.log(2.0) / 2.0 < bound <= np.log(2.0)
+
+    def test_no_rates_means_no_zeros(self):
+        assert np.isinf(gap_lower_bounds(np.zeros(0), np.zeros((3, 0)), [1.0, 0.0, -1.0])).all()
