@@ -26,8 +26,8 @@ from .flow import (
     simulate_flow,
     simulate_linear_flow,
 )
-from .geometry import partition_count_bound
-from .landscape import compare_support_losses, linear_least_squares, minima_census
+from .geometry import BOUNDARY_MARGIN, clearance, partition_count_bound
+from .landscape import LOSS_ORDER_RTOL, compare_support_losses, linear_least_squares, minima_census
 
 CAMPAIGN_IDS = (
     "d2-global-convergence",
@@ -48,6 +48,11 @@ DEFAULT_TRIALS = {
     "census-orderings": 100,
     "backprop-equivalence": 100,
 }
+
+# Between samples of a monotone profile, a norm may dip by NORM_SLACK and a
+# loss may rise by LOSS_SLACK_RTOL * max(1, |loss|).
+NORM_SLACK = 1e-9
+LOSS_SLACK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -118,14 +123,14 @@ def small_norm_start(rng, ds: Dataset) -> np.ndarray:
     return delta * direction / float(np.linalg.norm(direction))
 
 
-def _norm_strictly_increasing(profile, slack: float = 1e-9) -> bool:
+def _norm_strictly_increasing(profile) -> bool:
     norms = [p[1] for p in profile]
-    return all(b >= a - slack for a, b in zip(norms, norms[1:])) and norms[-1] > norms[0]
+    return all(b >= a - NORM_SLACK for a, b in zip(norms, norms[1:])) and norms[-1] > norms[0]
 
 
-def _loss_monotone(profile, slack: float = 1e-10) -> bool:
+def _loss_monotone(profile) -> bool:
     losses = [p[2] for p in profile]
-    return all(b <= a + slack * max(1.0, abs(a)) for a, b in zip(losses, losses[1:]))
+    return all(b <= a + LOSS_SLACK_RTOL * max(1.0, abs(a)) for a, b in zip(losses, losses[1:]))
 
 
 def _trial_d2_global(rng, index: int) -> TrialResult:
@@ -271,19 +276,17 @@ def _trial_census_orderings(rng, index: int) -> TrialResult:
     _, lin = linear_least_squares(ds)
     if relu is None:
         problems.append("census empty")
-    elif relu > lin + 1e-9 * max(1.0, lin):
+    elif relu > lin + LOSS_ORDER_RTOL * max(1.0, lin):
         problems.append(f"rectified global {relu:.3e} exceeds linear {lin:.3e}")
     total = len(census.minima) + (1 if census.stationary_cone else 0)
     if total > partition_count_bound(n, d):
         problems.append(f"census size {total} exceeds partition bound")
     for i, m in enumerate(census.minima):
-        w = m.witness
-        scale = np.linalg.norm(ds.x, axis=0) * max(1.0, float(np.linalg.norm(w)))
-        h = ds.x.T @ w
+        c = clearance(ds, m.witness)
         active = m.pattern.as_bool()
-        if np.any(h[active] < 1e-9 * scale[active]):
+        if np.any(c[active] < BOUNDARY_MARGIN):
             problems.append(f"minimum {i} active margin below 1e-9")
-        if np.any(h[~active] > 0.0):
+        if np.any(c[~active] > 0.0):
             problems.append(f"minimum {i} has positive inactive gap")
     detail = "; ".join(problems) if problems else "; ".join(["ok"] + notes)
     return TrialResult(index, not problems, detail)

@@ -40,6 +40,7 @@ from .flow import (
     trajectory_to_csv,
 )
 from .landscape import (
+    INTERPOLATION_TOL,
     census_to_jsonl,
     compare_support_losses,
     loss,
@@ -63,19 +64,14 @@ def _out_dir(args) -> Path:
 
 
 def _flow_config(args) -> FlowConfig:
-    kwargs = {}
-    if getattr(args, "tol", None) is not None:
-        kwargs["converge_tol"] = args.tol
-    if getattr(args, "t_max", None) is not None:
-        kwargs["t_max"] = args.t_max
-    return FlowConfig(**kwargs)
+    return FlowConfig(converge_tol=args.tol, t_max=args.t_max)
 
 
 def _load(args):
     if not args.dataset:
         raise ReluFlowError("--dataset FILE is required")
     ds = load_dataset(args.dataset)
-    if getattr(args, "augment_bias", False):
+    if args.augment_bias:
         ds = augment_bias(ds)
     return ds
 
@@ -162,7 +158,7 @@ def _cmd_criteria(args) -> int:
         w_gm = _parse_vector(args.w_gm)
     else:
         w_gm, *_ = np.linalg.lstsq(ds.x.T, ds.y, rcond=RANK_RTOL)
-        if loss(ds, w_gm) > 1e-10:
+        if loss(ds, w_gm) > INTERPOLATION_TOL:
             raise ReluFlowError(
                 "data admits no interpolating solution; pass --w-gm explicitly"
             )
@@ -272,7 +268,8 @@ def _cmd_campaign(args) -> int:
     return 0 if report.passed else 1
 
 
-def _add_common(p, dataset=True, w0=False, engine=False):
+def _add_common(p, dataset=False, flow=False, engine=False, seed=False, out=True):
+    """Add the option groups a subcommand reads, and no others."""
     if dataset:
         p.add_argument("--dataset", help="dataset JSON file")
         p.add_argument(
@@ -280,12 +277,14 @@ def _add_common(p, dataset=True, w0=False, engine=False):
             action="store_true",
             help="append a constant-1 input coordinate before processing",
         )
-    if w0:
+    if flow:
         p.add_argument("--w0", help="initial weights, comma separated")
-    p.add_argument("--seed", type=int, default=scen.DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=None, help="convergence gradient tolerance")
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--out", default="reluflow-out", help="output directory")
+        p.add_argument("--tol", type=float, default=FlowConfig.converge_tol, help="gradient tolerance")
+        p.add_argument("--t-max", dest="t_max", type=float, default=FlowConfig.t_max)
+    if seed:
+        p.add_argument("--seed", type=int, default=scen.DEFAULT_SEED)
+    if out:
+        p.add_argument("--out", default="reluflow-out", help="output directory")
     if engine:
         p.add_argument("--engine", choices=("exact", "gd"), default="exact")
         p.add_argument("--lr", type=float, default=0.005)
@@ -300,29 +299,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check assumption flags on a dataset")
-    _add_common(p)
+    _add_common(p, dataset=True, out=False)
     p.add_argument("--require", help="comma list of flags to check (default A1,A2,A3)")
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("landscape", help="census of interior minima and loss orderings")
-    _add_common(p)
+    _add_common(p, dataset=True)
     p.set_defaults(fn=_cmd_landscape)
 
     p = sub.add_parser("flow", help="exact rectified flow from an initialization")
-    _add_common(p, w0=True, engine=True)
+    _add_common(p, dataset=True, flow=True, engine=True)
     p.set_defaults(fn=_cmd_flow)
 
     p = sub.add_parser("linear-flow", help="exact unrectified flow")
-    _add_common(p, w0=True)
+    _add_common(p, dataset=True, flow=True)
     p.set_defaults(fn=_cmd_linear_flow)
 
     p = sub.add_parser("criteria", help="initialization certificates and crossing reports")
-    _add_common(p, w0=True)
+    _add_common(p, dataset=True, flow=True)
     p.add_argument("--w-gm", dest="w_gm", help="interpolating reference point, comma separated")
     p.set_defaults(fn=_cmd_criteria)
 
     p = sub.add_parser("backprop", help="layer-wise decomposition of a deep network")
-    _add_common(p, dataset=False)
+    _add_common(p)
     p.add_argument("--net", help="network JSON file")
     p.add_argument("--x", required=True, help="input vector, comma separated")
     p.add_argument("--y", required=True, help="label vector, comma separated")
@@ -330,13 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a built-in reproduction scenario")
     p.add_argument("name", choices=scen.SCENARIO_NAMES)
-    _add_common(p, dataset=False, engine=True)
+    _add_common(p, engine=True, seed=True)
     p.set_defaults(fn=_cmd_reproduce)
 
     p = sub.add_parser("campaign", help="run a seeded randomized property campaign")
     p.add_argument("id", choices=camp.CAMPAIGN_IDS)
     p.add_argument("--trials", type=int, default=None)
-    _add_common(p, dataset=False)
+    _add_common(p, seed=True)
     p.set_defaults(fn=_cmd_campaign)
 
     return parser

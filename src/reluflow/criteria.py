@@ -15,22 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .dataset import Dataset
+from .dataset import Dataset, freeze_fields
 from .errors import (
     DegenerateDirectionError,
     NumericalError,
     PreconditionError,
     StructuralError,
 )
+from .expsum import TIE_RTOL
 from .flow import Trajectory
 from .geometry import ActivationPattern, active_matrices, pattern_of, pattern_system
-from .landscape import MinimaCensus, loss
-
-INTERPOLATION_TOL = 1e-10
-
-# The strict inequality of condition b2 holds only when its sides differ
-# by more than TIE_RTOL * max(1, |lhs|, |rhs|): a tie up to roundoff fails.
-TIE_RTOL = 1e-12
+from .landscape import INTERPOLATION_TOL, MinimaCensus, loss
 
 
 def alpha_star(ds: Dataset, w0, j: int) -> float:
@@ -45,7 +40,7 @@ def alpha_star(ds: Dataset, w0, j: int) -> float:
     xj = ds.x[:, j]
     hmat, qvec = active_matrices(ds, pattern_of(ds, w0))
     denom = float(xj @ (hmat @ w0))
-    if abs(denom) < 1e-12:
+    if abs(denom) < TIE_RTOL:
         raise DegenerateDirectionError(
             f"x_{j} . H w0 = {denom:.3e} is numerically zero"
         )
@@ -169,21 +164,8 @@ class BoundaryCrossingContext:
     w_star_post: np.ndarray
 
     def __post_init__(self):
-        for name in (
-            "w0",
-            "x0",
-            "h_pre",
-            "h_post",
-            "evals_pre",
-            "evecs_pre",
-            "evals_post",
-            "evecs_post",
-            "w_star_pre",
-            "w_star_post",
-        ):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        freeze_fields(self, "w0", "x0", "h_pre", "h_post", "evals_pre", "evecs_pre",
+                      "evals_post", "evecs_post", "w_star_pre", "w_star_post")
 
     @property
     def coords_pre(self) -> np.ndarray:
@@ -325,6 +307,7 @@ def check_B_conditions(ctx: BoundaryCrossingContext) -> BConditionReport:
         np.min(per_mode)
     )
     b2_lhs = ctx.y0
+    # a tie up to roundoff does not satisfy the strict inequality
     b2 = b2_rhs - b2_lhs > TIE_RTOL * max(1.0, abs(b2_lhs), abs(b2_rhs))
 
     b3 = ctx.rank_post == d

@@ -33,6 +33,14 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def freeze_fields(obj, *names: str) -> None:
+    """Replace each named field of a frozen dataclass, unless None, by a read-only float copy."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None:
+            object.__setattr__(obj, name, _as_readonly(value))
+
+
 def matrix_rank(x: np.ndarray) -> int:
     """Rank of ``x`` under the package-wide singular-value cutoff."""
     s = np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)
@@ -188,8 +196,7 @@ class ReductionMap:
     rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "projector", _as_readonly(self.projector))
-        object.__setattr__(self, "basis", _as_readonly(self.basis))
+        freeze_fields(self, "projector", "basis")
 
 
 def reduction_map(ds: Dataset) -> ReductionMap:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, detect_assumptions
+from .dataset import Dataset, detect_assumptions, freeze_fields
 from .errors import StructuralError
 
 
@@ -99,10 +99,7 @@ class LayerProblem:
     is_output: bool
 
     def __post_init__(self):
-        for name in ("input", "backprop_label", "delta"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        freeze_fields(self, "input", "backprop_label", "delta")
 
     def weight_gradient(self) -> np.ndarray:
         return np.outer(self.delta, self.input)
@@ -154,14 +151,9 @@ class MultiOutputDataset:
     y: np.ndarray  # (d_out, n)
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        y = np.array(self.y, dtype=float)
-        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        freeze_fields(self, "x", "y")
+        if self.x.ndim != 2 or self.y.ndim != 2 or self.x.shape[1] != self.y.shape[1]:
             raise StructuralError("inputs and labels must share the sample axis")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
     @property
     def out_dim(self) -> int:
@@ -212,10 +204,7 @@ class BalancednessResult:
     diverged: bool
 
     def __post_init__(self):
-        for name in ("drift", "losses"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        freeze_fields(self, "drift", "losses")
 
     @property
     def max_drift(self) -> float:

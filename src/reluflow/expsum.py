@@ -32,6 +32,10 @@ ZERO_RTOL = 1e-13
 MERGE_RTOL = 1e-12
 DROP_RTOL = 5e-15
 
+# Two instants, or two values, within TIE_RTOL * max(1, |t|) of each other
+# tie: they count as the same root, event or value.
+TIE_RTOL = 1e-12
+
 # The tail bracket's step grows by this factor until the limit sign shows;
 # a tail without that sign after 200 steps raises NumericalError.
 BRACKET_FACTOR = 2.0
@@ -150,7 +154,7 @@ class ExpSum:
         pending: list[int] = []  # indices into found awaiting an 'after' sign
 
         def emit(t: float, before: int) -> None:
-            if found and t - found[-1].t <= 1e-12 * max(1.0, abs(t)):
+            if found and t - found[-1].t <= TIE_RTOL * max(1.0, abs(t)):
                 return
             found.append(Root(t, before, 0))
             pending.append(len(found) - 1)

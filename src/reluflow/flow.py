@@ -27,8 +27,9 @@ term excluded) decides the outcome:
   log, until one side releases it.
 
 Terminal classification is also exact: a segment with no admissible
-roots converges to its analytic limit, which is certified interior (or
-inside the all-deactivated stationary cone) before being reported.
+roots converges to its analytic limit, which is certified stationary and
+interior (or inside the all-deactivated stationary cone) before being
+reported; a sliding limit is certified on its sliding boundary.
 """
 
 from __future__ import annotations
@@ -37,24 +38,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, freeze_fields
 from .errors import NumericalError, PreconditionError, StructuralError
-from .expsum import MERGE_RTOL, ExpSum
-from .geometry import ActivationPattern, active_matrices, g_value, pattern_of, pattern_system
+from .expsum import MERGE_RTOL, TIE_RTOL, ExpSum
+from .geometry import BOUNDARY_MARGIN, ActivationPattern, active_matrices, clearance
+from .geometry import g_value, pattern_of, pattern_system
 from .landscape import gradient, loss
-
-# A converged limit must clear every boundary by this geometric margin
-# (or sit inside the all-deactivated cone).
-INTERIOR_MARGIN = 1e-9
 
 # Local sampling horizon of a terminal segment, in units of the slowest
 # positive decay: exp(-50) is far below double precision.  The gap
 # bounds' grid also ends there.
 TERMINAL_HORIZON_RATES = 50.0
-
-# Candidates within EVENT_TIE_RTOL * max(1, tau) of the earliest one tie,
-# and the lowest data index among them wins.
-EVENT_TIE_RTOL = 1e-12
 
 # The gap bounds' grid starts with [0, BOUND_T0_RATES / lam_max] and
 # doubles from there.  A cell is zero-free only when its enclosure clears
@@ -107,10 +101,7 @@ class FlowSegment:
     sliding_index: int | None = None
 
     def __post_init__(self):
-        for name in ("w_start", "eigenvalues", "eigenvectors", "target", "delta"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        freeze_fields(self, "w_start", "eigenvalues", "eigenvectors", "target", "delta")
 
     @property
     def duration(self) -> float:
@@ -157,9 +148,7 @@ class FlowEvent:
     point: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.point, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "point", p)
+        freeze_fields(self, "point")
 
     def to_json(self) -> dict:
         return {"t": self.t, "index": self.index, "kind": self.kind, "point": self.point.tolist()}
@@ -169,11 +158,12 @@ class FlowEvent:
 class Trajectory:
     """Ordered exact segments, the event log, and the terminal verdict.
 
-    ``terminal`` is one of ``converged`` (limit certified), ``horizon``
-    (t_max reached), ``event-cap`` (too many events), or ``degenerate``
-    (the limit exists but could not be certified interior/stationary).
-    ``terminal_point`` is the analytic limit when available, otherwise
-    the last computed point.
+    ``terminal`` is one of ``converged`` (limit certified stationary, and
+    interior, in the all-deactivated cone, or held on the boundary it
+    slides on), ``horizon`` (t_max reached), ``event-cap`` (too many
+    events), or ``degenerate`` (the limit exists but could not be
+    certified).  ``terminal_point`` is the analytic limit when available,
+    otherwise the last computed point.
     """
 
     dataset: Dataset
@@ -184,9 +174,7 @@ class Trajectory:
     linear: bool = False
 
     def __post_init__(self):
-        p = np.array(self.terminal_point, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "terminal_point", p)
+        freeze_fields(self, "terminal_point")
 
     def at(self, t: float) -> np.ndarray:
         """Exact flow point at absolute time ``t``."""
@@ -296,7 +284,7 @@ def _boundary_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
     out = []
     best = np.inf
     for k in np.argsort(lower, kind="stable"):
-        if np.isinf(lower[k]) or lower[k] > best + EVENT_TIE_RTOL * max(1.0, best):
+        if np.isinf(lower[k]) or lower[k] > best + TIE_RTOL * max(1.0, best):
             break
         k = int(k)
         want = -1 if seg.pattern.bits[k] else 1
@@ -328,6 +316,16 @@ def _release_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
     return out
 
 
+def _one_sided(ds: Dataset, p_minus: ActivationPattern, k: int, w: np.ndarray):
+    """``(g, gm, gp)``: the gradient of ``p_minus`` (datum k off) at ``w``, and
+    its x_k-alignments with k's term excluded (``gm``) and included (``gp``)."""
+    xk = ds.x[:, k]
+    hm, qm = active_matrices(ds, p_minus)
+    g = hm @ w - qm
+    gm = float(xk @ g)
+    return g, gm, gm + (float(xk @ w) - ds.y[k]) * float(xk @ xk)
+
+
 def _decide_boundary(ds: Dataset, pattern: ActivationPattern, k: int, w_ev: np.ndarray):
     """Outcome of a transversal boundary hit at datum k.
 
@@ -336,11 +334,8 @@ def _decide_boundary(ds: Dataset, pattern: ActivationPattern, k: int, w_ev: np.n
     from the gradient, and the flow exits to the side whose one-sided
     field is self-consistent.
     """
-    xk = ds.x[:, k]
     p_minus = pattern.flip(k) if pattern.bits[k] else pattern
-    hm, qm = active_matrices(ds, p_minus)
-    gm = float(xk @ (hm @ w_ev - qm))
-    gp = gm + (float(xk @ w_ev) - ds.y[k]) * float(xk @ xk)
+    _, gm, gp = _one_sided(ds, p_minus, k, w_ev)
     if pattern.bits[k]:  # arriving from the active side, gap falling
         if gm >= 0.0:
             return "deactivation", p_minus
@@ -351,14 +346,19 @@ def _decide_boundary(ds: Dataset, pattern: ActivationPattern, k: int, w_ev: np.n
     return "sliding", pattern
 
 
-def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
-    """Exact event-driven trajectory of the rectified gradient flow from w0."""
-    cfg = cfg or FlowConfig()
+def _check_start(ds: Dataset, w0) -> np.ndarray:
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != (ds.d,):
         raise StructuralError(f"w0 must have length {ds.d}")
     if not np.all(np.isfinite(w0)):
         raise PreconditionError("w0 must be finite")
+    return w0
+
+
+def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
+    """Exact event-driven trajectory of the rectified gradient flow from w0."""
+    cfg = cfg or FlowConfig()
+    w0 = _check_start(ds, w0)
     max_events = cfg.max_events if cfg.max_events is not None else 10 * ds.n * ds.d
     t = 0.0
     w = w0
@@ -376,19 +376,17 @@ def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
             candidates.extend(_release_candidates(ds, seg))
         event = None
         if candidates:
+            # candidates that tie with the earliest one: the lowest index wins
             tau_min = min(c.tau for c in candidates)
-            window = EVENT_TIE_RTOL * max(1.0, tau_min)
+            window = TIE_RTOL * max(1.0, tau_min)
             event = min(
                 (c for c in candidates if c.tau <= tau_min + window),
                 key=lambda c: c.index,
             )
         if event is None:
-            limit = seg.target
-            if not np.all(np.isfinite(limit)):
-                raise NumericalError("non-finite limit point")
             segments.append(seg)
-            terminal = _classify_limit(ds, limit, cfg)
-            terminal_point = limit
+            terminal = _classify_limit(ds, seg, cfg)
+            terminal_point = seg.target
             break
         if t + event.tau > cfg.t_max:
             segments.append(replace(seg, t_end=cfg.t_max))
@@ -425,13 +423,31 @@ def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
     )
 
 
-def _classify_limit(ds: Dataset, limit: np.ndarray, cfg: FlowConfig) -> str:
-    grad_norm = float(np.linalg.norm(gradient(ds, limit)))
-    h = ds.x.T @ limit
-    scale = np.linalg.norm(ds.x, axis=0) * max(1.0, float(np.linalg.norm(limit)))
-    interior = bool(np.min(np.abs(h) / scale) >= INTERIOR_MARGIN)
-    in_dead_cone = bool(np.all(h <= INTERIOR_MARGIN * scale))
-    if grad_norm < cfg.converge_tol and (interior or in_dead_cone):
+def _classify_limit(ds: Dataset, seg: FlowSegment, cfg: FlowConfig) -> str:
+    """A limit converges when its gradient is below ``converge_tol`` and it
+    clears every boundary by ``BOUNDARY_MARGIN`` or lies in the dead cone.
+
+    A sliding segment holds the flow on datum k's boundary: k is exempt
+    from the clearance test, the gradient is projected onto that boundary,
+    and neither one-sided field may push off it by ``converge_tol`` or
+    more (an alignment that rounds to zero must not fail the limit).
+    """
+    limit = seg.target
+    c = clearance(ds, limit)
+    k = seg.sliding_index
+    held = True
+    if k is None:
+        grad = gradient(ds, limit)
+    else:
+        g, gm, gp = _one_sided(ds, seg.pattern, k, limit)
+        xk = ds.x[:, k]
+        grad = g - xk * (gm / float(xk @ xk))
+        push = cfg.converge_tol * float(np.linalg.norm(xk))
+        held = gm <= push and gp >= -push
+        c = np.delete(c, k)
+    interior = bool(np.min(np.abs(c), initial=np.inf) >= BOUNDARY_MARGIN)
+    in_dead_cone = bool(np.all(c <= BOUNDARY_MARGIN))
+    if held and float(np.linalg.norm(grad)) < cfg.converge_tol and (interior or in_dead_cone):
         return "converged"
     return "degenerate"
 
@@ -444,15 +460,9 @@ def simulate_linear_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Traj
     label since every datum contributes throughout.
     """
     cfg = cfg or FlowConfig()
-    w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (ds.d,):
-        raise StructuralError(f"w0 must have length {ds.d}")
-    if not np.all(np.isfinite(w0)):
-        raise PreconditionError("w0 must be finite")
+    w0 = _check_start(ds, w0)
     pattern = ActivationPattern(tuple([1] * ds.n))
     seg = _segment_from(ds, pattern, w0, 0.0)
-    if not np.all(np.isfinite(seg.target)):
-        raise NumericalError("non-finite limit point")
     grad_norm = float(np.linalg.norm(ds.x @ (ds.x.T @ seg.target - ds.y)))
     terminal = "converged" if grad_norm < cfg.converge_tol else "degenerate"
     return Trajectory(
@@ -491,9 +501,13 @@ def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
 
     Pattern flips between iterates are logged as events at pseudo-time
     ``iteration * lr`` so event sequences are comparable with the exact
-    engine's.
+    engine's.  The start is checked as the exact engines check it.
     """
-    w = np.asarray(w0, dtype=float).copy()
+    w = _check_start(ds, w0).copy()
+    if not (np.isfinite(lr) and lr > 0.0):
+        raise PreconditionError("lr must be positive and finite")
+    if iters < 0:
+        raise PreconditionError("iters must be nonnegative")
     iterates = [w.copy()]
     events = []
     bits = pattern_of(ds, w).bits
@@ -583,7 +597,7 @@ def count_hyperplane_crossings(tr: Trajectory, v, c: float) -> int:
             if np.isfinite(seg.t_end) and root.t > seg.duration * (1 + 1e-12) + 1e-300:
                 continue
             t_abs = seg.t_start + root.t
-            if t_abs - last_t <= 1e-12 * max(1.0, abs(t_abs)):
+            if t_abs - last_t <= TIE_RTOL * max(1.0, abs(t_abs)):
                 continue
             total += 1
             last_t = t_abs

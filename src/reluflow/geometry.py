@@ -17,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .dataset import Dataset, RANK_RTOL
+from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import DimensionError, GeometryError, SizeError, StructuralError
+from .expsum import TIE_RTOL
 
-# A pattern is feasible iff a unit witness clears every boundary by this
-# geometric margin (inner products taken against unit-normalized data).
-FEASIBILITY_MARGIN = 1e-9
+# A point clears a datum's boundary when its relative clearance (see
+# ``clearance``) is at least BOUNDARY_MARGIN in size.  It decides feasible
+# patterns, converged limits, contained minimizers and matched minima.
+BOUNDARY_MARGIN = 1e-9
 
 # Enumeration guard: 2^n candidate patterns beyond this is refused.
 ENUMERATION_MAX_N = 24
@@ -80,6 +82,16 @@ def pattern_of(ds: Dataset, w) -> ActivationPattern:
     if w.shape != (ds.d,):
         raise StructuralError(f"w must have length {ds.d}, got shape {w.shape}")
     return ActivationPattern(tuple(int(v > 0.0) for v in ds.x.T @ w))
+
+
+def clearance(ds: Dataset, w) -> np.ndarray:
+    """Each datum's signed relative clearance ``(x_i . w) / (|x_i| max(1, |w|))``.
+
+    Positive on the active side of a boundary, negative on the deactivated
+    side; scaling a datum, or a ``w`` of norm at least 1, leaves it unchanged.
+    """
+    w = np.asarray(w, dtype=float)
+    return (ds.x.T @ w) / (np.linalg.norm(ds.x, axis=0) * max(1.0, float(np.linalg.norm(w))))
 
 
 def active_matrices(ds: Dataset, pattern: ActivationPattern) -> tuple[np.ndarray, np.ndarray]:
@@ -153,13 +165,7 @@ class PartitionCell:
     margin: float
 
     def __post_init__(self):
-        w = np.array(self.witness, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "witness", w)
-
-
-def _signed_margin(unit_cols: np.ndarray, signs: np.ndarray, w: np.ndarray) -> float:
-    return float(np.min(signs * (unit_cols.T @ w)))
+        freeze_fields(self, "witness")
 
 
 def _margin_lp(unit_cols: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -182,7 +188,7 @@ def _margin_lp(unit_cols: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, fl
     if norm == 0.0:
         return w, -math.inf
     w = w / norm
-    return w, _signed_margin(unit_cols, signs, w)
+    return w, float(np.min(signs * (unit_cols.T @ w)))
 
 
 def _enumerate_1d(ds: Dataset) -> list[PartitionCell]:
@@ -193,8 +199,8 @@ def _enumerate_1d(ds: Dataset) -> list[PartitionCell]:
     ]
 
 
-def _boundary_angles(ds: Dataset, dedupe: float = 1e-12) -> list[float]:
-    """Angles in [0, 2pi) where some activation boundary meets the circle."""
+def _boundary_angles(ds: Dataset) -> list[float]:
+    """Angles in [0, 2pi) where some activation boundary meets the circle; ties merge."""
     angles = []
     for i in range(ds.n):
         theta = math.atan2(ds.x[1, i], ds.x[0, i])
@@ -203,10 +209,10 @@ def _boundary_angles(ds: Dataset, dedupe: float = 1e-12) -> list[float]:
     angles.sort()
     out: list[float] = []
     for a in angles:
-        if not out or a - out[-1] > dedupe:
+        if not out or a - out[-1] > TIE_RTOL:
             out.append(a)
     # wrap-around duplicate (an angle within tolerance of out[0] + 2pi)
-    if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] <= dedupe:
+    if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] <= TIE_RTOL:
         out.pop()
     return out
 
@@ -233,7 +239,7 @@ def _enumerate_2d(ds: Dataset) -> list[PartitionCell]:
     cells: list[PartitionCell] = []
     seen = set()
     for _, _, w, margin in _arcs_2d(ds, _boundary_angles(ds)):
-        if margin <= FEASIBILITY_MARGIN:
+        if margin <= BOUNDARY_MARGIN:
             continue
         pat = pattern_of(ds, w)
         if pat.bits in seen:
@@ -260,7 +266,7 @@ def _enumerate_general(ds: Dataset) -> list[PartitionCell]:
         for signs, w, margin in cells:
             gap = float(unit[:, k] @ w)
             candidates = []
-            if abs(gap) > FEASIBILITY_MARGIN:
+            if abs(gap) > BOUNDARY_MARGIN:
                 side = 1.0 if gap > 0 else -1.0
                 grown.append(
                     (np.append(signs, side), w, min(margin, abs(gap)))
@@ -271,7 +277,7 @@ def _enumerate_general(ds: Dataset) -> list[PartitionCell]:
             for side in candidates:
                 s_new = np.append(signs, side)
                 w_new, m_new = _margin_lp(cols, s_new)
-                if m_new > FEASIBILITY_MARGIN:
+                if m_new > BOUNDARY_MARGIN:
                     grown.append((s_new, w_new, m_new))
         cells = grown
     out = []
@@ -328,7 +334,7 @@ def partition_order_2d(ds: Dataset) -> PartitionOrdering:
     ordered: list[ActivationPattern] = []
     arcs: list[tuple[float, float]] = []
     for a, b, w, margin in _arcs_2d(ds, angles):
-        if margin <= FEASIBILITY_MARGIN:
+        if margin <= BOUNDARY_MARGIN:
             raise GeometryError(
                 "coincident activation boundaries; the circular order is degenerate"
             )
@@ -381,10 +387,7 @@ class Hyperrectangle:
     extents: np.ndarray  # (r,), nonnegative
 
     def __post_init__(self):
-        for name in ("eigenvalues", "eigenvectors", "extents"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        freeze_fields(self, "eigenvalues", "eigenvectors", "extents")
 
     @property
     def rank(self) -> int:
@@ -393,11 +396,11 @@ class Hyperrectangle:
     def coordinates(self, w) -> np.ndarray:
         return self.eigenvectors.T @ np.asarray(w, dtype=float)
 
-    def contains(self, w, tol: float = 1e-12) -> bool:
-        """Closure membership test on the spectral coordinates."""
+    def contains(self, w) -> bool:
+        """Closure membership test on the spectral coordinates, up to a tie."""
         c = self.coordinates(w)
-        scale = max(1.0, float(np.max(self.extents, initial=0.0)))
-        return bool(np.all(c >= -tol * scale) and np.all(c <= self.extents + tol * scale))
+        slack = TIE_RTOL * max(1.0, float(np.max(self.extents, initial=0.0)))
+        return bool(np.all(c >= -slack) and np.all(c <= self.extents + slack))
 
     def vertices(self) -> np.ndarray:
         """All 2^r corner points (rows), in the ambient space."""

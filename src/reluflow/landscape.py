@@ -16,12 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .dataset import Dataset, RANK_RTOL
-from .errors import GeometryError
-from .geometry import ActivationPattern, enumerate_partitions, pattern_system
+from .dataset import Dataset, RANK_RTOL, freeze_fields
+from .errors import GeometryError, StructuralError
+from .expsum import TIE_RTOL
+from .geometry import BOUNDARY_MARGIN, ActivationPattern, clearance, enumerate_partitions
+from .geometry import _margin_lp, pattern_system
 
-# Strictness margin for deciding that a minimizer clears its boundaries.
-CONTAINMENT_MARGIN = 1e-9
+# A point interpolates the data when its loss is at most INTERPOLATION_TOL.
+INTERPOLATION_TOL = 1e-10
+
+# One loss undercuts another only when it is lower by more than
+# LOSS_ORDER_RTOL * max(1, |other loss|).
+LOSS_ORDER_RTOL = 1e-9
 
 
 def loss(ds: Dataset, w) -> float:
@@ -60,13 +66,7 @@ class VirtualMinimizer:
     witness: np.ndarray | None
 
     def __post_init__(self):
-        for name in ("point", "null_basis", "witness"):
-            a = getattr(self, name)
-            if a is None:
-                continue
-            a = np.array(a, dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        freeze_fields(self, "point", "null_basis", "witness")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -91,20 +91,9 @@ class VirtualMinimizer:
         w = np.asarray(w, dtype=float)
         if self.set_distance(w) > tol:
             return False
-        h = ds.x.T @ w
-        scale = np.linalg.norm(ds.x, axis=0) * max(1.0, float(np.linalg.norm(w)))
+        c = clearance(ds, w)
         active = self.pattern.as_bool()
-        band = 1e-9 * scale
-        return bool(np.all(h[active] >= -band[active]) and np.all(h[~active] <= band[~active]))
-
-
-def _containment_full_rank(ds: Dataset, pattern: ActivationPattern, p: np.ndarray):
-    scale = np.linalg.norm(ds.x, axis=0) * max(1.0, float(np.linalg.norm(p)))
-    h = ds.x.T @ p
-    active = pattern.as_bool()
-    ok_active = np.all(h[active] > CONTAINMENT_MARGIN * scale[active])
-    ok_inactive = np.all(h[~active] <= 1e-12 * scale[~active])
-    return (bool(ok_active and ok_inactive), p if (ok_active and ok_inactive) else None)
+        return bool(np.all(c[active] >= -BOUNDARY_MARGIN) and np.all(c[~active] <= BOUNDARY_MARGIN))
 
 
 def _affine_margin_lp(ds, pattern, p, null_basis, push_inactive: bool):
@@ -153,9 +142,8 @@ def _containment_affine(ds: Dataset, pattern: ActivationPattern, p, null_basis):
     maximizes the clearance of all boundaries so downstream margin checks
     see a strictly interior point whenever one exists.
     """
-    scale = max(1.0, float(np.linalg.norm(p)))
     weak_point, weak_t = _affine_margin_lp(ds, pattern, p, null_basis, push_inactive=False)
-    if weak_point is None or weak_t <= CONTAINMENT_MARGIN * scale:
+    if weak_point is None or weak_t <= BOUNDARY_MARGIN * max(1.0, float(np.linalg.norm(p))):
         return False, None
     interior_point, interior_t = _affine_margin_lp(
         ds, pattern, p, null_basis, push_inactive=True
@@ -173,15 +161,20 @@ def virtual_minimizer(
     Containment follows the strict/weak sign conditions on active and
     inactive data; for rank-deficient patterns the whole affine minimizer
     set is searched, since any member inside the partition suffices.
+    With ``check_feasible`` the pattern must be a cell of the partition:
+    a unit witness must clear every boundary by ``BOUNDARY_MARGIN``, the
+    test :func:`enumerate_partitions` applies.
     """
+    if len(pattern) != ds.n:
+        raise StructuralError("pattern length does not match dataset")
     if check_feasible:
-        cells = {c.pattern.bits for c in enumerate_partitions(ds)}
-        if pattern.bits not in cells:
+        signs = np.where(pattern.as_bool(), 1.0, -1.0)
+        _, margin = _margin_lp(ds.x / np.linalg.norm(ds.x, axis=0), signs)
+        if margin <= BOUNDARY_MARGIN:
             raise GeometryError(f"pattern {pattern} is not a feasible partition")
     active = pattern.as_bool()
-    n_active = int(np.sum(active))
     total_inactive = 0.5 * float(np.sum(ds.y[~active] ** 2))
-    if n_active == 0:
+    if not np.any(active):
         return VirtualMinimizer(
             pattern=pattern,
             point=np.zeros(ds.d),
@@ -196,7 +189,10 @@ def virtual_minimizer(
     resid = ds.x[:, active].T @ point - ds.y[active]
     total = 0.5 * float(resid @ resid) + total_inactive
     if system.rank == ds.d:
-        contained, witness = _containment_full_rank(ds, pattern, point)
+        # active data clear their boundaries; deactivated data may sit on theirs up to a tie
+        c = clearance(ds, point)
+        contained = bool(np.all(c[active] > BOUNDARY_MARGIN) and np.all(c[~active] <= TIE_RTOL))
+        witness = point if contained else None
     else:
         contained, witness = _containment_affine(ds, pattern, point, system.null_basis)
     return VirtualMinimizer(
@@ -293,7 +289,7 @@ class SupportOrderingReport:
         }
 
 
-def compare_support_losses(census: MinimaCensus, slack: float = 1e-9) -> SupportOrderingReport:
+def compare_support_losses(census: MinimaCensus) -> SupportOrderingReport:
     """Check that nested supports order the losses: fewer vectors, more loss."""
     pairs = []
     holds = True
@@ -309,7 +305,7 @@ def compare_support_losses(census: MinimaCensus, slack: float = 1e-9) -> Support
                 loss_inner=census.minima[j].loss,
             )
             pairs.append(pair)
-            if pair.margin < -slack * max(1.0, abs(pair.loss_outer)):
+            if pair.margin < -LOSS_ORDER_RTOL * max(1.0, abs(pair.loss_outer)):
                 holds = False
     return SupportOrderingReport(pairs=tuple(pairs), holds=holds)
 

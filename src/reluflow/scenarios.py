@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, RANK_RTOL, load_dataset
+from .dataset import Dataset, RANK_RTOL, freeze_fields, load_dataset
 from .errors import StructuralError
 from .flow import (
     FlowConfig,
@@ -60,9 +60,7 @@ class RunSpec:
     w0: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.w0, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "w0", w)
+        freeze_fields(self, "w0")
 
 
 @dataclass(frozen=True)

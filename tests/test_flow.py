@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reluflow.flow as flow_engine
 from reluflow.dataset import Dataset
-from reluflow.errors import PreconditionError, ReluFlowError
+from reluflow.errors import PreconditionError, ReluFlowError, StructuralError
 from reluflow.expsum import ExpSum
 from reluflow.flow import (
     FlowConfig,
@@ -368,6 +368,36 @@ class TestSliding:
             w = seg.value_local(tau)
             assert abs(w @ ds.x[:, 0]) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "x, y, w0, limit",
+        [
+            # zero gradient on the sliding boundary: only datum 0's exemption
+            # from the clearance test certifies the limit
+            ([[1.0, 1.0], [0.0, 1.0]], [-3.0, 1.0], [0.4, 0.1], [0.0, 1.0]),
+            # the field with datum 0 excluded vanishes at the limit, and its
+            # alignment rounds to +1e-15 instead of 0
+            ([[-2.187, -0.384], [0.273, 0.313]], [-0.519, 2.199], [-0.136, 1.496], None),
+        ],
+        ids=["zero-gradient", "alignment-rounds-positive"],
+    )
+    def test_stationary_sliding_limit_is_converged(self, x, y, w0, limit):
+        tr = simulate_flow(Dataset(x=np.array(x), y=np.array(y)), np.array(w0))
+        assert tr.segments[-1].sliding_index == 0
+        if limit is not None:
+            np.testing.assert_allclose(tr.terminal_point, limit, atol=1e-8)
+        assert tr.terminal == "converged"
+
+    def test_sliding_limit_pushed_off_its_boundary_is_degenerate(self):
+        # on the boundary of datum 0 the projected flow settles at (0, 0.88),
+        # where the field with datum 0 excluded points off the boundary
+        # (gm = 0.12 > 0): that limit is not held, so it is not certified
+        ds = Dataset(
+            x=np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.5]]), y=np.array([-3.0, 1.0, 0.2])
+        )
+        seg = flow_engine._segment_from(ds, pattern_of(ds, [0.0, 0.5]), [0.0, 0.5], 0.0, 0)
+        np.testing.assert_allclose(seg.target, [0.0, 0.88], atol=1e-12)
+        assert flow_engine._classify_limit(ds, seg, FlowConfig()) == "degenerate"
+
     def test_positive_labels_never_slide(self, rng):
         for _ in range(20):
             ds = random_a1a2a3(rng, 2, int(rng.integers(2, 7)))
@@ -401,6 +431,16 @@ class TestDescentProxy:
             ]
             gap = np.linalg.norm(proxy.terminal_point - exact.terminal_point)
             assert gap <= 1e-2 * max(1.0, np.linalg.norm(exact.terminal_point))
+
+    def test_descent_start_is_checked_like_the_exact_engines(self, ds_deactivation):
+        with pytest.raises(PreconditionError):
+            simulate_gd(ds_deactivation, [np.nan, 1.0, 0.0], 0.01, 5)
+        with pytest.raises(StructuralError):
+            simulate_gd(ds_deactivation, [1.0, 0.0], 0.01, 5)
+        for lr, iters in ((0.0, 5), (-0.01, 5), (np.inf, 5), (0.01, -1)):
+            with pytest.raises(PreconditionError):
+                simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], lr, iters)
+        assert len(simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, 0).iterates) == 1
 
 
 class TestSampling:

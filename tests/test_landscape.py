@@ -111,6 +111,23 @@ class TestVirtualMinimizer:
         with pytest.raises(GeometryError):
             virtual_minimizer(ds, ActivationPattern.from_string("10"))
 
+    def test_feasibility_check_agrees_with_the_enumeration(self, rng):
+        # the one-pattern margin program accepts exactly the enumerated cells
+        datasets = [Dataset(x=rng.normal(size=(d, n)), y=rng.normal(size=n))
+                    for d, n in ((1, 3), (2, 5), (2, 6), (3, 5), (4, 6))]
+        antiparallel = rng.normal(size=(3, 5))
+        antiparallel[:, 1] = -2.0 * antiparallel[:, 0]
+        datasets.append(Dataset(x=antiparallel, y=rng.normal(size=5)))
+        for ds in datasets:
+            cells = {c.pattern.bits for c in enumerate_partitions(ds)}
+            for code in range(2**ds.n):
+                pattern = ActivationPattern(tuple((code >> i) & 1 for i in range(ds.n)))
+                if pattern.bits in cells:
+                    assert virtual_minimizer(ds, pattern).pattern == pattern
+                else:
+                    with pytest.raises(GeometryError):
+                        virtual_minimizer(ds, pattern)
+
     def test_invariant_normal_equations(self, rng):
         ds = random_a1a2a3(rng, 3, 6)
         for cell in enumerate_partitions(ds):

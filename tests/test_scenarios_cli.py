@@ -1,5 +1,6 @@
 """Built-in scenarios, artifact reproducibility, and the command line."""
 
+import argparse
 import hashlib
 import json
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from reluflow.campaigns import run_campaign
-from reluflow.cli import main
+from reluflow.cli import build_parser, main
 from reluflow.dataset import save_dataset
 from reluflow.errors import StructuralError
 from reluflow.scenarios import (
@@ -285,6 +286,31 @@ class TestCli:
         assert summary["engine"] == "gd"
         assert summary["events"] == [["deactivation", 0]]
         assert (out / "flow.csv").exists()
+
+    def test_descent_proxy_rejects_a_nonpositive_step(self, dataset_file, tmp_path, capsys):
+        argv = ["flow", "--dataset", str(dataset_file), "--w0", "1,0,0", "--engine", "gd"]
+        assert main(argv + ["--lr", "0", "--out", str(tmp_path)]) == 2
+        assert "lr must be positive" in capsys.readouterr().err
+
+    def test_each_subcommand_takes_only_the_options_it_reads(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+            for name, p in sub.choices.items()
+        }
+        dataset = {"--dataset", "--augment-bias"}
+        flow = {"--w0", "--tol", "--t-max"}
+        engine = {"--engine", "--lr", "--iters"}
+        assert options == {
+            "validate": dataset | {"--require"},
+            "landscape": dataset | {"--out"},
+            "flow": dataset | flow | engine | {"--out"},
+            "linear-flow": dataset | flow | {"--out"},
+            "criteria": dataset | flow | {"--w-gm", "--out"},
+            "backprop": {"--net", "--x", "--y", "--out"},
+            "reproduce": engine | {"--seed", "--out"},
+            "campaign": {"--trials", "--seed", "--out"},
+        }
 
     def test_criteria_rejects_unrealizable_data(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
