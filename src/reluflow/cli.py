@@ -64,7 +64,7 @@ def _out_dir(args) -> Path:
 
 
 def _flow_config(args) -> FlowConfig:
-    return FlowConfig(converge_tol=args.tol, t_max=args.t_max)
+    return FlowConfig(converge_tol=args.tol, t_max=getattr(args, "t_max", FlowConfig.t_max))
 
 
 def _load(args):
@@ -268,7 +268,7 @@ def _cmd_campaign(args) -> int:
     return 0 if report.passed else 1
 
 
-def _add_common(p, dataset=False, flow=False, engine=False, seed=False, out=True):
+def _add_common(p, dataset=False, flow=False, horizon=False, engine=False, seed=False, out=True):
     """Add the option groups a subcommand reads, and no others."""
     if dataset:
         p.add_argument("--dataset", help="dataset JSON file")
@@ -280,6 +280,7 @@ def _add_common(p, dataset=False, flow=False, engine=False, seed=False, out=True
     if flow:
         p.add_argument("--w0", help="initial weights, comma separated")
         p.add_argument("--tol", type=float, default=FlowConfig.converge_tol, help="gradient tolerance")
+    if horizon:
         p.add_argument("--t-max", dest="t_max", type=float, default=FlowConfig.t_max)
     if seed:
         p.add_argument("--seed", type=int, default=scen.DEFAULT_SEED)
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_landscape)
 
     p = sub.add_parser("flow", help="exact rectified flow from an initialization")
-    _add_common(p, dataset=True, flow=True, engine=True)
+    _add_common(p, dataset=True, flow=True, horizon=True, engine=True)
     p.set_defaults(fn=_cmd_flow)
 
     p = sub.add_parser("linear-flow", help="exact unrectified flow")
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_linear_flow)
 
     p = sub.add_parser("criteria", help="initialization certificates and crossing reports")
-    _add_common(p, dataset=True, flow=True)
+    _add_common(p, dataset=True, flow=True, horizon=True)
     p.add_argument("--w-gm", dest="w_gm", help="interpolating reference point, comma separated")
     p.set_defaults(fn=_cmd_criteria)
 

@@ -40,7 +40,7 @@ def alpha_star(ds: Dataset, w0, j: int) -> float:
     xj = ds.x[:, j]
     hmat, qvec = active_matrices(ds, pattern_of(ds, w0))
     denom = float(xj @ (hmat @ w0))
-    if abs(denom) < TIE_RTOL:
+    if abs(denom) < 1e-12:
         raise DegenerateDirectionError(
             f"x_{j} . H w0 = {denom:.3e} is numerically zero"
         )

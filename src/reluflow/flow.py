@@ -430,7 +430,9 @@ def _classify_limit(ds: Dataset, seg: FlowSegment, cfg: FlowConfig) -> str:
     A sliding segment holds the flow on datum k's boundary: k is exempt
     from the clearance test, the gradient is projected onto that boundary,
     and neither one-sided field may push off it by ``converge_tol`` or
-    more (an alignment that rounds to zero must not fail the limit).
+    more (an alignment that rounds to zero must not fail the limit).  The
+    segment's pattern must match the limit's signs on every other datum
+    that clears its boundary.
     """
     limit = seg.target
     c = clearance(ds, limit)
@@ -443,8 +445,9 @@ def _classify_limit(ds: Dataset, seg: FlowSegment, cfg: FlowConfig) -> str:
         xk = ds.x[:, k]
         grad = g - xk * (gm / float(xk @ xk))
         push = cfg.converge_tol * float(np.linalg.norm(xk))
-        held = gm <= push and gp >= -push
-        c = np.delete(c, k)
+        c, bits = np.delete(c, k), np.delete(seg.pattern.as_bool(), k)
+        clear = np.abs(c) >= BOUNDARY_MARGIN
+        held = gm <= push and gp >= -push and bool(np.all((c[clear] > 0) == bits[clear]))
     interior = bool(np.min(np.abs(c), initial=np.inf) >= BOUNDARY_MARGIN)
     in_dead_cone = bool(np.all(c <= BOUNDARY_MARGIN))
     if held and float(np.linalg.norm(grad)) < cfg.converge_tol and (interior or in_dead_cone):

@@ -19,12 +19,17 @@ from scipy.optimize import linprog
 
 from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import DimensionError, GeometryError, SizeError, StructuralError
-from .expsum import TIE_RTOL
 
 # A point clears a datum's boundary when its relative clearance (see
 # ``clearance``) is at least BOUNDARY_MARGIN in size.  It decides feasible
 # patterns, converged limits, contained minimizers and matched minima.
 BOUNDARY_MARGIN = 1e-9
+
+# d=2 boundary angles closer than ANGLE_DEDUPE radians are one boundary.
+ANGLE_DEDUPE = 1e-12
+
+# Spectral-box coordinates may overshoot by BOX_SLACK_RTOL * max(1, largest extent).
+BOX_SLACK_RTOL = 1e-12
 
 # Enumeration guard: 2^n candidate patterns beyond this is refused.
 ENUMERATION_MAX_N = 24
@@ -191,6 +196,12 @@ def _margin_lp(unit_cols: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, fl
     return w, float(np.min(signs * (unit_cols.T @ w)))
 
 
+def pattern_feasible(ds: Dataset, pattern: ActivationPattern) -> bool:
+    """Whether a unit witness clears every boundary of the pattern's cell by BOUNDARY_MARGIN."""
+    signs = np.where(pattern.as_bool(), 1.0, -1.0)
+    return _margin_lp(ds.x / np.linalg.norm(ds.x, axis=0), signs)[1] > BOUNDARY_MARGIN
+
+
 def _enumerate_1d(ds: Dataset) -> list[PartitionCell]:
     # a single coordinate axis: the two rays are the only cells
     return [
@@ -209,10 +220,10 @@ def _boundary_angles(ds: Dataset) -> list[float]:
     angles.sort()
     out: list[float] = []
     for a in angles:
-        if not out or a - out[-1] > TIE_RTOL:
+        if not out or a - out[-1] > ANGLE_DEDUPE:
             out.append(a)
     # wrap-around duplicate (an angle within tolerance of out[0] + 2pi)
-    if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] <= TIE_RTOL:
+    if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] <= ANGLE_DEDUPE:
         out.pop()
     return out
 
@@ -397,9 +408,9 @@ class Hyperrectangle:
         return self.eigenvectors.T @ np.asarray(w, dtype=float)
 
     def contains(self, w) -> bool:
-        """Closure membership test on the spectral coordinates, up to a tie."""
+        """Closure membership test on the spectral coordinates."""
         c = self.coordinates(w)
-        slack = TIE_RTOL * max(1.0, float(np.max(self.extents, initial=0.0)))
+        slack = BOX_SLACK_RTOL * max(1.0, float(np.max(self.extents, initial=0.0)))
         return bool(np.all(c >= -slack) and np.all(c <= self.extents + slack))
 
     def vertices(self) -> np.ndarray:

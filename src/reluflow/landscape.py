@@ -18,9 +18,8 @@ from scipy.optimize import linprog
 
 from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import GeometryError, StructuralError
-from .expsum import TIE_RTOL
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, clearance, enumerate_partitions
-from .geometry import _margin_lp, pattern_system
+from .geometry import pattern_feasible, pattern_system
 
 # A point interpolates the data when its loss is at most INTERPOLATION_TOL.
 INTERPOLATION_TOL = 1e-10
@@ -103,8 +102,7 @@ def _affine_margin_lp(ds, pattern, p, null_basis, push_inactive: bool):
     ``push_inactive`` the deactivated data must clear by t as well,
     otherwise they are merely held at or below zero.
     """
-    norms = np.linalg.norm(ds.x, axis=0)
-    unit = ds.x / norms
+    unit = ds.x / np.linalg.norm(ds.x, axis=0)
     active = pattern.as_bool()
     k = null_basis.shape[1]
     rows_a = unit[:, active].T
@@ -122,13 +120,7 @@ def _affine_margin_lp(ds, pattern, p, null_basis, push_inactive: bool):
     c[-1] = -1.0
     cap = 1.0 + float(np.linalg.norm(p))
     bounds = [(None, None)] * k + [(None, cap)]
-    res = linprog(
-        c,
-        A_ub=np.vstack(a_ub),
-        b_ub=np.concatenate(b_ub),
-        bounds=bounds,
-        method="highs",
-    )
+    res = linprog(c, A_ub=np.vstack(a_ub), b_ub=np.concatenate(b_ub), bounds=bounds, method="highs")
     if res.status != 0:
         return None, -np.inf
     return p + null_basis @ res.x[:k], float(res.x[-1])
@@ -161,17 +153,13 @@ def virtual_minimizer(
     Containment follows the strict/weak sign conditions on active and
     inactive data; for rank-deficient patterns the whole affine minimizer
     set is searched, since any member inside the partition suffices.
-    With ``check_feasible`` the pattern must be a cell of the partition:
-    a unit witness must clear every boundary by ``BOUNDARY_MARGIN``, the
-    test :func:`enumerate_partitions` applies.
+    With ``check_feasible`` the pattern must be a cell of the partition
+    (:func:`geometry.pattern_feasible`).
     """
     if len(pattern) != ds.n:
         raise StructuralError("pattern length does not match dataset")
-    if check_feasible:
-        signs = np.where(pattern.as_bool(), 1.0, -1.0)
-        _, margin = _margin_lp(ds.x / np.linalg.norm(ds.x, axis=0), signs)
-        if margin <= BOUNDARY_MARGIN:
-            raise GeometryError(f"pattern {pattern} is not a feasible partition")
+    if check_feasible and not pattern_feasible(ds, pattern):
+        raise GeometryError(f"pattern {pattern} is not a feasible partition")
     active = pattern.as_bool()
     total_inactive = 0.5 * float(np.sum(ds.y[~active] ** 2))
     if not np.any(active):
@@ -189,9 +177,9 @@ def virtual_minimizer(
     resid = ds.x[:, active].T @ point - ds.y[active]
     total = 0.5 * float(resid @ resid) + total_inactive
     if system.rank == ds.d:
-        # active data clear their boundaries; deactivated data may sit on theirs up to a tie
+        # active data clear their boundaries; deactivated data may sit on theirs up to 1e-12
         c = clearance(ds, point)
-        contained = bool(np.all(c[active] > BOUNDARY_MARGIN) and np.all(c[~active] <= TIE_RTOL))
+        contained = bool(np.all(c[active] > BOUNDARY_MARGIN) and np.all(c[~active] <= 1e-12))
         witness = point if contained else None
     else:
         contained, witness = _containment_affine(ds, pattern, point, system.null_basis)

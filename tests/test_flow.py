@@ -22,7 +22,7 @@ from reluflow.flow import (
     simulate_gd,
     simulate_linear_flow,
 )
-from reluflow.geometry import pattern_of
+from reluflow.geometry import ActivationPattern, pattern_of
 
 from oracles import boundary_candidates_exhaustive, lstsq_minnorm
 
@@ -397,6 +397,23 @@ class TestSliding:
         seg = flow_engine._segment_from(ds, pattern_of(ds, [0.0, 0.5]), [0.0, 0.5], 0.0, 0)
         np.testing.assert_allclose(seg.target, [0.0, 0.88], atol=1e-12)
         assert flow_engine._classify_limit(ds, seg, FlowConfig()) == "degenerate"
+
+    @pytest.mark.parametrize(
+        "x2, verdict",
+        [((1.0, -1.0), "converged"), ((1.0, 1.0), "degenerate")],
+        ids=["signs-agree", "datum-2-active-at-the-limit"],
+    )
+    def test_sliding_limit_must_match_the_segment_pattern(self, x2, verdict):
+        # sliding on datum 0's boundary with only datum 1 active, the flow
+        # settles at (0, 1), where the field of that pattern vanishes; a
+        # datum 2 that is clearly active there makes the pattern wrong
+        ds = Dataset(
+            x=np.array([[1.0, 0.0, x2[0]], [0.0, 1.0, x2[1]]]), y=np.array([-1.0, 1.0, 0.0])
+        )
+        pattern = ActivationPattern((0, 1, 0))
+        seg = flow_engine._segment_from(ds, pattern, np.array([0.0, 0.5]), 0.0, 0)
+        np.testing.assert_allclose(seg.target, [0.0, 1.0], atol=1e-12)
+        assert flow_engine._classify_limit(ds, seg, FlowConfig()) == verdict
 
     def test_positive_labels_never_slide(self, rng):
         for _ in range(20):

@@ -6,7 +6,7 @@ import pytest
 from reluflow.dataset import Dataset
 from reluflow.errors import GeometryError
 from reluflow.flow import simulate_flow
-from reluflow.geometry import ActivationPattern, enumerate_partitions, pattern_of
+from reluflow.geometry import ActivationPattern, enumerate_partitions, pattern_feasible, pattern_of
 from reluflow.landscape import (
     compare_support_losses,
     gradient,
@@ -122,6 +122,7 @@ class TestVirtualMinimizer:
             cells = {c.pattern.bits for c in enumerate_partitions(ds)}
             for code in range(2**ds.n):
                 pattern = ActivationPattern(tuple((code >> i) & 1 for i in range(ds.n)))
+                assert pattern_feasible(ds, pattern) == (pattern.bits in cells)
                 if pattern.bits in cells:
                     assert virtual_minimizer(ds, pattern).pattern == pattern
                 else:

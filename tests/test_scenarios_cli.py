@@ -299,14 +299,14 @@ class TestCli:
             for name, p in sub.choices.items()
         }
         dataset = {"--dataset", "--augment-bias"}
-        flow = {"--w0", "--tol", "--t-max"}
+        flow = {"--w0", "--tol"}
         engine = {"--engine", "--lr", "--iters"}
         assert options == {
             "validate": dataset | {"--require"},
             "landscape": dataset | {"--out"},
-            "flow": dataset | flow | engine | {"--out"},
+            "flow": dataset | flow | engine | {"--t-max", "--out"},
             "linear-flow": dataset | flow | {"--out"},
-            "criteria": dataset | flow | {"--w-gm", "--out"},
+            "criteria": dataset | flow | {"--t-max", "--w-gm", "--out"},
             "backprop": {"--net", "--x", "--y", "--out"},
             "reproduce": engine | {"--seed", "--out"},
             "campaign": {"--trials", "--seed", "--out"},
