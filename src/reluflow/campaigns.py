@@ -17,7 +17,7 @@ import numpy as np
 from .criteria import bad_minimum_exclusion, no_deactivation_certificate
 from .dataset import Dataset, RANK_RTOL, matrix_rank
 from .deepnet import DeepNet, backprop_labels, balancedness_drift
-from .errors import StructuralError
+from .errors import GeometryError, StructuralError
 from .flow import (
     count_hyperplane_crossings,
     norm_profile,
@@ -27,7 +27,7 @@ from .flow import (
     simulate_linear_flow,
 )
 from .geometry import BOUNDARY_MARGIN, clearance, partition_count_bound
-from .landscape import LOSS_ORDER_RTOL, compare_support_losses, linear_least_squares, minima_census
+from .landscape import LOSS_ORDER_RTOL, compare_support_losses, minima_census, relu_vs_linear_gap
 
 CAMPAIGN_IDS = (
     "d2-global-convergence",
@@ -268,16 +268,13 @@ def _trial_census_orderings(rng, index: int) -> TrialResult:
     if not report.holds:
         # recorded, not failed: nested supports do not always order the losses
         notes.append("support-nesting loss ordering violated")
-    relu = min(
-        [m.loss for m in census.minima]
-        + ([census.stationary_cone.loss] if census.stationary_cone else []),
-        default=None,
-    )
-    _, lin = linear_least_squares(ds)
-    if relu is None:
+    try:
+        relu, lin = relu_vs_linear_gap(ds, census)
+    except GeometryError:
         problems.append("census empty")
-    elif relu > lin + LOSS_ORDER_RTOL * max(1.0, lin):
-        problems.append(f"rectified global {relu:.3e} exceeds linear {lin:.3e}")
+    else:
+        if relu > lin + LOSS_ORDER_RTOL * max(1.0, lin):
+            problems.append(f"rectified global {relu:.3e} exceeds linear {lin:.3e}")
     total = len(census.minima) + (1 if census.stationary_cone else 0)
     if total > partition_count_bound(n, d):
         problems.append(f"census size {total} exceeds partition bound")

@@ -90,7 +90,7 @@ def _cmd_landscape(args) -> int:
     census = minima_census(ds)
     (out / "census.jsonl").write_text(census_to_jsonl(census), encoding="utf-8")
     ordering = compare_support_losses(census)
-    relu, lin = relu_vs_linear_gap(ds)
+    relu, lin = relu_vs_linear_gap(ds, census)
     summary = {
         "minima": len(census.minima),
         "global_index": census.global_index,

@@ -11,11 +11,11 @@ box and norm-derivative quantities used by the flow analysis.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import DimensionError, GeometryError, SizeError, StructuralError
@@ -33,6 +33,9 @@ BOX_SLACK_RTOL = 1e-12
 
 # Enumeration guard: 2^n candidate patterns beyond this is refused.
 ENUMERATION_MAX_N = 24
+
+# The cell count is checked against region_count's 2^n rank tests up to this n.
+COUNT_CHECK_MAX_N = 18
 
 # Eigenvalues below EIG_RTOL * lambda_max count as zero when only a Gram
 # matrix (and not its factor) is available.
@@ -173,48 +176,35 @@ class PartitionCell:
         freeze_fields(self, "witness")
 
 
-def _margin_lp(unit_cols: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Maximize the minimum signed margin over the max-norm unit box.
+def region_count(ds: Dataset) -> int:
+    """Number of cells of the data's central arrangement, from its matroid alone.
 
-    Returns a unit-norm witness and its geometric margin (which may be
-    nonpositive for an empty cone).
+    Whitney's formula with Zaslavsky's theorem: the sum over subsets S of
+    the data of ``(-1)^(|S| - rank S)``, with ranks of unit columns decided
+    by ``RANK_RTOL``.  That is 2^n rank tests, one batched SVD per subset size.
     """
-    d, m = unit_cols.shape
-    # variables (w_1..w_d, t): minimize -t  s.t.  t - s_i x_i.w <= 0
-    a_ub = np.hstack([-(signs[:, None] * unit_cols.T), np.ones((m, 1))])
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    bounds = [(-1.0, 1.0)] * d + [(None, 1.0)]
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), bounds=bounds, method="highs")
-    if res.status != 0:
-        raise GeometryError(f"margin LP failed with status {res.status}")
-    w = np.asarray(res.x[:d], dtype=float)
-    norm = np.linalg.norm(w)
-    if norm == 0.0:
-        return w, -math.inf
-    w = w / norm
-    return w, float(np.min(signs * (unit_cols.T @ w)))
+    unit = ds.x / np.linalg.norm(ds.x, axis=0)
+    total = 1  # the empty subset
+    for m in range(1, ds.n + 1):
+        subsets = np.array(list(itertools.combinations(range(ds.n), m)))
+        s = np.linalg.svd(unit[:, subsets].transpose(1, 0, 2), compute_uv=False)
+        rank = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
+        total += int(np.sum((-1) ** (m - rank)))
+    return total
 
 
 def pattern_feasible(ds: Dataset, pattern: ActivationPattern) -> bool:
-    """Whether a unit witness clears every boundary of the pattern's cell by BOUNDARY_MARGIN."""
-    signs = np.where(pattern.as_bool(), 1.0, -1.0)
-    return _margin_lp(ds.x / np.linalg.norm(ds.x, axis=0), signs)[1] > BOUNDARY_MARGIN
+    """Whether the pattern is one of the cells of ``enumerate_partitions``."""
+    if len(pattern) != ds.n:
+        raise StructuralError("pattern length does not match dataset")
+    return any(c.pattern == pattern for c in enumerate_partitions(ds))
 
 
-def _enumerate_1d(ds: Dataset) -> list[PartitionCell]:
-    # a single coordinate axis: the two rays are the only cells
-    return [
-        PartitionCell(pattern=pattern_of(ds, w), witness=w, margin=1.0)
-        for w in (np.array([1.0]), np.array([-1.0]))
-    ]
-
-
-def _boundary_angles(ds: Dataset) -> list[float]:
-    """Angles in [0, 2pi) where some activation boundary meets the circle; ties merge."""
+def _boundary_angles(x: np.ndarray) -> list[float]:
+    """Angles in [0, 2pi) where some column's boundary meets the circle; ties merge."""
     angles = []
-    for i in range(ds.n):
-        theta = math.atan2(ds.x[1, i], ds.x[0, i])
+    for i in range(x.shape[1]):
+        theta = math.atan2(x[1, i], x[0, i])
         for phi in (theta + math.pi / 2.0, theta - math.pi / 2.0):
             angles.append(phi % (2.0 * math.pi))
     angles.sort()
@@ -228,14 +218,14 @@ def _boundary_angles(ds: Dataset) -> list[float]:
     return out
 
 
-def _arcs_2d(ds: Dataset, angles: list[float]):
+def _arcs_2d(x: np.ndarray, angles: list[float]):
     """Walk the arcs between consecutive boundary angles counterclockwise.
 
     Yields ``(a, b, w, margin)``: the arc's end angles (the last arc wraps
     past 2pi), its unit midpoint ``w`` and the midpoint's smallest
-    distance to a boundary.
+    distance to a boundary of the 2 x n columns ``x``.
     """
-    unit = ds.x / np.linalg.norm(ds.x, axis=0)
+    unit = x / np.linalg.norm(x, axis=0)
     k = len(angles)
     for j in range(k):
         a, b = angles[j], angles[(j + 1) % k]
@@ -246,72 +236,99 @@ def _arcs_2d(ds: Dataset, angles: list[float]):
         yield a, b, w, float(np.min(np.abs(unit.T @ w)))
 
 
-def _enumerate_2d(ds: Dataset) -> list[PartitionCell]:
-    cells: list[PartitionCell] = []
-    seen = set()
-    for _, _, w, margin in _arcs_2d(ds, _boundary_angles(ds)):
-        if margin <= BOUNDARY_MARGIN:
-            continue
-        pat = pattern_of(ds, w)
-        if pat.bits in seen:
-            continue
-        seen.add(pat.bits)
-        cells.append(PartitionCell(pattern=pat, witness=w, margin=margin))
+def _sweep_2d(x: np.ndarray) -> dict:
+    """The exact d=2 sweep: the sign vector (True on the active side) of each
+    arc whose midpoint clears every boundary by more than BOUNDARY_MARGIN,
+    with the first such midpoint."""
+    cells: dict = {}
+    for _, _, w, margin in _arcs_2d(x, _boundary_angles(x)):
+        if margin > BOUNDARY_MARGIN:
+            cells.setdefault(tuple(x.T @ w > 0.0), w)
     return cells
 
 
-def _enumerate_general(ds: Dataset) -> list[PartitionCell]:
-    """Incremental insertion of boundaries, one datum at a time.
+def _cells(cols: np.ndarray) -> dict:
+    """Sign vector (True on the active side) -> unit witness, for every cell
+    of the central arrangement of the columns' hyperplanes.
 
-    Cells of the first k hyperplanes carry witnesses; inserting hyperplane
-    k+1 keeps the side the witness certifies for free and runs the margin
-    program only for the flipped side, so no infeasible sign vector is ever
-    expanded.
+    One row gives the two rays and two rows the exact sweep.  More rows
+    are first reduced to the columns' span, then ``_insert_columns``.
     """
-    unit = ds.x / np.linalg.norm(ds.x, axis=0)
-    first = unit[:, 0]
-    cells = [(np.array([1.0]), first.copy(), 1.0), (np.array([-1.0]), -first, 1.0)]
-    for k in range(1, ds.n):
-        cols = unit[:, : k + 1]
-        grown: list[tuple[np.ndarray, np.ndarray, float]] = []
-        for signs, w, margin in cells:
-            gap = float(unit[:, k] @ w)
-            candidates = []
-            if abs(gap) > BOUNDARY_MARGIN:
-                side = 1.0 if gap > 0 else -1.0
-                grown.append(
-                    (np.append(signs, side), w, min(margin, abs(gap)))
-                )
-                candidates.append(-side)
-            else:
-                candidates.extend([1.0, -1.0])
-            for side in candidates:
-                s_new = np.append(signs, side)
-                w_new, m_new = _margin_lp(cols, s_new)
-                if m_new > BOUNDARY_MARGIN:
-                    grown.append((s_new, w_new, m_new))
+    unit = cols / np.linalg.norm(cols, axis=0)
+    if unit.shape[0] == 1:
+        return {tuple(side * unit[0] > 0.0): np.array([side]) for side in (1.0, -1.0)}
+    if unit.shape[0] == 2:
+        return _sweep_2d(cols)
+    u, s, _ = np.linalg.svd(unit, full_matrices=False)
+    r = int(np.sum(s > RANK_RTOL * s[0]))
+    if r < unit.shape[0]:
+        return {key: u[:, :r] @ w for key, w in _cells(u[:, :r].T @ unit).items()}
+    return _insert_columns(unit)
+
+
+def _insert_columns(unit: np.ndarray) -> dict:
+    """Deletion-restriction on full-rank unit columns, one column at a time.
+
+    A cell of the earlier columns is split by column k exactly when its
+    sign vector is a cell of the earlier columns restricted to k's
+    hyperplane, one dimension down (Zaslavsky).  The restriction's witness
+    ``v`` steps off that hyperplane to both sides by half its smallest
+    clearance on the earlier columns; an unsplit cell keeps its witness.
+    """
+    # a column within 2 BOUNDARY_MARGIN of an earlier one or of its negative
+    # copies that column's signs: every cell between the two is thinner
+    reps: list[int] = []
+    copy_of: list[tuple[int, bool]] = []  # (representative, antiparallel)
+    for j in range(unit.shape[1]):
+        for i, rep in enumerate(reps):
+            g = float(unit[:, rep] @ unit[:, j])
+            gap = np.linalg.norm(unit[:, j] - math.copysign(1.0, g) * unit[:, rep])
+            if gap <= 2.0 * BOUNDARY_MARGIN:
+                copy_of.append((i, g < 0.0))
+                break
+        else:
+            copy_of.append((len(reps), False))
+            reps.append(j)
+    first = unit[:, reps[0]]
+    cells = {(True,): first, (False,): -first}
+    for k in range(1, len(reps)):
+        earlier, uk = unit[:, reps[:k]], unit[:, reps[k]]
+        grown = {key + (bool(uk @ w > 0.0),): w for key, w in cells.items()}
+        basis = np.linalg.svd(uk[:, None])[0][:, 1:]  # orthonormal basis of uk's hyperplane
+        for key, z in _cells(basis.T @ earlier).items():
+            v = basis @ z
+            step = 0.5 * float(np.min(np.abs(earlier.T @ v))) * uk
+            for side, w in ((True, v + step), (False, v - step)):
+                grown[key + (side,)] = w / np.linalg.norm(w)
         cells = grown
-    out = []
-    for signs, w, margin in cells:
-        pat = ActivationPattern(tuple(int(s > 0) for s in signs))
-        out.append(PartitionCell(pattern=pat, witness=w, margin=margin))
-    return out
+    return {tuple(key[i] != flip for i, flip in copy_of): w for key, w in cells.items()}
+
+
+def _certified_cells(ds: Dataset) -> list[PartitionCell]:
+    """The cells of ``_cells`` whose witness clears every datum's boundary by
+    more than BOUNDARY_MARGIN, one per pattern."""
+    unit = ds.x / np.linalg.norm(ds.x, axis=0)
+    cells: dict = {}
+    for w in _cells(ds.x).values():
+        margin = float(np.min(np.abs(unit.T @ w)))
+        if margin > BOUNDARY_MARGIN:
+            pattern = pattern_of(ds, w)
+            cells.setdefault(pattern.bits, PartitionCell(pattern=pattern, witness=w, margin=margin))
+    return list(cells.values())
 
 
 def enumerate_partitions(ds: Dataset) -> list[PartitionCell]:
     """All feasible activation patterns, each with an interior witness.
 
-    The count never exceeds ``partition_count_bound(ds.n, ds.d)``.  Refuses
-    datasets with more than ``ENUMERATION_MAX_N`` samples.
+    Refuses datasets with more than ``ENUMERATION_MAX_N`` samples.  Up to
+    ``COUNT_CHECK_MAX_N`` samples, the number of cells must equal
+    ``region_count(ds)`` or a ``GeometryError`` names both counts.
     """
     if ds.n > ENUMERATION_MAX_N:
         raise SizeError(f"enumeration guard: n = {ds.n} > {ENUMERATION_MAX_N}")
-    if ds.d == 1:
-        cells = _enumerate_1d(ds)
-    elif ds.d == 2:
-        cells = _enumerate_2d(ds)
-    else:
-        cells = _enumerate_general(ds)
+    cells = _certified_cells(ds)
+    if ds.n <= COUNT_CHECK_MAX_N and len(cells) != (expected := region_count(ds)):
+        raise GeometryError(f"enumeration found {len(cells)} cells, the arrangement has {expected}")
     cells.sort(key=lambda c: c.pattern.to_string())
     return cells
 
@@ -341,10 +358,10 @@ def partition_order_2d(ds: Dataset) -> PartitionOrdering:
     """Order the feasible patterns by boundary angle and verify nesting."""
     if ds.d != 2:
         raise DimensionError(f"partition ordering requires d = 2, got d = {ds.d}")
-    angles = _boundary_angles(ds)
+    angles = _boundary_angles(ds.x)
     ordered: list[ActivationPattern] = []
     arcs: list[tuple[float, float]] = []
-    for a, b, w, margin in _arcs_2d(ds, angles):
+    for a, b, w, margin in _arcs_2d(ds.x, angles):
         if margin <= BOUNDARY_MARGIN:
             raise GeometryError(
                 "coincident activation boundaries; the circular order is degenerate"

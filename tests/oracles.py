@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the package's computational paths:
 least squares go through numpy's lstsq/pinv, pattern counts through dense
-angular sweeps, gradients through central finite differences, and deep
+angular sweeps and margin linear programs, gradients through central finite differences, and deep
 gradients through a direct forward/backward pass.  Expected values in the
 tests are produced by these routines (or frozen from them), never by the
 code under test.  The one exception is ``boundary_candidates_exhaustive``:
@@ -13,6 +13,7 @@ pruned event search, from which it differs only by isolating every datum.
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def sweep_patterns_2d(ds, directions: int = 10000) -> set:
@@ -134,3 +135,54 @@ def boundary_candidates_exhaustive(ds, seg):
                 out.append(_Candidate(tau=root.t, index=k, kind="boundary"))
                 break
     return out
+
+
+def _margin_lp(unit_cols: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Maximize the minimum signed margin over the max-norm unit box.
+
+    Returns a unit-norm witness and its margin, nonpositive for an empty cone.
+    """
+    d, m = unit_cols.shape
+    # variables (w_1..w_d, t): minimize -t  s.t.  t - s_i x_i.w <= 0
+    a_ub = np.hstack([-(signs[:, None] * unit_cols.T), np.ones((m, 1))])
+    c = np.zeros(d + 1)
+    c[-1] = -1.0
+    bounds = [(-1.0, 1.0)] * d + [(None, 1.0)]
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), bounds=bounds, method="highs")
+    assert res.status == 0, f"margin LP failed with status {res.status}"
+    w = np.asarray(res.x[:d], dtype=float)
+    norm = np.linalg.norm(w)
+    if norm == 0.0:
+        return w, -np.inf
+    w = w / norm
+    return w, float(np.min(signs * (unit_cols.T @ w)))
+
+
+def enumerate_partitions_lp(ds, margin: float = 1e-9) -> set:
+    """Bit tuples of the cells whose margin program clears every boundary by
+    more than ``margin``, by incremental insertion of the hyperplanes.
+
+    A cell of the first k hyperplanes keeps the side of hyperplane k+1 its
+    witness already clears and runs the margin program for the other side
+    (for both when the witness is on the boundary), so no empty sign vector
+    is ever expanded.
+    """
+    unit = ds.x / np.linalg.norm(ds.x, axis=0)
+    first = unit[:, 0]
+    cells = [(np.array([1.0]), first.copy()), (np.array([-1.0]), -first)]
+    for k in range(1, ds.n):
+        grown = []
+        for signs, w in cells:
+            gap = float(unit[:, k] @ w)
+            sides = [1.0, -1.0]
+            if abs(gap) > margin:
+                side = 1.0 if gap > 0 else -1.0
+                grown.append((np.append(signs, side), w))
+                sides = [-side]
+            for side in sides:
+                s_new = np.append(signs, side)
+                w_new, m_new = _margin_lp(unit[:, : k + 1], s_new)
+                if m_new > margin:
+                    grown.append((s_new, w_new))
+        cells = grown
+    return {tuple(int(s > 0) for s in signs) for signs, _ in cells}

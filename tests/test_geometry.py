@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from reluflow import geometry
 from reluflow.dataset import Dataset
-from reluflow.errors import DimensionError, SizeError, StructuralError
+from reluflow.errors import DimensionError, GeometryError, SizeError, StructuralError
 from reluflow.geometry import (
     ActivationPattern,
     active_matrices,
@@ -16,9 +17,10 @@ from reluflow.geometry import (
     partition_order_2d,
     pattern_of,
     pattern_system,
+    region_count,
 )
 
-from oracles import lstsq_minnorm, sweep_patterns_2d
+from oracles import enumerate_partitions_lp, lstsq_minnorm, sweep_patterns_2d
 
 
 def random_a1_dataset(rng, d, n):
@@ -27,6 +29,27 @@ def random_a1_dataset(rng, d, n):
         s = np.linalg.svd(x, compute_uv=False)
         if s[-1] > 1e-6 * s[0] or n < d:
             return Dataset(x=x, y=rng.uniform(0.1, 3.0, n))
+
+
+FAMILIES = (
+    "positive", "normal", "parallel", "dependent-triples", "rank-deficient", "near-rank-deficient"
+)
+
+
+def degenerate_columns(rng, family, d, n):
+    """Columns of one of the oracle-comparison families."""
+    if family.endswith("rank-deficient"):
+        x = rng.normal(size=(d, d - 1)) @ rng.normal(size=(d - 1, n))
+        # off the span by less than RANK_RTOL: cells that thin are not cells
+        return x + 1e-11 * rng.normal(size=(d, n)) if family.startswith("near") else x
+    x = rng.uniform(0.05, 1.0, size=(d, n)) if family == "positive" else rng.normal(size=(d, n))
+    for j in range(2, n):
+        i, k = rng.choice(j, size=2, replace=False)
+        if family == "parallel" and rng.uniform() < 0.4:
+            x[:, j] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0) * x[:, i]
+        elif family == "dependent-triples" and rng.uniform() < 0.4:
+            x[:, j] = rng.normal() * x[:, i] + rng.normal() * x[:, k]
+    return x
 
 
 class TestPatternOf:
@@ -79,15 +102,13 @@ class TestEnumeratePartitions:
                 assert cell.margin > 1e-9
 
     def test_general_dimension_matches_sweep_in_2d(self, rng):
-        # force the general-position insertion path on d=2 data and compare
-        from reluflow.geometry import _enumerate_general
+        # force the insertion recursion, down to the d=1 rays, on d=2 data
+        from reluflow.geometry import _insert_columns
 
         for _ in range(10):
             ds = random_a1_dataset(rng, 2, 6)
-            general = {
-                c.pattern.bits for c in _enumerate_general(ds)
-            }
-            assert general == sweep_patterns_2d(ds, 20000)
+            cells = _insert_columns(ds.x / np.linalg.norm(ds.x, axis=0))
+            assert {pattern_of(ds, w).bits for w in cells.values()} == sweep_patterns_2d(ds, 20000)
 
     def test_size_guard(self, rng):
         ds = Dataset(
@@ -95,6 +116,51 @@ class TestEnumeratePartitions:
         )
         with pytest.raises(SizeError):
             enumerate_partitions(ds)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_deletion_restriction_matches_the_margin_programs(self, family):
+        # n < d exercises the reduction to the column span; the largest n per
+        # d keeps the LP oracle's cell count at or below about 130
+        rng = np.random.default_rng(FAMILIES.index(family))
+        for d in (3, 4, 5, 6) * 5:
+            n = int(rng.integers(3, {3: 10, 4: 7, 5: 7, 6: 7}[d] + 1))
+            ds = Dataset(x=degenerate_columns(rng, family, d, n), y=rng.normal(size=n))
+            cells = enumerate_partitions(ds)
+            assert {c.pattern.bits for c in cells} == enumerate_partitions_lp(ds)
+            assert len(cells) == region_count(ds)
+
+    def test_a_missing_cell_is_reported(self, rng, monkeypatch):
+        ds = random_a1_dataset(rng, 3, 6)
+        full = geometry._certified_cells(ds)
+        monkeypatch.setattr(geometry, "_certified_cells", lambda ds: full[1:])
+        with pytest.raises(GeometryError, match=f"found {len(full) - 1} cells.* has {len(full)}"):
+            enumerate_partitions(ds)
+
+    def test_nearly_parallel_data_give_certified_cells_or_an_error(self, rng):
+        # the cells between two data this close are about as thin as the angle
+        certified = 0
+        for d in (3, 4):
+            base = rng.normal(size=(d, 6))
+            for angle in (1e-9, 1e-8, 1e-7, 1e-6):
+                x = base.copy()
+                perp = rng.normal(size=d)
+                perp -= (perp @ x[:, 0]) / (x[:, 0] @ x[:, 0]) * x[:, 0]
+                x[:, 1] = x[:, 0] + angle * np.linalg.norm(x[:, 0]) / np.linalg.norm(perp) * perp
+                ds = Dataset(x=x, y=np.ones(6))
+                try:
+                    cells = enumerate_partitions(ds)
+                except GeometryError:
+                    continue
+                certified += 1
+                assert len(cells) == region_count(ds)
+                for cell in cells:
+                    clearance = np.abs(geometry.clearance(ds, cell.witness))
+                    assert np.min(clearance) > geometry.BOUNDARY_MARGIN
+        assert certified > 0
+
+    def test_region_count_is_covers_count_in_general_position(self, rng):
+        for d, n in ((1, 4), (2, 5), (3, 7), (4, 9)):
+            assert region_count(random_a1_dataset(rng, d, n)) == partition_count_bound(n, d)
 
     def test_count_bound_on_random_datasets(self, rng):
         for _ in range(200):

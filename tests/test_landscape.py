@@ -228,13 +228,13 @@ class TestReluVsLinear:
         w_gm = rng.uniform(0.2, 1.0, 3)
         x = rng.uniform(0.05, 1.0, size=(3, 5))
         ds = Dataset(x=x, y=x.T @ w_gm)
-        relu, lin = relu_vs_linear_gap(ds)
+        relu, lin = relu_vs_linear_gap(ds, minima_census(ds))
         assert relu == pytest.approx(0.0, abs=1e-16)
         assert lin == pytest.approx(0.0, abs=1e-16)
 
     def test_single_datum_both_zero(self):
         ds = Dataset(x=np.array([[1.0], [0.0]]), y=np.array([1.0]))
-        relu, lin = relu_vs_linear_gap(ds)
+        relu, lin = relu_vs_linear_gap(ds, minima_census(ds))
         assert relu == pytest.approx(0.0, abs=1e-20)
         assert lin == pytest.approx(0.0, abs=1e-20)
 
@@ -243,11 +243,11 @@ class TestReluVsLinear:
             d = int(rng.integers(1, 4))
             n = int(rng.integers(d, 8))
             ds = random_a1a2a3(rng, d, n)
-            relu, lin = relu_vs_linear_gap(ds)
+            relu, lin = relu_vs_linear_gap(ds, minima_census(ds))
             assert relu <= lin + 1e-9 * max(1.0, lin)
 
     def test_linear_oracle_agreement(self, ds_showcase):
-        _, lin = relu_vs_linear_gap(ds_showcase)
+        _, lin = relu_vs_linear_gap(ds_showcase, minima_census(ds_showcase))
         assert lin == pytest.approx(lstsq_loss(ds_showcase.x, ds_showcase.y), rel=1e-12)
 
 

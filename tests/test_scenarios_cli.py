@@ -170,6 +170,21 @@ class TestCli:
         assert main(["landscape", "--dataset", str(dataset_file), "--out", str(out)]) == 0
         assert (out / "census.jsonl").exists()
 
+    def test_landscape_computes_the_census_once(self, dataset_file, tmp_path, monkeypatch):
+        from reluflow import cli, landscape
+
+        calls = []
+        census = landscape.minima_census
+
+        def counted(ds):
+            calls.append(ds)
+            return census(ds)
+
+        monkeypatch.setattr(cli, "minima_census", counted)
+        monkeypatch.setattr(landscape, "minima_census", counted)
+        assert main(["landscape", "--dataset", str(dataset_file), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_criteria_report(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "artifacts"
         code = main(
