@@ -210,7 +210,7 @@ def _trial_bad_min_exclusion(rng, index: int) -> TrialResult:
     tr = simulate_flow(ds, w0)
     problems = []
     for i in excluded:
-        if census.minima[i].matches(ds, tr.terminal_point, tol=1e-6):
+        if census.minima[i].matches(ds, tr.terminal_point):
             problems.append(f"terminal matches excluded minimum {i}")
     return TrialResult(index, not problems, "; ".join(problems) or "ok")
 

@@ -27,7 +27,7 @@ from .criteria import (
     crossing_context,
     no_deactivation_certificate,
 )
-from .dataset import RANK_RTOL, augment_bias, load_dataset, validate_dataset
+from .dataset import RANK_RTOL, augment_bias, load_dataset, load_json, validate_dataset
 from .deepnet import DeepNet, backprop_labels, forward_trace
 from .errors import ReluFlowError
 from .flow import (
@@ -121,7 +121,7 @@ def _run_and_store(ds, args, linear: bool) -> int:
         tr = simulate_gd(ds, w0, args.lr, args.iters)
     else:
         tr = simulate_flow(ds, w0, cfg)
-    (out / f"{stem}.csv").write_text(trajectory_to_csv(tr, 400), encoding="utf-8")
+    (out / f"{stem}.csv").write_text(trajectory_to_csv(tr), encoding="utf-8")
     (out / f"{stem}-events.jsonl").write_text(events_to_jsonl(tr), encoding="utf-8")
     if gd:
         summary = {
@@ -154,6 +154,7 @@ def _cmd_criteria(args) -> int:
     if args.w0 is None:
         raise ReluFlowError("--w0 v1,v2,... is required")
     w0 = _parse_vector(args.w0)
+    tr = simulate_flow(ds, w0, _flow_config(args))  # checks w0 before anything else reads it
     if args.w_gm is not None:
         w_gm = _parse_vector(args.w_gm)
     else:
@@ -183,7 +184,6 @@ def _cmd_criteria(args) -> int:
                 "cosine_rhs": form.rhs,
             }
         )
-    tr = simulate_flow(ds, w0, _flow_config(args))
     crossings = []
     for pos, ev in enumerate(tr.events):
         if ev.kind not in ("activation", "deactivation"):
@@ -211,8 +211,7 @@ def _cmd_criteria(args) -> int:
 def _cmd_backprop(args) -> int:
     if not args.net:
         raise ReluFlowError("--net FILE is required")
-    with open(args.net, "r", encoding="utf-8") as fh:
-        net = DeepNet.from_json(json.load(fh))
+    net = DeepNet.from_json(load_json(args.net))
     x = _parse_vector(args.x)
     y = _parse_vector(args.y)
     problems = backprop_labels(net, x, y)

@@ -48,6 +48,8 @@ def alpha_star(ds: Dataset, w0, j: int) -> float:
 
 
 def _require_interpolating(ds: Dataset, w_gm: np.ndarray) -> None:
+    if w_gm.shape != (ds.d,):
+        raise StructuralError(f"reference point must have length {ds.d}, got shape {w_gm.shape}")
     value = loss(ds, w_gm)
     if value > INTERPOLATION_TOL:
         raise PreconditionError(

@@ -246,6 +246,7 @@ def dataset_from_json(obj: dict) -> Dataset:
         cols = [np.asarray(c, dtype=float) for c in obj["x"]]
         y = np.asarray(obj["y"], dtype=float)
         flags = frozenset(obj.get("assumptions", []))
+        declared = {key: int(obj[key]) for key in ("d", "n") if key in obj}
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed dataset JSON: {exc}") from exc
     if not cols:
@@ -254,9 +255,9 @@ def dataset_from_json(obj: dict) -> Dataset:
     if len(lengths) != 1 or cols[0].ndim != 1:
         raise StructuralError("dataset JSON columns must share one length")
     x = np.stack(cols, axis=1)
-    if "d" in obj and int(obj["d"]) != x.shape[0]:
+    if declared.get("d", x.shape[0]) != x.shape[0]:
         raise StructuralError(f"declared d={obj['d']} but columns have length {x.shape[0]}")
-    if "n" in obj and int(obj["n"]) != x.shape[1]:
+    if declared.get("n", x.shape[1]) != x.shape[1]:
         raise StructuralError(f"declared n={obj['n']} but got {x.shape[1]} columns")
     return Dataset(x=x, y=y, assumptions=flags)
 
@@ -272,6 +273,14 @@ def save_dataset(ds: Dataset, path) -> None:
         fh.write("\n")
 
 
-def load_dataset(path) -> Dataset:
+def load_json(path):
+    """The JSON value in the file at ``path``; malformed JSON is a ``StructuralError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return dataset_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise StructuralError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def load_dataset(path) -> Dataset:
+    return dataset_from_json(load_json(path))

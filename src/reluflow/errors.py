@@ -6,7 +6,7 @@ class ReluFlowError(Exception):
 
 
 class StructuralError(ReluFlowError):
-    """Malformed inputs: shape mismatches, asymmetric matrices, bad JSON."""
+    """Malformed inputs: shape mismatches, wrong-length patterns, bad JSON."""
 
 
 class DimensionError(ReluFlowError):

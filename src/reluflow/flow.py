@@ -58,6 +58,9 @@ TERMINAL_HORIZON_RATES = 50.0
 BOUND_T0_RATES = 1e-6
 BOUND_SLACK_RTOL = 1e-9
 
+# Every trajectory CSV asks sample_trajectory for CSV_SAMPLES points.
+CSV_SAMPLES = 400
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -495,6 +498,8 @@ class GDRun:
     linear = False  # the proxy descends the rectified loss
 
     def at(self, t: float) -> np.ndarray:
+        if t < 0.0:
+            raise PreconditionError("time must be nonnegative")
         k = min(int(round(t / self.lr)), len(self.iterates) - 1)
         return self.iterates[k]
 
@@ -636,13 +641,13 @@ def events_to_jsonl(tr: Trajectory | GDRun) -> str:
     return "".join(json.dumps(ev.to_json(), sort_keys=True) + "\n" for ev in tr.events)
 
 
-def trajectory_to_csv(tr: Trajectory | GDRun, samples: int = 200) -> str:
+def trajectory_to_csv(tr: Trajectory | GDRun) -> str:
     """Plot-ready CSV of an exact, linear or descent run: t, w_1..w_d, loss, norm, g, pattern bits."""
     ds = tr.dataset
     d = ds.d
     header = ["t"] + [f"w_{i + 1}" for i in range(d)] + ["loss", "norm", "g", "pattern"]
     lines = [",".join(header)]
-    for t, w in sample_trajectory(tr, samples):
+    for t, w in sample_trajectory(tr, CSV_SAMPLES):
         value = linear_loss(ds, w) if tr.linear else loss(ds, w)
         g = _g_along(ds, w, tr.linear)
         pat = "1" * ds.n if tr.linear else pattern_of(ds, w).to_string()

@@ -37,10 +37,6 @@ ENUMERATION_MAX_N = 24
 # The cell count is checked against region_count's 2^n rank tests up to this n.
 COUNT_CHECK_MAX_N = 18
 
-# Eigenvalues below EIG_RTOL * lambda_max count as zero when only a Gram
-# matrix (and not its factor) is available.
-EIG_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ActivationPattern:
@@ -401,13 +397,12 @@ def partition_order_2d(ds: Dataset) -> PartitionOrdering:
 
 @dataclass(frozen=True)
 class Hyperrectangle:
-    """Spectral box between the origin and a target point.
+    """Spectral box between the origin and a pattern's minimizer.
 
-    Eigenvectors of the Gram matrix are signed so every target coordinate
-    ``extents[k] = e_k . w_star`` is nonnegative; the box is the set of
-    points whose coordinates lie in ``[0, extents[k]]``.  Rank-deficient
-    matrices are handled inside their range: only eigenvectors with a
-    positive eigenvalue are kept, so ``eigenvectors`` is d x r.
+    The basis is ``pattern_system``'s, each vector signed so that the
+    minimizer's coordinate ``extents[k] = e_k . point`` is nonnegative; the
+    box is the set of points whose coordinates lie in ``[0, extents[k]]``.
+    It lives in the span of the active data, so ``eigenvectors`` is d x r.
     """
 
     eigenvalues: np.ndarray  # (r,), descending, strictly positive
@@ -444,43 +439,15 @@ class Hyperrectangle:
         return self.eigenvectors @ np.asarray(coords, dtype=float)
 
 
-def hyperrectangle_of(H, w_star) -> Hyperrectangle:
-    """Spectral box of a symmetric PSD matrix toward its target point.
-
-    Rank-deficient matrices are reduced to their range first; the target
-    is projected there, matching the conserved-null-component picture of
-    the flow.
-    """
-    H = np.asarray(H, dtype=float)
-    w_star = np.asarray(w_star, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise StructuralError(f"H must be square, got shape {H.shape}")
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if np.max(np.abs(H - H.T)) > 1e-9 * scale:
-        raise StructuralError("H must be symmetric")
-    if w_star.shape != (H.shape[0],):
-        raise StructuralError("w_star length must match H")
-    evals, evecs = np.linalg.eigh(0.5 * (H + H.T))
-    lam_max = float(evals[-1]) if evals.size else 0.0
-    if evals.size and float(evals[0]) < -1e-9 * max(1.0, lam_max):
-        raise StructuralError("H must be positive semidefinite")
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
-    keep = evals > EIG_RTOL * max(lam_max, 0.0)
-    evals, evecs = evals[keep], evecs[:, keep]
-    coords = evecs.T @ w_star
+def hyperrectangle_of(ds: Dataset, pattern: ActivationPattern) -> Hyperrectangle:
+    """Spectral box of the pattern's active data toward its minimum-norm
+    minimizer, on the spectrum and basis of ``pattern_system``."""
+    system = pattern_system(ds, pattern)
+    coords = system.basis.T @ system.point
     signs = np.where(coords < 0.0, -1.0, 1.0)
-    evecs = evecs * signs
-    extents = np.abs(coords)
-    return Hyperrectangle(eigenvalues=evals, eigenvectors=evecs, extents=extents)
-
-
-def gform(H, w, w_star) -> float:
-    """Quadratic witness ``w . H (w - w_star)``; zero on the box vertices."""
-    H = np.asarray(H, dtype=float)
-    w = np.asarray(w, dtype=float)
-    w_star = np.asarray(w_star, dtype=float)
-    return float(w @ (H @ (w - w_star)))
+    return Hyperrectangle(
+        eigenvalues=system.eigenvalues, eigenvectors=system.basis * signs, extents=np.abs(coords)
+    )
 
 
 def g_value(ds: Dataset, w) -> float:

@@ -28,6 +28,10 @@ INTERPOLATION_TOL = 1e-10
 # LOSS_ORDER_RTOL * max(1, |other loss|).
 LOSS_ORDER_RTOL = 1e-9
 
+# A point is a census minimum when it lies within MATCH_TOL of that
+# minimum's minimizer set (and in its partition's closure).
+MATCH_TOL = 1e-6
+
 
 def loss(ds: Dataset, w) -> float:
     """Half the summed squared residuals of the rectified responses."""
@@ -78,9 +82,9 @@ class VirtualMinimizer:
             delta = delta - self.null_basis @ (self.null_basis.T @ delta)
         return float(np.linalg.norm(delta))
 
-    def matches(self, ds: Dataset, w, tol: float = 1e-6) -> bool:
-        """Whether ``w`` is this minimum: on the minimizer set and in the
-        partition closure.
+    def matches(self, ds: Dataset, w) -> bool:
+        """Whether ``w`` is this minimum: within ``MATCH_TOL`` of the
+        minimizer set and in the partition closure.
 
         The set test alone is not an identification: with interpolatable
         labels one point can minimize many patterns' quadratics at once,
@@ -88,7 +92,7 @@ class VirtualMinimizer:
         pattern's activation signs actually hold.
         """
         w = np.asarray(w, dtype=float)
-        if self.set_distance(w) > tol:
+        if self.set_distance(w) > MATCH_TOL:
             return False
         c = clearance(ds, w)
         active = self.pattern.as_bool()
@@ -321,34 +325,18 @@ def relu_vs_linear_gap(ds: Dataset, census: MinimaCensus) -> tuple[float, float]
 
 def census_to_jsonl(census: MinimaCensus) -> str:
     """One JSON line per census entry (pattern, point, loss, support, contained)."""
-    lines = []
-    for m in census.minima:
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "minimum",
-                    "pattern": m.pattern.to_string(),
-                    "point": m.point.tolist(),
-                    "loss": m.loss,
-                    "support": list(m.support),
-                    "contained": m.contained,
-                },
-                sort_keys=True,
-            )
-        )
+    entries = [("minimum", m) for m in census.minima]
     if census.stationary_cone is not None:
-        m = census.stationary_cone
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "stationary-cone",
-                    "pattern": m.pattern.to_string(),
-                    "point": m.point.tolist(),
-                    "loss": m.loss,
-                    "support": [],
-                    "contained": m.contained,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+        entries.append(("stationary-cone", census.stationary_cone))
+    records = (
+        {
+            "kind": kind,
+            "pattern": m.pattern.to_string(),
+            "point": m.point.tolist(),
+            "loss": m.loss,
+            "support": list(m.support),
+            "contained": m.contained,
+        }
+        for kind, m in entries
+    )
+    return "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"

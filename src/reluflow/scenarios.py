@@ -1,12 +1,12 @@
 """Built-in reproduction scenarios and the scenario runner.
 
 Each scenario bundles a packaged dataset fixture, a list of
-initializations, a flow configuration, and machine-checkable
-expectations (event sequences, terminal matches against pseudoinverse
-oracles, agreement between runs).  The runner executes every run with
-the exact engine (or the small-step descent proxy for a qualitative
-cross-check), writes plot-ready artifacts, and evaluates the
-expectations; the CLI turns the outcome into an exit status.
+initializations, and machine-checkable expectations (event sequences,
+terminal matches against pseudoinverse oracles, agreement between
+runs).  The runner executes every run with the exact engine (or the
+small-step descent proxy for a qualitative cross-check), writes
+plot-ready artifacts, and evaluates the expectations; the CLI turns the
+outcome into an exit status.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from .dataset import Dataset, RANK_RTOL, freeze_fields, load_dataset
 from .errors import StructuralError
 from .flow import (
-    FlowConfig,
     Trajectory,
     events_to_jsonl,
     revisit_report,
@@ -31,7 +30,7 @@ from .flow import (
     simulate_linear_flow,
     trajectory_to_csv,
 )
-from .landscape import gradient, minima_census
+from .landscape import MATCH_TOL, gradient, minima_census
 
 DEFAULT_SEED = 0
 SCENARIO_NAMES = ("example-5-1", "example-5-2", "example-5-3")
@@ -75,7 +74,6 @@ class Scenario:
     name: str
     dataset: Dataset
     runs: tuple[RunSpec, ...]
-    config: FlowConfig
     expectations: tuple[Expectation, ...]
 
 
@@ -140,7 +138,6 @@ def _scenario_5_2(seed: int) -> Scenario:
         name="example-5-2",
         dataset=ds,
         runs=runs,
-        config=FlowConfig(),
         expectations=(
             Expectation("one-deactivation-of-index-0", exp_events, gd_applicable=True),
             Expectation("no-reactivation", exp_no_revisit, gd_applicable=True),
@@ -181,7 +178,6 @@ def _scenario_5_3(seed: int) -> Scenario:
         name="example-5-3",
         dataset=ds,
         runs=runs,
-        config=FlowConfig(),
         expectations=(
             Expectation("deactivate-then-reactivate-index-3", exp_events, gd_applicable=True),
             Expectation("relu-and-linear-terminals-agree", exp_terminals_agree),
@@ -228,7 +224,7 @@ def _scenario_5_1(seed: int) -> Scenario:
         if full is None:
             return False, "census has no all-activated minimum"
         dist = full.set_distance(tr.terminal_point)
-        return dist <= 1e-6, f"distance to all-activated minimum {dist:.2e}"
+        return dist <= MATCH_TOL, f"distance to all-activated minimum {dist:.2e}"
 
     def exp_large_local(results):
         details = []
@@ -240,7 +236,7 @@ def _scenario_5_1(seed: int) -> Scenario:
             best = int(np.argmin(dists))
             matched.append(best)
             details.append(f"{label}->minimum {best} at {dists[best]:.2e}")
-            if dists[best] > 1e-6 or len(census.minima[best].support) == ds.n:
+            if dists[best] > MATCH_TOL or len(census.minima[best].support) == ds.n:
                 ok = False
         if matched[0] == matched[1]:
             ok = False
@@ -264,7 +260,6 @@ def _scenario_5_1(seed: int) -> Scenario:
         name="example-5-1",
         dataset=ds,
         runs=tuple(runs),
-        config=FlowConfig(),
         expectations=(
             Expectation("small-norm-run-reaches-all-activated-minimum", exp_small_all_activated),
             Expectation("large-norm-runs-reach-distinct-smaller-support-minima", exp_large_local),
@@ -311,7 +306,6 @@ def run_scenario(
     engine: str = "exact",
     lr: float = 0.005,
     iters: int = 20000,
-    samples: int = 400,
 ) -> ScenarioResult:
     """Execute every run, write artifacts, and evaluate expectations.
 
@@ -328,14 +322,14 @@ def run_scenario(
     artifacts: list[str] = []
     for run in scenario.runs:
         if run.kind == "linear":
-            tr = simulate_linear_flow(ds, run.w0, scenario.config)
+            tr = simulate_linear_flow(ds, run.w0)
         elif engine == "gd":
             tr = simulate_gd(ds, run.w0, lr, iters)
         else:
-            tr = simulate_flow(ds, run.w0, scenario.config)
+            tr = simulate_flow(ds, run.w0)
         results[run.label] = tr
         csv_path = out_dir / f"{scenario.name}-{run.label}.csv"
-        csv_path.write_text(trajectory_to_csv(tr, samples), encoding="utf-8")
+        csv_path.write_text(trajectory_to_csv(tr), encoding="utf-8")
         events_path = out_dir / f"{scenario.name}-{run.label}-events.jsonl"
         events_path.write_text(events_to_jsonl(tr), encoding="utf-8")
         artifacts += [csv_path.name, events_path.name]  # names only: reports stay portable

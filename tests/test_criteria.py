@@ -161,7 +161,7 @@ class TestBadMinimumExclusion:
             excluded = bad_minimum_exclusion(ds, w0, w_gm, census)
             tr = simulate_flow(ds, w0)
             for i in excluded:
-                assert not census.minima[i].matches(ds, tr.terminal_point, tol=1e-6)
+                assert not census.minima[i].matches(ds, tr.terminal_point)
 
 
 class TestCosineForm:

@@ -7,6 +7,7 @@ from reluflow.dataset import (
     Dataset,
     dataset_from_json,
     dataset_to_json,
+    load_dataset,
     matrix_rank,
     reduce_dataset,
     reduction_map,
@@ -58,6 +59,18 @@ class TestValidation:
         np.testing.assert_array_equal(clone.x, ds_reactivation.x)
         np.testing.assert_array_equal(clone.y, ds_reactivation.y)
         assert clone.assumptions == ds_reactivation.assumptions
+
+    def test_non_integer_declared_size_is_structural(self):
+        obj = {"x": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 2.0]}
+        for key in ("d", "n"):
+            with pytest.raises(StructuralError, match="malformed dataset JSON"):
+                dataset_from_json(obj | {key: "x"})
+
+    def test_malformed_json_file_is_structural(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text('{"x": [[1.0, 0.0]], "y": [1.0')
+        with pytest.raises(StructuralError, match="malformed JSON"):
+            load_dataset(path)
 
 
 class TestReductionMap:

@@ -459,6 +459,12 @@ class TestDescentProxy:
                 simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], lr, iters)
         assert len(simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, 0).iterates) == 1
 
+    def test_negative_time_is_rejected_like_the_exact_engine(self, ds_deactivation):
+        run = simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, 20)
+        np.testing.assert_array_equal(run.at(0.0), run.iterates[0])
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            run.at(-0.1)
+
 
 class TestSampling:
     def test_rows_are_time_ordered_and_finite(self, ds_reactivation, rng):

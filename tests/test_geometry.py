@@ -6,12 +6,12 @@ import pytest
 from reluflow import geometry
 from reluflow.dataset import Dataset
 from reluflow.errors import DimensionError, GeometryError, SizeError, StructuralError
+from reluflow.flow import simulate_flow
 from reluflow.geometry import (
     ActivationPattern,
     active_matrices,
     enumerate_partitions,
     g_value,
-    gform,
     hyperrectangle_of,
     partition_count_bound,
     partition_order_2d,
@@ -270,21 +270,37 @@ class TestOrdering2D:
             partition_order_2d(ds_deactivation)
 
 
+def _box_oracle(ds, pattern):
+    """Gram matrix and minimum-norm minimizer of the active data."""
+    h, _ = active_matrices(ds, pattern)
+    mask = pattern.as_bool()
+    return h, lstsq_minnorm(ds.x[:, mask], ds.y[mask])
+
+
+def _g_oracle(h, w, w_star) -> float:
+    """The quadratic ``w . H (w - w_star)``, zero on the box vertices."""
+    return float(w @ (h @ (w - w_star)))
+
+
+ALL_ACTIVE_2 = ActivationPattern.from_string("11")
+
+
 class TestHyperrectangle:
     def test_identity_matrix_axis_box(self):
-        rect = hyperrectangle_of(np.eye(2), np.array([3.0, 4.0]))
+        rect = hyperrectangle_of(Dataset(x=np.eye(2), y=np.array([3.0, 4.0])), ALL_ACTIVE_2)
         np.testing.assert_allclose(sorted(rect.extents), [3.0, 4.0])
         assert rect.contains([1.0, 1.0])
         assert rect.contains([3.0, 4.0])
         assert not rect.contains([3.5, 4.5])
 
     def test_deactivation_data_box_matches_eigen_oracle(self, ds_deactivation):
-        h, q = active_matrices(ds_deactivation, ActivationPattern.from_string("111"))
+        pattern = ActivationPattern.from_string("111")
+        h, q = active_matrices(ds_deactivation, pattern)
         np.testing.assert_allclose(h, [[6.0, 2.0, 2.0], [2.0, 4.0, 0.0], [2.0, 0.0, 4.0]])
         np.testing.assert_allclose(q, [7.05, 12.0, 0.1])
         w_star = np.linalg.solve(h, q)  # oracle: direct linear solve
         np.testing.assert_allclose(w_star, [0.25, 2.875, -0.1], atol=1e-12)
-        rect = hyperrectangle_of(h, w_star)
+        rect = hyperrectangle_of(ds_deactivation, pattern)
         lam_o, vec_o = np.linalg.eigh(h)  # oracle: ascending eigenpairs
         np.testing.assert_allclose(rect.eigenvalues, lam_o[::-1], rtol=1e-12)
         oracle_extents = np.abs(vec_o.T @ w_star)[::-1]
@@ -295,43 +311,53 @@ class TestHyperrectangle:
         assert np.all(rect.extents >= 0.0)
 
     def test_zero_target_degenerates_to_origin(self):
-        rect = hyperrectangle_of(np.diag([2.0, 1.0]), np.zeros(2))
+        ds = Dataset(x=np.diag([np.sqrt(2.0), 1.0]), y=np.zeros(2))
+        rect = hyperrectangle_of(ds, ALL_ACTIVE_2)
+        np.testing.assert_allclose(rect.eigenvalues, [2.0, 1.0], rtol=1e-12)
         np.testing.assert_allclose(rect.extents, [0.0, 0.0])
         assert rect.contains([0.0, 0.0])
         assert not rect.contains([0.1, 0.0])
 
     def test_rank_deficient_matrix_builds_in_its_range(self):
-        h = np.diag([4.0, 0.0])
-        rect = hyperrectangle_of(h, np.array([2.0, 5.0]))
+        # H = diag(4, 0); the minimizer set 2 w_1 = 4 has minimum-norm point (2, 0)
+        ds = Dataset(x=np.array([[2.0], [0.0]]), y=np.array([4.0]))
+        rect = hyperrectangle_of(ds, ActivationPattern.from_string("1"))
         assert rect.rank == 1
+        np.testing.assert_allclose(rect.eigenvalues, [4.0])
         np.testing.assert_allclose(rect.extents, [2.0])
 
-    def test_rejects_asymmetric_input(self):
+    def test_rejects_a_pattern_of_the_wrong_length(self, ds_deactivation):
         with pytest.raises(StructuralError):
-            hyperrectangle_of(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
+            hyperrectangle_of(ds_deactivation, ALL_ACTIVE_2)
+
+    def test_rank_agrees_with_the_flow_on_nearly_parallel_columns(self):
+        # the Gram matrix's small eigenvalue, 5e-15, is below 1e-12 * lambda_max,
+        # but the columns' singular value ratio, 5e-8, is well above RANK_RTOL
+        ds = Dataset(x=np.array([[1.0, 1.0], [0.0, 1e-7]]), y=np.array([1.0, 2.0]))
+        tr = simulate_flow(ds, np.array([1.0, 1.0]))
+        assert tr.segments[0].pattern == ALL_ACTIVE_2
+        assert hyperrectangle_of(ds, ALL_ACTIVE_2).rank == tr.segments[0].eigenvalues.size == 2
 
     def test_vertices_lie_on_norm_derivative_boundary(self, rng):
         for _ in range(10):
-            a = rng.normal(size=(3, 3))
-            h = a @ a.T
-            w_star = rng.normal(size=3)
-            rect = hyperrectangle_of(h, w_star)
-            w_range = rect.eigenvectors @ (rect.eigenvectors.T @ w_star)
+            ds = Dataset(x=rng.normal(size=(3, 3)), y=rng.normal(size=3))
+            pattern = ActivationPattern.from_string("111")
+            rect = hyperrectangle_of(ds, pattern)
+            h, w_star = _box_oracle(ds, pattern)
             scale = 1e-9 * np.linalg.norm(h, 2) * max(1.0, np.linalg.norm(w_star) ** 2)
             for v in rect.vertices():
-                assert abs(gform(h, v, w_range)) <= scale
+                assert abs(_g_oracle(h, v, w_star)) <= scale
 
     def test_box_inside_norm_growth_ellipsoid(self, rng):
-        a = rng.normal(size=(3, 3))
-        h = a @ a.T
-        w_star = rng.normal(size=3)
-        rect = hyperrectangle_of(h, w_star)
-        w_range = rect.eigenvectors @ (rect.eigenvectors.T @ w_star)
+        ds = Dataset(x=rng.normal(size=(3, 3)), y=rng.normal(size=3))
+        pattern = ActivationPattern.from_string("111")
+        rect = hyperrectangle_of(ds, pattern)
+        h, w_star = _box_oracle(ds, pattern)
         slack = 1e-9 * np.linalg.norm(h, 2) * max(1.0, np.linalg.norm(w_star) ** 2)
         for _ in range(1000):
             coords = rng.uniform(0.0, 1.0, rect.rank) * rect.extents
             point = rect.point(coords)
-            assert gform(h, point, w_range) <= slack
+            assert _g_oracle(h, point, w_star) <= slack
 
 
 class TestGValue:

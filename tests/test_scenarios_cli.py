@@ -226,6 +226,13 @@ class TestCli:
         assert report["depth"] == 2
         assert len(report["layers"]) == 2
 
+    def test_backprop_rejects_malformed_json(self, tmp_path, capsys):
+        net_file = tmp_path / "net.json"
+        net_file.write_text('{"weights": [[[1.0, 0.5]],')
+        argv = ["backprop", "--net", str(net_file), "--x", "1,2", "--y", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed JSON")
+
     def test_reproduce_and_campaign_exit_codes(self, tmp_path):
         assert (
             main(["reproduce", "example-5-2", "--out", str(tmp_path / "repro")]) == 0
@@ -337,6 +344,13 @@ class TestCli:
         code = main(["criteria", "--dataset", str(path), "--w0", "1,1"])
         assert code == 2
         assert "interpolating" in capsys.readouterr().err
+
+    def test_criteria_rejects_vectors_of_the_wrong_length(self, dataset_file, tmp_path, capsys):
+        argv = ["criteria", "--dataset", str(dataset_file), "--out", str(tmp_path)]
+        assert main(argv + ["--w0", "0.0001,0.0001"]) == 2
+        assert capsys.readouterr().err.startswith("error: w0 must have length 3")
+        assert main(argv + ["--w0", "0.0001,0.0001,0.0001", "--w-gm", "1,2"]) == 2
+        assert capsys.readouterr().err.startswith("error: reference point must have length 3")
 
     def test_console_script_round_trip(self, tmp_path):
         # the entry point must work as a real subprocess; it imports the
