@@ -50,6 +50,8 @@ def alpha_star(ds: Dataset, w0, j: int) -> float:
 def _require_interpolating(ds: Dataset, w_gm: np.ndarray) -> None:
     if w_gm.shape != (ds.d,):
         raise StructuralError(f"reference point must have length {ds.d}, got shape {w_gm.shape}")
+    if not np.all(np.isfinite(w_gm)):
+        raise PreconditionError(f"reference point must be finite, got {w_gm}")
     value = loss(ds, w_gm)
     if value > INTERPOLATION_TOL:
         raise PreconditionError(

@@ -246,8 +246,10 @@ def dataset_from_json(obj: dict) -> Dataset:
         cols = [np.asarray(c, dtype=float) for c in obj["x"]]
         y = np.asarray(obj["y"], dtype=float)
         flags = frozenset(obj.get("assumptions", []))
-        declared = {key: int(obj[key]) for key in ("d", "n") if key in obj}
-    except (KeyError, TypeError, ValueError) as exc:
+        declared = {key: float(obj[key]) for key in ("d", "n") if key in obj}
+        if not all(size.is_integer() for size in declared.values()):
+            raise ValueError(f"declared sizes {declared} are not integers")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StructuralError(f"malformed dataset JSON: {exc}") from exc
     if not cols:
         raise StructuralError("dataset JSON has no input columns")
@@ -274,12 +276,15 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_json(path):
-    """The JSON value in the file at ``path``; malformed JSON is a ``StructuralError``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The JSON value in the file at ``path``; an unreadable file or malformed
+    JSON is a ``StructuralError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StructuralError(f"malformed JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise StructuralError(f"cannot read {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise StructuralError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def load_dataset(path) -> Dataset:

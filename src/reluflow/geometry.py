@@ -5,8 +5,9 @@ Each datum ``x_i`` splits parameter space by the central hyperplane
 of strict activation indicators is constant; points on a boundary belong
 to no partition and are mapped to the deactivated side by convention.
 This module enumerates the nonempty cones with certified strict-interior
-witnesses, orders them on the circle for d = 2, and builds the spectral
-box and norm-derivative quantities used by the flow analysis.
+witnesses (or finds the one cone of a given sign vector), orders them on
+the circle for d = 2, and builds the spectral box and norm-derivative
+quantities used by the flow analysis.
 """
 
 from __future__ import annotations
@@ -243,26 +244,32 @@ def _sweep_2d(x: np.ndarray) -> dict:
     return cells
 
 
-def _cells(cols: np.ndarray) -> dict:
+def _aimed(cells: dict, target) -> dict:
+    """All of ``cells`` without a target, else at most the target's entry."""
+    return cells if target is None else {key: w for key, w in cells.items() if key == target}
+
+
+def arrangement_cells(cols: np.ndarray, target: tuple[bool, ...] | None = None) -> dict:
     """Sign vector (True on the active side) -> unit witness, for every cell
-    of the central arrangement of the columns' hyperplanes.
+    of the central arrangement of the columns' hyperplanes, or with
+    ``target`` for that one sign vector's cell (an empty dict when it is empty).
 
     One row gives the two rays and two rows the exact sweep.  More rows
     are first reduced to the columns' span, then ``_insert_columns``.
     """
     unit = cols / np.linalg.norm(cols, axis=0)
     if unit.shape[0] == 1:
-        return {tuple(side * unit[0] > 0.0): np.array([side]) for side in (1.0, -1.0)}
+        return _aimed({tuple(side * unit[0] > 0.0): np.array([side]) for side in (1.0, -1.0)}, target)
     if unit.shape[0] == 2:
-        return _sweep_2d(cols)
+        return _aimed(_sweep_2d(cols), target)
     u, s, _ = np.linalg.svd(unit, full_matrices=False)
     r = int(np.sum(s > RANK_RTOL * s[0]))
     if r < unit.shape[0]:
-        return {key: u[:, :r] @ w for key, w in _cells(u[:, :r].T @ unit).items()}
-    return _insert_columns(unit)
+        return {key: u[:, :r] @ w for key, w in arrangement_cells(u[:, :r].T @ unit, target).items()}
+    return _insert_columns(unit, target)
 
 
-def _insert_columns(unit: np.ndarray) -> dict:
+def _insert_columns(unit: np.ndarray, target: tuple[bool, ...] | None = None) -> dict:
     """Deletion-restriction on full-rank unit columns, one column at a time.
 
     A cell of the earlier columns is split by column k exactly when its
@@ -270,6 +277,9 @@ def _insert_columns(unit: np.ndarray) -> dict:
     hyperplane, one dimension down (Zaslavsky).  The restriction's witness
     ``v`` steps off that hyperplane to both sides by half its smallest
     clearance on the earlier columns; an unsplit cell keeps its witness.
+    Aimed at a ``target``, only the target's cell of the earlier columns
+    is kept, and its restriction is searched only when the cell's witness
+    lies on the wrong side of column k.
     """
     # a column within 2 BOUNDARY_MARGIN of an earlier one or of its negative
     # copies that column's signs: every cell between the two is thinner
@@ -288,24 +298,28 @@ def _insert_columns(unit: np.ndarray) -> dict:
     first = unit[:, reps[0]]
     cells = {(True,): first, (False,): -first}
     for k in range(1, len(reps)):
+        aim = None if target is None else tuple(target[j] for j in reps[:k])
+        if aim is not None and aim not in cells:
+            return {}
         earlier, uk = unit[:, reps[:k]], unit[:, reps[k]]
-        grown = {key + (bool(uk @ w > 0.0),): w for key, w in cells.items()}
-        basis = np.linalg.svd(uk[:, None])[0][:, 1:]  # orthonormal basis of uk's hyperplane
-        for key, z in _cells(basis.T @ earlier).items():
-            v = basis @ z
-            step = 0.5 * float(np.min(np.abs(earlier.T @ v))) * uk
-            for side, w in ((True, v + step), (False, v - step)):
-                grown[key + (side,)] = w / np.linalg.norm(w)
+        grown = {key + (bool(uk @ w > 0.0),): w for key, w in _aimed(cells, aim).items()}
+        if aim is None or aim + (target[reps[k]],) not in grown:
+            basis = np.linalg.svd(uk[:, None])[0][:, 1:]  # orthonormal basis of uk's hyperplane
+            for key, z in arrangement_cells(basis.T @ earlier, aim).items():
+                v = basis @ z
+                step = 0.5 * float(np.min(np.abs(earlier.T @ v))) * uk
+                for side, w in ((True, v + step), (False, v - step)):
+                    grown[key + (side,)] = w / np.linalg.norm(w)
         cells = grown
-    return {tuple(key[i] != flip for i, flip in copy_of): w for key, w in cells.items()}
+    return _aimed({tuple(key[i] != flip for i, flip in copy_of): w for key, w in cells.items()}, target)
 
 
 def _certified_cells(ds: Dataset) -> list[PartitionCell]:
-    """The cells of ``_cells`` whose witness clears every datum's boundary by
-    more than BOUNDARY_MARGIN, one per pattern."""
+    """The cells of ``arrangement_cells`` whose witness clears every datum's
+    boundary by more than BOUNDARY_MARGIN, one per pattern."""
     unit = ds.x / np.linalg.norm(ds.x, axis=0)
     cells: dict = {}
-    for w in _cells(ds.x).values():
+    for w in arrangement_cells(ds.x).values():
         margin = float(np.min(np.abs(unit.T @ w)))
         if margin > BOUNDARY_MARGIN:
             pattern = pattern_of(ds, w)

@@ -5,7 +5,10 @@ a constant from the labels of deactivated data.  Every partition has a
 virtual minimizer (the minimum-norm least-squares point of its active
 data), which may or may not lie inside the partition; the census below
 collects exactly the partitions that do contain theirs, which are the
-only candidates for interior local minima.
+only candidates for interior local minima.  A rank-deficient pattern
+contains its minimizer when its affine minimizer set meets the open
+cell, which the deletion-restriction of ``geometry`` decides as one
+more cell question; no linear program is solved.
 """
 
 from __future__ import annotations
@@ -14,12 +17,11 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import GeometryError, StructuralError
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, clearance, enumerate_partitions
-from .geometry import pattern_feasible, pattern_system
+from .geometry import arrangement_cells, pattern_feasible, pattern_system
 
 # A point interpolates the data when its loss is at most INTERPOLATION_TOL.
 INTERPOLATION_TOL = 1e-10
@@ -99,54 +101,27 @@ class VirtualMinimizer:
         return bool(np.all(c[active] >= -BOUNDARY_MARGIN) and np.all(c[~active] <= BOUNDARY_MARGIN))
 
 
-def _affine_margin_lp(ds, pattern, p, null_basis, push_inactive: bool):
-    """Maximize boundary clearance over the minimizer set's free coordinates.
+def _minimizer_in_cell(ds: Dataset, pattern: ActivationPattern, p, null_basis):
+    """A member of the minimizer set ``p + N z`` strictly on the deactivated
+    side of every deactivated datum, or None when the set misses that cell.
 
-    Active data must clear their boundaries by the objective value t; with
-    ``push_inactive`` the deactivated data must clear by t as well,
-    otherwise they are merely held at or below zero.
+    Active data are orthogonal to ``N`` up to the rank cutoff, so they
+    clear every member of the set as they clear ``p``.  In homogeneous
+    coordinates ``(z, s)``, with ``p`` scaled by ``1 / max(1, |p|)``, the
+    deactivated data form a central arrangement with the extra column
+    ``s``; the set meets the cell exactly when "every deactivated datum
+    negative, ``s`` positive" is one of its cells.  A datum whose column
+    vanishes there sits on its boundary across the whole set and is dropped.
     """
-    unit = ds.x / np.linalg.norm(ds.x, axis=0)
-    active = pattern.as_bool()
-    k = null_basis.shape[1]
-    rows_a = unit[:, active].T
-    rows_i = unit[:, ~active].T
-    a_ub = []
-    b_ub = []
-    if rows_a.size:
-        a_ub.append(np.hstack([-(rows_a @ null_basis), np.ones((rows_a.shape[0], 1))]))
-        b_ub.append(rows_a @ p)
-    if rows_i.size:
-        t_col = np.ones((rows_i.shape[0], 1)) if push_inactive else np.zeros((rows_i.shape[0], 1))
-        a_ub.append(np.hstack([rows_i @ null_basis, t_col]))
-        b_ub.append(-(rows_i @ p))
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    cap = 1.0 + float(np.linalg.norm(p))
-    bounds = [(None, None)] * k + [(None, cap)]
-    res = linprog(c, A_ub=np.vstack(a_ub), b_ub=np.concatenate(b_ub), bounds=bounds, method="highs")
-    if res.status != 0:
-        return None, -np.inf
-    return p + null_basis @ res.x[:k], float(res.x[-1])
-
-
-def _containment_affine(ds: Dataset, pattern: ActivationPattern, p, null_basis):
-    """Search the affine minimizer set for a point satisfying the pattern.
-
-    Containment itself follows the weak conditions (strict on active data,
-    at-most-zero on deactivated data); the returned witness additionally
-    maximizes the clearance of all boundaries so downstream margin checks
-    see a strictly interior point whenever one exists.
-    """
-    weak_point, weak_t = _affine_margin_lp(ds, pattern, p, null_basis, push_inactive=False)
-    if weak_point is None or weak_t <= BOUNDARY_MARGIN * max(1.0, float(np.linalg.norm(p))):
-        return False, None
-    interior_point, interior_t = _affine_margin_lp(
-        ds, pattern, p, null_basis, push_inactive=True
-    )
-    if interior_point is not None and interior_t > 0.0:
-        return True, interior_point
-    return True, weak_point
+    x = ds.x[:, ~pattern.as_bool()]
+    unit = x / np.linalg.norm(x, axis=0)
+    scale = max(1.0, float(np.linalg.norm(p)))
+    cols = np.vstack([null_basis.T @ unit, (p @ unit)[None, :] / scale])
+    cols = cols[:, np.linalg.norm(cols, axis=0) > RANK_RTOL]
+    s_axis = np.eye(len(cols))[:, -1:]
+    target = (True,) + (False,) * cols.shape[1]
+    v = arrangement_cells(np.hstack([s_axis, cols]), target).get(target)
+    return None if v is None else p + null_basis @ (scale * v[:-1] / v[-1])
 
 
 def virtual_minimizer(
@@ -154,11 +129,14 @@ def virtual_minimizer(
 ) -> VirtualMinimizer:
     """Minimum-norm minimizer of the pattern's quadratic, with containment.
 
-    Containment follows the strict/weak sign conditions on active and
-    inactive data; for rank-deficient patterns the whole affine minimizer
-    set is searched, since any member inside the partition suffices.
-    With ``check_feasible`` the pattern must be a cell of the partition
-    (:func:`geometry.pattern_feasible`).
+    The candidate witness is ``point`` at full rank; for a rank-deficient
+    pattern it is a member of the affine minimizer set inside the open
+    cell (:func:`_minimizer_in_cell`), since any such member suffices, and
+    a set that only touches the cell's closure has none.  The pattern is
+    contained when the witness's active data clear their boundaries by
+    more than ``BOUNDARY_MARGIN`` and its deactivated data sit at a
+    relative clearance of at most 1e-12.  With ``check_feasible`` the
+    pattern must be a cell of the partition (:func:`geometry.pattern_feasible`).
     """
     if len(pattern) != ds.n:
         raise StructuralError("pattern length does not match dataset")
@@ -180,19 +158,18 @@ def virtual_minimizer(
     point = system.point
     resid = ds.x[:, active].T @ point - ds.y[active]
     total = 0.5 * float(resid @ resid) + total_inactive
-    if system.rank == ds.d:
+    witness = point if system.rank == ds.d else _minimizer_in_cell(ds, pattern, point, system.null_basis)
+    if witness is not None:
         # active data clear their boundaries; deactivated data may sit on theirs up to 1e-12
-        c = clearance(ds, point)
-        contained = bool(np.all(c[active] > BOUNDARY_MARGIN) and np.all(c[~active] <= 1e-12))
-        witness = point if contained else None
-    else:
-        contained, witness = _containment_affine(ds, pattern, point, system.null_basis)
+        c = clearance(ds, witness)
+        if not (np.all(c[active] > BOUNDARY_MARGIN) and np.all(c[~active] <= 1e-12)):
+            witness = None
     return VirtualMinimizer(
         pattern=pattern,
         point=point,
         null_basis=system.null_basis,
         rank=system.rank,
-        contained=contained,
+        contained=witness is not None,
         loss=total,
         witness=witness,
     )

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's computational paths:
 least squares go through numpy's lstsq/pinv, pattern counts through dense
-angular sweeps and margin linear programs, gradients through central finite differences, and deep
-gradients through a direct forward/backward pass.  Expected values in the
+angular sweeps and margin linear programs, minimizer containment through
+an affine margin linear program, gradients through central finite
+differences, and deep gradients through a direct forward/backward pass.  Expected values in the
 tests are produced by these routines (or frozen from them), never by the
 code under test.  The one exception is ``boundary_candidates_exhaustive``:
 it shares the flow's root isolator and is the reference for the flow's
@@ -186,3 +187,37 @@ def enumerate_partitions_lp(ds, margin: float = 1e-9) -> set:
                     grown.append((s_new, w_new))
         cells = grown
     return {tuple(int(s > 0) for s in signs) for signs, _ in cells}
+
+
+def containment_lp(ds, pattern) -> bool:
+    """Weak containment of a pattern's minimizer set, by a margin program.
+
+    The set ``p + N z`` comes from numpy's lstsq and SVD.  The program
+    maximizes ``t`` with every active datum's unit vector at least ``t``
+    from its boundary and every deactivated one at or below zero, ``t``
+    capped at ``1 + |p|``; the pattern holds its minimizer when the optimum
+    beats ``1e-9 * max(1, |p|)``.  A set that only touches the cell's
+    closure counts as contained.
+    """
+    active = np.array(pattern.bits, dtype=bool)
+    cols = ds.x[:, active]
+    p = lstsq_minnorm(cols, ds.y[active])
+    u, s, _ = np.linalg.svd(cols, full_matrices=True)
+    null_basis = u[:, int(np.sum(s > 1e-10 * s[0])) :]
+    unit = ds.x / np.linalg.norm(ds.x, axis=0)
+    k = null_basis.shape[1]
+    rows_a = unit[:, active].T
+    rows_i = unit[:, ~active].T
+    # variables (z_1..z_k, t): minimize -t
+    a_ub = np.vstack(
+        [
+            np.hstack([-(rows_a @ null_basis), np.ones((rows_a.shape[0], 1))]),
+            np.hstack([rows_i @ null_basis, np.zeros((rows_i.shape[0], 1))]),
+        ]
+    )
+    b_ub = np.concatenate([rows_a @ p, -(rows_i @ p)])
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    cap = 1.0 + float(np.linalg.norm(p))
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * k + [(None, cap)], method="highs")
+    return res.status == 0 and float(res.x[-1]) > 1e-9 * max(1.0, float(np.linalg.norm(p)))

@@ -63,12 +63,16 @@ class TestValidation:
     def test_non_integer_declared_size_is_structural(self):
         obj = {"x": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 2.0]}
         for key in ("d", "n"):
-            with pytest.raises(StructuralError, match="malformed dataset JSON"):
-                dataset_from_json(obj | {key: "x"})
+            for size in ("x", 2.7):
+                with pytest.raises(StructuralError, match="malformed dataset JSON"):
+                    dataset_from_json(obj | {key: size})
 
     def test_malformed_json_file_is_structural(self, tmp_path):
         path = tmp_path / "data.json"
         path.write_text('{"x": [[1.0, 0.0]], "y": [1.0')
+        with pytest.raises(StructuralError, match="malformed JSON"):
+            load_dataset(path)
+        path.write_bytes(b'\xff{"x": [[1.0]], "y": [1.0]}')  # not UTF-8
         with pytest.raises(StructuralError, match="malformed JSON"):
             load_dataset(path)
 

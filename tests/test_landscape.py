@@ -1,8 +1,12 @@
 """Loss surface, virtual minimizers, and the census of interior minima."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import reluflow
+from reluflow.campaigns import random_dataset, realizable_dataset
 from reluflow.dataset import Dataset
 from reluflow.errors import GeometryError
 from reluflow.flow import simulate_flow
@@ -16,7 +20,7 @@ from reluflow.landscape import (
     virtual_minimizer,
 )
 
-from oracles import finite_diff_gradient, lstsq_loss, lstsq_minnorm, off_boundary
+from oracles import containment_lp, finite_diff_gradient, lstsq_loss, lstsq_minnorm, off_boundary
 
 
 def random_a1a2a3(rng, d, n):
@@ -25,6 +29,23 @@ def random_a1a2a3(rng, d, n):
         s = np.linalg.svd(x, compute_uv=False)
         if s[-1] > 1e-6 * s[0]:
             return Dataset(x=x, y=rng.uniform(0.1, 3.0, n))
+
+
+CONTAINMENT_FAMILIES = ("random", "realizable", "normal", "antiparallel")
+
+
+def containment_family(rng, family):
+    """One seeded dataset of a family the containment oracle is run on."""
+    if family == "random":
+        d = int(rng.integers(2, 5))
+        return random_dataset(rng, d, int(rng.integers(d, 9)))
+    if family == "realizable":
+        return realizable_dataset(rng, 3, 5)[0]
+    d, n = int(rng.integers(2, 5)), int(rng.integers(2, 8))
+    x = rng.normal(size=(d, n))
+    if family == "antiparallel":
+        x[:, 1] = -rng.uniform(0.5, 2.0) * x[:, 0]
+    return Dataset(x=x, y=rng.normal(size=n))
 
 
 class TestLoss:
@@ -103,6 +124,58 @@ class TestVirtualMinimizer:
         vm = virtual_minimizer(ds, pattern, check_feasible=False)
         assert tr.segments[0].eigenvalues.size == vm.rank == 1
 
+    @pytest.mark.parametrize("family", CONTAINMENT_FAMILIES)
+    def test_containment_matches_the_margin_program(self, family):
+        # every rank-deficient cell but the all-deactivated cone, whose
+        # minimizer set is the whole space
+        rng = np.random.default_rng(CONTAINMENT_FAMILIES.index(family))
+        checked = 0
+        for _ in range(30):
+            ds = containment_family(rng, family)
+            for cell in enumerate_partitions(ds):
+                vm = virtual_minimizer(ds, cell.pattern, check_feasible=False)
+                if vm.rank == ds.d or not any(cell.pattern.bits):
+                    continue
+                checked += 1
+                assert vm.contained == containment_lp(ds, cell.pattern), cell.pattern
+        assert checked > 100
+
+    def test_a_minimizer_set_that_only_touches_its_cell_is_not_contained(self, rng):
+        # the set meets the closure of cell 0110000 only at (1, 3, 0, 2),
+        # where four deactivated data vanish together; the margin program's
+        # weak verdict calls that contained, but the loss still falls nearby
+        x = np.array(
+            [
+                [-1, -2, 2, -2, 2, 2, -2],
+                [1, 2, 0, 2, 0, -1, 0],
+                [-1, 0, 0, -2, 0, -1, 1],
+                [-1, -1, 0, -2, -1, -1, 1],
+            ],
+            dtype=float,
+        )
+        ds = Dataset(x=x, y=np.array([-1, 2, 2, 1, 2, 0, -1], dtype=float))
+        pattern = ActivationPattern.from_string("0110000")
+        touch = np.array([1.0, 3.0, 0.0, 2.0])
+        vm = virtual_minimizer(ds, pattern)
+        assert vm.rank == 2 and vm.set_distance(touch) < 1e-12
+        assert containment_lp(ds, pattern)
+        assert not vm.contained and vm.witness is None
+        steps = rng.normal(size=(20000, 4))
+        steps *= 1e-3 / np.linalg.norm(steps, axis=1, keepdims=True)
+        assert min(loss(ds, touch + v) for v in steps) < loss(ds, touch) - 4e-3
+        census = minima_census(ds)
+        assert len(census.minima) == 7
+        assert pattern not in {m.pattern for m in census.minima}
+
+    def test_a_deactivated_datum_may_sit_on_its_boundary_across_the_set(self):
+        # datum 2 lies in the active span and is orthogonal to the minimizer
+        # point, so it clears every point of {(1, 1, z)} by exactly zero
+        ds = Dataset(x=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0], [0.0, 0.0, 0.0]]), y=np.ones(3))
+        pattern = ActivationPattern.from_string("110")
+        vm = virtual_minimizer(ds, pattern)
+        assert vm.rank == 2 and vm.contained and containment_lp(ds, pattern)
+        assert abs(float(ds.x[:, 2] @ vm.witness)) <= 1e-12
+
     def test_infeasible_pattern_is_rejected(self):
         # positively parallel data always share an activation bit
         ds = Dataset(x=np.array([[1.0, 2.0], [0.0, 0.0]]), y=np.array([1.0, 1.0]))
@@ -112,7 +185,7 @@ class TestVirtualMinimizer:
             virtual_minimizer(ds, ActivationPattern.from_string("10"))
 
     def test_feasibility_check_agrees_with_the_enumeration(self, rng):
-        # the one-pattern margin program accepts exactly the enumerated cells
+        # a pattern is feasible exactly when it is an enumerated cell
         datasets = [Dataset(x=rng.normal(size=(d, n)), y=rng.normal(size=n))
                     for d, n in ((1, 3), (2, 5), (2, 6), (3, 5), (4, 6))]
         antiparallel = rng.normal(size=(3, 5))
@@ -267,3 +340,10 @@ class TestPartitionConvexity:
                 continue
             mid = 0.5 * (a + b)
             assert loss(ds, mid) <= 0.5 * (loss(ds, a) + loss(ds, b)) + 1e-12
+
+
+def test_the_package_solves_no_linear_program():
+    # enumeration and containment are both deletion-restriction searches
+    sources = sorted(Path(reluflow.__file__).parent.glob("*.py"))
+    assert sources
+    assert [p.name for p in sources if "linprog" in p.read_text(encoding="utf-8")] == []

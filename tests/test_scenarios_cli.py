@@ -352,6 +352,19 @@ class TestCli:
         assert main(argv + ["--w0", "0.0001,0.0001,0.0001", "--w-gm", "1,2"]) == 2
         assert capsys.readouterr().err.startswith("error: reference point must have length 3")
 
+    def test_criteria_rejects_a_non_finite_reference_point(self, dataset_file, tmp_path, capsys):
+        argv = ["criteria", "--dataset", str(dataset_file), "--out", str(tmp_path)]
+        assert main(argv + ["--w0", "0.01,0.02,0.01", "--w-gm", "nan,nan,nan"]) == 2
+        assert capsys.readouterr().err.startswith("error: reference point must be finite")
+
+    def test_a_missing_input_file_is_an_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "nofile.json")
+        assert main(["landscape", "--dataset", missing, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
+        argv = ["backprop", "--net", missing, "--x", "1,2", "--y", "1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
+
     def test_console_script_round_trip(self, tmp_path):
         # the entry point must work as a real subprocess; it imports the
         # same package sources as this test, installed or not
