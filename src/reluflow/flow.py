@@ -15,30 +15,36 @@ admissible zero among them, found in two stages:
   zero, until the next bound lies beyond the tie window of the best
   zero found.  No datum that could win or tie is skipped.
 
-At a boundary hit the strict-indicator gradient (the boundary
-term excluded) decides the outcome:
-
-- a falling gap with nonnegative excluded-gradient alignment exits into
-  the deactivated side (a deactivation event), and symmetrically for a
-  rising gap (an activation event);
-- if both one-sided fields point at the boundary (possible only with
-  nonpositive labels) the flow slides: the segment continues under the
-  field projected onto the boundary, flagged ``sliding`` in the event
-  log, until one side releases it.
+At an event the data on their boundaries decide together (Filippov,
+*Differential Equations with Discontinuous Righthand Sides*, 1988).  B
+is the held data plus every datum whose event ties with the earliest.
+With g0 the gradient of the pattern without B, the field is
+``g = g0 - sum_{j in B} alpha_j y_j x_j``, and each datum of B is off
+(alpha_j = 0, ``x_j . g >= 0``), on (alpha_j = 1, ``x_j . g <= 0``) or
+held (0 < alpha_j < 1, ``x_j . g = 0``, held columns independent).  The
+first consistent assignment in order of preference is taken; at an event
+that would change nothing no arrival may keep its state, or, failing
+that, every arrival goes where it heads.  A held segment projects the
+active columns off the held data's span, and a release is a held
+multiplier alpha_j(t), an exponential sum of the segment, crossing 0
+(off) or 1 (on).  With positive labels no datum is ever held.
 
 Terminal classification is also exact: a segment with no admissible
-roots converges to its analytic limit, which is certified stationary and
-interior (or inside the all-deactivated stationary cone) before being
-reported; a sliding limit is certified on its sliding boundary.
+event converges to its analytic limit, which is ``converged`` when the
+segment's field there, projected on its face, is below ``converge_tol``,
+each held multiplier lies in [0, 1], and the pattern matches the limit's
+signs on every datum that clears its boundary.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, freeze_fields
+from .dataset import RANK_RTOL, Dataset, freeze_fields
 from .errors import NumericalError, PreconditionError, StructuralError
 from .expsum import MERGE_RTOL, TIE_RTOL, ExpSum
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, active_matrices, clearance
@@ -57,6 +63,11 @@ TERMINAL_HORIZON_RATES = 50.0
 # stay inside the slack.
 BOUND_T0_RATES = 1e-6
 BOUND_SLACK_RTOL = 1e-9
+
+# The face rule tries 3^|B| assignments and refuses |B| > FACE_MAX_DATA.
+FACE_MAX_DATA = 8
+
+OFF, ON, HELD = 0, 1, 2  # a datum's state at an event; off and on are its bit
 
 # Every trajectory CSV asks sample_trajectory for CSV_SAMPLES points.
 CSV_SAMPLES = 400
@@ -90,7 +101,7 @@ class FlowSegment:
     The solution is ``w(t) = target + sum_k exp(-lam_k (t - t_start)) *
     delta_k * e_k`` where only strictly positive rates appear; null
     coordinates of the generator are conserved and folded into ``target``.
-    ``t_end`` is ``inf`` on a terminal segment.
+    ``t_end`` is ``inf`` on a terminal segment; ``held`` lists the data held on their boundaries.
     """
 
     t_start: float
@@ -101,7 +112,7 @@ class FlowSegment:
     eigenvectors: np.ndarray  # (d, r) orthonormal columns
     target: np.ndarray  # analytic limit of this segment's dynamics
     delta: np.ndarray  # (r,) eigen-coordinates of w_start - target
-    sliding_index: int | None = None
+    held: tuple[int, ...] = ()
 
     def __post_init__(self):
         freeze_fields(self, "w_start", "eigenvalues", "eigenvectors", "target", "delta")
@@ -147,7 +158,7 @@ class FlowSegment:
 class FlowEvent:
     t: float
     index: int
-    kind: str  # "activation" | "deactivation" | "sliding"
+    kind: str  # "activation" (turns on) | "deactivation" (turns off) | "sliding" (held or let go)
     point: np.ndarray
 
     def __post_init__(self):
@@ -161,11 +172,10 @@ class FlowEvent:
 class Trajectory:
     """Ordered exact segments, the event log, and the terminal verdict.
 
-    ``terminal`` is one of ``converged`` (limit certified stationary, and
-    interior, in the all-deactivated cone, or held on the boundary it
-    slides on), ``horizon`` (t_max reached), ``event-cap`` (too many
-    events), or ``degenerate`` (the limit exists but could not be
-    certified).  ``terminal_point`` is the analytic limit when available,
+    ``terminal`` is one of ``converged`` (limit certified stationary on its
+    face, with the segment's pattern), ``horizon`` (t_max reached),
+    ``event-cap`` (too many events), or ``degenerate`` (the limit exists
+    but could not be certified).  ``terminal_point`` is the analytic limit when available,
     otherwise the last computed point.
     """
 
@@ -195,19 +205,15 @@ def _segment_from(
     pattern: ActivationPattern,
     w_start: np.ndarray,
     t_start: float,
-    sliding_index: int | None = None,
+    held: tuple[int, ...] = (),
 ) -> FlowSegment:
     """Exact spectral segment for the current active set.
 
-    A sliding segment replaces the active columns by their projections
-    onto the sliding datum's boundary; the conserved-null machinery then
-    keeps the flow on the boundary exactly.
+    A held segment runs the active columns projected off the held data's
+    span; the held gaps are conserved null coordinates, zero to roundoff.
     """
-    system = pattern_system(ds, pattern, slide=sliding_index)
+    system = pattern_system(ds, pattern, held)
     w_start = np.asarray(w_start, dtype=float)
-    if sliding_index is not None:
-        xs = ds.x[:, sliding_index] / np.linalg.norm(ds.x[:, sliding_index])
-        w_start = w_start - xs * (xs @ w_start)
     target = system.point
     if system.rank < ds.d:
         null = system.null_basis
@@ -222,18 +228,15 @@ def _segment_from(
         eigenvectors=system.basis,
         target=target,
         delta=delta,
-        sliding_index=sliding_index,
+        held=held,
     )
     if not (np.all(np.isfinite(target)) and np.all(np.isfinite(delta))):
         raise NumericalError("non-finite spectral data in flow segment")
     return seg
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    tau: float
-    index: int
-    kind: str  # "boundary" | "release-down" | "release-up"
+# an admissible event: at local time tau, datum ``index`` heads to ``side`` (OFF or ON)
+_Candidate = namedtuple("_Candidate", "tau index side")
 
 
 def gap_lower_bounds(rates, coeffs, consts) -> np.ndarray:
@@ -277,13 +280,12 @@ def _boundary_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
 
     The data are isolated in order of their gap bounds.  Once the next
     bound lies beyond the tie window of the best zero found, no remaining
-    datum can win or tie, so the search stops there.
+    datum can win or tie, so the search stops there.  Held data are skipped.
     """
     lower = gap_lower_bounds(
         seg.eigenvalues, (ds.x.T @ seg.eigenvectors) * seg.delta, ds.x.T @ seg.target
     )
-    if seg.sliding_index is not None:
-        lower[seg.sliding_index] = np.inf
+    lower[list(seg.held)] = np.inf
     out = []
     best = np.inf
     for k in np.argsort(lower, kind="stable"):
@@ -293,60 +295,73 @@ def _boundary_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
         want = -1 if seg.pattern.bits[k] else 1
         for root in seg.observable(ds.x[:, k]).roots(0.0):
             if root.is_crossing and root.after == want:
-                out.append(_Candidate(tau=root.t, index=k, kind="boundary"))
+                out.append(_Candidate(tau=root.t, index=k, side=1 - seg.pattern.bits[k]))
                 best = min(best, root.t)
                 break
     return out
 
 
-def _release_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
-    k = seg.sliding_index
-    xk = ds.x[:, k]
+def _multipliers(ds: Dataset, seg: FlowSegment) -> list[ExpSum]:
+    """Each held datum's multiplier along the segment: the field
+    ``g_p(w) - X_S diag(y_S) alpha`` stays on the face for
+    ``alpha = diag(y_S)^-1 (X_S^T X_S)^-1 X_S^T g_p(w)``, linear in w."""
+    held = list(seg.held)
+    xs = ds.x[:, held]
+    rows = np.linalg.solve(xs.T @ xs, xs.T) / ds.y[held][:, None]
     hmat, qvec = active_matrices(ds, seg.pattern)
-    gm = seg.observable(hmat @ xk, offset=float(xk @ qvec))
-    gp = ExpSum(gm.c - float(ds.y[k]) * float(xk @ xk), gm.coeffs, gm.rates)
+    return [seg.observable(hmat @ row, offset=float(row @ qvec)) for row in rows]
+
+
+def _release_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
+    """A held datum is released when its multiplier crosses 0 (it heads off) or 1 (on)."""
     out = []
-    for root in gm.roots(0.0):
-        # excluded-term gradient turns nonnegative: the lower side releases
-        if root.is_crossing and root.after == 1:
-            out.append(_Candidate(tau=root.t, index=k, kind="release-down"))
-            break
-    for root in gp.roots(0.0):
-        # included-term gradient turns nonpositive: the upper side releases
-        if root.is_crossing and root.after == -1:
-            out.append(_Candidate(tau=root.t, index=k, kind="release-up"))
-            break
+    for j, alpha in zip(seg.held, _multipliers(ds, seg)):
+        for side, level, after in ((OFF, 0.0, -1), (ON, 1.0, 1)):
+            roots = ExpSum(alpha.c - level, alpha.coeffs, alpha.rates).roots(0.0)
+            root = next((r for r in roots if r.is_crossing and r.after == after), None)
+            if root is not None:
+                out.append(_Candidate(tau=root.t, index=j, side=side))
     return out
 
 
-def _one_sided(ds: Dataset, p_minus: ActivationPattern, k: int, w: np.ndarray):
-    """``(g, gm, gp)``: the gradient of ``p_minus`` (datum k off) at ``w``, and
-    its x_k-alignments with k's term excluded (``gm``) and included (``gp``)."""
-    xk = ds.x[:, k]
-    hm, qm = active_matrices(ds, p_minus)
-    g = hm @ w - qm
-    gm = float(xk @ g)
-    return g, gm, gm + (float(xk @ w) - ds.y[k]) * float(xk @ xk)
+def _face_states(ds: Dataset, bits, held, heading: dict, w: np.ndarray, stay=True) -> dict | None:
+    """The state of each datum of B after an event at ``w``, or None.
 
-
-def _decide_boundary(ds: Dataset, pattern: ActivationPattern, k: int, w_ev: np.ndarray):
-    """Outcome of a transversal boundary hit at datum k.
-
-    Returns ``("deactivation" | "activation" | "sliding", new_pattern)``
-    following the strict-indicator test: the boundary term is excluded
-    from the gradient, and the flow exits to the side whose one-sided
-    field is self-consistent.
+    B is the ``held`` data plus ``heading``, which maps each datum that
+    reached its boundary, or whose multiplier left [0, 1], to the side it
+    heads to; without ``stay`` such a datum may not keep its old state.
+    The first consistent assignment by total preference rank (ties in
+    index order) is returned.  An alignment within ``TIE_RTOL`` of
+    ``|x_j| (|g0| + sum_B |y_l| |x_l|)`` counts as zero.
     """
-    p_minus = pattern.flip(k) if pattern.bits[k] else pattern
-    _, gm, gp = _one_sided(ds, p_minus, k, w_ev)
-    if pattern.bits[k]:  # arriving from the active side, gap falling
-        if gm >= 0.0:
-            return "deactivation", p_minus
-        return "sliding", p_minus
-    # arriving from the inactive side, gap rising
-    if gp <= 0.0:
-        return "activation", pattern.flip(k)
-    return "sliding", pattern
+    b = sorted(set(held) | set(heading))
+    if len(b) > FACE_MAX_DATA:
+        raise NumericalError(f"{len(b)} data on boundaries at one event, over {FACE_MAX_DATA}")
+    hm, qm = active_matrices(ds, ActivationPattern([v and j not in b for j, v in enumerate(bits)]))
+    g0 = hm @ w - qm
+    xb, yb = ds.x[:, b], ds.y[b]
+    norms = np.linalg.norm(xb, axis=0)
+    tie = TIE_RTOL * norms * (np.linalg.norm(g0) + float(np.abs(yb) @ norms))
+    old = {j: HELD if j in held else bits[j] for j in b}
+    prefs = [[s for s in (heading[j], HELD, 1 - heading[j]) if stay or s != old[j]]
+             if j in heading else (HELD, OFF, ON) for j in b]
+    for ranks in sorted(itertools.product(*(range(len(p)) for p in prefs)), key=sum):
+        states = np.array([p[r] for p, r in zip(prefs, ranks)])
+        on, hold = states == ON, states == HELD
+        g = g0 - xb[:, on] @ yb[on]
+        if hold.any():
+            xs, ys = xb[:, hold], yb[hold]
+            sv = np.linalg.svd(xs / norms[hold], compute_uv=False)
+            if hold.sum() > ds.d or sv[-1] <= RANK_RTOL * sv[0] or not np.all(ys):
+                continue  # dependent columns, or a term that vanishes on its boundary
+            alpha = np.linalg.solve(xs.T @ xs, xs.T @ g) / ys
+            if not np.all((alpha > 0.0) & (alpha < 1.0)):
+                continue
+            g = g - xs @ (ys * alpha)
+        align = xb.T @ g
+        if np.all(hold | (on & (align <= tie)) | (~on & (align >= -tie))):
+            return dict(zip(b, states.tolist()))
+    return None
 
 
 def _check_start(ds: Dataset, w0) -> np.ndarray:
@@ -363,56 +378,53 @@ def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
     cfg = cfg or FlowConfig()
     w0 = _check_start(ds, w0)
     max_events = cfg.max_events if cfg.max_events is not None else 10 * ds.n * ds.d
-    t = 0.0
-    w = w0
-    pattern = pattern_of(ds, w0)
-    sliding_on: int | None = None
+    t, w = 0.0, w0
+    bits, held = pattern_of(ds, w0).bits, ()
     segments: list[FlowSegment] = []
     events: list[FlowEvent] = []
-    terminal = None
-    terminal_point = w0
+    terminal, terminal_point = None, w0
 
     while terminal is None:
-        seg = _segment_from(ds, pattern, w, t, sliding_on)
-        candidates = _boundary_candidates(ds, seg)
-        if sliding_on is not None:
-            candidates.extend(_release_candidates(ds, seg))
-        event = None
-        if candidates:
-            # candidates that tie with the earliest one: the lowest index wins
-            tau_min = min(c.tau for c in candidates)
-            window = TIE_RTOL * max(1.0, tau_min)
-            event = min(
-                (c for c in candidates if c.tau <= tau_min + window),
-                key=lambda c: c.index,
-            )
-        if event is None:
+        seg = _segment_from(ds, ActivationPattern(bits), w, t, held)
+        candidates = _boundary_candidates(ds, seg) + _release_candidates(ds, seg)
+        if not candidates:
             segments.append(seg)
             terminal = _classify_limit(ds, seg, cfg)
             terminal_point = seg.target
             break
-        if t + event.tau > cfg.t_max:
+        # the candidates tied with the earliest join B; the lowest index sets the time
+        tau_min = min(c.tau for c in candidates)
+        tied = [c for c in candidates if c.tau <= tau_min + TIE_RTOL * max(1.0, tau_min)]
+        tau = min(tied, key=lambda c: c.index).tau
+        if t + tau > cfg.t_max:
             segments.append(replace(seg, t_end=cfg.t_max))
             terminal = "horizon"
             terminal_point = seg.value_local(cfg.t_max - t)
             break
-        w_ev = seg.value_local(event.tau)
+        w_ev = seg.value_local(tau)
         if not np.all(np.isfinite(w_ev)):
             raise NumericalError("non-finite event point")
-        t_ev = t + event.tau
-        if event.kind == "boundary":
-            verdict, new_pattern = _decide_boundary(ds, pattern, event.index, w_ev)
-            if verdict == "sliding" and sliding_on is not None:
-                raise NumericalError("nested sliding boundaries are not supported")
-            new_sliding = event.index if verdict == "sliding" else sliding_on
-        elif event.kind == "release-down":
-            verdict, new_pattern, new_sliding = "sliding", pattern, None
-        else:  # release-up
-            verdict, new_pattern, new_sliding = "activation", pattern.flip(event.index), None
-        segments.append(replace(seg, t_end=t_ev))
-        events.append(FlowEvent(t=t_ev, index=event.index, kind=verdict, point=w_ev))
-        pattern, sliding_on, t, w = new_pattern, new_sliding, t_ev, w_ev
-        terminal_point = w_ev
+        t_ev = t + tau
+        heading = {c.index: c.side for c in tied}
+        before = {j: HELD if j in held else bits[j] for j in set(held) | set(heading)}
+        states = _face_states(ds, bits, held, heading, w_ev)
+        if states is None:
+            raise NumericalError(f"no consistent state for data {sorted(before)} at t = {t_ev!r}")
+        if states == before:  # a tangency: no arrival stays, or each goes where it heads
+            states = _face_states(ds, bits, held, heading, w_ev, False) or {**before, **heading}
+        # one event per changed datum in index order, each closing one segment
+        closed = replace(seg, t_end=t_ev)
+        segments.append(closed)
+        for i, j in enumerate(sorted(j for j in states if states[j] != before[j])):
+            if i:  # between simultaneous events the flow stands still for zero time
+                segments.append(replace(closed, t_start=t_ev, w_start=w_ev, target=w_ev, held=held,
+                                        delta=0.0 * seg.delta, pattern=ActivationPattern(bits)))
+            kind = "activation" if states[j] == ON else "sliding"
+            kind = "deactivation" if (before[j], states[j]) == (ON, OFF) else kind
+            events.append(FlowEvent(t=t_ev, index=j, kind=kind, point=w_ev))
+            bits = bits[:j] + (int(states[j] == ON),) + bits[j + 1 :]
+            held = tuple(sorted(set(held) - {j} | ({j} if states[j] == HELD else set())))
+        t, w, terminal_point = t_ev, w_ev, w_ev
         if len(events) >= max_events:
             terminal = "event-cap"
             break
@@ -427,35 +439,22 @@ def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
 
 
 def _classify_limit(ds: Dataset, seg: FlowSegment, cfg: FlowConfig) -> str:
-    """A limit converges when its gradient is below ``converge_tol`` and it
-    clears every boundary by ``BOUNDARY_MARGIN`` or lies in the dead cone.
-
-    A sliding segment holds the flow on datum k's boundary: k is exempt
-    from the clearance test, the gradient is projected onto that boundary,
-    and neither one-sided field may push off it by ``converge_tol`` or
-    more (an alignment that rounds to zero must not fail the limit).  The
-    segment's pattern must match the limit's signs on every other datum
-    that clears its boundary.
+    """A limit converges when the segment's field there, projected on its
+    face, is below ``converge_tol``, each held multiplier lies in [0, 1] up
+    to an alignment of ``converge_tol * |x_j|``, and the pattern matches the
+    limit's signs on every datum that clears its boundary by BOUNDARY_MARGIN
+    (a datum on its boundary off the face has multiplier 0 or 1 by its bit).
     """
-    limit = seg.target
+    limit, bits, held = seg.target, seg.pattern.as_bool(), list(seg.held)
+    h = ds.x.T @ limit
+    alpha = np.array([a.c for a in _multipliers(ds, seg)]) if held else np.empty(0)
+    field = ds.x[:, bits] @ (h[bits] - ds.y[bits]) - ds.x[:, held] @ (ds.y[held] * alpha)
+    outside = np.maximum(np.maximum(-alpha, alpha - 1.0), 0.0)
+    push = outside * np.abs(ds.y[held]) * np.linalg.norm(ds.x[:, held], axis=0)
     c = clearance(ds, limit)
-    k = seg.sliding_index
-    held = True
-    if k is None:
-        grad = gradient(ds, limit)
-    else:
-        g, gm, gp = _one_sided(ds, seg.pattern, k, limit)
-        xk = ds.x[:, k]
-        grad = g - xk * (gm / float(xk @ xk))
-        push = cfg.converge_tol * float(np.linalg.norm(xk))
-        c, bits = np.delete(c, k), np.delete(seg.pattern.as_bool(), k)
-        clear = np.abs(c) >= BOUNDARY_MARGIN
-        held = gm <= push and gp >= -push and bool(np.all((c[clear] > 0) == bits[clear]))
-    interior = bool(np.min(np.abs(c), initial=np.inf) >= BOUNDARY_MARGIN)
-    in_dead_cone = bool(np.all(c <= BOUNDARY_MARGIN))
-    if held and float(np.linalg.norm(grad)) < cfg.converge_tol and (interior or in_dead_cone):
-        return "converged"
-    return "degenerate"
+    clear = np.abs(c) >= BOUNDARY_MARGIN
+    ok = np.linalg.norm(field) < cfg.converge_tol and np.all(push <= cfg.converge_tol)
+    return "converged" if ok and np.all((c[clear] > 0.0) == bits[clear]) else "degenerate"
 
 
 def simulate_linear_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:

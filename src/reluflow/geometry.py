@@ -72,11 +72,6 @@ class ActivationPattern:
     def inactive_indices(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.bits) if not b)
 
-    def flip(self, i: int) -> "ActivationPattern":
-        bits = list(self.bits)
-        bits[i] = 1 - bits[i]
-        return ActivationPattern(tuple(bits))
-
     def as_bool(self) -> np.ndarray:
         return np.array(self.bits, dtype=bool)
 
@@ -128,11 +123,11 @@ class PatternSystem:
         return int(self.eigenvalues.size)
 
 
-def pattern_system(ds: Dataset, pattern: ActivationPattern, slide: int | None = None) -> PatternSystem:
+def pattern_system(ds: Dataset, pattern: ActivationPattern, held=()) -> PatternSystem:
     """Spectrum, null space and minimum-norm point of the pattern's active data.
 
-    With ``slide = k`` the active columns are first projected onto the
-    boundary of datum k, which is the system of a segment sliding there.
+    The active columns are first projected off the span of the ``held``
+    data, which gives the system of a segment held on their common face.
     Singular values at or below ``max(RANK_RTOL * s_max, 1e-13 * max |x_i|)``
     count as zero: the absolute floor, tied to the data scale, drops
     columns that a projection has left as pure roundoff.
@@ -141,9 +136,9 @@ def pattern_system(ds: Dataset, pattern: ActivationPattern, slide: int | None = 
         raise StructuralError("pattern length does not match dataset")
     mask = pattern.as_bool()
     cols = ds.x[:, mask]
-    if slide is not None:
-        xs = ds.x[:, slide] / np.linalg.norm(ds.x[:, slide])
-        cols = cols - np.outer(xs, xs @ cols)
+    if held:
+        q = np.linalg.qr(ds.x[:, list(held)])[0]
+        cols = cols - q @ (q.T @ cols)
     d = ds.d
     if cols.size == 0 or not np.any(np.linalg.norm(cols, axis=0) > 0.0):
         return PatternSystem(np.empty(0), np.empty((d, 0)), np.eye(d), np.zeros(d))
@@ -191,9 +186,15 @@ def region_count(ds: Dataset) -> int:
 
 
 def pattern_feasible(ds: Dataset, pattern: ActivationPattern) -> bool:
-    """Whether the pattern is one of the cells of ``enumerate_partitions``."""
+    """Whether the pattern is one of the cells of ``enumerate_partitions``: yes
+    when the enumerator aimed at its sign vector finds a witness that clears
+    every boundary by BOUNDARY_MARGIN, else the count-checked enumeration decides."""
     if len(pattern) != ds.n:
         raise StructuralError("pattern length does not match dataset")
+    unit = ds.x / np.linalg.norm(ds.x, axis=0)
+    for w in arrangement_cells(ds.x, tuple(bool(b) for b in pattern.bits)).values():
+        if float(np.min(np.abs(unit.T @ w))) > BOUNDARY_MARGIN and pattern_of(ds, w) == pattern:
+            return True
     return any(c.pattern == pattern for c in enumerate_partitions(ds))
 
 

@@ -128,12 +128,12 @@ def boundary_candidates_exhaustive(ds, seg):
 
     out = []
     for k in range(ds.n):
-        if k == seg.sliding_index:
+        if k in seg.held:
             continue
         want = -1 if seg.pattern.bits[k] else 1
         for root in seg.observable(ds.x[:, k]).roots(0.0):
             if root.is_crossing and root.after == want:
-                out.append(_Candidate(tau=root.t, index=k, kind="boundary"))
+                out.append(_Candidate(tau=root.t, index=k, side=1 - seg.pattern.bits[k]))
                 break
     return out
 
@@ -221,3 +221,63 @@ def containment_lp(ds, pattern) -> bool:
     cap = 1.0 + float(np.linalg.norm(p))
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * k + [(None, cap)], method="highs")
     return res.status == 0 and float(res.x[-1]) > 1e-9 * max(1.0, float(np.linalg.norm(p)))
+
+
+def segment_certificate(tr) -> list[str]:
+    """Problems with an exact flow's segments; empty when every one holds.
+
+    On each segment, with ``tau_end`` its duration (infinite for the last)
+    and ``tol`` 1e-9 relative to the segment's scale:
+
+    - the gap of every datum off the face stays on the side of its pattern
+      bit, or within ``tol`` of its boundary, on all of ``(0, tau_end)``;
+    - the gap of every held datum vanishes identically, to ``tol``;
+    - every held multiplier stays in [-1e-9, 1 + 1e-9] on ``(0, tau_end)``;
+      the zero-length segments between simultaneous events, where the flow
+      does not move, are exempt from this one.
+
+    A bound holds on the whole interval when the function meets it at five
+    interior sample points and ``ExpSum.roots`` finds no sign change of the
+    difference inside; zeros within 1e-12 relative of either end are the
+    segment's own events.  The multipliers solve ``X_S diag(y_S) alpha =
+    g_p(w)`` with numpy's pinv, not the flow's formula.
+    """
+    from reluflow.expsum import ExpSum
+
+    ds = tr.dataset
+    problems = []
+    for i, seg in enumerate(tr.segments):
+        end = seg.t_end - seg.t_start
+        edge = 1e-12 * max(1.0, end if np.isfinite(end) else 1.0)
+        taus = np.linspace(0.0, seg.local_horizon(), 7)[1:-1]
+        ws = seg.value_local(taus)
+        scale = max(1.0, float(np.max(np.linalg.norm(ws, axis=1))), float(np.linalg.norm(seg.w_start)))
+
+        def above(f, level):
+            """Whether ``f >= level`` on the segment, as described above."""
+            g = ExpSum(f.c - level, f.coeffs, f.rates)
+            crossings = [r for r in g.roots(0.0) if r.before * r.after < 0 and edge < r.t < end - edge]
+            return not crossings and bool(np.all(g.value(taus) >= 0.0))
+
+        mask = seg.pattern.as_bool()
+        for k in range(ds.n):
+            xk = ds.x[:, k]
+            tol = 1e-9 * float(np.linalg.norm(xk)) * scale
+            if k not in seg.held:
+                side = 1.0 if mask[k] else -1.0
+                if not above(seg.observable(side * xk), -tol):
+                    problems.append(f"segment {i}: datum {k} leaves the side of bit {int(mask[k])}")
+            elif not (above(seg.observable(xk), -tol) and above(seg.observable(-xk), -tol)):
+                problems.append(f"segment {i}: held datum {k} leaves its boundary")
+        if not seg.held or end == 0.0:
+            continue
+        held = list(seg.held)
+        m = np.linalg.pinv(ds.x[:, held] * ds.y[held])
+        xa = ds.x[:, mask]
+        h, q = xa @ xa.T, xa @ ds.y[mask]
+        for k, row in zip(held, m):
+            alpha = seg.observable(h @ row, offset=float(row @ q))
+            upper = seg.observable(-(h @ row), offset=-float(row @ q))  # -alpha
+            if not (above(alpha, -1e-9) and above(upper, -1.0 - 1e-9)):
+                problems.append(f"segment {i}: held datum {k} has a multiplier outside [0, 1]")
+    return problems

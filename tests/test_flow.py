@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reluflow.flow as flow_engine
+from reluflow.criteria import crossing_context
 from reluflow.dataset import Dataset
 from reluflow.errors import PreconditionError, ReluFlowError, StructuralError
 from reluflow.expsum import ExpSum
@@ -24,7 +25,7 @@ from reluflow.flow import (
 )
 from reluflow.geometry import ActivationPattern, pattern_of
 
-from oracles import boundary_candidates_exhaustive, lstsq_minnorm
+from oracles import boundary_candidates_exhaustive, lstsq_minnorm, segment_certificate
 
 
 def small_cube_start(rng, d):
@@ -362,7 +363,7 @@ class TestSliding:
         # the constrained flow settles on the boundary at the projected optimum
         np.testing.assert_allclose(tr.terminal_point, [0.0, 1.0], atol=1e-8)
         seg = tr.segments[-1]
-        assert seg.sliding_index == 0
+        assert seg.held == (0,)
         # the sliding segment stays on the boundary
         for tau in np.linspace(0.0, seg.local_horizon(), 9):
             w = seg.value_local(tau)
@@ -382,7 +383,7 @@ class TestSliding:
     )
     def test_stationary_sliding_limit_is_converged(self, x, y, w0, limit):
         tr = simulate_flow(Dataset(x=np.array(x), y=np.array(y)), np.array(w0))
-        assert tr.segments[-1].sliding_index == 0
+        assert tr.segments[-1].held == (0,)
         if limit is not None:
             np.testing.assert_allclose(tr.terminal_point, limit, atol=1e-8)
         assert tr.terminal == "converged"
@@ -394,7 +395,7 @@ class TestSliding:
         ds = Dataset(
             x=np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.5]]), y=np.array([-3.0, 1.0, 0.2])
         )
-        seg = flow_engine._segment_from(ds, pattern_of(ds, [0.0, 0.5]), [0.0, 0.5], 0.0, 0)
+        seg = flow_engine._segment_from(ds, pattern_of(ds, [0.0, 0.5]), [0.0, 0.5], 0.0, (0,))
         np.testing.assert_allclose(seg.target, [0.0, 0.88], atol=1e-12)
         assert flow_engine._classify_limit(ds, seg, FlowConfig()) == "degenerate"
 
@@ -411,7 +412,7 @@ class TestSliding:
             x=np.array([[1.0, 0.0, x2[0]], [0.0, 1.0, x2[1]]]), y=np.array([-1.0, 1.0, 0.0])
         )
         pattern = ActivationPattern((0, 1, 0))
-        seg = flow_engine._segment_from(ds, pattern, np.array([0.0, 0.5]), 0.0, 0)
+        seg = flow_engine._segment_from(ds, pattern, np.array([0.0, 0.5]), 0.0, (0,))
         np.testing.assert_allclose(seg.target, [0.0, 1.0], atol=1e-12)
         assert flow_engine._classify_limit(ds, seg, FlowConfig()) == verdict
 
@@ -420,6 +421,87 @@ class TestSliding:
             ds = random_a1a2a3(rng, 2, int(rng.integers(2, 7)))
             tr = simulate_flow(ds, rng.normal(size=2))
             assert all(e.kind in ("activation", "deactivation") for e in tr.events)
+
+
+def mixed_sign_probe(seed, count=400):
+    """Seeded flows with labels of both signs: d in [2, 4], n in [2, 7], normal x, y, w0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d, n = int(rng.integers(2, 5)), int(rng.integers(2, 8))
+        x, y, w0 = rng.normal(size=(d, n)), rng.normal(size=n), rng.normal(size=d)
+        yield Dataset(x=x, y=y), w0
+
+
+class TestFaceRule:
+    def test_two_data_held_at_once(self):
+        # data 0 and 1 (y = -3) push w onto their boundaries, where the
+        # field of data 2 and 3 pushes back: the flow holds one face, then both
+        ds = Dataset(
+            x=np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 2.0]]),
+            y=np.array([-3.0, -3.0, 2.0, 1.0]),
+        )
+        tr = simulate_flow(ds, np.array([0.4, 0.2, 0.5]))
+        assert [(e.index, e.kind) for e in tr.events] == [(1, "sliding"), (0, "sliding")]
+        assert tr.segments[-1].held == (0, 1)
+        assert tr.terminal == "converged"
+        # on the face w1 = w2 = 0 the limit minimizes (w3 - 2)^2 + (2 w3 - 1)^2
+        np.testing.assert_allclose(tr.terminal_point, [0.0, 0.0, 0.8], atol=1e-12)
+        assert segment_certificate(tr) == []
+
+    def test_simultaneous_arrivals_log_one_event_each(self):
+        # data 0 and 1 mirror each other across w1 = w2, so a start on that
+        # plane brings both to their boundaries at one instant
+        ds = Dataset(
+            x=np.array([[-0.9, 1.8, 0.7], [1.8, -0.9, 0.7], [-0.5, -0.5, 1.0]]),
+            y=np.array([0.8, 0.8, 3.5]),
+        )
+        tr = simulate_flow(ds, np.array([0.3, 0.3, 0.7]))
+        assert [(e.index, e.kind) for e in tr.events] == [(0, "activation"), (1, "activation")]
+        assert tr.events[0].t == tr.events[1].t
+        assert len(tr.segments) == len(tr.events) + 1
+        assert tr.segments[1].duration == 0.0
+        for pos, ev in enumerate(tr.events):
+            ctx = crossing_context(ds, tr, pos)
+            assert (ctx.index, ctx.rank_post) == (ev.index, ctx.rank_pre + 1)
+        assert tr.terminal == "converged"
+        assert pattern_of(ds, tr.terminal_point).bits == (1, 1, 1)
+        assert segment_certificate(tr) == []
+
+    def test_last_deactivation_into_the_dead_cone_converges(self):
+        # datum 0 (y = -1) pulls w across its own boundary, where nothing is
+        # active any more; the limit's clearance on datum 0 rounds to +5e-17
+        ds = Dataset(x=np.array([[1.0, 0.3], [0.2, 1.0]]), y=np.array([-1.0, 1.0]))
+        tr = simulate_flow(ds, np.array([0.72, -1.0]))
+        assert [(e.index, e.kind) for e in tr.events] == [(0, "deactivation")]
+        assert tr.segments[-1].pattern.bits == (0, 0)
+        np.testing.assert_allclose(tr.terminal_point, [0.22, -1.1], atol=1e-12)
+        assert tr.terminal == "converged"
+
+    def test_a_dependent_held_set_is_refused(self):
+        # data 0 and 1 are parallel with y = -1 and reach their common boundary
+        # together; holding both would be a dependent face, so one is held
+        ds = Dataset(
+            x=np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]), y=np.array([-1.0, -1.0, 1.0, 2.0])
+        )
+        tr = simulate_flow(ds, np.array([0.5, 0.2]))
+        last = tr.segments[-1]
+        assert len(last.held) == 1 and last.pattern.bits[:2] == (0, 0)
+        assert tr.terminal == "converged"
+        np.testing.assert_allclose(tr.terminal_point, [0.0, 1.5], atol=1e-12)
+        assert segment_certificate(tr) == []
+
+    def test_mixed_sign_probe_is_certified(self):
+        # labels of both signs make flows hold faces, pass the origin and
+        # release in the middle of a segment; draws 22, 93, 286 and 347 once
+        # dropped simultaneous events, rode a boundary against the field or
+        # crossed a boundary unseen
+        verdicts = {}
+        for i, (ds, w0) in enumerate(mixed_sign_probe(5)):
+            tr = simulate_flow(ds, w0)
+            verdicts.setdefault(tr.terminal, []).append(i)
+            assert segment_certificate(tr) == [], i
+        assert len(verdicts.get("degenerate", [])) <= 3
+        assert {22, 93, 286, 347} <= set(verdicts["converged"])
 
 
 class TestDescentProxy:

@@ -192,7 +192,7 @@ class TestPatternSystem:
     def test_slide_projects_onto_the_boundary(self, rng):
         ds = random_a1_dataset(rng, 3, 5)
         pattern = ActivationPattern.from_string("11011")
-        system = pattern_system(ds, pattern, slide=2)
+        system = pattern_system(ds, pattern, held=(2,))
         xk = ds.x[:, 2] / np.linalg.norm(ds.x[:, 2])
         assert system.rank == 2
         np.testing.assert_allclose(xk @ system.basis, 0.0, atol=1e-12)
