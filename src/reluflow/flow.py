@@ -23,8 +23,8 @@ With g0 the gradient of the pattern without B, the field is
 (alpha_j = 0, ``x_j . g >= 0``), on (alpha_j = 1, ``x_j . g <= 0``) or
 held (0 < alpha_j < 1, ``x_j . g = 0``, held columns independent).  The
 first consistent assignment in order of preference is taken; at an event
-that would change nothing no arrival may keep its state, or, failing
-that, every arrival goes where it heads.  A held segment projects the
+that would change nothing no arrival may keep its state, and no
+consistent assignment raises ``NumericalError``.  A held segment projects the
 active columns off the held data's span, and a release is a held
 multiplier alpha_j(t), an exponential sum of the segment, crossing 0
 (off) or 1 (on).  With positive labels no datum is ever held.
@@ -39,7 +39,6 @@ signs on every datum that clears its boundary.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,7 +63,7 @@ TERMINAL_HORIZON_RATES = 50.0
 BOUND_T0_RATES = 1e-6
 BOUND_SLACK_RTOL = 1e-9
 
-# The face rule tries 3^|B| assignments and refuses |B| > FACE_MAX_DATA.
+# The face rule tries all 3^|B| assignments of at most FACE_MAX_DATA data.
 FACE_MAX_DATA = 8
 
 OFF, ON, HELD = 0, 1, 2  # a datum's state at an event; off and on are its bit
@@ -235,8 +234,11 @@ def _segment_from(
     return seg
 
 
-# an admissible event: at local time tau, datum ``index`` heads to ``side`` (OFF or ON)
-_Candidate = namedtuple("_Candidate", "tau index side")
+@dataclass(frozen=True)
+class _Candidate:
+    tau: float
+    index: int
+    side: int  # OFF or ON: the side the datum heads to
 
 
 def gap_lower_bounds(rates, coeffs, consts) -> np.ndarray:
@@ -324,33 +326,48 @@ def _release_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
     return out
 
 
-def _face_states(ds: Dataset, bits, held, heading: dict, w: np.ndarray, stay=True) -> dict | None:
+def _face_states(ds: Dataset, bits, before: dict, heading: dict, w, stay=True) -> dict | None:
     """The state of each datum of B after an event at ``w``, or None.
 
-    B is the ``held`` data plus ``heading``, which maps each datum that
-    reached its boundary, or whose multiplier left [0, 1], to the side it
-    heads to; without ``stay`` such a datum may not keep its old state.
-    The first consistent assignment by total preference rank (ties in
-    index order) is returned.  An alignment within ``TIE_RTOL`` of
-    ``|x_j| (|g0| + sum_B |y_l| |x_l|)`` counts as zero.
+    B is the keys of ``before``, which maps each datum to its state before
+    the event.  ``heading`` maps each datum that reached its boundary, or
+    whose multiplier left [0, 1], to the side it heads to; without
+    ``stay`` such a datum may not keep its old state.  The first
+    consistent assignment by total preference rank (ties in index order)
+    is returned, or None.  With more than FACE_MAX_DATA data in B only the
+    preferred assignment is tried; last comes every datum off.  An
+    alignment within ``TIE_RTOL`` of ``|x_j| (|g0| + sum_B |y_l| |x_l|)``
+    counts as zero.
     """
-    b = sorted(set(held) | set(heading))
-    if len(b) > FACE_MAX_DATA:
-        raise NumericalError(f"{len(b)} data on boundaries at one event, over {FACE_MAX_DATA}")
-    hm, qm = active_matrices(ds, ActivationPattern([v and j not in b for j, v in enumerate(bits)]))
+    b = sorted(before)
+    rest = ActivationPattern([v and j not in before for j, v in enumerate(bits)])
+    hm, qm = active_matrices(ds, rest)
     g0 = hm @ w - qm
-    xb, yb = ds.x[:, b], ds.y[b]
+    xb = ds.x[:, b]
+    yb = ds.y[b]
     norms = np.linalg.norm(xb, axis=0)
     tie = TIE_RTOL * norms * (np.linalg.norm(g0) + float(np.abs(yb) @ norms))
-    old = {j: HELD if j in held else bits[j] for j in b}
-    prefs = [[s for s in (heading[j], HELD, 1 - heading[j]) if stay or s != old[j]]
-             if j in heading else (HELD, OFF, ON) for j in b]
-    for ranks in sorted(itertools.product(*(range(len(p)) for p in prefs)), key=sum):
-        states = np.array([p[r] for p, r in zip(prefs, ranks)])
-        on, hold = states == ON, states == HELD
+    prefs = [
+        [s for s in (heading[j], HELD, 1 - heading[j]) if stay or s != before[j]]
+        if j in heading
+        else (HELD, OFF, ON)
+        for j in b
+    ]
+    if len(b) <= FACE_MAX_DATA:
+        ranked = sorted(itertools.product(*(range(len(p)) for p in prefs)), key=sum)
+    else:
+        ranked = [(0,) * len(b)]
+    tries = [tuple(p[r] for p, r in zip(prefs, ranks)) for ranks in ranked]
+    if all(OFF in p for p in prefs):
+        # the rest state wherever g0 = 0, as at the origin, where every boundary meets
+        tries.append((OFF,) * len(b))
+    for states in map(np.array, tries):
+        on = states == ON
+        hold = states == HELD
         g = g0 - xb[:, on] @ yb[on]
         if hold.any():
-            xs, ys = xb[:, hold], yb[hold]
+            xs = xb[:, hold]
+            ys = yb[hold]
             sv = np.linalg.svd(xs / norms[hold], compute_uv=False)
             if hold.sum() > ds.d or sv[-1] <= RANK_RTOL * sv[0] or not np.all(ys):
                 continue  # dependent columns, or a term that vanishes on its boundary
@@ -378,15 +395,20 @@ def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
     cfg = cfg or FlowConfig()
     w0 = _check_start(ds, w0)
     max_events = cfg.max_events if cfg.max_events is not None else 10 * ds.n * ds.d
-    t, w = 0.0, w0
-    bits, held = pattern_of(ds, w0).bits, ()
+    t = 0.0
+    w = w0
+    bits = pattern_of(ds, w0).bits
+    held: tuple[int, ...] = ()
     segments: list[FlowSegment] = []
     events: list[FlowEvent] = []
-    terminal, terminal_point = None, w0
+    terminal = None
+    terminal_point = w0
 
     while terminal is None:
         seg = _segment_from(ds, ActivationPattern(bits), w, t, held)
-        candidates = _boundary_candidates(ds, seg) + _release_candidates(ds, seg)
+        candidates = _boundary_candidates(ds, seg)
+        if held:
+            candidates.extend(_release_candidates(ds, seg))
         if not candidates:
             segments.append(seg)
             terminal = _classify_limit(ds, seg, cfg)
@@ -407,24 +429,32 @@ def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
         t_ev = t + tau
         heading = {c.index: c.side for c in tied}
         before = {j: HELD if j in held else bits[j] for j in set(held) | set(heading)}
-        states = _face_states(ds, bits, held, heading, w_ev)
+        states = _face_states(ds, bits, before, heading, w_ev)
+        if states == before:  # a tangency: no arrival may keep its state
+            states = _face_states(ds, bits, before, heading, w_ev, stay=False)
         if states is None:
             raise NumericalError(f"no consistent state for data {sorted(before)} at t = {t_ev!r}")
-        if states == before:  # a tangency: no arrival stays, or each goes where it heads
-            states = _face_states(ds, bits, held, heading, w_ev, False) or {**before, **heading}
         # one event per changed datum in index order, each closing one segment
         closed = replace(seg, t_end=t_ev)
         segments.append(closed)
         for i, j in enumerate(sorted(j for j in states if states[j] != before[j])):
             if i:  # between simultaneous events the flow stands still for zero time
-                segments.append(replace(closed, t_start=t_ev, w_start=w_ev, target=w_ev, held=held,
-                                        delta=0.0 * seg.delta, pattern=ActivationPattern(bits)))
+                still = replace(
+                    closed, t_start=t_ev, w_start=w_ev, target=w_ev, delta=0.0 * seg.delta,
+                    pattern=ActivationPattern(bits), held=held,
+                )
+                segments.append(still)
             kind = "activation" if states[j] == ON else "sliding"
-            kind = "deactivation" if (before[j], states[j]) == (ON, OFF) else kind
+            if (before[j], states[j]) == (ON, OFF):
+                kind = "deactivation"
             events.append(FlowEvent(t=t_ev, index=j, kind=kind, point=w_ev))
             bits = bits[:j] + (int(states[j] == ON),) + bits[j + 1 :]
-            held = tuple(sorted(set(held) - {j} | ({j} if states[j] == HELD else set())))
-        t, w, terminal_point = t_ev, w_ev, w_ev
+            held = tuple(k for k in held if k != j)
+            if states[j] == HELD:
+                held = tuple(sorted(held + (j,)))
+        t = t_ev
+        w = w_ev
+        terminal_point = w_ev
         if len(events) >= max_events:
             terminal = "event-cap"
             break
@@ -445,7 +475,9 @@ def _classify_limit(ds: Dataset, seg: FlowSegment, cfg: FlowConfig) -> str:
     limit's signs on every datum that clears its boundary by BOUNDARY_MARGIN
     (a datum on its boundary off the face has multiplier 0 or 1 by its bit).
     """
-    limit, bits, held = seg.target, seg.pattern.as_bool(), list(seg.held)
+    limit = seg.target
+    bits = seg.pattern.as_bool()
+    held = list(seg.held)
     h = ds.x.T @ limit
     alpha = np.array([a.c for a in _multipliers(ds, seg)]) if held else np.empty(0)
     field = ds.x[:, bits] @ (h[bits] - ds.y[bits]) - ds.x[:, held] @ (ds.y[held] * alpha)

@@ -186,15 +186,9 @@ def region_count(ds: Dataset) -> int:
 
 
 def pattern_feasible(ds: Dataset, pattern: ActivationPattern) -> bool:
-    """Whether the pattern is one of the cells of ``enumerate_partitions``: yes
-    when the enumerator aimed at its sign vector finds a witness that clears
-    every boundary by BOUNDARY_MARGIN, else the count-checked enumeration decides."""
+    """Whether the pattern is one of the cells of ``enumerate_partitions``."""
     if len(pattern) != ds.n:
         raise StructuralError("pattern length does not match dataset")
-    unit = ds.x / np.linalg.norm(ds.x, axis=0)
-    for w in arrangement_cells(ds.x, tuple(bool(b) for b in pattern.bits)).values():
-        if float(np.min(np.abs(unit.T @ w))) > BOUNDARY_MARGIN and pattern_of(ds, w) == pattern:
-            return True
     return any(c.pattern == pattern for c in enumerate_partitions(ds))
 
 

@@ -251,12 +251,14 @@ def segment_certificate(tr) -> list[str]:
         edge = 1e-12 * max(1.0, end if np.isfinite(end) else 1.0)
         taus = np.linspace(0.0, seg.local_horizon(), 7)[1:-1]
         ws = seg.value_local(taus)
-        scale = max(1.0, float(np.max(np.linalg.norm(ws, axis=1))), float(np.linalg.norm(seg.w_start)))
+        scale = max(1.0, float(np.max(np.linalg.norm(ws, axis=1))))
+        scale = max(scale, float(np.linalg.norm(seg.w_start)))
 
         def above(f, level):
             """Whether ``f >= level`` on the segment, as described above."""
             g = ExpSum(f.c - level, f.coeffs, f.rates)
-            crossings = [r for r in g.roots(0.0) if r.before * r.after < 0 and edge < r.t < end - edge]
+            roots = g.roots(0.0)
+            crossings = [r for r in roots if r.before * r.after < 0 and edge < r.t < end - edge]
             return not crossings and bool(np.all(g.value(taus) >= 0.0))
 
         mask = seg.pattern.as_bool()

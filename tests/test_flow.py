@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import reluflow.flow as flow_engine
 from reluflow.criteria import crossing_context
 from reluflow.dataset import Dataset
-from reluflow.errors import PreconditionError, ReluFlowError, StructuralError
+from reluflow.errors import NumericalError, PreconditionError, ReluFlowError, StructuralError
 from reluflow.expsum import ExpSum
 from reluflow.flow import (
     FlowConfig,
@@ -481,7 +481,8 @@ class TestFaceRule:
         # data 0 and 1 are parallel with y = -1 and reach their common boundary
         # together; holding both would be a dependent face, so one is held
         ds = Dataset(
-            x=np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]), y=np.array([-1.0, -1.0, 1.0, 2.0])
+            x=np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]),
+            y=np.array([-1.0, -1.0, 1.0, 2.0]),
         )
         tr = simulate_flow(ds, np.array([0.5, 0.2]))
         last = tr.segments[-1]
@@ -489,6 +490,34 @@ class TestFaceRule:
         assert tr.terminal == "converged"
         np.testing.assert_allclose(tr.terminal_point, [0.0, 1.5], atol=1e-12)
         assert segment_certificate(tr) == []
+
+    def test_nine_negative_labels_meet_at_the_origin(self):
+        # the flow holds datum 3's boundary, a line through the origin, down
+        # to the origin, where all nine boundaries meet: too many data to try
+        # every assignment, the preferred one is inconsistent, all go off
+        rng = np.random.default_rng((31, 99))
+        d, n = int(rng.integers(2, 6)), int(rng.integers(2, 10))
+        x, y, w0 = rng.normal(size=(d, n)), rng.normal(size=n), rng.normal(size=d)
+        ds = Dataset(x=x, y=-np.abs(y))
+        tr = simulate_flow(ds, w0)
+        assert (ds.d, ds.n) == (2, 9)
+        assert [seg.held for seg in tr.segments[3:5]] == [(3,), (3,)]
+        assert tr.segments[-1].pattern.bits == (0,) * 9 and tr.segments[-1].held == ()
+        assert tr.terminal == "converged"
+        np.testing.assert_allclose(tr.terminal_point, [0.0, 0.0], atol=1e-12)
+        assert segment_certificate(tr) == []
+
+    def test_a_tangency_with_no_consistent_change_raises(self):
+        # datum 1 (y < 0) is parallel to datum 0 and reaches its boundary
+        # from the active side with that side's field tangent to it: staying
+        # on is consistent, but an event that changes nothing would repeat,
+        # and neither going off nor being held is consistent
+        rng = np.random.default_rng((31, 1781))
+        d, n = int(rng.integers(2, 6)), int(rng.integers(2, 10))
+        x, y, w0 = rng.normal(size=(d, n)), rng.normal(size=n), rng.normal(size=d)
+        x[:, 1] = x[:, 0] * rng.uniform(-2, 2)
+        with pytest.raises(NumericalError, match=r"no consistent state for data \[1\]"):
+            simulate_flow(Dataset(x=x, y=y), w0)
 
     def test_mixed_sign_probe_is_certified(self):
         # labels of both signs make flows hold faces, pass the origin and
