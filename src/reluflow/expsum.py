@@ -5,13 +5,22 @@ offsets, norm derivatives) all have the form
 
     f(t) = c + sum_k a_k * exp(-mu_k * t),   mu_k > 0 distinct.
 
-A sum with m exponential terms has at most m real zeros.  Its derivative
-is a sum of the same class with one term fewer once the slowest decay is
-factored out, so critical points can be isolated recursively; between
-consecutive critical points f is strictly monotone and a sign change
-brackets exactly one root, which Brent's method then polishes to machine
-precision.  This gives certified root lists on [lo, infinity), including
-the sign of f on both sides of every root (touches report equal signs).
+Zeros are isolated by interval branch-and-bound (Moore, *Interval
+Analysis*, 1966) on one grid: ``[lo, lo + BOUND_T0_RATES / mu_max]``,
+doubling cells up to ``TERMINAL_HORIZON_RATES / mu_min``, then a tail to
+infinity split by doubling.  A cell where the enclosure of f clears 0
+has no root.  Where that of f' does, f is monotone: the end signs decide,
+and Brent's method polishes the root.  Where that of f'' does, Brent's
+method on f' splits the cell at the extremum into two monotone halves,
+and a zero there is a touch.  Other cells are bisected; one narrower than
+``TIE_RTOL * max(1, t)`` that is still undecided raises NumericalError.
+Enclosures are taken term by term and, sharp on near-equal rates, in the
+nested form ``c + e^{-mu_1 t}(a_1 + e^{-(mu_2 - mu_1) t}(a_2 + ...))``;
+batched over sums that share their rates they give the flow's gap bounds.
+
+A run of instants with ``|f|`` within ``ZERO_RTOL`` of the envelope is
+one root (at ``lo`` with ``before`` 0 when the run starts there), and a
+limit within ``ZERO_RTOL`` of the t = 0 scale is exactly zero.
 """
 
 from __future__ import annotations
@@ -36,9 +45,16 @@ DROP_RTOL = 5e-15
 # tie: they count as the same root, event or value.
 TIE_RTOL = 1e-12
 
-# The tail bracket's step grows by this factor until the limit sign shows;
-# a tail without that sign after 200 steps raises NumericalError.
-BRACKET_FACTOR = 2.0
+# The grid ends at TERMINAL_HORIZON_RATES / mu_min, where exp(-50) is far
+# below double precision; terminal segments are sampled up to there too.
+TERMINAL_HORIZON_RATES = 50.0
+
+# The grid starts with [lo, lo + BOUND_T0_RATES / mu_max] and doubles from
+# there.  A sum is zero-free on a cell only when its enclosure clears 0 by
+# BOUND_SLACK_RTOL * (|c| + sum |a|): 1e4 above ZERO_RTOL, so the zeros
+# the isolator reports, and the terms ExpSum drops, stay inside the slack.
+BOUND_T0_RATES = 1e-6
+BOUND_SLACK_RTOL = 1e-9
 
 _BRENTQ_RTOL = 4 * np.finfo(float).eps
 _BRENTQ_XTOL = 1e-30  # absolute term must not mask the machine-relative target
@@ -62,6 +78,88 @@ class Root:
         return self.after != 0 and self.before != self.after
 
 
+def _merge(rates: np.ndarray, coeffs: np.ndarray):
+    """Rates ascending, each run within MERGE_RTOL * max(rates) of its first
+    rate merged into that rate, and the columns of ``coeffs`` (rows, r)
+    summed to match."""
+    order = np.argsort(rates, kind="stable")
+    rates = rates[order]
+    starts = [0]
+    for k in range(1, rates.size):
+        if rates[k] - rates[starts[-1]] > MERGE_RTOL * rates[-1]:
+            starts.append(k)
+    return rates[starts], np.add.reduceat(coeffs[:, order], starts, axis=1)
+
+
+def _grid(rates: np.ndarray, lo: float = 0.0) -> np.ndarray:
+    """Cell edges: lo, then lo + t0 * 2^k up to the horizon, then infinity."""
+    t0 = BOUND_T0_RATES / rates[-1]
+    doublings = int(np.ceil(np.log2(TERMINAL_HORIZON_RATES / rates[0] / t0)))
+    return np.concatenate(([lo], lo + t0 * 2.0 ** np.arange(doublings + 1), [np.inf]))
+
+
+def _interval_mul(e_lo, e_hi, h_lo, h_hi):
+    """[e_lo, e_hi] * [h_lo, h_hi] for 0 <= e_lo <= e_hi."""
+    return np.minimum(e_lo * h_lo, e_hi * h_lo), np.maximum(e_lo * h_hi, e_hi * h_hi)
+
+
+def _zero_free(rates, coeffs, consts, slack, left, right) -> np.ndarray:
+    """Whether row k's sum clears 0 by ``slack[k]`` on each cell [left, right].
+
+    ``rates`` are ascending and distinct, ``coeffs`` is (rows, r); the
+    result is (rows, cells).  A row with ``c == 0`` is also tested on its
+    nested bracket alone, which has the sum's sign.
+    """
+    at_left = coeffs[:, None, :] * np.exp(-np.multiply.outer(left, rates))
+    at_right = coeffs[:, None, :] * np.exp(-np.multiply.outer(right, rates))
+    c = consts[:, None]
+    s = slack[:, None]
+    lo = c + np.minimum(at_left, at_right).sum(axis=2)
+    hi = c + np.maximum(at_left, at_right).sum(axis=2)
+    free = (lo > s) | (hi < -s)
+    h_lo = h_hi = coeffs[:, -1:]
+    steps = np.concatenate(([rates[0]], np.diff(rates)))
+    for k in range(rates.size - 1, 0, -1):
+        e_lo, e_hi = np.exp(-steps[k] * right), np.exp(-steps[k] * left)
+        h_lo, h_hi = _interval_mul(e_lo, e_hi, h_lo, h_hi)
+        h_lo = h_lo + coeffs[:, k - 1 : k]
+        h_hi = h_hi + coeffs[:, k - 1 : k]
+    inner = (c == 0.0) & ((h_lo > s) | (h_hi < -s))
+    e_lo, e_hi = np.exp(-steps[0] * right), np.exp(-steps[0] * left)
+    h_lo, h_hi = _interval_mul(e_lo, e_hi, h_lo, h_hi)
+    return free | inner | (c + h_lo > s) | (c + h_hi < -s)
+
+
+def _polish(f: "ExpSum", t_a: float, t_b: float) -> float:
+    """The zero of f between instants where its signs differ, by Brent's method."""
+    return float(brentq(f.value, t_a, t_b, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL, maxiter=200))
+
+
+def gap_lower_bounds(rates, coeffs, consts) -> np.ndarray:
+    """Certified lower bound on the first zero of each row's exponential sum.
+
+    Row k is ``consts[k] + sum_j coeffs[k, j] * exp(-rates[j] * t)`` on
+    [0, inf).  The rows share their merged rates and the isolator's grid,
+    and each is scaled to unit mass ``|c| + sum |a|``.  A row's bound is
+    the left end of its first cell that is not zero-free, or ``inf`` when
+    every cell is: then ``ExpSum(consts[k], coeffs[k], rates).roots(0.0)``
+    is empty.
+    """
+    rates = np.asarray(rates, dtype=float)
+    consts = np.asarray(consts, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float).reshape(consts.size, rates.size)
+    if rates.size == 0:
+        return np.full(consts.size, np.inf)
+    rates, coeffs = _merge(rates, coeffs)
+    scale = np.abs(consts) + np.abs(coeffs).sum(axis=1)
+    scale[scale == 0.0] = 1.0
+    edges = _grid(rates)
+    slack = np.full(consts.size, BOUND_SLACK_RTOL)
+    free = _zero_free(rates, coeffs / scale[:, None], consts / scale, slack, edges[:-1], edges[1:])
+    first = np.argmin(free, axis=1)
+    return np.where(free.all(axis=1), np.inf, edges[first])
+
+
 class ExpSum:
     """Immutable ``c + sum a_k exp(-mu_k t)`` with positive rates."""
 
@@ -76,19 +174,8 @@ class ExpSum:
             raise ValueError("rates must be strictly positive")
         c = float(constant)
         if coeffs.size:
-            order = np.argsort(rates)
-            coeffs, rates = coeffs[order], rates[order]
-            # merge near-identical rates (degenerate eigenvalues)
-            tol = MERGE_RTOL * rates[-1]
-            merged_c, merged_r = [], []
-            for a, mu in zip(coeffs, rates):
-                if merged_r and mu - merged_r[-1] <= tol:
-                    merged_c[-1] += a
-                else:
-                    merged_c.append(a)
-                    merged_r.append(mu)
-            coeffs = np.array(merged_c)
-            rates = np.array(merged_r)
+            rates, merged = _merge(rates, coeffs[None, :])
+            coeffs = merged[0]
             scale = abs(c) + np.sum(np.abs(coeffs))
             keep = np.abs(coeffs) > DROP_RTOL * scale
             coeffs, rates = coeffs[keep], rates[keep]
@@ -113,100 +200,70 @@ class ExpSum:
     def derivative(self) -> "ExpSum":
         return ExpSum(0.0, -self.rates * self.coeffs, self.rates)
 
-    def _derivative_factored(self) -> "ExpSum":
-        """Derivative with the slowest decay factored out (same zeros)."""
-        a = -self.rates * self.coeffs
-        return ExpSum(a[0], a[1:], self.rates[1:] - self.rates[0])
-
-    def _envelope(self, t: float) -> float:
-        if self.n_terms == 0:
-            return abs(self.c)
-        return abs(self.c) + float(np.sum(np.abs(self.coeffs) * np.exp(-self.rates * t)))
-
-    def _sgn(self, t: float) -> int:
-        v = self.value(t)
-        if abs(v) <= ZERO_RTOL * self._envelope(t):
-            return 0
-        return 1 if v > 0.0 else -1
-
-    def _limit_sgn(self) -> int:
-        scale = abs(self.c) + float(np.sum(np.abs(self.coeffs)))
-        if scale == 0.0 or abs(self.c) <= ZERO_RTOL * scale:
-            return 0
-        return 1 if self.c > 0.0 else -1
+    def _signs(self, ts: np.ndarray) -> np.ndarray:
+        """Sign at each instant, 0 where |f| is within ZERO_RTOL of the envelope."""
+        expo = np.exp(-np.multiply.outer(ts, self.rates))
+        v = self.c + expo @ self.coeffs
+        envelope = abs(self.c) + expo @ np.abs(self.coeffs)
+        return np.where(np.abs(v) <= ZERO_RTOL * envelope, 0, np.sign(v)).astype(int)
 
     def roots(self, lo: float = 0.0) -> list[Root]:
         """All isolated zeros in [lo, infinity), earliest first."""
         if self.n_terms == 0:
             return []
-        if self.n_terms == 1:
-            return self._roots_single(lo)
+        scale = abs(self.c) + float(np.sum(np.abs(self.coeffs)))
+        limit = 0 if abs(self.c) <= ZERO_RTOL * scale else int(np.sign(self.c))
+        # unit mass keeps tiny scales from underflowing; a zero limit is exact
+        f = ExpSum(self.c / scale if limit else 0.0, self.coeffs / scale, self.rates)
+        df = f.derivative()
+        rows = np.stack([f.coeffs, -f.rates * f.coeffs, f.rates**2 * f.coeffs])
+        consts = np.array([f.c, 0.0, 0.0])
+        slack = np.array([BOUND_SLACK_RTOL, 0.0, 0.0])  # f' and f'' of f itself need only exclude 0
 
-        crit = [r.t for r in self._derivative_factored().roots(lo)]
-        nodes = [lo]
-        for t in crit:
-            if t > nodes[-1] * (1 + 1e-12) + 1e-300:
-                nodes.append(t)
-        signs = [self._sgn(t) for t in nodes]
-        limit = self._limit_sgn()
+        def cells(edges):
+            free = _zero_free(f.rates, rows, consts, slack, edges[:-1], edges[1:])
+            return list(zip(edges[:-1].tolist(), edges[1:].tolist(), free.T.tolist()))
 
-        found: list[Root] = []
-        pending: list[int] = []  # indices into found awaiting an 'after' sign
-
-        def emit(t: float, before: int) -> None:
-            if found and t - found[-1].t <= TIE_RTOL * max(1.0, abs(t)):
-                return
-            found.append(Root(t, before, 0))
-            pending.append(len(found) - 1)
-
-        def settle(sign: int) -> None:
-            while pending:
-                i = pending.pop()
-                found[i] = Root(found[i].t, found[i].before, sign)
-
-        prev_nonzero = 0
-        for i, (t_i, s_i) in enumerate(zip(nodes, signs)):
-            if s_i == 0:
-                emit(t_i, prev_nonzero)
+        # cut f into cells on which it is zero-free or monotone, earliest first
+        cuts = [lo]
+        todo = cells(_grid(f.rates, lo))[::-1]
+        while todo:
+            t_a, t_b, (f_free, monotone, unimodal) = todo.pop()
+            finite = t_b < np.inf
+            if f_free or monotone and (finite or f._signs(t_a) * limit >= 0):
+                cuts.append(t_b)
                 continue
-            settle(s_i)
-            prev_nonzero = s_i
-            s_next = signs[i + 1] if i + 1 < len(nodes) else limit
-            if s_next != 0 and s_next != s_i:
-                if i + 1 < len(nodes):
-                    t_root = brentq(
-                        self.value, t_i, nodes[i + 1], xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL, maxiter=200
-                    )
-                else:
-                    t_root = self._tail_root(t_i, s_i)
-                emit(float(t_root), s_i)
-        settle(limit)
-        return found
+            if unimodal and finite:
+                s_a, s_b = df._signs(np.array([t_a, t_b]))
+                if s_a * s_b < 0:
+                    cuts.append(_polish(df, t_a, t_b))
+                cuts.append(t_b)
+                continue
+            mid = 0.5 * (t_a + t_b) if finite else 2.0 * t_a
+            if t_b - t_a <= TIE_RTOL * max(1.0, t_a) or mid == np.inf:
+                raise NumericalError(f"no certified root isolation on [{t_a!r}, {t_b!r}]")
+            todo.extend(cells(np.array([t_a, mid, t_b]))[::-1])
 
-    def _roots_single(self, lo: float) -> list[Root]:
-        a, mu = float(self.coeffs[0]), float(self.rates[0])
-        if self.c == 0.0 or a == 0.0:
-            return []
-        ratio = -self.c / a
-        if ratio <= 0.0:
-            return []
-        t = -np.log(ratio) / mu
-        if not np.isfinite(t) or t < lo:
-            return []
-        before = 0 if t <= lo else self._sgn(lo)
-        return [Root(float(t), before, self._limit_sgn())]
-
-    def _tail_root(self, t_last: float, s_last: int):
-        """Bracket the single root on the monotone tail [t_last, inf)."""
-        limit = self._limit_sgn()
-        step = max(1.0 / self.rates[0], 1e-6)
-        t_lo, t_hi = t_last, t_last + step
-        for _ in range(200):
-            s = self._sgn(t_hi)
-            if s == limit:
-                return brentq(self.value, t_lo, t_hi, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL, maxiter=200)
-            if s == s_last:
-                t_lo = t_hi
-            step *= BRACKET_FACTOR
-            t_hi = t_last + step
-        raise NumericalError(f"tail root after t = {t_last!r} not bracketed in 200 steps")
+        signs = f._signs(np.array(cuts[:-1])).tolist()
+        found: list[Root] = []
+        run: int | None = None  # the root of a run of zeros, awaiting its 'after' sign
+        last = -1  # the cut of the last nonzero sign
+        for i, (t, s) in enumerate(zip(cuts, signs)):
+            if s == 0:
+                if run is None:
+                    found.append(Root(t, signs[last] if last >= 0 else 0, 0))
+                    run = len(found) - 1
+                continue
+            if run is not None:
+                t_run = found[run].t
+                if found[run].before == -s:  # a run that hides a crossing: polish it
+                    t_run = _polish(f, cuts[last], t)
+                found[run] = Root(t_run, found[run].before, s)
+                run = None
+            elif last == i - 1 >= 0 and signs[last] == -s:
+                found.append(Root(_polish(f, cuts[last], t), signs[last], s))
+            last = i
+        if run is not None:
+            found[run] = Root(found[run].t, found[run].before, limit)
+        # tied roots are one root
+        return [r for i, r in enumerate(found) if not i or r.t - found[i - 1].t > TIE_RTOL * max(1.0, r.t)]

@@ -5,15 +5,12 @@ whose solution is known in closed spectral form, so each segment is
 integrated exactly: no time stepping ever happens.  Every datum's
 boundary gap along a segment is a decaying exponential sum over the
 segment's shared decay rates, and the next event is the earliest
-admissible zero among them, found in two stages:
-
-- bound: interval enclosures of all n gaps at once, on one geometric
-  time grid, give each datum a certified lower bound on its first zero
-  (infinite when no zero exists);
-- isolate: the data are visited in order of that bound, and the isolator
-  in :mod:`reluflow.expsum` certifies each one's earliest admissible
-  zero, until the next bound lies beyond the tie window of the best
-  zero found.  No datum that could win or tie is skipped.
+admissible zero among them.  One batched pass of the isolator's zero-free
+cell test over all n gaps (:func:`reluflow.expsum.gap_lower_bounds`)
+bounds each datum's first zero from below; the data are then isolated by
+:meth:`reluflow.expsum.ExpSum.roots` in order of that bound until the next
+bound lies beyond the tie window of the best zero found, so no datum that
+could win or tie is skipped.
 
 At an event the data on their boundaries decide together (Filippov,
 *Differential Equations with Discontinuous Righthand Sides*, 1988).  B
@@ -45,23 +42,10 @@ import numpy as np
 
 from .dataset import RANK_RTOL, Dataset, freeze_fields
 from .errors import NumericalError, PreconditionError, StructuralError
-from .expsum import MERGE_RTOL, TIE_RTOL, ExpSum
+from .expsum import TERMINAL_HORIZON_RATES, TIE_RTOL, ExpSum, gap_lower_bounds
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, active_matrices, clearance
 from .geometry import g_value, pattern_of, pattern_system
 from .landscape import gradient, loss
-
-# Local sampling horizon of a terminal segment, in units of the slowest
-# positive decay: exp(-50) is far below double precision.  The gap
-# bounds' grid also ends there.
-TERMINAL_HORIZON_RATES = 50.0
-
-# The gap bounds' grid starts with [0, BOUND_T0_RATES / lam_max] and
-# doubles from there.  A cell is zero-free only when its enclosure clears
-# 0 by BOUND_SLACK_RTOL * (|c| + sum |a|): 1e4 above the isolator's
-# ZERO_RTOL, so the zeros that isolator reports, and the terms it drops,
-# stay inside the slack.
-BOUND_T0_RATES = 1e-6
-BOUND_SLACK_RTOL = 1e-9
 
 # The face rule tries all 3^|B| assignments of at most FACE_MAX_DATA data.
 FACE_MAX_DATA = 8
@@ -141,16 +125,11 @@ class FlowSegment:
         coeffs = (v @ self.eigenvectors) * self.delta
         return ExpSum(constant, coeffs, self.eigenvalues)
 
-    @property
-    def min_positive_rate(self) -> float | None:
-        return float(self.eigenvalues[-1]) if self.eigenvalues.size else None
-
     def local_horizon(self) -> float:
         """Finite sampling horizon: the duration, or the decay horizon if infinite."""
         if np.isfinite(self.t_end):
             return self.duration
-        rate = self.min_positive_rate
-        return TERMINAL_HORIZON_RATES / rate if rate else 1.0
+        return TERMINAL_HORIZON_RATES / float(self.eigenvalues[-1]) if self.eigenvalues.size else 1.0
 
 
 @dataclass(frozen=True)
@@ -239,42 +218,6 @@ class _Candidate:
     tau: float
     index: int
     side: int  # OFF or ON: the side the datum heads to
-
-
-def gap_lower_bounds(rates, coeffs, consts) -> np.ndarray:
-    """Certified lower bound on the first zero of each row's exponential sum.
-
-    Row k is ``consts[k] + sum_j coeffs[k, j] * exp(-rates[j] * t)`` on
-    [0, inf).  The rows share one time grid: ``[0, t0]``, doubling cells
-    up to ``TERMINAL_HORIZON_RATES / min(rates)``, then a last cell to
-    infinity.  On a cell [t_a, t_b] a term with a > 0 lies in
-    ``[a exp(-mu t_b), a exp(-mu t_a)]`` (Moore, *Interval Analysis*,
-    1966), and each rate mu enters as the interval between
-    ``mu - MERGE_RTOL * max(rates)`` and mu, so the enclosure also holds
-    for the sum :class:`ExpSum` builds after merging near-equal rates.
-    A row's bound is the left end of its first cell whose enclosure does
-    not clear zero by the slack, or ``inf`` when every cell does: then
-    ``ExpSum(consts[k], coeffs[k], rates).roots(0.0)`` is empty.
-    """
-    rates = np.asarray(rates, dtype=float)
-    consts = np.asarray(consts, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=float).reshape(consts.size, rates.size)
-    if rates.size == 0:
-        return np.full(consts.size, np.inf)
-    lam_min, lam_max = float(rates.min()), float(rates.max())
-    t0 = BOUND_T0_RATES / lam_max
-    doublings = int(np.ceil(np.log2(TERMINAL_HORIZON_RATES / lam_min / t0)))
-    edges = np.concatenate(([0.0], t0 * 2.0 ** np.arange(doublings + 1), [np.inf]))
-    slowest = np.maximum(rates - MERGE_RTOL * lam_max, lam_min)
-    # each term's largest and smallest magnitude on every cell: (n, cells, r)
-    at_left = coeffs[:, None, :] * np.exp(-np.multiply.outer(edges[:-1], slowest))
-    at_right = coeffs[:, None, :] * np.exp(-np.multiply.outer(edges[1:], rates))
-    lo = consts[:, None] + np.minimum(at_left, at_right).sum(axis=2)
-    hi = consts[:, None] + np.maximum(at_left, at_right).sum(axis=2)
-    slack = (BOUND_SLACK_RTOL * (np.abs(consts) + np.abs(coeffs).sum(axis=1)))[:, None]
-    may_vanish = (lo <= slack) & (hi >= -slack)
-    first = np.argmax(may_vanish, axis=1)
-    return np.where(may_vanish.any(axis=1), edges[first], np.inf)
 
 
 def _boundary_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:

@@ -185,13 +185,6 @@ def region_count(ds: Dataset) -> int:
     return total
 
 
-def pattern_feasible(ds: Dataset, pattern: ActivationPattern) -> bool:
-    """Whether the pattern is one of the cells of ``enumerate_partitions``."""
-    if len(pattern) != ds.n:
-        raise StructuralError("pattern length does not match dataset")
-    return any(c.pattern == pattern for c in enumerate_partitions(ds))
-
-
 def _boundary_angles(x: np.ndarray) -> list[float]:
     """Angles in [0, 2pi) where some column's boundary meets the circle; ties merge."""
     angles = []

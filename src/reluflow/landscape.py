@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import GeometryError, StructuralError
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, clearance, enumerate_partitions
-from .geometry import arrangement_cells, pattern_feasible, pattern_system
+from .geometry import arrangement_cells, pattern_system
 
 # A point interpolates the data when its loss is at most INTERPOLATION_TOL.
 INTERPOLATION_TOL = 1e-10
@@ -124,9 +124,7 @@ def _minimizer_in_cell(ds: Dataset, pattern: ActivationPattern, p, null_basis):
     return None if v is None else p + null_basis @ (scale * v[:-1] / v[-1])
 
 
-def virtual_minimizer(
-    ds: Dataset, pattern: ActivationPattern, *, check_feasible: bool = True
-) -> VirtualMinimizer:
+def virtual_minimizer(ds: Dataset, pattern: ActivationPattern) -> VirtualMinimizer:
     """Minimum-norm minimizer of the pattern's quadratic, with containment.
 
     The candidate witness is ``point`` at full rank; for a rank-deficient
@@ -135,13 +133,11 @@ def virtual_minimizer(
     a set that only touches the cell's closure has none.  The pattern is
     contained when the witness's active data clear their boundaries by
     more than ``BOUNDARY_MARGIN`` and its deactivated data sit at a
-    relative clearance of at most 1e-12.  With ``check_feasible`` the
-    pattern must be a cell of the partition (:func:`geometry.pattern_feasible`).
+    relative clearance of at most 1e-12.  The pattern is not checked
+    against the partition; the census asks only about its own cells.
     """
     if len(pattern) != ds.n:
         raise StructuralError("pattern length does not match dataset")
-    if check_feasible and not pattern_feasible(ds, pattern):
-        raise GeometryError(f"pattern {pattern} is not a feasible partition")
     active = pattern.as_bool()
     total_inactive = 0.5 * float(np.sum(ds.y[~active] ** 2))
     if not np.any(active):
@@ -201,7 +197,7 @@ def minima_census(ds: Dataset) -> MinimaCensus:
     minima: list[VirtualMinimizer] = []
     cone: VirtualMinimizer | None = None
     for cell in cells:
-        vm = virtual_minimizer(ds, cell.pattern, check_feasible=False)
+        vm = virtual_minimizer(ds, cell.pattern)
         if not any(cell.pattern.bits):
             cone = vm
         elif vm.contained:

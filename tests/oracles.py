@@ -4,17 +4,23 @@ Everything here deliberately avoids the package's computational paths:
 least squares go through numpy's lstsq/pinv, pattern counts through dense
 angular sweeps and margin linear programs, minimizer containment through
 an affine margin linear program, gradients through central finite
-differences, and deep gradients through a direct forward/backward pass.  Expected values in the
-tests are produced by these routines (or frozen from them), never by the
-code under test.  The one exception is ``boundary_candidates_exhaustive``:
-it shares the flow's root isolator and is the reference for the flow's
-pruned event search, from which it differs only by isolating every datum.
+differences, deep gradients through a direct forward/backward pass, and
+the zeros of exponential sums through a dense grid whose sign changes are
+bisected in 50-digit mpmath arithmetic.  Expected values in the tests are
+produced by these routines (or frozen from them), never by the code under
+test.  The one exception is ``boundary_candidates_exhaustive``: it shares
+the flow's root isolator and is the reference for the flow's pruned event
+search, from which it differs only by isolating every datum.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 from scipy.optimize import linprog
+
+# Working precision of the exponential-sum oracles, in decimal digits.
+MP_DPS = 50
 
 
 def sweep_patterns_2d(ds, directions: int = 10000) -> set:
@@ -107,15 +113,6 @@ def fd_layer_gradient(weights, x, y, layer: int, step: float = 1e-6) -> np.ndarr
         grad[idx] = (deep_loss(plus, x, y) - deep_loss(minus, x, y)) / (2 * step)
         it.iternext()
     return grad
-
-
-def grid_sign_changes(fn, t_hi: float, points: int = 200000) -> int:
-    """Dense-grid sign change counter on [0, t_hi] (a lower bound on roots)."""
-    ts = np.linspace(0.0, t_hi, points)
-    vals = fn(ts)
-    signs = np.sign(vals)
-    nz = signs[signs != 0]
-    return int(np.sum(nz[1:] != nz[:-1]))
 
 
 def boundary_candidates_exhaustive(ds, seg):
@@ -223,7 +220,107 @@ def containment_lp(ds, pattern) -> bool:
     return res.status == 0 and float(res.x[-1]) > 1e-9 * max(1.0, float(np.linalg.norm(p)))
 
 
-def segment_certificate(tr) -> list[str]:
+def _mp_value(c, coeffs, rates, t):
+    """``c + sum a exp(-mu t)`` in MP_DPS-digit arithmetic (t may be inf)."""
+    t = mpmath.mpf(t)
+    terms = (mpmath.mpf(a) * mpmath.exp(-mpmath.mpf(mu) * t) for a, mu in zip(coeffs, rates))
+    return mpmath.mpf(c) + mpmath.fsum(terms)
+
+
+def _mp_signs(consts, coeffs, rates, taus) -> np.ndarray:
+    """Signs (rows, instants) of the sums ``consts[k] + coeffs[k] . exp(-rates t)``.
+
+    ``taus`` may end with inf, where a sum is its constant.  A sample
+    whose double-precision value is within 1e-12 of the sum's envelope is
+    evaluated again in MP_DPS digits.
+    """
+    consts = np.asarray(consts, dtype=float)[:, None]
+    expo = np.exp(-np.multiply.outer(rates, taus))
+    v = consts + coeffs @ expo
+    envelope = np.abs(consts) + np.abs(coeffs) @ expo
+    signs = np.sign(v).astype(int)
+    with mpmath.workdps(MP_DPS):
+        for k, i in zip(*np.nonzero(np.abs(v) <= 1e-12 * envelope)):
+            signs[k, i] = mpmath.sign(_mp_value(consts[k, 0], coeffs[k], rates, taus[i]))
+    return signs
+
+
+def _mp_sign_changes(c, coeffs, rates, taus, signs) -> list[tuple[float, int, int]]:
+    """Each sign change between consecutive nonzero ``signs`` at ``taus``,
+    bisected in MP_DPS digits to 1e-20 relative width, as ``(t, before, after)``.
+    A change towards a sample at inf is first bracketed by doubling."""
+    nonzero = np.flatnonzero(signs)
+    out = []
+    with mpmath.workdps(MP_DPS):
+        for i, j in zip(nonzero, nonzero[1:]):
+            if signs[i] == signs[j]:
+                continue
+            a, b = mpmath.mpf(taus[i]), mpmath.mpf(taus[j])
+            while b == mpmath.inf:
+                b = 2 * a + 1
+                if mpmath.sign(_mp_value(c, coeffs, rates, b)) == signs[i]:
+                    a, b = b, mpmath.inf
+            while b - a > mpmath.mpf("1e-20") * max(1, abs(a)):
+                m = (a + b) / 2
+                if mpmath.sign(_mp_value(c, coeffs, rates, m)) == signs[i]:
+                    a = m
+                else:
+                    b = m
+            out.append((float((a + b) / 2), int(signs[i]), int(signs[j])))
+    return out
+
+
+def expsum_roots_mp(f, lo: float = 0.0, points: int = 1000) -> list[tuple[float, int, int]]:
+    """Crossings ``(t, before, after)`` of an exponential sum on [lo, inf).
+
+    The sum's own coefficients are taken as exact.  Past a horizon H no
+    sign change is possible: with ``c != 0`` the terms sum to less than
+    ``|c| / 2`` beyond ``log(2 sum |a| / |c|) / mu_1``, and with ``c == 0``
+    the slowest term outweighs the rest beyond
+    ``log(2 sum_{k>1} |a_k| / |a_1|) / (mu_2 - mu_1)``.  On [lo, H] the
+    sum is sampled on a linear and a geometric grid of ``points`` instants
+    each, and every sign change is bisected in MP_DPS digits.  As in
+    ``ExpSum.roots``, a limit within ``expsum.ZERO_RTOL`` of the t = 0
+    scale counts as exactly zero.
+    """
+    from reluflow.expsum import ZERO_RTOL
+
+    c, a, mu = float(f.c), np.asarray(f.coeffs), np.asarray(f.rates)
+    if a.size == 0:
+        return []
+    if abs(c) <= ZERO_RTOL * (abs(c) + float(np.sum(np.abs(a)))):
+        c = 0.0
+    if c != 0.0:
+        horizon = np.log(2.0 * np.sum(np.abs(a)) / abs(c)) / mu[0]
+    elif a.size > 1:
+        horizon = np.log(2.0 * np.sum(np.abs(a[1:])) / abs(a[0])) / (mu[1] - mu[0])
+    else:
+        return []
+    span = 1.01 * max(horizon - lo, 0.0) + 1.0 / mu[-1]
+    taus = lo + np.union1d(np.linspace(0.0, span, points), span * np.geomspace(1e-15, 1.0, points))
+    return _mp_sign_changes(c, a, mu, taus, _mp_signs([c], a[None, :], mu, taus)[0])
+
+
+def assert_matches_oracle(f, lo=0.0):
+    """The crossings of ``f.roots(lo)`` are the 50-digit oracle's, to 1e-9.
+
+    A crossing at ``lo`` with ``before`` 0 is the package's zero at the
+    left end: the oracle may see it just past ``lo``, or not at all when
+    the sum only touches zero there.
+    """
+    got = [r for r in f.roots(lo) if r.is_crossing]
+    want = expsum_roots_mp(f, lo)
+    if got and got[0].t == lo and got[0].before == 0:
+        if want and abs(want[0][0] - lo) <= 1e-9 * max(1.0, lo) and want[0][2] == got[0].after:
+            want = want[1:]
+        got = got[1:]
+    assert len(got) == len(want), (got, want)
+    for r, (t, before, after) in zip(got, want):
+        assert abs(r.t - t) <= 1e-9 * max(1.0, t), (r, t)
+        assert (r.before, r.after) == (before, after)
+
+
+def segment_certificate(tr, points: int = 800) -> list[str]:
     """Problems with an exact flow's segments; empty when every one holds.
 
     On each segment, with ``tau_end`` its duration (infinite for the last)
@@ -236,50 +333,65 @@ def segment_certificate(tr) -> list[str]:
       the zero-length segments between simultaneous events, where the flow
       does not move, are exempt from this one.
 
-    A bound holds on the whole interval when the function meets it at five
-    interior sample points and ``ExpSum.roots`` finds no sign change of the
-    difference inside; zeros within 1e-12 relative of either end are the
-    segment's own events.  The multipliers solve ``X_S diag(y_S) alpha =
-    g_p(w)`` with numpy's pinv, not the flow's formula.
+    Each function is built from the segment's spectral data directly (no
+    merged or dropped terms) and sampled at ``points`` linear and
+    ``points // 4`` geometric instants of ``[0, tau_end]`` (of the decay
+    horizon, and the limit, on the last segment).  A bound fails when a
+    sample inside ``(edge, tau_end - edge)`` is below it, or a sign change,
+    bisected in MP_DPS digits, lies there; ``edge`` is 1e-12 relative, so
+    zeros at either end are the segment's own events.  The multipliers
+    solve ``X_S diag(y_S) alpha = g_p(w)`` with numpy's pinv, not the
+    flow's formula.  No ``ExpSum`` is used.
     """
-    from reluflow.expsum import ExpSum
-
     ds = tr.dataset
     problems = []
     for i, seg in enumerate(tr.segments):
         end = seg.t_end - seg.t_start
         edge = 1e-12 * max(1.0, end if np.isfinite(end) else 1.0)
-        taus = np.linspace(0.0, seg.local_horizon(), 7)[1:-1]
-        ws = seg.value_local(taus)
+        horizon = seg.local_horizon()
+        taus = np.union1d(np.linspace(0.0, horizon, points), horizon * np.geomspace(1e-12, 1.0, points // 4))
+        if not np.isfinite(end):
+            taus = np.append(taus, np.inf)
+        inside = (taus > edge) & (taus < end - edge)
+        ws = seg.value_local(taus[np.isfinite(taus)])
         scale = max(1.0, float(np.max(np.linalg.norm(ws, axis=1))))
         scale = max(scale, float(np.linalg.norm(seg.w_start)))
 
-        def above(f, level):
-            """Whether ``f >= level`` on the segment, as described above."""
-            g = ExpSum(f.c - level, f.coeffs, f.rates)
-            roots = g.roots(0.0)
-            crossings = [r for r in roots if r.before * r.after < 0 and edge < r.t < end - edge]
-            return not crossings and bool(np.all(g.value(taus) >= 0.0))
+        def failures(vs, offsets, levels):
+            """Rows k with ``vs[k] . w(tau) - offsets[k] < levels[k]`` somewhere, as described above."""
+            consts = vs @ seg.target - offsets - levels
+            coeffs = (vs @ seg.eigenvectors) * seg.delta
+            signs = _mp_signs(consts, coeffs, seg.eigenvalues, taus)
+            out = set(np.flatnonzero(np.any(signs[:, inside] < 0, axis=1)).tolist())
+            for k in np.flatnonzero(np.any(signs[:, 1:] != signs[:, :-1], axis=1)):
+                changes = _mp_sign_changes(consts[k], coeffs[k], seg.eigenvalues, taus, signs[k])
+                if any(edge < t < end - edge for t, _, _ in changes):
+                    out.add(int(k))
+            return out
 
         mask = seg.pattern.as_bool()
-        for k in range(ds.n):
-            xk = ds.x[:, k]
-            tol = 1e-9 * float(np.linalg.norm(xk)) * scale
-            if k not in seg.held:
-                side = 1.0 if mask[k] else -1.0
-                if not above(seg.observable(side * xk), -tol):
-                    problems.append(f"segment {i}: datum {k} leaves the side of bit {int(mask[k])}")
-            elif not (above(seg.observable(xk), -tol) and above(seg.observable(-xk), -tol)):
-                problems.append(f"segment {i}: held datum {k} leaves its boundary")
-        if not seg.held or end == 0.0:
-            continue
+        tol = 1e-9 * np.linalg.norm(ds.x, axis=0) * scale
+        off = [k for k in range(ds.n) if k not in seg.held]
+        side = np.where(mask, 1.0, -1.0)
+        for k in sorted(failures((ds.x * side).T[off], np.zeros(len(off)), -tol[off])):
+            problems.append(f"segment {i}: datum {off[k]} leaves the side of bit {int(mask[off[k]])}")
         held = list(seg.held)
+        both = np.concatenate([ds.x[:, held], -ds.x[:, held]], axis=1).T
+        away = failures(both, np.zeros(2 * len(held)), -np.concatenate([tol[held], tol[held]]))
+        for j, k in enumerate(held):
+            if j in away or j + len(held) in away:
+                problems.append(f"segment {i}: held datum {k} leaves its boundary")
+        if not held or end == 0.0:
+            continue
         m = np.linalg.pinv(ds.x[:, held] * ds.y[held])
         xa = ds.x[:, mask]
         h, q = xa @ xa.T, xa @ ds.y[mask]
-        for k, row in zip(held, m):
-            alpha = seg.observable(h @ row, offset=float(row @ q))
-            upper = seg.observable(-(h @ row), offset=-float(row @ q))  # -alpha
-            if not (above(alpha, -1e-9) and above(upper, -1.0 - 1e-9)):
+        # alpha >= 0 and -alpha >= -1
+        rows = np.concatenate([m @ h, -(m @ h)])
+        offsets = np.concatenate([m @ q, -(m @ q)])
+        levels = np.concatenate([np.full(len(held), -1e-9), np.full(len(held), -1.0 - 1e-9)])
+        outside = failures(rows, offsets, levels)
+        for j, k in enumerate(held):
+            if j in outside or j + len(held) in outside:
                 problems.append(f"segment {i}: held datum {k} has a multiplier outside [0, 1]")
     return problems

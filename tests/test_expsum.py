@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from reluflow import expsum
 from reluflow.errors import NumericalError
-from reluflow.expsum import ExpSum
+from reluflow.expsum import ExpSum, Root
 
-from oracles import grid_sign_changes
+from oracles import assert_matches_oracle
 
 
 class TestSingleTerm:
@@ -71,14 +70,22 @@ class TestRandomSums:
             f = ExpSum(const, coeffs, rates)
             roots = f.roots()
             assert len(roots) <= f.n_terms  # at most one zero per exponential term
-            crossings = sum(1 for r in roots if r.is_crossing)
-            t_hi = 60.0 / rates[0]
-            grid = grid_sign_changes(f.value, t_hi, points=40000)
-            # the dense grid can only miss crossings, never invent them
-            assert grid <= crossings
+            assert_matches_oracle(f)
             for r in roots:
                 envelope = abs(const) + float(np.sum(np.abs(coeffs)))
                 assert abs(f.value(r.t)) <= 1e-10 * max(1.0, envelope)
+
+    def test_high_rank_sums_match_the_oracle(self):
+        # 16 to 20 terms with rates spread over 0.05-100 and coefficients
+        # over six decades: a derivative recursion loses critical points here
+        rng = np.random.default_rng(2024)
+        for _ in range(120):
+            m = int(rng.integers(16, 21))
+            rates = np.geomspace(0.05, 100.0, m) * np.exp(rng.uniform(-0.1, 0.1, m))
+            coeffs = rng.normal(size=m) * 10.0 ** rng.uniform(-3.0, 3.0, m)
+            f = ExpSum(float(rng.normal()) * 10.0 ** rng.uniform(-3.0, 1.0), coeffs, rates)
+            assert f.n_terms >= 16
+            assert_matches_oracle(f)
 
     def test_roots_sorted_and_deduplicated(self, rng):
         for _ in range(100):
@@ -117,10 +124,39 @@ class TestEdgeCases:
             fd = (f.value(t + 1e-7) - f.value(t - 1e-7)) / 2e-7
             np.testing.assert_allclose(df.value(t), fd, atol=1e-6)
 
-    def test_unbracketed_tail_root_raises(self, monkeypatch):
-        # the sum falls from 1.49 to its limit -0.01 through one root near
-        # t = 4.6; a bracket step that never grows cannot reach it, and the
-        # root must not be dropped silently
-        monkeypatch.setattr(expsum, "BRACKET_FACTOR", 1.0)
-        with pytest.raises(NumericalError):
-            ExpSum(-0.01, [1.0, 0.5], [1.0, 2.0]).roots()
+    def test_an_undecidable_cell_raises(self):
+        # (e^{-t} - e^{-1})^3 has a triple zero at t = 1, where f, f' and f''
+        # all vanish: no enclosure can decide the cells around it, and the
+        # isolator names the interval instead of guessing
+        u = np.exp(-1.0)
+        f = ExpSum(-(u**3), [3.0 * u**2, -3.0 * u, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(NumericalError, match=r"no certified root isolation on \[0\.99"):
+            f.roots()
+
+
+class TestConventions:
+    def test_a_run_of_zeros_at_lo_is_one_root(self):
+        # (1 - e^{-t})^2 has a double zero at t = 0, so |f| is within
+        # ZERO_RTOL of the envelope on a run of instants from 0
+        f = ExpSum(1.0, [-2.0, 1.0], [1.0, 2.0])
+        assert f.roots() == [Root(0.0, 0, 1)]
+
+    def test_a_zero_limit_has_no_crossing_into_it(self):
+        # the limit -2.2e-16 is zero to within ZERO_RTOL of the t = 0 scale
+        assert ExpSum(-2.2e-16, [1.0, -0.5], [1.0, 2.0]).roots() == []
+        assert ExpSum(-2.2e-16, [1.0], [1.0]).roots() == []
+
+    def test_a_zero_at_lo_is_a_root_for_one_term_and_many(self):
+        # f(0) = -3.5e-18 lies within ZERO_RTOL of the envelope: a root at
+        # lo with before 0 and after the sign that follows, whatever the rank
+        one = ExpSum(-0.0035, [0.0035 * (1.0 - 1e-15)], [1.0])
+        many = ExpSum(-0.0035, [0.0035 * (1.0 - 1e-15) - 1e-3, 1e-3], [1.0, 2.0])
+        assert one.roots() == [Root(0.0, 0, -1)]
+        assert many.roots() == [Root(0.0, 0, -1)]
+
+    def test_scales_that_underflow_are_isolated(self):
+        # coefficients near the smallest normal double: the isolator works
+        # on the unit-mass sum, so its slack cannot underflow
+        f = ExpSum(-1e-308, [2.2e-308, 3e-309], [1.0, 2.0])
+        assert [(r.before, r.after) for r in f.roots()] == [(1, -1)]
+        assert_matches_oracle(f)

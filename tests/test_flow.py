@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reluflow.flow as flow_engine
+from reluflow.campaigns import random_dataset
 from reluflow.criteria import crossing_context
 from reluflow.dataset import Dataset
 from reluflow.errors import NumericalError, PreconditionError, ReluFlowError, StructuralError
@@ -25,7 +26,7 @@ from reluflow.flow import (
 )
 from reluflow.geometry import ActivationPattern, pattern_of
 
-from oracles import boundary_candidates_exhaustive, lstsq_minnorm, segment_certificate
+from oracles import assert_matches_oracle, boundary_candidates_exhaustive, lstsq_minnorm, segment_certificate
 
 
 def small_cube_start(rng, d):
@@ -654,6 +655,52 @@ class TestBoundedEventSearch:
         assert calls["n"] < 0.5 * ds.n * len(tr.segments)
 
 
+class TestHighRankEvents:
+    """Crossings of 16-term gaps with rates spread over three decades.
+
+    A derivative recursion loses critical points on such gaps, and with
+    them crossings: these flows once went on with a datum on the wrong
+    side of its boundary and ended ``degenerate``.
+    """
+
+    @staticmethod
+    def crossing(tr, k):
+        ev = tr.events[k]
+        return ev.index, ev.kind, ev.t - tr.segments[k].t_start
+
+    def test_a_crossing_early_in_a_short_segment(self):
+        # datum 17 crosses 0.0012 into a segment that lasts 0.0013
+        rng = np.random.default_rng((41, 20, 80))
+        for _ in range(5):
+            ds = random_dataset(rng, 20, 80)
+            w0 = rng.normal(size=20)
+        tr = simulate_flow(ds, w0)
+        assert tr.terminal == "converged"
+        index, kind, tau = self.crossing(tr, 12)
+        assert (index, kind) == (17, "activation")
+        assert tau == pytest.approx(0.0011951850, rel=1e-6)
+        assert segment_certificate(tr) == []
+
+    def test_a_crossing_near_the_segment_start(self):
+        ds = random_dataset(np.random.default_rng(0), 20, 80)
+        starts = np.random.default_rng(1)
+        for _ in range(5):
+            w0 = starts.normal(size=20)
+        tr = simulate_flow(ds, w0)
+        assert tr.terminal == "converged"
+        index, kind, tau = self.crossing(tr, 4)
+        assert (index, kind) == (1, "activation")
+        assert tau == pytest.approx(2.0174687e-4, rel=1e-6)
+        assert segment_certificate(tr) == []
+
+    def test_survey_keeps_every_datum_on_its_side(self):
+        rng = np.random.default_rng((41, 20, 40))
+        for draw in range(30):
+            ds = random_dataset(rng, 20, 40)
+            tr = simulate_flow(ds, rng.normal(size=20))
+            assert segment_certificate(tr) == [], draw
+
+
 @st.composite
 def ill_conditioned_sums(draw):
     """Rows sharing near-equal rates, near-cancelling terms and c near -sum(a)."""
@@ -688,6 +735,13 @@ class TestGapBounds:
                 assert bound <= roots[0].t
             if np.isinf(bound):
                 assert roots == []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ill_conditioned_sums())
+    def test_roots_match_the_oracle(self, case):
+        rates, coeffs, consts = case
+        for a, c in zip(coeffs, consts):
+            assert_matches_oracle(ExpSum(c, a, rates))
 
     def test_bound_is_infinite_when_the_sign_never_changes(self):
         bounds = gap_lower_bounds([2.0, 1.0], [[1.0, 1.0], [-1.0, 0.5]], [0.5, 2.0])

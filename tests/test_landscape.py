@@ -8,9 +8,8 @@ import pytest
 import reluflow
 from reluflow.campaigns import random_dataset, realizable_dataset
 from reluflow.dataset import Dataset
-from reluflow.errors import GeometryError
 from reluflow.flow import simulate_flow
-from reluflow.geometry import ActivationPattern, enumerate_partitions, pattern_feasible, pattern_of
+from reluflow.geometry import ActivationPattern, enumerate_partitions, pattern_of
 from reluflow.landscape import (
     compare_support_losses,
     gradient,
@@ -121,7 +120,7 @@ class TestVirtualMinimizer:
         pattern = pattern_of(ds, w0)
         assert pattern.to_string() == "011"
         tr = simulate_flow(ds, w0)
-        vm = virtual_minimizer(ds, pattern, check_feasible=False)
+        vm = virtual_minimizer(ds, pattern)
         assert tr.segments[0].eigenvalues.size == vm.rank == 1
 
     @pytest.mark.parametrize("family", CONTAINMENT_FAMILIES)
@@ -133,7 +132,7 @@ class TestVirtualMinimizer:
         for _ in range(30):
             ds = containment_family(rng, family)
             for cell in enumerate_partitions(ds):
-                vm = virtual_minimizer(ds, cell.pattern, check_feasible=False)
+                vm = virtual_minimizer(ds, cell.pattern)
                 if vm.rank == ds.d or not any(cell.pattern.bits):
                     continue
                 checked += 1
@@ -176,16 +175,16 @@ class TestVirtualMinimizer:
         assert vm.rank == 2 and vm.contained and containment_lp(ds, pattern)
         assert abs(float(ds.x[:, 2] @ vm.witness)) <= 1e-12
 
-    def test_infeasible_pattern_is_rejected(self):
+    def test_infeasible_pattern_holds_no_minimizer(self):
         # positively parallel data always share an activation bit
         ds = Dataset(x=np.array([[1.0, 2.0], [0.0, 0.0]]), y=np.array([1.0, 1.0]))
         feasible = {c.pattern.to_string() for c in enumerate_partitions(ds)}
         assert "10" not in feasible
-        with pytest.raises(GeometryError):
-            virtual_minimizer(ds, ActivationPattern.from_string("10"))
+        assert not virtual_minimizer(ds, ActivationPattern.from_string("10")).contained
+        assert "10" not in {m.pattern.to_string() for m in minima_census(ds).minima}
 
-    def test_feasibility_check_agrees_with_the_enumeration(self, rng):
-        # a pattern is feasible exactly when it is an enumerated cell
+    def test_only_enumerated_cells_hold_their_minimizer(self, rng):
+        # a pattern with data on, but no cell, holds no minimizer
         datasets = [Dataset(x=rng.normal(size=(d, n)), y=rng.normal(size=n))
                     for d, n in ((1, 3), (2, 5), (2, 6), (3, 5), (4, 6))]
         antiparallel = rng.normal(size=(3, 5))
@@ -193,19 +192,17 @@ class TestVirtualMinimizer:
         datasets.append(Dataset(x=antiparallel, y=rng.normal(size=5)))
         for ds in datasets:
             cells = {c.pattern.bits for c in enumerate_partitions(ds)}
-            for code in range(2**ds.n):
+            for code in range(1, 2**ds.n):
                 pattern = ActivationPattern(tuple((code >> i) & 1 for i in range(ds.n)))
-                assert pattern_feasible(ds, pattern) == (pattern.bits in cells)
-                if pattern.bits in cells:
-                    assert virtual_minimizer(ds, pattern).pattern == pattern
-                else:
-                    with pytest.raises(GeometryError):
-                        virtual_minimizer(ds, pattern)
+                vm = virtual_minimizer(ds, pattern)
+                assert vm.pattern == pattern
+                if pattern.bits not in cells:
+                    assert not vm.contained
 
     def test_invariant_normal_equations(self, rng):
         ds = random_a1a2a3(rng, 3, 6)
         for cell in enumerate_partitions(ds):
-            vm = virtual_minimizer(ds, cell.pattern, check_feasible=False)
+            vm = virtual_minimizer(ds, cell.pattern)
             mask = cell.pattern.as_bool()
             xa = ds.x[:, mask]
             h = xa @ xa.T
