@@ -9,20 +9,16 @@ flow can and cannot reach.
 
 from .dataset import (
     Dataset,
-    ReductionMap,
     ValidationReport,
     augment_bias,
     dataset_from_json,
     dataset_to_json,
     load_dataset,
-    reduce_dataset,
-    reduction_map,
     save_dataset,
     validate_dataset,
 )
 from .errors import (
     DegenerateDirectionError,
-    DimensionError,
     GeometryError,
     NumericalError,
     PreconditionError,
@@ -44,14 +40,10 @@ from .flow import (
 )
 from .geometry import (
     ActivationPattern,
-    Hyperrectangle,
     PartitionCell,
-    PartitionOrdering,
     enumerate_partitions,
     g_value,
-    hyperrectangle_of,
     partition_count_bound,
-    partition_order_2d,
     pattern_of,
 )
 from .landscape import (
@@ -78,14 +70,10 @@ from .criteria import (
 from .deepnet import (
     DeepNet,
     LayerProblem,
-    MultiOutputDataset,
     backprop_labels,
     balancedness_drift,
     forward_trace,
-    multi_gradient,
-    multi_loss,
     network_gradients,
-    row_decompose,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .criteria import bad_minimum_exclusion, no_deactivation_certificate
 from .dataset import Dataset, RANK_RTOL, matrix_rank
-from .deepnet import DeepNet, backprop_labels, balancedness_drift
+from .deepnet import DeepNet, balancedness_drift, network_gradients
 from .errors import GeometryError, StructuralError
 from .flow import (
     count_hyperplane_crossings,
@@ -326,9 +326,9 @@ def _trial_backprop(rng, index: int) -> TrialResult:
     x = rng.normal(size=net.in_dim)
     y = rng.normal(size=net.out_dim)
     problems = []
-    problems_from = [p.weight_gradient() for p in backprop_labels(net, x, y)]
+    grads = network_gradients(net, x, y)
     oracle = _chain_rule_gradients(net, x, y)
-    for m, (a, b) in enumerate(zip(problems_from, oracle)):
+    for m, (a, b) in enumerate(zip(grads, oracle)):
         err = float(np.max(np.abs(a - b))) if a.size else 0.0
         if err > 1e-10:
             problems.append(f"layer {m + 1} gradient differs by {err:.2e}")

@@ -1,4 +1,4 @@
-"""Training data container, assumption checking, and rank reduction.
+"""Training data container, assumption checking, bias augmentation and JSON I/O.
 
 A dataset is a fixed matrix of input columns ``x`` (shape ``d x n``) and a
 label vector ``y`` (length ``n``).  Three named data assumptions are used
@@ -180,48 +180,6 @@ def validate_dataset(ds: Dataset, require=ASSUMPTIONS) -> ValidationReport:
         d=ds.d,
         passed=all(held.values()),
     )
-
-
-@dataclass(frozen=True)
-class ReductionMap:
-    """Orthogonal projection onto the span of the data columns.
-
-    ``projector`` is the ``d x d`` orthogonal projector onto range(x);
-    ``basis`` is a ``d x r`` orthonormal basis of that range, so
-    ``projector = basis @ basis.T`` and ``rank = r``.
-    """
-
-    projector: np.ndarray
-    basis: np.ndarray
-    rank: int
-
-    def __post_init__(self):
-        freeze_fields(self, "projector", "basis")
-
-
-def reduction_map(ds: Dataset) -> ReductionMap:
-    """Projection onto the span of the data, from an SVD of ``x``.
-
-    The basis consists of the left singular vectors whose singular value is
-    above the rank cutoff; overparameterized problems (rank < d) project to
-    a full-rank problem in ``r`` dimensions without changing the loss.
-    """
-    u, s, _ = np.linalg.svd(ds.x, full_matrices=False)
-    r = int(np.sum(s > RANK_RTOL * s[0]))
-    basis = u[:, :r]
-    projector = basis @ basis.T
-    return ReductionMap(projector=projector, basis=basis, rank=r)
-
-
-def reduce_dataset(ds: Dataset, rmap: ReductionMap) -> Dataset:
-    """Re-express the data in the reduced coordinates ``basis.T @ x``.
-
-    Labels are unchanged.  The result has full row rank by construction;
-    assumption flags are re-detected on the reduced data (a rotation can
-    destroy entrywise nonnegativity).
-    """
-    x_new = rmap.basis.T @ ds.x
-    return Dataset(x=x_new, y=ds.y, assumptions=detect_assumptions(x_new, ds.y))
 
 
 def augment_bias(ds: Dataset) -> Dataset:

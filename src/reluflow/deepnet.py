@@ -4,10 +4,9 @@ For one data pair, every layer of a deep rectified network can be given a
 synthetic label so that its weight gradient equals the gradient of a
 stand-alone single-layer problem: the residual of the linear output layer
 is pulled backwards through the transposed weights, masked by the strict
-activation indicators.  Multi-output single layers further split into
-independent per-row problems.  Both decompositions are exact, and the
-invariance of adjacent layers' squared-norm differences under training is
-checkable here in discrete time up to a first-order step-size band.
+activation indicators.  The decomposition is exact, and the invariance of
+adjacent layers' squared-norm differences under training is checkable
+here in discrete time up to a first-order step-size band.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, detect_assumptions, freeze_fields
+from .dataset import freeze_fields
 from .errors import StructuralError
 
 
@@ -141,58 +140,6 @@ def backprop_labels(net: DeepNet, x, y) -> list[LayerProblem]:
 def network_gradients(net: DeepNet, x, y) -> list[np.ndarray]:
     """Exact per-layer gradients of the half squared output error."""
     return [p.weight_gradient() for p in backprop_labels(net, x, y)]
-
-
-@dataclass(frozen=True)
-class MultiOutputDataset:
-    """Shared inputs with vector labels: one row per output coordinate."""
-
-    x: np.ndarray  # (d, n)
-    y: np.ndarray  # (d_out, n)
-
-    def __post_init__(self):
-        freeze_fields(self, "x", "y")
-        if self.x.ndim != 2 or self.y.ndim != 2 or self.x.shape[1] != self.y.shape[1]:
-            raise StructuralError("inputs and labels must share the sample axis")
-
-    @property
-    def out_dim(self) -> int:
-        return self.y.shape[0]
-
-
-def row_decompose(w_matrix, ds_multi: MultiOutputDataset) -> list[tuple[np.ndarray, Dataset]]:
-    """Independent single-output problems, one per row of the weight matrix.
-
-    Returns ``(weight_row, dataset)`` pairs: summing the row losses gives
-    the multi-output loss and stacking the row gradients gives the full
-    gradient.  Assumption flags are re-detected per row; rows violating
-    them (for instance zero labels) are flagged by omission, never
-    rejected.
-    """
-    w_matrix = np.asarray(w_matrix, dtype=float)
-    if w_matrix.shape != (ds_multi.out_dim, ds_multi.x.shape[0]):
-        raise StructuralError(
-            f"weight matrix must be {ds_multi.out_dim} x {ds_multi.x.shape[0]}"
-        )
-    out = []
-    for j in range(ds_multi.out_dim):
-        yj = ds_multi.y[j]
-        ds = Dataset(x=ds_multi.x, y=yj, assumptions=detect_assumptions(ds_multi.x, yj))
-        out.append((w_matrix[j], ds))
-    return out
-
-
-def multi_loss(w_matrix, ds_multi: MultiOutputDataset) -> float:
-    w_matrix = np.asarray(w_matrix, dtype=float)
-    r = np.maximum(w_matrix @ ds_multi.x, 0.0) - ds_multi.y
-    return 0.5 * float(np.sum(r * r))
-
-
-def multi_gradient(w_matrix, ds_multi: MultiOutputDataset) -> np.ndarray:
-    w_matrix = np.asarray(w_matrix, dtype=float)
-    pre = w_matrix @ ds_multi.x
-    r = (pre > 0.0) * (np.maximum(pre, 0.0) - ds_multi.y)
-    return r @ ds_multi.x.T
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,6 @@ class StructuralError(ReluFlowError):
     """Malformed inputs: shape mismatches, wrong-length patterns, bad JSON."""
 
 
-class DimensionError(ReluFlowError):
-    """Operation requires a specific ambient dimension (e.g. d = 2)."""
-
-
 class SizeError(ReluFlowError):
     """Combinatorial guard exceeded (too many samples to enumerate)."""
 

@@ -5,9 +5,9 @@ Each datum ``x_i`` splits parameter space by the central hyperplane
 of strict activation indicators is constant; points on a boundary belong
 to no partition and are mapped to the deactivated side by convention.
 This module enumerates the nonempty cones with certified strict-interior
-witnesses (or finds the one cone of a given sign vector), orders them on
-the circle for d = 2, and builds the spectral box and norm-derivative
-quantities used by the flow analysis.
+witnesses (or finds the one cone of a given sign vector), counts them, and
+builds the per-pattern spectral kernel and norm-derivative quantities
+used by the flow analysis.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RANK_RTOL, freeze_fields
-from .errors import DimensionError, GeometryError, SizeError, StructuralError
+from .errors import GeometryError, SizeError, StructuralError
 
 # A point clears a datum's boundary when its relative clearance (see
 # ``clearance``) is at least BOUNDARY_MARGIN in size.  It decides feasible
@@ -28,9 +28,6 @@ BOUNDARY_MARGIN = 1e-9
 
 # d=2 boundary angles closer than ANGLE_DEDUPE radians are one boundary.
 ANGLE_DEDUPE = 1e-12
-
-# Spectral-box coordinates may overshoot by BOX_SLACK_RTOL * max(1, largest extent).
-BOX_SLACK_RTOL = 1e-12
 
 # Enumeration guard: 2^n candidate patterns beyond this is refused.
 ENUMERATION_MAX_N = 24
@@ -203,31 +200,21 @@ def _boundary_angles(x: np.ndarray) -> list[float]:
     return out
 
 
-def _arcs_2d(x: np.ndarray, angles: list[float]):
-    """Walk the arcs between consecutive boundary angles counterclockwise.
-
-    Yields ``(a, b, w, margin)``: the arc's end angles (the last arc wraps
-    past 2pi), its unit midpoint ``w`` and the midpoint's smallest
-    distance to a boundary of the 2 x n columns ``x``.
-    """
+def _sweep_2d(x: np.ndarray) -> dict:
+    """The exact d=2 sweep: the sign vector (True on the active side) of each
+    arc between consecutive boundary angles whose midpoint clears every
+    boundary by more than BOUNDARY_MARGIN, with the first such midpoint."""
     unit = x / np.linalg.norm(x, axis=0)
+    angles = _boundary_angles(x)
     k = len(angles)
+    cells: dict = {}
     for j in range(k):
         a, b = angles[j], angles[(j + 1) % k]
         if j == k - 1:
             b += 2.0 * math.pi
         mid = 0.5 * (a + b)
         w = np.array([math.cos(mid), math.sin(mid)])
-        yield a, b, w, float(np.min(np.abs(unit.T @ w)))
-
-
-def _sweep_2d(x: np.ndarray) -> dict:
-    """The exact d=2 sweep: the sign vector (True on the active side) of each
-    arc whose midpoint clears every boundary by more than BOUNDARY_MARGIN,
-    with the first such midpoint."""
-    cells: dict = {}
-    for _, _, w, margin in _arcs_2d(x, _boundary_angles(x)):
-        if margin > BOUNDARY_MARGIN:
+        if float(np.min(np.abs(unit.T @ w))) > BOUNDARY_MARGIN:
             cells.setdefault(tuple(x.T @ w > 0.0), w)
     return cells
 
@@ -329,127 +316,6 @@ def enumerate_partitions(ds: Dataset) -> list[PartitionCell]:
         raise GeometryError(f"enumeration found {len(cells)} cells, the arrangement has {expected}")
     cells.sort(key=lambda c: c.pattern.to_string())
     return cells
-
-
-@dataclass(frozen=True)
-class PartitionOrdering:
-    """Cyclic order of the d=2 partitions around the unit circle.
-
-    ``ordered_patterns`` walks the circle counterclockwise starting from
-    the arc just above the smallest boundary angle; consecutive entries
-    differ in exactly one bit.  ``nesting_holds`` records whether, for
-    every pair of cells strictly inside the 2nd (or 4th) open quadrant,
-    one active set contains the other.
-    """
-
-    ordered_patterns: tuple[ActivationPattern, ...]
-    boundary_angles: tuple[float, ...]
-    nested_pairs_checked: int
-    nesting_holds: bool
-
-
-def _arc_in_quadrant(a: float, b: float, q_lo: float, q_hi: float) -> bool:
-    return q_lo <= a and b <= q_hi
-
-
-def partition_order_2d(ds: Dataset) -> PartitionOrdering:
-    """Order the feasible patterns by boundary angle and verify nesting."""
-    if ds.d != 2:
-        raise DimensionError(f"partition ordering requires d = 2, got d = {ds.d}")
-    angles = _boundary_angles(ds.x)
-    ordered: list[ActivationPattern] = []
-    arcs: list[tuple[float, float]] = []
-    for a, b, w, margin in _arcs_2d(ds.x, angles):
-        if margin <= BOUNDARY_MARGIN:
-            raise GeometryError(
-                "coincident activation boundaries; the circular order is degenerate"
-            )
-        ordered.append(pattern_of(ds, w))
-        arcs.append((a, b))
-    for p, q in zip(ordered, ordered[1:] + ordered[:1]):
-        ndiff = sum(b1 != b2 for b1, b2 in zip(p.bits, q.bits))
-        if ndiff != 1:
-            raise GeometryError(
-                f"adjacent partitions differ in {ndiff} bits; boundaries coincide"
-            )
-    half_pi, pi, three_half_pi, two_pi = (
-        math.pi / 2.0,
-        math.pi,
-        1.5 * math.pi,
-        2.0 * math.pi,
-    )
-    checked = 0
-    holds = True
-    for quad in ((half_pi, pi), (three_half_pi, two_pi)):
-        idx = [i for i, (a, b) in enumerate(arcs) if _arc_in_quadrant(a, b, *quad)]
-        for ii in range(len(idx)):
-            for jj in range(ii + 1, len(idx)):
-                s1 = set(ordered[idx[ii]].active_indices)
-                s2 = set(ordered[idx[jj]].active_indices)
-                checked += 1
-                if not (s1 <= s2 or s2 <= s1):
-                    holds = False
-    return PartitionOrdering(
-        ordered_patterns=tuple(ordered),
-        boundary_angles=tuple(angles),
-        nested_pairs_checked=checked,
-        nesting_holds=holds,
-    )
-
-
-@dataclass(frozen=True)
-class Hyperrectangle:
-    """Spectral box between the origin and a pattern's minimizer.
-
-    The basis is ``pattern_system``'s, each vector signed so that the
-    minimizer's coordinate ``extents[k] = e_k . point`` is nonnegative; the
-    box is the set of points whose coordinates lie in ``[0, extents[k]]``.
-    It lives in the span of the active data, so ``eigenvectors`` is d x r.
-    """
-
-    eigenvalues: np.ndarray  # (r,), descending, strictly positive
-    eigenvectors: np.ndarray  # (d, r), orthonormal columns
-    extents: np.ndarray  # (r,), nonnegative
-
-    def __post_init__(self):
-        freeze_fields(self, "eigenvalues", "eigenvectors", "extents")
-
-    @property
-    def rank(self) -> int:
-        return int(self.eigenvalues.size)
-
-    def coordinates(self, w) -> np.ndarray:
-        return self.eigenvectors.T @ np.asarray(w, dtype=float)
-
-    def contains(self, w) -> bool:
-        """Closure membership test on the spectral coordinates."""
-        c = self.coordinates(w)
-        slack = BOX_SLACK_RTOL * max(1.0, float(np.max(self.extents, initial=0.0)))
-        return bool(np.all(c >= -slack) and np.all(c <= self.extents + slack))
-
-    def vertices(self) -> np.ndarray:
-        """All 2^r corner points (rows), in the ambient space."""
-        if self.rank > 20:
-            raise SizeError("too many vertices to enumerate")
-        corners = np.array(
-            [[(i >> k) & 1 for k in range(self.rank)] for i in range(2**self.rank)],
-            dtype=float,
-        )
-        return (corners * self.extents) @ self.eigenvectors.T
-
-    def point(self, coords) -> np.ndarray:
-        return self.eigenvectors @ np.asarray(coords, dtype=float)
-
-
-def hyperrectangle_of(ds: Dataset, pattern: ActivationPattern) -> Hyperrectangle:
-    """Spectral box of the pattern's active data toward its minimum-norm
-    minimizer, on the spectrum and basis of ``pattern_system``."""
-    system = pattern_system(ds, pattern)
-    coords = system.basis.T @ system.point
-    signs = np.where(coords < 0.0, -1.0, 1.0)
-    return Hyperrectangle(
-        eigenvalues=system.eigenvalues, eigenvectors=system.basis * signs, extents=np.abs(coords)
-    )
 
 
 def g_value(ds: Dataset, w) -> float:

@@ -1,4 +1,5 @@
-"""Dataset validation, assumption flags, and the rank-reduction map."""
+"""Dataset validation, assumption flags, JSON I/O, and loss and flow invariance
+off the span of the data."""
 
 import numpy as np
 import pytest
@@ -8,16 +9,11 @@ from reluflow.dataset import (
     dataset_from_json,
     dataset_to_json,
     load_dataset,
-    matrix_rank,
-    reduce_dataset,
-    reduction_map,
     validate_dataset,
 )
 from reluflow.errors import StructuralError
 from reluflow.flow import sample_trajectory, simulate_flow
 from reluflow.landscape import loss
-
-from oracles import lstsq_loss
 
 
 class TestValidation:
@@ -77,95 +73,12 @@ class TestValidation:
             load_dataset(path)
 
 
-class TestReductionMap:
-    def test_full_rank_square_data_projects_to_identity(self):
-        ds = Dataset(x=np.eye(2), y=np.array([1.0, 1.0]))
-        rmap = reduction_map(ds)
-        assert rmap.rank == 2
-        np.testing.assert_allclose(rmap.projector, np.eye(2), atol=1e-12)
-
-    def test_collinear_data_projects_to_first_axis(self):
-        ds = Dataset(x=np.array([[1.0, 1.0], [0.0, 0.0]]), y=np.array([1.0, 1.0]))
-        rmap = reduction_map(ds)
-        assert rmap.rank == 1
-        np.testing.assert_allclose(rmap.projector, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_reactivation_data_is_full_rank(self, ds_reactivation):
-        # independent rank oracle: singular values of the raw matrix
-        s = np.linalg.svd(ds_reactivation.x, compute_uv=False)
-        assert int(np.sum(s > 1e-10 * s[0])) == 3
-        rmap = reduction_map(ds_reactivation)
-        assert rmap.rank == 3
-        np.testing.assert_allclose(rmap.projector, np.eye(3), atol=1e-12)
-
-    def test_projector_is_symmetric_idempotent_and_fixes_data(self, rng):
-        x = rng.uniform(0.1, 1.0, size=(4, 3))  # rank <= 3 < d
-        ds = Dataset(x=x, y=rng.uniform(0.1, 1.0, 3))
-        rmap = reduction_map(ds)
-        p = rmap.projector
-        assert np.max(np.abs(p @ p - p)) <= 1e-10
-        assert np.max(np.abs(p - p.T)) <= 1e-10
-        np.testing.assert_allclose(p @ ds.x, ds.x, atol=1e-10)
-        np.testing.assert_allclose(
-            rmap.basis.T @ rmap.basis, np.eye(rmap.rank), atol=1e-10
-        )
-
-
-class TestReduceDataset:
-    def test_full_rank_reduction_preserves_losses(self, ds_deactivation, rng):
-        rmap = reduction_map(ds_deactivation)
-        reduced = reduce_dataset(ds_deactivation, rmap)
-        assert reduced.d == 3
-        for _ in range(20):
-            w = rng.normal(size=3)
-            np.testing.assert_allclose(
-                loss(ds_deactivation, w), loss(reduced, rmap.basis.T @ w), rtol=1e-12
-            )
-
-    def test_collinear_data_reduces_to_one_dimension(self):
-        ds = Dataset(x=np.array([[1.0, 1.0], [0.0, 0.0]]), y=np.array([1.0, 2.0]))
-        reduced = reduce_dataset(ds, reduction_map(ds))
-        assert reduced.d == 1
-        np.testing.assert_allclose(np.abs(reduced.x), [[1.0, 1.0]], atol=1e-12)
-
-    def test_loss_agrees_on_matched_weights_in_the_span(self, rng):
-        basis = rng.normal(size=(4, 2))
-        x = basis @ rng.uniform(0.1, 1.0, size=(2, 5))
-        ds = Dataset(x=x, y=rng.uniform(0.1, 2.0, 5))
-        rmap = reduction_map(ds)
-        reduced = reduce_dataset(ds, rmap)
-        for _ in range(30):
-            w = rmap.projector @ rng.normal(size=4)  # any weights in the span
-            np.testing.assert_allclose(
-                loss(ds, w), loss(reduced, rmap.basis.T @ w), rtol=1e-10, atol=1e-14
-            )
-
-    def test_rank_two_data_in_four_dims_keeps_least_squares_loss(self, rng):
-        # oracle: pseudoinverse least squares on both sides
-        basis = rng.normal(size=(4, 2))
-        coeffs = rng.uniform(0.1, 1.0, size=(2, 6))
-        x = basis @ coeffs
-        y = rng.uniform(0.1, 2.0, 6)
-        ds = Dataset(x=x, y=y)
-        reduced = reduce_dataset(ds, reduction_map(ds))
-        assert reduced.d == 2
-        assert matrix_rank(reduced.x) == 2
-        assert abs(lstsq_loss(reduced.x, y) - lstsq_loss(x, y)) <= 1e-9
-
-    def test_reduced_dataset_asserts_full_rank(self, rng):
-        x = rng.uniform(0.1, 1.0, size=(4, 2))
-        ds = Dataset(x=x, y=rng.uniform(0.1, 1.0, 2))
-        reduced = reduce_dataset(ds, reduction_map(ds))
-        assert "A3" in reduced.assumptions
-
-
 class TestReductionInvariants:
     def test_loss_invariant_along_kernel_directions(self, rng):
         basis = rng.normal(size=(5, 3))
         x = np.abs(basis @ rng.uniform(0.1, 1.0, size=(3, 7)))
         ds = Dataset(x=x, y=rng.uniform(0.1, 2.0, 7))
-        rmap = reduction_map(ds)
-        p = rmap.projector
+        p = ds.x @ np.linalg.pinv(ds.x)  # orthogonal projector onto the span
         kernel = np.eye(5) - p
         for _ in range(100):
             w = rng.normal(size=5) * rng.uniform(0.1, 10.0)
@@ -177,8 +90,7 @@ class TestReductionInvariants:
         basis = np.abs(rng.normal(size=(4, 2)))
         x = basis @ rng.uniform(0.1, 1.0, size=(2, 5))
         ds = Dataset(x=x, y=rng.uniform(0.1, 2.0, 5))
-        rmap = reduction_map(ds)
-        p = rmap.projector
+        p = ds.x @ np.linalg.pinv(ds.x)  # orthogonal projector onto the span
         for _ in range(5):
             w0 = rng.normal(size=4)
             tr = simulate_flow(ds, w0)

@@ -1,22 +1,18 @@
-"""Layer-wise decomposition: synthetic labels, row problems, balancedness."""
+"""Layer-wise decomposition: synthetic labels, per-layer gradients, balancedness."""
 
 import numpy as np
 import pytest
 
 from reluflow.deepnet import (
     DeepNet,
-    MultiOutputDataset,
     backprop_labels,
     balancedness_drift,
     forward_trace,
-    multi_gradient,
-    multi_loss,
     network_gradients,
-    row_decompose,
 )
+from reluflow.dataset import Dataset
 from reluflow.errors import StructuralError
 from reluflow.landscape import gradient as single_gradient
-from reluflow.landscape import loss as single_loss
 
 from oracles import deep_forward, deep_gradients, fd_layer_gradient
 
@@ -88,19 +84,17 @@ class TestBackpropLabels:
             np.testing.assert_allclose(grads[layer], fd, atol=1e-6)
 
     def test_per_layer_problem_reproduces_its_own_gradient(self, rng):
-        # each intermediate problem, treated as a stand-alone single-layer
-        # network on its (input, synthetic label) pair, yields the same
-        # weight gradient row by row
+        # each intermediate problem, treated as stand-alone single-output
+        # problems on its (input, synthetic label) pair, one per weight row,
+        # yields the same weight gradient row by row
         net = scaled_net(rng, [3, 4, 2])
         x, y = rng.normal(size=3), rng.normal(size=2)
         problems = backprop_labels(net, x, y)
         for m, p in enumerate(problems[:-1]):
-            ds = MultiOutputDataset(
-                x=p.input.reshape(-1, 1), y=p.backprop_label.reshape(-1, 1)
-            )
-            np.testing.assert_allclose(
-                multi_gradient(net.weights[m], ds), p.weight_gradient(), atol=1e-12
-            )
+            grad = p.weight_gradient()
+            for j, w_row in enumerate(net.weights[m]):
+                ds = Dataset(x=p.input.reshape(-1, 1), y=p.backprop_label[j : j + 1])
+                np.testing.assert_allclose(single_gradient(ds, w_row), grad[j], atol=1e-12)
 
     def test_dead_layer_kills_all_upstream_gradients(self):
         w1 = np.array([[-1.0, -1.0]])  # forces a zero rectified output
@@ -127,34 +121,6 @@ class TestBackpropLabels:
         clone = DeepNet.from_json(net.to_json())
         for a, b in zip(net.weights, clone.weights):
             np.testing.assert_array_equal(a, b)
-
-
-class TestRowDecomposition:
-    def test_single_output_is_identity(self, rng):
-        x = rng.uniform(0.1, 1.0, size=(3, 4))
-        y = rng.uniform(0.1, 1.0, size=(1, 4))
-        ds = MultiOutputDataset(x=x, y=y)
-        ((w_row, row_ds),) = row_decompose(rng.normal(size=(1, 3)), ds)
-        np.testing.assert_array_equal(row_ds.y, y[0])
-        np.testing.assert_array_equal(row_ds.x, x)
-
-    def test_losses_add_and_gradients_stack(self, rng):
-        x = rng.uniform(0.1, 1.0, size=(3, 5))
-        y = rng.normal(size=(3, 5))
-        ds = MultiOutputDataset(x=x, y=y)
-        w = rng.normal(size=(3, 3))
-        rows = row_decompose(w, ds)
-        total = sum(single_loss(row_ds, w_row) for w_row, row_ds in rows)
-        assert abs(total - multi_loss(w, ds)) <= 1e-12 * max(1.0, total)
-        stacked = np.stack([single_gradient(row_ds, w_row) for w_row, row_ds in rows])
-        np.testing.assert_allclose(stacked, multi_gradient(w, ds), atol=1e-12)
-
-    def test_zero_label_row_is_flagged_not_rejected(self, rng):
-        x = rng.uniform(0.1, 1.0, size=(2, 4))
-        y = np.vstack([rng.uniform(0.1, 1.0, 4), np.zeros(4)])
-        rows = row_decompose(rng.normal(size=(2, 2)), MultiOutputDataset(x=x, y=y))
-        assert "A2" in rows[0][1].assumptions
-        assert "A2" not in rows[1][1].assumptions
 
 
 class TestBalancedness:

@@ -1,20 +1,18 @@
-"""Partition enumeration, the circular order for d=2, boxes, and g."""
+"""Partition enumeration and counting, the per-pattern spectral kernel, and g."""
 
 import numpy as np
 import pytest
 
 from reluflow import geometry
 from reluflow.dataset import Dataset
-from reluflow.errors import DimensionError, GeometryError, SizeError, StructuralError
+from reluflow.errors import GeometryError, SizeError, StructuralError
 from reluflow.flow import simulate_flow
 from reluflow.geometry import (
     ActivationPattern,
     active_matrices,
     enumerate_partitions,
     g_value,
-    hyperrectangle_of,
     partition_count_bound,
-    partition_order_2d,
     pattern_of,
     pattern_system,
     region_count,
@@ -203,6 +201,16 @@ class TestPatternSystem:
         with pytest.raises(StructuralError):
             pattern_system(ds, ActivationPattern.from_string("11"))
 
+    def test_rank_agrees_with_the_flow_on_nearly_parallel_columns(self):
+        # the Gram matrix's small eigenvalue, 5e-15, is below 1e-12 * lambda_max,
+        # but the columns' singular value ratio, 5e-8, is well above RANK_RTOL
+        ds = Dataset(x=np.array([[1.0, 1.0], [0.0, 1e-7]]), y=np.array([1.0, 2.0]))
+        all_active = ActivationPattern.from_string("11")
+        tr = simulate_flow(ds, np.array([1.0, 1.0]))
+        assert tr.segments[0].pattern == all_active
+        rank = pattern_system(ds, all_active).eigenvalues.size
+        assert rank == tr.segments[0].eigenvalues.size == 2
+
 
 class TestPartitionInvariants:
     def test_cells_are_conic_and_convex(self, rng):
@@ -230,134 +238,6 @@ class TestPartitionInvariants:
             h2, q2 = active_matrices(ds, pattern_of(ds, alpha * w))
             np.testing.assert_array_equal(h1, h2)
             np.testing.assert_array_equal(q1, q2)
-
-
-class TestOrdering2D:
-    def test_orthogonal_inputs_cycle_through_quadrants(self):
-        ds = Dataset(x=np.eye(2), y=np.array([1.0, 1.0]))
-        ordering = partition_order_2d(ds)
-        cycle = [p.to_string() for p in ordering.ordered_patterns]
-        # rotate to a canonical starting point before comparing
-        start = cycle.index("11")
-        rotated = cycle[start:] + cycle[:start]
-        assert rotated == ["11", "01", "00", "10"]
-
-    def test_single_datum_cycle_of_two(self, rng):
-        ds = Dataset(x=rng.uniform(0.1, 1.0, size=(2, 1)), y=np.array([1.0]))
-        ordering = partition_order_2d(ds)
-        assert len(ordering.ordered_patterns) == 2
-
-    def test_adjacent_patterns_differ_in_one_bit(self, ds_showcase):
-        ordering = partition_order_2d(ds_showcase)
-        cycle = ordering.ordered_patterns
-        for p, q in zip(cycle, cycle[1:] + cycle[:1]):
-            assert sum(a != b for a, b in zip(p.bits, q.bits)) == 1
-        angles = ordering.boundary_angles
-        assert all(b > a for a, b in zip(angles, angles[1:]))
-
-    def test_nesting_inside_second_and_fourth_quadrants(self, ds_showcase):
-        ordering = partition_order_2d(ds_showcase)
-        assert ordering.nested_pairs_checked > 0
-        assert ordering.nesting_holds
-
-    def test_nesting_on_random_nonnegative_data(self, rng):
-        for _ in range(25):
-            ds = random_a1_dataset(rng, 2, int(rng.integers(2, 8)))
-            assert partition_order_2d(ds).nesting_holds
-
-    def test_dimension_guard(self, ds_deactivation):
-        with pytest.raises(DimensionError):
-            partition_order_2d(ds_deactivation)
-
-
-def _box_oracle(ds, pattern):
-    """Gram matrix and minimum-norm minimizer of the active data."""
-    h, _ = active_matrices(ds, pattern)
-    mask = pattern.as_bool()
-    return h, lstsq_minnorm(ds.x[:, mask], ds.y[mask])
-
-
-def _g_oracle(h, w, w_star) -> float:
-    """The quadratic ``w . H (w - w_star)``, zero on the box vertices."""
-    return float(w @ (h @ (w - w_star)))
-
-
-ALL_ACTIVE_2 = ActivationPattern.from_string("11")
-
-
-class TestHyperrectangle:
-    def test_identity_matrix_axis_box(self):
-        rect = hyperrectangle_of(Dataset(x=np.eye(2), y=np.array([3.0, 4.0])), ALL_ACTIVE_2)
-        np.testing.assert_allclose(sorted(rect.extents), [3.0, 4.0])
-        assert rect.contains([1.0, 1.0])
-        assert rect.contains([3.0, 4.0])
-        assert not rect.contains([3.5, 4.5])
-
-    def test_deactivation_data_box_matches_eigen_oracle(self, ds_deactivation):
-        pattern = ActivationPattern.from_string("111")
-        h, q = active_matrices(ds_deactivation, pattern)
-        np.testing.assert_allclose(h, [[6.0, 2.0, 2.0], [2.0, 4.0, 0.0], [2.0, 0.0, 4.0]])
-        np.testing.assert_allclose(q, [7.05, 12.0, 0.1])
-        w_star = np.linalg.solve(h, q)  # oracle: direct linear solve
-        np.testing.assert_allclose(w_star, [0.25, 2.875, -0.1], atol=1e-12)
-        rect = hyperrectangle_of(ds_deactivation, pattern)
-        lam_o, vec_o = np.linalg.eigh(h)  # oracle: ascending eigenpairs
-        np.testing.assert_allclose(rect.eigenvalues, lam_o[::-1], rtol=1e-12)
-        oracle_extents = np.abs(vec_o.T @ w_star)[::-1]
-        np.testing.assert_allclose(rect.extents, oracle_extents, atol=1e-12)
-        for k in range(rect.rank):
-            resid = h @ rect.eigenvectors[:, k] - rect.eigenvalues[k] * rect.eigenvectors[:, k]
-            assert np.max(np.abs(resid)) <= 1e-9 * rect.eigenvalues[0]
-        assert np.all(rect.extents >= 0.0)
-
-    def test_zero_target_degenerates_to_origin(self):
-        ds = Dataset(x=np.diag([np.sqrt(2.0), 1.0]), y=np.zeros(2))
-        rect = hyperrectangle_of(ds, ALL_ACTIVE_2)
-        np.testing.assert_allclose(rect.eigenvalues, [2.0, 1.0], rtol=1e-12)
-        np.testing.assert_allclose(rect.extents, [0.0, 0.0])
-        assert rect.contains([0.0, 0.0])
-        assert not rect.contains([0.1, 0.0])
-
-    def test_rank_deficient_matrix_builds_in_its_range(self):
-        # H = diag(4, 0); the minimizer set 2 w_1 = 4 has minimum-norm point (2, 0)
-        ds = Dataset(x=np.array([[2.0], [0.0]]), y=np.array([4.0]))
-        rect = hyperrectangle_of(ds, ActivationPattern.from_string("1"))
-        assert rect.rank == 1
-        np.testing.assert_allclose(rect.eigenvalues, [4.0])
-        np.testing.assert_allclose(rect.extents, [2.0])
-
-    def test_rejects_a_pattern_of_the_wrong_length(self, ds_deactivation):
-        with pytest.raises(StructuralError):
-            hyperrectangle_of(ds_deactivation, ALL_ACTIVE_2)
-
-    def test_rank_agrees_with_the_flow_on_nearly_parallel_columns(self):
-        # the Gram matrix's small eigenvalue, 5e-15, is below 1e-12 * lambda_max,
-        # but the columns' singular value ratio, 5e-8, is well above RANK_RTOL
-        ds = Dataset(x=np.array([[1.0, 1.0], [0.0, 1e-7]]), y=np.array([1.0, 2.0]))
-        tr = simulate_flow(ds, np.array([1.0, 1.0]))
-        assert tr.segments[0].pattern == ALL_ACTIVE_2
-        assert hyperrectangle_of(ds, ALL_ACTIVE_2).rank == tr.segments[0].eigenvalues.size == 2
-
-    def test_vertices_lie_on_norm_derivative_boundary(self, rng):
-        for _ in range(10):
-            ds = Dataset(x=rng.normal(size=(3, 3)), y=rng.normal(size=3))
-            pattern = ActivationPattern.from_string("111")
-            rect = hyperrectangle_of(ds, pattern)
-            h, w_star = _box_oracle(ds, pattern)
-            scale = 1e-9 * np.linalg.norm(h, 2) * max(1.0, np.linalg.norm(w_star) ** 2)
-            for v in rect.vertices():
-                assert abs(_g_oracle(h, v, w_star)) <= scale
-
-    def test_box_inside_norm_growth_ellipsoid(self, rng):
-        ds = Dataset(x=rng.normal(size=(3, 3)), y=rng.normal(size=3))
-        pattern = ActivationPattern.from_string("111")
-        rect = hyperrectangle_of(ds, pattern)
-        h, w_star = _box_oracle(ds, pattern)
-        slack = 1e-9 * np.linalg.norm(h, 2) * max(1.0, np.linalg.norm(w_star) ** 2)
-        for _ in range(1000):
-            coords = rng.uniform(0.0, 1.0, rect.rank) * rect.extents
-            point = rect.point(coords)
-            assert _g_oracle(h, point, w_star) <= slack
 
 
 class TestGValue:
