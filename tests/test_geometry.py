@@ -1,4 +1,4 @@
-"""Partition enumeration and counting, the per-pattern spectral kernel, and g."""
+"""Partition enumeration, counting and the d=2 circular order, the per-pattern spectral kernel, and g."""
 
 import numpy as np
 import pytest
@@ -168,6 +168,57 @@ class TestEnumeratePartitions:
             cells = enumerate_partitions(ds)
             assert len(cells) <= partition_count_bound(n, d)
             assert len({c.pattern.bits for c in cells}) == len(cells)
+
+
+def _circular_order(ds):
+    """The enumerated d=2 cells, ordered counterclockwise by witness angle."""
+    cells = enumerate_partitions(ds)
+    angles = [np.arctan2(c.witness[1], c.witness[0]) % (2.0 * np.pi) for c in cells]
+    order = np.argsort(angles)
+    return [cells[i].pattern for i in order], [angles[i] for i in order]
+
+
+def _nested_pairs(patterns, angles):
+    """Pairs of cells with witnesses inside the open 2nd or 4th quadrant, and nesting."""
+    checked, holds = 0, True
+    for lo, hi in ((np.pi / 2.0, np.pi), (1.5 * np.pi, 2.0 * np.pi)):
+        inside = [set(p.active_indices) for p, a in zip(patterns, angles) if lo < a < hi]
+        for i, s1 in enumerate(inside):
+            for s2 in inside[i + 1:]:
+                checked += 1
+                holds = holds and (s1 <= s2 or s2 <= s1)
+    return checked, holds
+
+
+class TestOrdering2D:
+    def test_orthogonal_inputs_cycle_through_quadrants(self):
+        ds = Dataset(x=np.eye(2), y=np.array([1.0, 1.0]))
+        cycle = [p.to_string() for p in _circular_order(ds)[0]]
+        # rotate to a canonical starting point before comparing
+        start = cycle.index("11")
+        rotated = cycle[start:] + cycle[:start]
+        assert rotated == ["11", "01", "00", "10"]
+
+    def test_single_datum_cycle_of_two(self, rng):
+        ds = Dataset(x=rng.uniform(0.1, 1.0, size=(2, 1)), y=np.array([1.0]))
+        patterns, _ = _circular_order(ds)
+        assert sorted(p.to_string() for p in patterns) == ["0", "1"]
+
+    def test_adjacent_patterns_differ_in_one_bit(self, ds_showcase):
+        cycle, _ = _circular_order(ds_showcase)
+        assert len(cycle) == 2 * ds_showcase.n
+        for p, q in zip(cycle, cycle[1:] + cycle[:1]):
+            assert sum(a != b for a, b in zip(p.bits, q.bits)) == 1
+
+    def test_nesting_inside_second_and_fourth_quadrants(self, ds_showcase):
+        checked, holds = _nested_pairs(*_circular_order(ds_showcase))
+        assert checked > 0
+        assert holds
+
+    def test_nesting_on_random_nonnegative_data(self, rng):
+        for _ in range(25):
+            ds = random_a1_dataset(rng, 2, int(rng.integers(2, 8)))
+            assert _nested_pairs(*_circular_order(ds))[1]
 
 
 class TestPatternSystem:
