@@ -33,7 +33,7 @@ from .flow import (
     FlowSegment,
     Trajectory,
     count_hyperplane_crossings,
-    norm_profile,
+    norm_certificate,
     revisit_report,
     simulate_flow,
     simulate_linear_flow,

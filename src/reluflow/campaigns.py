@@ -20,8 +20,10 @@ from .deepnet import DeepNet, balancedness_drift, network_gradients
 from .errors import GeometryError, StructuralError
 from .flow import (
     count_hyperplane_crossings,
-    norm_profile,
+    linear_loss,
+    norm_certificate,
     revisit_report,
+    sample_trajectory,
     segment_root_counts,
     simulate_flow,
     simulate_linear_flow,
@@ -49,9 +51,8 @@ DEFAULT_TRIALS = {
     "backprop-equivalence": 100,
 }
 
-# Between samples of a monotone profile, a norm may dip by NORM_SLACK and a
-# loss may rise by LOSS_SLACK_RTOL * max(1, |loss|).
-NORM_SLACK = 1e-9
+# The sampled engine check of a linear flow: between samples its loss may
+# rise by LOSS_SLACK_RTOL * max(1, |loss|).
 LOSS_SLACK_RTOL = 1e-10
 
 
@@ -123,13 +124,8 @@ def small_norm_start(rng, ds: Dataset) -> np.ndarray:
     return delta * direction / float(np.linalg.norm(direction))
 
 
-def _norm_strictly_increasing(profile) -> bool:
-    norms = [p[1] for p in profile]
-    return all(b >= a - NORM_SLACK for a, b in zip(norms, norms[1:])) and norms[-1] > norms[0]
-
-
-def _loss_monotone(profile) -> bool:
-    losses = [p[2] for p in profile]
+def _loss_monotone(tr) -> bool:
+    losses = [linear_loss(tr.dataset, w) for _, w in sample_trajectory(tr, 120)]
     return all(b <= a + LOSS_SLACK_RTOL * max(1.0, abs(a)) for a, b in zip(losses, losses[1:]))
 
 
@@ -155,11 +151,10 @@ def _trial_d2_global(rng, index: int) -> TrialResult:
         # recorded, not failed: the terminal has maximal support along the
         # flow's path, but a smaller-support minimum can have lower loss
         notes.append(f"terminal is census minimum {hit}, not the lowest-loss entry")
-    profile = norm_profile(tr, 160)
-    if not _norm_strictly_increasing(profile):
+    if norm_certificate(tr) is not None:
         problems.append("norm not strictly increasing")
-    if revisit_report(tr):
-        problems.append(f"revisits {revisit_report(tr)}")
+    if revisits := revisit_report(tr):
+        problems.append(f"revisits {revisits}")
     detail = "; ".join(problems) if problems else "; ".join(["ok"] + notes)
     return TrialResult(index, not problems, detail)
 
@@ -246,13 +241,11 @@ def _trial_norm_monotone_linear(rng, index: int) -> TrialResult:
     err = float(np.linalg.norm(tr.terminal_point - w_oracle))
     if err > 1e-8:
         problems.append(f"terminal misses minimum-norm solution by {err:.2e}")
-    profile = norm_profile(tr, 120)
-    if not _norm_strictly_increasing(profile):
+    if norm_certificate(tr) is not None:
         problems.append("norm not monotone from zero start")
-    if not _loss_monotone(profile):
+    if not _loss_monotone(tr):
         problems.append("loss not monotone from zero start")
-    tr2 = simulate_linear_flow(ds, rng.normal(size=d))
-    if not _loss_monotone(norm_profile(tr2, 120)):
+    if not _loss_monotone(simulate_linear_flow(ds, rng.normal(size=d))):
         problems.append("loss not monotone from random start")
     return TrialResult(index, not problems, "; ".join(problems) or "ok")
 

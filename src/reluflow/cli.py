@@ -27,7 +27,7 @@ from .criteria import (
     crossing_context,
     no_deactivation_certificate,
 )
-from .dataset import RANK_RTOL, augment_bias, load_dataset, load_json, validate_dataset
+from .dataset import augment_bias, load_dataset, load_json, validate_dataset
 from .deepnet import DeepNet, backprop_labels, forward_trace
 from .errors import ReluFlowError
 from .flow import (
@@ -43,6 +43,7 @@ from .landscape import (
     INTERPOLATION_TOL,
     census_to_jsonl,
     compare_support_losses,
+    linear_least_squares,
     loss,
     minima_census,
     relu_vs_linear_gap,
@@ -158,11 +159,9 @@ def _cmd_criteria(args) -> int:
     if args.w_gm is not None:
         w_gm = _parse_vector(args.w_gm)
     else:
-        w_gm, *_ = np.linalg.lstsq(ds.x.T, ds.y, rcond=RANK_RTOL)
+        w_gm, _ = linear_least_squares(ds)
         if loss(ds, w_gm) > INTERPOLATION_TOL:
-            raise ReluFlowError(
-                "data admits no interpolating solution; pass --w-gm explicitly"
-            )
+            raise ReluFlowError("data admits no interpolating solution; pass --w-gm explicitly")
     census = minima_census(ds)
     per_index = {}
     for j in range(ds.n):

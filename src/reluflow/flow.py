@@ -3,9 +3,10 @@
 Inside one partition the flow obeys a constant-coefficient linear ODE
 whose solution is known in closed spectral form, so each segment is
 integrated exactly: no time stepping ever happens.  Every datum's
-boundary gap along a segment is a decaying exponential sum over the
+boundary gap along a segment, like the norm's slope that
+:func:`norm_certificate` checks, is a decaying exponential sum over the
 segment's shared decay rates, and the next event is the earliest
-admissible zero among them.  One batched pass of the isolator's zero-free
+admissible zero among the gaps.  One batched pass of the isolator's zero-free
 cell test over all n gaps (:func:`reluflow.expsum.gap_lower_bounds`)
 bounds each datum's first zero from below; the data are then isolated by
 :meth:`reluflow.expsum.ExpSum.roots` in order of that bound until the next
@@ -36,6 +37,7 @@ signs on every datum that clears its boundary.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,7 +47,7 @@ from .errors import NumericalError, PreconditionError, StructuralError
 from .expsum import TERMINAL_HORIZON_RATES, TIE_RTOL, ExpSum, gap_lower_bounds
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, active_matrices, clearance
 from .geometry import g_value, pattern_of, pattern_system
-from .landscape import gradient, loss
+from .landscape import gradient, linear_loss, loss
 
 # The face rule tries all 3^|B| assignments of at most FACE_MAX_DATA data.
 FACE_MAX_DATA = 8
@@ -124,6 +126,17 @@ class FlowSegment:
         constant = float(v @ self.target) - offset
         coeffs = (v @ self.eigenvectors) * self.delta
         return ExpSum(constant, coeffs, self.eigenvalues)
+
+    def norm_slope(self) -> ExpSum:
+        """``g = -w . dw/dt`` along the segment: with orthonormal ``e_k``, the sum
+        ``sum_k lam_k delta_k (target . e_k) e^{-lam_k tau} + lam_k delta_k^2 e^{-2 lam_k tau}``."""
+        lam = self.eigenvalues
+        coeffs = np.concatenate([lam * self.delta * (self.target @ self.eigenvectors), lam * self.delta**2])
+        return ExpSum(0.0, coeffs, np.concatenate([lam, 2.0 * lam]))
+
+    def covers(self, tau: float) -> bool:
+        """Whether local time ``tau`` lies on the segment, its end widened by 1e-12 relative."""
+        return not np.isfinite(self.t_end) or tau <= self.duration * (1 + 1e-12) + 1e-300
 
     def local_horizon(self) -> float:
         """Finite sampling horizon: the duration, or the decay horizon if infinite."""
@@ -512,18 +525,6 @@ def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
     )
 
 
-def linear_loss(ds: Dataset, w) -> float:
-    r = ds.x.T @ np.asarray(w, dtype=float) - ds.y
-    return 0.5 * float(r @ r)
-
-
-def _g_along(ds: Dataset, w: np.ndarray, linear: bool) -> float:
-    if linear:
-        h = ds.x @ (ds.x.T @ w - ds.y)
-        return float(w @ h)
-    return g_value(ds, w)
-
-
 def sample_trajectory(tr: Trajectory | GDRun, samples: int) -> list[tuple[float, np.ndarray]]:
     """Uniform-in-segment-local-time sample points (t, w(t)).
 
@@ -551,14 +552,25 @@ def sample_trajectory(tr: Trajectory | GDRun, samples: int) -> list[tuple[float,
     return rows
 
 
-def norm_profile(tr: Trajectory | GDRun, samples: int) -> list[tuple[float, float, float, float]]:
-    """(t, |w|, loss, g) along the trajectory, for monotonicity audits."""
-    ds = tr.dataset
-    out = []
-    for t, w in sample_trajectory(tr, samples):
-        value = linear_loss(ds, w) if tr.linear else loss(ds, w)
-        out.append((t, float(np.linalg.norm(w)), value, _g_along(ds, w, tr.linear)))
-    return out
+def norm_certificate(tr: Trajectory) -> tuple[int, float] | None:
+    """First (segment index, local time) from which |w| stops growing strictly, or None.
+
+    |w| grows on a segment iff its :meth:`FlowSegment.norm_slope` g is below 0 there,
+    but for touches from below and a zero at tau = 0 that g leaves downwards (as from
+    the origin); g identically 0 is not growth.  Zero-length segments are skipped.
+    """
+    for i, seg in enumerate(tr.segments):
+        if seg.duration == 0.0:
+            continue
+        g = seg.norm_slope()
+        roots = g.roots(0.0)
+        # g >= 0 before its first root (whose 'before' is 0 only at tau = 0), or throughout
+        if roots[0].before == 1 if roots else g.value(0.0) >= 0.0:
+            return i, 0.0
+        stop = next((r.t for r in roots if r.after != -1 and seg.covers(r.t)), None)
+        if stop is not None:
+            return i, stop
+    return None
 
 
 def count_hyperplane_crossings(tr: Trajectory, v, c: float) -> int:
@@ -568,15 +580,12 @@ def count_hyperplane_crossings(tr: Trajectory, v, c: float) -> int:
     not count, a start exactly on the hyperplane counts once when the
     flow immediately leaves it.
     """
-    v = np.asarray(v, dtype=float)
     total = 0
     last_t = -np.inf
     for seg in tr.segments:
         f = seg.observable(v, offset=float(c))
         for root in f.roots(0.0):
-            if not root.is_crossing:
-                continue
-            if np.isfinite(seg.t_end) and root.t > seg.duration * (1 + 1e-12) + 1e-300:
+            if not (root.is_crossing and seg.covers(root.t)):
                 continue
             t_abs = seg.t_start + root.t
             if t_abs - last_t <= TIE_RTOL * max(1.0, abs(t_abs)):
@@ -588,12 +597,8 @@ def count_hyperplane_crossings(tr: Trajectory, v, c: float) -> int:
 
 def segment_root_counts(tr: Trajectory, v, c: float) -> list[tuple[int, int]]:
     """(number of isolated roots, number of exponential terms) per segment."""
-    v = np.asarray(v, dtype=float)
-    out = []
-    for seg in tr.segments:
-        f = seg.observable(v, offset=float(c))
-        out.append((len(f.roots(0.0)), f.n_terms))
-    return out
+    sums = [seg.observable(v, offset=float(c)) for seg in tr.segments]
+    return [(len(f.roots(0.0)), f.n_terms) for f in sums]
 
 
 def revisit_report(tr: Trajectory) -> tuple[int, ...]:
@@ -610,20 +615,17 @@ def revisit_report(tr: Trajectory) -> tuple[int, ...]:
 
 def events_to_jsonl(tr: Trajectory | GDRun) -> str:
     """One JSON line per event, keys sorted."""
-    import json
-
     return "".join(json.dumps(ev.to_json(), sort_keys=True) + "\n" for ev in tr.events)
 
 
 def trajectory_to_csv(tr: Trajectory | GDRun) -> str:
     """Plot-ready CSV of an exact, linear or descent run: t, w_1..w_d, loss, norm, g, pattern bits."""
     ds = tr.dataset
-    d = ds.d
-    header = ["t"] + [f"w_{i + 1}" for i in range(d)] + ["loss", "norm", "g", "pattern"]
+    header = ["t"] + [f"w_{i + 1}" for i in range(ds.d)] + ["loss", "norm", "g", "pattern"]
     lines = [",".join(header)]
     for t, w in sample_trajectory(tr, CSV_SAMPLES):
         value = linear_loss(ds, w) if tr.linear else loss(ds, w)
-        g = _g_along(ds, w, tr.linear)
+        g = float(w @ (ds.x @ (ds.x.T @ w - ds.y))) if tr.linear else g_value(ds, w)
         pat = "1" * ds.n if tr.linear else pattern_of(ds, w).to_string()
         cells = [repr(float(t))] + [repr(float(x)) for x in w]
         cells += [repr(float(value)), repr(float(np.linalg.norm(w))), repr(float(g)), pat]

@@ -42,6 +42,11 @@ def loss(ds: Dataset, w) -> float:
     return 0.5 * float(r @ r)
 
 
+def linear_loss(ds: Dataset, w) -> float:
+    r = ds.x.T @ np.asarray(w, dtype=float) - ds.y
+    return 0.5 * float(r @ r)
+
+
 def gradient(ds: Dataset, w) -> np.ndarray:
     """Strict-indicator (sub)gradient; boundary terms are excluded."""
     w = np.asarray(w, dtype=float)
@@ -278,8 +283,7 @@ def compare_support_losses(census: MinimaCensus) -> SupportOrderingReport:
 def linear_least_squares(ds: Dataset) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares weights over all data and their loss."""
     w, *_ = np.linalg.lstsq(ds.x.T, ds.y, rcond=RANK_RTOL)
-    r = ds.x.T @ w - ds.y
-    return w, 0.5 * float(r @ r)
+    return w, linear_loss(ds, w)
 
 
 def relu_vs_linear_gap(ds: Dataset, census: MinimaCensus) -> tuple[float, float]:

@@ -5,10 +5,10 @@ least squares go through numpy's lstsq/pinv, pattern counts through dense
 angular sweeps and margin linear programs, minimizer containment through
 an affine margin linear program, gradients through central finite
 differences, deep gradients through a direct forward/backward pass, and
-the zeros of exponential sums through a dense grid whose sign changes are
-bisected in 50-digit mpmath arithmetic.  Expected values in the tests are
-produced by these routines (or frozen from them), never by the code under
-test.  The one exception is ``boundary_candidates_exhaustive``: it shares
+the zeros of exponential sums and the sign of the norm's slope through a
+dense grid whose sign changes are bisected in 50-digit mpmath arithmetic.
+Expected values in the tests are produced by these routines (or frozen
+from them), never by the code under test.  The one exception is ``boundary_candidates_exhaustive``: it shares
 the flow's root isolator and is the reference for the flow's pruned event
 search, from which it differs only by isolating every datum.
 """
@@ -395,3 +395,73 @@ def segment_certificate(tr, points: int = 800) -> list[str]:
             if j in outside or j + len(held) in outside:
                 problems.append(f"segment {i}: held datum {k} has a multiplier outside [0, 1]")
     return problems
+
+
+def _mp_w_dot_dw(seg, tau) -> mpmath.mpf:
+    """``w(tau) . dw/dtau`` in MP_DPS digits, from the segment's raw spectral data."""
+    with mpmath.workdps(MP_DPS):
+        decay = [mpmath.exp(-mpmath.mpf(lam) * mpmath.mpf(tau)) for lam in seg.eigenvalues]
+        total = mpmath.mpf(0)
+        for row, t in zip(seg.eigenvectors, seg.target):
+            parts = [mpmath.mpf(e) * mpmath.mpf(dk) * f for e, dk, f in zip(row, seg.delta, decay)]
+            w = mpmath.mpf(t) + mpmath.fsum(parts)
+            dw = -mpmath.fsum(mpmath.mpf(lam) * q for lam, q in zip(seg.eigenvalues, parts))
+            total += w * dw
+        return total
+
+
+def norm_growth_mp(tr, points: int = 4000) -> tuple[int, float] | None:
+    """First (segment index, local time) from which |w| stops growing strictly, or None.
+
+    On each segment of positive length, ``s = w . dw/dtau`` (positive while
+    |w| grows) is evaluated from ``target``, ``delta``, ``eigenvalues`` and
+    ``eigenvectors`` directly, with no ``ExpSum`` and no orthonormality
+    assumed, at ``points`` linear and ``points`` geometric instants of
+    ``[0, horizon]`` (and at 2, 4 and 8 horizons on the last segment).  A
+    sample whose double-precision value is within 1e-12 of its envelope
+    ``sum_i (|t_i| + sum_k |e_ik delta_k| f_k) (sum_k |e_ik lam_k delta_k| f_k)``
+    is evaluated again in MP_DPS digits.  Samples within ``edge``, 1e-12
+    relative, of either end are the segment's own events and are skipped.
+    A segment fails at 0 when s is identically 0 or not positive at its first
+    sample past ``edge``, and otherwise at its first sign change from positive,
+    bisected in MP_DPS digits to 1e-20 relative width.
+    """
+    for i, seg in enumerate(tr.segments):
+        end = seg.t_end - seg.t_start
+        if end == 0.0:
+            continue
+        horizon = seg.local_horizon()
+        taus = np.union1d(np.linspace(0.0, horizon, points), horizon * np.geomspace(1e-12, 1.0, points))
+        if not np.isfinite(end):
+            taus = np.append(taus, horizon * np.array([2.0, 4.0, 8.0]))
+        edge = 1e-12 * max(1.0, end if np.isfinite(end) else 1.0)
+        taus = taus[(taus > edge) & (taus < end - edge)]
+        if taus.size == 0:
+            continue  # no instant of the segment lies off its end events
+        lam, e, delta = seg.eigenvalues, seg.eigenvectors, seg.delta
+        decay = np.exp(-np.multiply.outer(taus, lam))  # (instants, r)
+        w = seg.target + (decay * delta) @ e.T
+        dw = -(decay * (lam * delta)) @ e.T
+        env = (np.abs(seg.target) + decay @ np.abs(e * delta).T) * (decay @ np.abs(e * (lam * delta)).T)
+        env = env.sum(axis=1)
+        if not np.any(env):
+            return i, 0.0  # every term of s vanishes: the flow does not move
+        s = np.einsum("ij,ij->i", w, dw)
+        signs = np.sign(s).astype(int)
+        for k in np.flatnonzero(np.abs(s) <= 1e-12 * env):
+            signs[k] = int(mpmath.sign(_mp_w_dot_dw(seg, taus[k])))
+        if signs[0] != 1:
+            return i, 0.0
+        if np.all(signs == 1):
+            continue
+        j = int(np.argmax(signs != 1))
+        with mpmath.workdps(MP_DPS):
+            a, b = mpmath.mpf(taus[j - 1]), mpmath.mpf(taus[j])
+            while b - a > mpmath.mpf("1e-20") * max(1, abs(a)):
+                m = (a + b) / 2
+                if _mp_w_dot_dw(seg, m) > 0:
+                    a = m
+                else:
+                    b = m
+            return i, float((a + b) / 2)
+    return None

@@ -260,8 +260,8 @@ class TestCrossingContext:
 
     def test_conditions_are_recorded_not_asserted(self, rng):
         # norm growth can survive violated conditions: record the reports
-        # alongside the profiles and never fail on the implication's converse
-        from reluflow.flow import norm_profile
+        # alongside the norm certificate and never fail on the implication's converse
+        from reluflow.flow import norm_certificate
 
         ds, w_gm = realizable(rng, d=2, n=4)
         delta = 1e-4 * float(np.min(ds.y / np.linalg.norm(ds.x, axis=0)))
@@ -271,8 +271,6 @@ class TestCrossingContext:
             for i, e in enumerate(tr.events)
             if e.kind in ("activation", "deactivation")
         ]
-        norms = [p[1] for p in norm_profile(tr, 100)]
-        increasing = all(b >= a - 1e-9 for a, b in zip(norms, norms[1:]))
-        assert increasing  # d=2 small-norm flows grow regardless of the reports
+        assert norm_certificate(tr) is None  # d=2 small-norm flows grow regardless of the reports
         for rep in reports:
             assert isinstance(rep.all_hold, bool)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reluflow.flow as flow_engine
-from reluflow.campaigns import random_dataset
+from reluflow.campaigns import random_dataset, small_norm_start
 from reluflow.criteria import crossing_context
 from reluflow.dataset import Dataset
 from reluflow.errors import NumericalError, PreconditionError, ReluFlowError, StructuralError
@@ -16,7 +16,7 @@ from reluflow.flow import (
     count_hyperplane_crossings,
     gap_lower_bounds,
     linear_loss,
-    norm_profile,
+    norm_certificate,
     revisit_report,
     sample_trajectory,
     segment_root_counts,
@@ -24,9 +24,11 @@ from reluflow.flow import (
     simulate_gd,
     simulate_linear_flow,
 )
-from reluflow.geometry import ActivationPattern, pattern_of
+from reluflow.geometry import ActivationPattern, g_value, pattern_of
+from reluflow.landscape import loss
 
 from oracles import assert_matches_oracle, boundary_candidates_exhaustive, lstsq_minnorm, segment_certificate
+from oracles import norm_growth_mp
 
 
 def small_cube_start(rng, d):
@@ -147,17 +149,14 @@ class TestLinearFlow:
         tr = simulate_linear_flow(ds, np.zeros(4))
         oracle = lstsq_minnorm(ds.x, ds.y)
         assert np.linalg.norm(tr.terminal_point - oracle) <= 1e-8
-        norms = [p[1] for p in norm_profile(tr, 100)]
-        assert all(b >= a - 1e-9 for a, b in zip(norms, norms[1:]))
-        assert norms[-1] > norms[0]
+        assert norm_certificate(tr) is None
 
     def test_stationary_start_never_moves(self, ds_deactivation):
         w_star = np.linalg.solve(
             ds_deactivation.x @ ds_deactivation.x.T, ds_deactivation.x @ ds_deactivation.y
         )
         tr = simulate_linear_flow(ds_deactivation, w_star)
-        profile = norm_profile(tr, 20)
-        norms = [p[1] for p in profile]
+        norms = [float(np.linalg.norm(w)) for _, w in sample_trajectory(tr, 20)]
         assert max(norms) - min(norms) <= 1e-12
         np.testing.assert_allclose(tr.terminal_point, w_star, atol=1e-12)
 
@@ -172,14 +171,21 @@ class TestLinearFlow:
         np.testing.assert_allclose(perp_end, perp0, atol=1e-12)
 
 
+def assert_norm_certificate_matches_oracle(tr):
+    """norm_certificate and the 50-digit oracle flag the same segment, at the same time to 1e-9."""
+    got, want = norm_certificate(tr), norm_growth_mp(tr)
+    assert (got is None) == (want is None), (got, want)
+    if got is not None:
+        assert got[0] == want[0] and abs(got[1] - want[1]) <= 1e-9 * max(1.0, want[1]), (got, want)
+
+
 class TestNormProfile:
     def test_small_norm_d2_flow_grows(self, rng):
         for _ in range(5):
             ds = random_a1a2a3(rng, 2, 5)
             delta = 1e-4 * float(np.min(ds.y / np.linalg.norm(ds.x, axis=0)))
             tr = simulate_flow(ds, delta * rng.uniform(0.2, 1.0, 2))
-            norms = [p[1] for p in norm_profile(tr, 150)]
-            assert all(b >= a - 1e-9 for a, b in zip(norms, norms[1:]))
+            assert norm_certificate(tr) is None
 
     def test_stationary_start_constant_profile(self, ds_deactivation):
         from reluflow.landscape import minima_census
@@ -187,25 +193,106 @@ class TestNormProfile:
         census = minima_census(ds_deactivation)
         w = census.global_minimum().point
         tr = simulate_flow(ds_deactivation, w)
-        norms = [p[1] for p in norm_profile(tr, 30)]
+        norms = [float(np.linalg.norm(p)) for _, p in sample_trajectory(tr, 30)]
         assert max(norms) - min(norms) <= 1e-10
+        # a flow that never moves (g = 0 throughout) does not grow
+        assert norm_certificate(tr) == (0, 0.0)
+        assert_norm_certificate_matches_oracle(tr)
 
     def test_g_matches_norm_slope(self, ds_reactivation, rng):
         w0 = small_cube_start(rng, 3)
         tr = simulate_flow(ds_reactivation, w0)
-        profile = norm_profile(tr, 400)
+        rows = sample_trajectory(tr, 400)
+        gs = [g_value(ds_reactivation, w) for _, w in rows]
+        # the certificate's exact g is g_value wherever the flow is sampled
+        for (t, w), g in zip(rows, gs):
+            seg = next(s for s in tr.segments if t <= s.t_end)
+            exact = seg.norm_slope().value(t - seg.t_start)
+            assert abs(exact - g) <= 1e-12 * max(1.0, float(np.linalg.norm(w)) ** 2)
         # g < 0 exactly where the squared norm grows, up to sampling noise
-        for (t1, n1, _, g1), (t2, n2, _, _) in zip(profile, profile[1:]):
+        for (t1, w1), (t2, w2), g1 in zip(rows, rows[1:], gs):
             if t2 - t1 <= 0 or abs(g1) < 1e-12:
                 continue
-            slope = (n2**2 - n1**2) / (2 * (t2 - t1))
+            slope = (w2 @ w2 - w1 @ w1) / (2 * (t2 - t1))
             if abs(slope) > 1e-8:
                 assert np.sign(slope) == -np.sign(g1)
 
     def test_requires_two_samples(self, ds_deactivation):
         tr = simulate_flow(ds_deactivation, np.zeros(3))
         with pytest.raises(PreconditionError):
-            norm_profile(tr, 1)
+            sample_trajectory(tr, 1)
+
+
+class TestNormCertificate:
+    @pytest.fixture(scope="class")
+    def dip(self):
+        # a single converged segment whose norm falls from 1.697 to 1.013 at
+        # t = 6.81 and then rises to 12.03
+        rng = np.random.default_rng((9, 59))
+        ds = random_dataset(rng, 2, int(rng.integers(2, 9)))
+        return simulate_flow(ds, rng.normal(size=2))
+
+    def test_dip_between_samples_is_flagged(self, dip):
+        assert dip.terminal == "converged" and len(dip.segments) == 1
+        assert float(np.linalg.norm(dip.segments[0].w_start)) == pytest.approx(1.697, abs=1e-3)
+        assert float(np.linalg.norm(dip.at(6.8088))) == pytest.approx(1.013, abs=1e-3)
+        assert float(np.linalg.norm(dip.terminal_point)) == pytest.approx(12.03, abs=1e-2)
+        assert norm_certificate(dip) == (0, 0.0)
+        assert_norm_certificate_matches_oracle(dip)
+
+    def test_sampled_norms_miss_the_dip(self, dip):
+        # 160 samples lie about 24.8 apart, and the dip is over by t = 6.81
+        rows = sample_trajectory(dip, 160)
+        assert rows[1][0] == pytest.approx(24.8, abs=0.05)
+        norms = [float(np.linalg.norm(w)) for _, w in rows]
+        assert all(b >= a for a, b in zip(norms, norms[1:])) and norms[-1] > norms[0]
+
+    def test_small_norm_d2_flows_match_the_oracle(self):
+        for s in range(100):
+            rng = np.random.default_rng((9, s))
+            ds = random_dataset(rng, 2, int(rng.integers(2, 9)))
+            tr = simulate_flow(ds, small_norm_start(rng, ds))
+            assert norm_certificate(tr) is None, s
+            assert_norm_certificate_matches_oracle(tr)
+
+    def test_zero_start_linear_flows_match_the_oracle(self):
+        for s in range(100):
+            rng = np.random.default_rng((9, s))
+            d, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            ds = Dataset(x=rng.uniform(0.05, 1.0, size=(d, n)), y=rng.uniform(0.1, 3.0, size=n))
+            tr = simulate_linear_flow(ds, np.zeros(d))
+            assert norm_certificate(tr) is None, s
+            assert_norm_certificate_matches_oracle(tr)
+
+    def test_normal_starts_match_the_oracle(self):
+        # draws 59 and 75 dip between samples; 75 only for 0.05 time units
+        verdicts = []
+        for s in range(150):
+            rng = np.random.default_rng((9, s))
+            ds = random_dataset(rng, 2, int(rng.integers(2, 9)))
+            tr = simulate_flow(ds, rng.normal(size=2))
+            assert_norm_certificate_matches_oracle(tr)
+            verdicts.append(norm_certificate(tr) is None)
+        assert not verdicts[59] and not verdicts[75]
+        assert 0 < sum(verdicts) < 150
+
+    @pytest.mark.parametrize(
+        "x, y, w0",
+        [
+            ([[1.0, 1.0], [0.0, 1.0]], [-3.0, 1.0], [0.4, 0.1]),
+            ([[-2.187, -0.384], [0.273, 0.313]], [-0.519, 2.199], [-0.136, 1.496]),
+            (
+                [[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 2.0]],
+                [-3.0, -3.0, 2.0, 1.0],
+                [0.4, 0.2, 0.5],
+            ),
+        ],
+        ids=["one-held", "alignment-rounds-positive", "two-held"],
+    )
+    def test_held_segments_match_the_oracle(self, x, y, w0):
+        tr = simulate_flow(Dataset(x=np.array(x), y=np.array(y)), np.array(w0))
+        assert tr.segments[-1].held
+        assert_norm_certificate_matches_oracle(tr)
 
 
 class TestAllActivatedEntry:
@@ -239,8 +326,8 @@ class TestLossMonotone:
             n = int(rng.integers(d, 7))
             ds = random_a1a2a3(rng, d, n)
             w0 = rng.normal(size=d)
-            for tr in (simulate_flow(ds, w0), simulate_linear_flow(ds, w0)):
-                losses = [p[2] for p in norm_profile(tr, 120)]
+            for tr, f in ((simulate_flow(ds, w0), loss), (simulate_linear_flow(ds, w0), linear_loss)):
+                losses = [f(ds, w) for _, w in sample_trajectory(tr, 120)]
                 assert all(
                     b <= a + 1e-10 * max(1.0, abs(a)) for a, b in zip(losses, losses[1:])
                 )
