@@ -9,13 +9,12 @@ fixed seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .criteria import bad_minimum_exclusion, no_deactivation_certificate
-from .dataset import Dataset, RANK_RTOL, matrix_rank
+from .dataset import Dataset, matrix_rank
 from .deepnet import DeepNet, balancedness_drift, network_gradients
 from .errors import GeometryError, StructuralError
 from .flow import (
@@ -29,27 +28,8 @@ from .flow import (
     simulate_linear_flow,
 )
 from .geometry import BOUNDARY_MARGIN, clearance, partition_count_bound
-from .landscape import LOSS_ORDER_RTOL, compare_support_losses, minima_census, relu_vs_linear_gap
-
-CAMPAIGN_IDS = (
-    "d2-global-convergence",
-    "no-deactivation",
-    "bad-min-exclusion",
-    "crossing-bound",
-    "norm-monotone-linear",
-    "census-orderings",
-    "backprop-equivalence",
-)
-
-DEFAULT_TRIALS = {
-    "d2-global-convergence": 200,
-    "no-deactivation": 100,
-    "bad-min-exclusion": 100,
-    "crossing-bound": 500,
-    "norm-monotone-linear": 100,
-    "census-orderings": 100,
-    "backprop-equivalence": 100,
-}
+from .landscape import LOSS_ORDER_RTOL, compare_support_losses, linear_least_squares
+from .landscape import minima_census, relu_vs_linear_gap
 
 # The sampled engine check of a linear flow: between samples its loss may
 # rise by LOSS_SLACK_RTOL * max(1, |loss|).
@@ -237,7 +217,7 @@ def _trial_norm_monotone_linear(rng, index: int) -> TrialResult:
     ds = Dataset(x=x, y=y)
     tr = simulate_linear_flow(ds, np.zeros(d))
     problems = []
-    w_oracle, *_ = np.linalg.lstsq(ds.x.T, ds.y, rcond=RANK_RTOL)
+    w_oracle, _ = linear_least_squares(ds)
     err = float(np.linalg.norm(tr.terminal_point - w_oracle))
     if err > 1e-8:
         problems.append(f"terminal misses minimum-norm solution by {err:.2e}")
@@ -337,29 +317,28 @@ def _trial_backprop(rng, index: int) -> TrialResult:
     return TrialResult(index, not problems, "; ".join(problems) or "ok")
 
 
+# each campaign's trial and its default trial count
 _TRIALS = {
-    "d2-global-convergence": _trial_d2_global,
-    "no-deactivation": _trial_no_deactivation,
-    "bad-min-exclusion": _trial_bad_min_exclusion,
-    "crossing-bound": _trial_crossing_bound,
-    "norm-monotone-linear": _trial_norm_monotone_linear,
-    "census-orderings": _trial_census_orderings,
-    "backprop-equivalence": _trial_backprop,
+    "d2-global-convergence": (_trial_d2_global, 200),
+    "no-deactivation": (_trial_no_deactivation, 100),
+    "bad-min-exclusion": (_trial_bad_min_exclusion, 100),
+    "crossing-bound": (_trial_crossing_bound, 500),
+    "norm-monotone-linear": (_trial_norm_monotone_linear, 100),
+    "census-orderings": (_trial_census_orderings, 100),
+    "backprop-equivalence": (_trial_backprop, 100),
 }
+CAMPAIGN_IDS = tuple(_TRIALS)
 
 
 def run_campaign(kind: str, seed: int, trials: int | None = None) -> CampaignReport:
     """Run a named campaign; deterministic under a fixed seed."""
     if kind not in _TRIALS:
         raise StructuralError(f"unknown campaign {kind!r}; choose from {CAMPAIGN_IDS}")
+    trial, default_trials = _TRIALS[kind]
     if trials is None:
-        trials = DEFAULT_TRIALS[kind]
+        trials = default_trials
     if trials < 0:
         raise StructuralError("trials must be nonnegative")
     rng = np.random.default_rng(seed)
-    results = tuple(_TRIALS[kind](rng, i) for i in range(trials))
+    results = tuple(trial(rng, i) for i in range(trials))
     return CampaignReport(kind=kind, seed=seed, trials=trials, results=results)
-
-
-def campaign_report_json(report: CampaignReport) -> str:
-    return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"

@@ -27,17 +27,16 @@ from .criteria import (
     crossing_context,
     no_deactivation_certificate,
 )
-from .dataset import augment_bias, load_dataset, load_json, validate_dataset
+from .dataset import augment_bias, load_dataset, load_json, validate_dataset, write_json
 from .deepnet import DeepNet, backprop_labels, forward_trace
 from .errors import ReluFlowError
 from .flow import (
     FlowConfig,
-    events_to_jsonl,
     revisit_report,
     simulate_flow,
     simulate_gd,
     simulate_linear_flow,
-    trajectory_to_csv,
+    write_run,
 )
 from .landscape import (
     INTERPOLATION_TOL,
@@ -101,29 +100,26 @@ def _cmd_landscape(args) -> int:
         "relu_global_loss": relu,
         "linear_global_loss": lin,
     }
-    (out / "landscape-summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(write_json(out / "landscape-summary.json", summary), end="")
     return 0
 
 
-def _run_and_store(ds, args, linear: bool) -> int:
+def _run_and_store(args) -> int:
+    """``flow``, or ``linear-flow`` where ``args.linear`` is set."""
+    ds = _load(args)
     if args.w0 is None:
         raise ReluFlowError("--w0 v1,v2,... is required")
     w0 = _parse_vector(args.w0)
     cfg = _flow_config(args)
     out = _out_dir(args)
-    stem = "linear-flow" if linear else "flow"
-    gd = not linear and args.engine == "gd"
-    if linear:
+    gd = not args.linear and args.engine == "gd"
+    if args.linear:
         tr = simulate_linear_flow(ds, w0, cfg)
     elif gd:
         tr = simulate_gd(ds, w0, args.lr, args.iters)
     else:
         tr = simulate_flow(ds, w0, cfg)
-    (out / f"{stem}.csv").write_text(trajectory_to_csv(tr), encoding="utf-8")
-    (out / f"{stem}-events.jsonl").write_text(events_to_jsonl(tr), encoding="utf-8")
+    write_run(out, "linear-flow" if args.linear else "flow", tr)
     if gd:
         summary = {
             "engine": "gd",
@@ -140,14 +136,6 @@ def _run_and_store(ds, args, linear: bool) -> int:
         }
     print(json.dumps(summary, indent=2))
     return 0
-
-
-def _cmd_flow(args) -> int:
-    return _run_and_store(_load(args), args, linear=False)
-
-
-def _cmd_linear_flow(args) -> int:
-    return _run_and_store(_load(args), args, linear=True)
 
 
 def _cmd_criteria(args) -> int:
@@ -199,11 +187,7 @@ def _cmd_criteria(args) -> int:
         "terminal": tr.terminal,
         "terminal_point": tr.terminal_point.tolist(),
     }
-    out = _out_dir(args)
-    (out / "certificates.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(write_json(_out_dir(args) / "certificates.json", report), end="")
     return 0
 
 
@@ -230,11 +214,7 @@ def _cmd_backprop(args) -> int:
             }
         )
     report = {"depth": net.depth, "layers": layers, "output": trace[-1][1].tolist()}
-    out = _out_dir(args)
-    (out / "backprop.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(write_json(_out_dir(args) / "backprop.json", report), end="")
     return 0
 
 
@@ -254,10 +234,7 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_campaign(args) -> int:
     report = camp.run_campaign(args.id, seed=args.seed, trials=args.trials)
-    out = _out_dir(args)
-    (out / f"campaign-{args.id}.json").write_text(
-        camp.campaign_report_json(report), encoding="utf-8"
-    )
+    write_json(_out_dir(args) / f"campaign-{args.id}.json", report.to_json())
     status = "PASS" if report.passed else "FAIL"
     print(f"[{status}] campaign {args.id}: {report.trials} trials, "
           f"{len(report.failures)} failures")
@@ -308,11 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="exact rectified flow from an initialization")
     _add_common(p, dataset=True, flow=True, horizon=True, engine=True)
-    p.set_defaults(fn=_cmd_flow)
+    p.set_defaults(fn=_run_and_store, linear=False)
 
     p = sub.add_parser("linear-flow", help="exact unrectified flow")
     _add_common(p, dataset=True, flow=True)
-    p.set_defaults(fn=_cmd_linear_flow)
+    p.set_defaults(fn=_run_and_store, linear=True)
 
     p = sub.add_parser("criteria", help="initialization certificates and crossing reports")
     _add_common(p, dataset=True, flow=True, horizon=True)

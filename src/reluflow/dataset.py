@@ -50,7 +50,8 @@ def matrix_rank(x: np.ndarray) -> int:
 
 
 def _assumption_failures(x: np.ndarray, y: np.ndarray) -> dict[str, tuple[int, ...]]:
-    """Offending column indices per assumption (A3 reports no indices)."""
+    """Offending column indices per assumption, ``()`` where it holds (A3 reports
+    no indices: ``None`` marks its failure)."""
     d = x.shape[0]
     a1 = tuple(int(i) for i in np.nonzero(np.any(x < 0.0, axis=0))[0])
     a2 = tuple(int(i) for i in np.nonzero(~(y > 0.0))[0])
@@ -61,14 +62,7 @@ def _assumption_failures(x: np.ndarray, y: np.ndarray) -> dict[str, tuple[int, .
 def detect_assumptions(x: np.ndarray, y: np.ndarray) -> frozenset[str]:
     """The subset of A1/A2/A3 that actually holds for (x, y)."""
     fails = _assumption_failures(np.asarray(x, float), np.asarray(y, float))
-    held = set()
-    if not fails["A1"]:
-        held.add("A1")
-    if not fails["A2"]:
-        held.add("A2")
-    if fails["A3"] == ():
-        held.add("A3")
-    return frozenset(held)
+    return frozenset(flag for flag, bad in fails.items() if bad == ())
 
 
 @dataclass(frozen=True)
@@ -170,8 +164,8 @@ def validate_dataset(ds: Dataset, require=ASSUMPTIONS) -> ValidationReport:
     fails = _assumption_failures(ds.x, ds.y)
     rank = matrix_rank(ds.x)
     # A3 failures carry no column indices; the deficient rank is reported instead.
-    failures = {flag: (fails[flag] or ()) if flag != "A3" else () for flag in require}
-    held = {flag: (fails[flag] == () if flag == "A3" else not fails[flag]) for flag in require}
+    failures = {flag: fails[flag] or () for flag in require}
+    held = {flag: fails[flag] == () for flag in require}
     return ValidationReport(
         required=require,
         held=held,
@@ -231,6 +225,15 @@ def save_dataset(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(dataset_to_json(ds)))
         fh.write("\n")
+
+
+def write_json(path, obj) -> str:
+    """Write ``obj`` to ``path`` as the package's JSON report text (indented,
+    keys sorted, one trailing newline) and return that text."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return text
 
 
 def load_json(path):

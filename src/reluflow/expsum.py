@@ -6,7 +6,7 @@ offsets, norm derivatives) all have the form
     f(t) = c + sum_k a_k * exp(-mu_k * t),   mu_k > 0 distinct.
 
 Zeros are isolated by interval branch-and-bound (Moore, *Interval
-Analysis*, 1966) on one grid: ``[lo, lo + BOUND_T0_RATES / mu_max]``,
+Analysis*, 1966) on one grid: ``[0, BOUND_T0_RATES / mu_max]``,
 doubling cells up to ``TERMINAL_HORIZON_RATES / mu_min``, then a tail to
 infinity split by doubling.  A cell where the enclosure of f clears 0
 has no root.  Where that of f' does, f is monotone: the end signs decide,
@@ -19,7 +19,7 @@ nested form ``c + e^{-mu_1 t}(a_1 + e^{-(mu_2 - mu_1) t}(a_2 + ...))``;
 batched over sums that share their rates they give the flow's gap bounds.
 
 A run of instants with ``|f|`` within ``ZERO_RTOL`` of the envelope is
-one root (at ``lo`` with ``before`` 0 when the run starts there), and a
+one root (at 0 with ``before`` 0 when the run starts there), and a
 limit within ``ZERO_RTOL`` of the t = 0 scale is exactly zero.
 """
 
@@ -49,7 +49,7 @@ TIE_RTOL = 1e-12
 # below double precision; terminal segments are sampled up to there too.
 TERMINAL_HORIZON_RATES = 50.0
 
-# The grid starts with [lo, lo + BOUND_T0_RATES / mu_max] and doubles from
+# The grid starts with [0, BOUND_T0_RATES / mu_max] and doubles from
 # there.  A sum is zero-free on a cell only when its enclosure clears 0 by
 # BOUND_SLACK_RTOL * (|c| + sum |a|): 1e4 above ZERO_RTOL, so the zeros
 # the isolator reports, and the terms ExpSum drops, stay inside the slack.
@@ -91,11 +91,11 @@ def _merge(rates: np.ndarray, coeffs: np.ndarray):
     return rates[starts], np.add.reduceat(coeffs[:, order], starts, axis=1)
 
 
-def _grid(rates: np.ndarray, lo: float = 0.0) -> np.ndarray:
-    """Cell edges: lo, then lo + t0 * 2^k up to the horizon, then infinity."""
+def _grid(rates: np.ndarray) -> np.ndarray:
+    """Cell edges: 0, then t0 * 2^k up to the horizon, then infinity."""
     t0 = BOUND_T0_RATES / rates[-1]
     doublings = int(np.ceil(np.log2(TERMINAL_HORIZON_RATES / rates[0] / t0)))
-    return np.concatenate(([lo], lo + t0 * 2.0 ** np.arange(doublings + 1), [np.inf]))
+    return np.concatenate(([0.0], t0 * 2.0 ** np.arange(doublings + 1), [np.inf]))
 
 
 def _interval_mul(e_lo, e_hi, h_lo, h_hi):
@@ -142,7 +142,7 @@ def gap_lower_bounds(rates, coeffs, consts) -> np.ndarray:
     [0, inf).  The rows share their merged rates and the isolator's grid,
     and each is scaled to unit mass ``|c| + sum |a|``.  A row's bound is
     the left end of its first cell that is not zero-free, or ``inf`` when
-    every cell is: then ``ExpSum(consts[k], coeffs[k], rates).roots(0.0)``
+    every cell is: then ``ExpSum(consts[k], coeffs[k], rates).roots()``
     is empty.
     """
     rates = np.asarray(rates, dtype=float)
@@ -207,8 +207,8 @@ class ExpSum:
         envelope = abs(self.c) + expo @ np.abs(self.coeffs)
         return np.where(np.abs(v) <= ZERO_RTOL * envelope, 0, np.sign(v)).astype(int)
 
-    def roots(self, lo: float = 0.0) -> list[Root]:
-        """All isolated zeros in [lo, infinity), earliest first."""
+    def roots(self) -> list[Root]:
+        """All isolated zeros in [0, infinity), earliest first."""
         if self.n_terms == 0:
             return []
         scale = abs(self.c) + float(np.sum(np.abs(self.coeffs)))
@@ -225,8 +225,8 @@ class ExpSum:
             return list(zip(edges[:-1].tolist(), edges[1:].tolist(), free.T.tolist()))
 
         # cut f into cells on which it is zero-free or monotone, earliest first
-        cuts = [lo]
-        todo = cells(_grid(f.rates, lo))[::-1]
+        cuts = [0.0]
+        todo = cells(_grid(f.rates))[::-1]
         while todo:
             t_a, t_b, (f_free, monotone, unimodal) = todo.pop()
             finite = t_b < np.inf

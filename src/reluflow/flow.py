@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -251,7 +252,7 @@ def _boundary_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
             break
         k = int(k)
         want = -1 if seg.pattern.bits[k] else 1
-        for root in seg.observable(ds.x[:, k]).roots(0.0):
+        for root in seg.observable(ds.x[:, k]).roots():
             if root.is_crossing and root.after == want:
                 out.append(_Candidate(tau=root.t, index=k, side=1 - seg.pattern.bits[k]))
                 best = min(best, root.t)
@@ -275,7 +276,7 @@ def _release_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
     out = []
     for j, alpha in zip(seg.held, _multipliers(ds, seg)):
         for side, level, after in ((OFF, 0.0, -1), (ON, 1.0, 1)):
-            roots = ExpSum(alpha.c - level, alpha.coeffs, alpha.rates).roots(0.0)
+            roots = ExpSum(alpha.c - level, alpha.coeffs, alpha.rates).roots()
             root = next((r for r in roots if r.is_crossing and r.after == after), None)
             if root is not None:
                 out.append(_Candidate(tau=root.t, index=j, side=side))
@@ -557,13 +558,16 @@ def norm_certificate(tr: Trajectory) -> tuple[int, float] | None:
 
     |w| grows on a segment iff its :meth:`FlowSegment.norm_slope` g is below 0 there,
     but for touches from below and a zero at tau = 0 that g leaves downwards (as from
-    the origin); g identically 0 is not growth.  Zero-length segments are skipped.
+    the origin); g identically 0 is not growth, nor is a segment that starts at its
+    limit to within ``TIE_RTOL``.  Zero-length segments are skipped.
     """
     for i, seg in enumerate(tr.segments):
         if seg.duration == 0.0:
             continue
+        if np.linalg.norm(seg.delta) <= TIE_RTOL * max(1.0, float(np.linalg.norm(seg.target))):
+            return i, 0.0
         g = seg.norm_slope()
-        roots = g.roots(0.0)
+        roots = g.roots()
         # g >= 0 before its first root (whose 'before' is 0 only at tau = 0), or throughout
         if roots[0].before == 1 if roots else g.value(0.0) >= 0.0:
             return i, 0.0
@@ -584,7 +588,7 @@ def count_hyperplane_crossings(tr: Trajectory, v, c: float) -> int:
     last_t = -np.inf
     for seg in tr.segments:
         f = seg.observable(v, offset=float(c))
-        for root in f.roots(0.0):
+        for root in f.roots():
             if not (root.is_crossing and seg.covers(root.t)):
                 continue
             t_abs = seg.t_start + root.t
@@ -598,7 +602,7 @@ def count_hyperplane_crossings(tr: Trajectory, v, c: float) -> int:
 def segment_root_counts(tr: Trajectory, v, c: float) -> list[tuple[int, int]]:
     """(number of isolated roots, number of exponential terms) per segment."""
     sums = [seg.observable(v, offset=float(c)) for seg in tr.segments]
-    return [(len(f.roots(0.0)), f.n_terms) for f in sums]
+    return [(len(f.roots()), f.n_terms) for f in sums]
 
 
 def revisit_report(tr: Trajectory) -> tuple[int, ...]:
@@ -631,3 +635,12 @@ def trajectory_to_csv(tr: Trajectory | GDRun) -> str:
         cells += [repr(float(value)), repr(float(np.linalg.norm(w))), repr(float(g)), pat]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def write_run(out_dir, stem: str, tr: Trajectory | GDRun) -> tuple[str, str]:
+    """Write a run's ``{stem}.csv`` and ``{stem}-events.jsonl`` into ``out_dir``;
+    return the two file names."""
+    csv_name, events_name = f"{stem}.csv", f"{stem}-events.jsonl"
+    (Path(out_dir) / csv_name).write_text(trajectory_to_csv(tr), encoding="utf-8")
+    (Path(out_dir) / events_name).write_text(events_to_jsonl(tr), encoding="utf-8")
+    return csv_name, events_name

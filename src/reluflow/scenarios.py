@@ -12,40 +12,33 @@ outcome into an exit status.
 from __future__ import annotations
 
 import importlib.resources
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, RANK_RTOL, freeze_fields, load_dataset
+from .dataset import Dataset, RANK_RTOL, freeze_fields, load_dataset, write_json
 from .errors import StructuralError
 from .flow import (
     Trajectory,
-    events_to_jsonl,
     revisit_report,
     simulate_flow,
     simulate_gd,
     simulate_linear_flow,
-    trajectory_to_csv,
+    write_run,
 )
-from .landscape import MATCH_TOL, gradient, minima_census
+from .landscape import MATCH_TOL, gradient, linear_least_squares, minima_census
 
 DEFAULT_SEED = 0
-SCENARIO_NAMES = ("example-5-1", "example-5-2", "example-5-3")
-
-_FIXTURES = {
-    "example-5-1": "example_5_1.json",
-    "example-5-2": "example_5_2.json",
-    "example-5-3": "example_5_3.json",
-}
 
 
 def fixture_path(name: str) -> Path:
-    if name not in _FIXTURES:
+    """The packaged dataset of scenario ``name``: ``data/example_5_1.json`` for ``example-5-1``."""
+    if name not in _BUILDERS:
         raise StructuralError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-    return Path(str(importlib.resources.files("reluflow").joinpath("data", _FIXTURES[name])))
+    fixture = name.replace("-", "_") + ".json"
+    return Path(str(importlib.resources.files("reluflow").joinpath("data", fixture)))
 
 
 def fixture_dataset(name: str) -> Dataset:
@@ -77,15 +70,10 @@ class Scenario:
     expectations: tuple[Expectation, ...]
 
 
-def _minnorm_lstsq(cols: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    w, *_ = np.linalg.lstsq(cols.T, ys, rcond=RANK_RTOL)
-    return w
-
-
 def _anchored_lstsq(ds: Dataset, active: tuple[int, ...], anchor: np.ndarray) -> np.ndarray:
     """Least-squares point of the active data, null component taken from anchor."""
     cols = ds.x[:, list(active)]
-    point = _minnorm_lstsq(cols, ds.y[list(active)])
+    point, *_ = np.linalg.lstsq(cols.T, ds.y[list(active)], rcond=RANK_RTOL)
     u, s, _ = np.linalg.svd(cols, full_matrices=True)
     r = int(np.sum(s > RANK_RTOL * s[0]))
     null = u[:, r:]
@@ -125,7 +113,7 @@ def _scenario_5_2(seed: int) -> Scenario:
 
     def exp_linear_terminal(results):
         tr = results["linear"]
-        oracle = _minnorm_lstsq(ds.x, ds.y)
+        oracle, _ = linear_least_squares(ds)
         err = float(np.linalg.norm(tr.terminal_point - oracle))
         return err <= 1e-8, f"linear terminal error {err:.2e}"
 
@@ -170,7 +158,7 @@ def _scenario_5_3(seed: int) -> Scenario:
         return err <= 1e-6, f"terminal gap {err:.2e}"
 
     def exp_terminal_lstsq(results):
-        oracle = _minnorm_lstsq(ds.x, ds.y)
+        oracle, _ = linear_least_squares(ds)
         err = float(np.linalg.norm(results["relu"].terminal_point - oracle))
         return err <= 1e-6, f"terminal error {err:.2e} vs all-data least squares"
 
@@ -274,6 +262,7 @@ _BUILDERS = {
     "example-5-2": _scenario_5_2,
     "example-5-3": _scenario_5_3,
 }
+SCENARIO_NAMES = tuple(_BUILDERS)
 
 
 def builtin_scenario(name: str, seed: int = DEFAULT_SEED) -> Scenario:
@@ -328,11 +317,8 @@ def run_scenario(
         else:
             tr = simulate_flow(ds, run.w0)
         results[run.label] = tr
-        csv_path = out_dir / f"{scenario.name}-{run.label}.csv"
-        csv_path.write_text(trajectory_to_csv(tr), encoding="utf-8")
-        events_path = out_dir / f"{scenario.name}-{run.label}-events.jsonl"
-        events_path.write_text(events_to_jsonl(tr), encoding="utf-8")
-        artifacts += [csv_path.name, events_path.name]  # names only: reports stay portable
+        # names only: reports stay portable
+        artifacts += write_run(out_dir, f"{scenario.name}-{run.label}", tr)
     checks = []
     for exp in scenario.expectations:
         if engine == "gd" and not exp.gd_applicable:
@@ -346,8 +332,5 @@ def run_scenario(
         passed=passed,
         artifacts=tuple(artifacts),
     )
-    report_path = out_dir / f"{scenario.name}-report.json"
-    report_path.write_text(
-        json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / f"{scenario.name}-report.json", result.to_json())
     return result

@@ -128,7 +128,7 @@ def boundary_candidates_exhaustive(ds, seg):
         if k in seg.held:
             continue
         want = -1 if seg.pattern.bits[k] else 1
-        for root in seg.observable(ds.x[:, k]).roots(0.0):
+        for root in seg.observable(ds.x[:, k]).roots():
             if root.is_crossing and root.after == want:
                 out.append(_Candidate(tau=root.t, index=k, side=1 - seg.pattern.bits[k]))
                 break
@@ -270,14 +270,14 @@ def _mp_sign_changes(c, coeffs, rates, taus, signs) -> list[tuple[float, int, in
     return out
 
 
-def expsum_roots_mp(f, lo: float = 0.0, points: int = 1000) -> list[tuple[float, int, int]]:
-    """Crossings ``(t, before, after)`` of an exponential sum on [lo, inf).
+def expsum_roots_mp(f, points: int = 1000) -> list[tuple[float, int, int]]:
+    """Crossings ``(t, before, after)`` of an exponential sum on [0, inf).
 
     The sum's own coefficients are taken as exact.  Past a horizon H no
     sign change is possible: with ``c != 0`` the terms sum to less than
     ``|c| / 2`` beyond ``log(2 sum |a| / |c|) / mu_1``, and with ``c == 0``
     the slowest term outweighs the rest beyond
-    ``log(2 sum_{k>1} |a_k| / |a_1|) / (mu_2 - mu_1)``.  On [lo, H] the
+    ``log(2 sum_{k>1} |a_k| / |a_1|) / (mu_2 - mu_1)``.  On [0, H] the
     sum is sampled on a linear and a geometric grid of ``points`` instants
     each, and every sign change is bisected in MP_DPS digits.  As in
     ``ExpSum.roots``, a limit within ``expsum.ZERO_RTOL`` of the t = 0
@@ -296,22 +296,22 @@ def expsum_roots_mp(f, lo: float = 0.0, points: int = 1000) -> list[tuple[float,
         horizon = np.log(2.0 * np.sum(np.abs(a[1:])) / abs(a[0])) / (mu[1] - mu[0])
     else:
         return []
-    span = 1.01 * max(horizon - lo, 0.0) + 1.0 / mu[-1]
-    taus = lo + np.union1d(np.linspace(0.0, span, points), span * np.geomspace(1e-15, 1.0, points))
+    span = 1.01 * max(horizon, 0.0) + 1.0 / mu[-1]
+    taus = np.union1d(np.linspace(0.0, span, points), span * np.geomspace(1e-15, 1.0, points))
     return _mp_sign_changes(c, a, mu, taus, _mp_signs([c], a[None, :], mu, taus)[0])
 
 
-def assert_matches_oracle(f, lo=0.0):
-    """The crossings of ``f.roots(lo)`` are the 50-digit oracle's, to 1e-9.
+def assert_matches_oracle(f):
+    """The crossings of ``f.roots()`` are the 50-digit oracle's, to 1e-9.
 
-    A crossing at ``lo`` with ``before`` 0 is the package's zero at the
-    left end: the oracle may see it just past ``lo``, or not at all when
-    the sum only touches zero there.
+    A crossing at 0 with ``before`` 0 is the package's zero at the left
+    end: the oracle may see it just past 0, or not at all when the sum
+    only touches zero there.
     """
-    got = [r for r in f.roots(lo) if r.is_crossing]
-    want = expsum_roots_mp(f, lo)
-    if got and got[0].t == lo and got[0].before == 0:
-        if want and abs(want[0][0] - lo) <= 1e-9 * max(1.0, lo) and want[0][2] == got[0].after:
+    got = [r for r in f.roots() if r.is_crossing]
+    want = expsum_roots_mp(f)
+    if got and got[0].t == 0.0 and got[0].before == 0:
+        if want and abs(want[0][0]) <= 1e-9 and want[0][2] == got[0].after:
             want = want[1:]
         got = got[1:]
     assert len(got) == len(want), (got, want)

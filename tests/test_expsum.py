@@ -22,10 +22,6 @@ class TestSingleTerm:
         assert ExpSum(1.0, [2.0], [1.0]).roots() == []
         assert ExpSum(0.0, [2.0], [1.0]).roots() == []
 
-    def test_root_below_range_is_dropped(self):
-        f = ExpSum(1.0, [-2.0], [1.0])
-        assert f.roots(lo=1.0) == []
-
 
 class TestKnownSums:
     def test_double_dip_two_roots(self):

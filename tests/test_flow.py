@@ -294,6 +294,15 @@ class TestNormCertificate:
         assert tr.segments[-1].held
         assert_norm_certificate_matches_oracle(tr)
 
+    @pytest.mark.parametrize("name", ["ds_deactivation", "ds_reactivation"])
+    def test_a_start_at_the_limit_up_to_roundoff_does_not_grow(self, name, request):
+        # the solved normal equations miss the lstsq limit by about 3e-15,
+        # and the norm's roundoff-level motion must not read as growth
+        ds = request.getfixturevalue(name)
+        tr = simulate_linear_flow(ds, np.linalg.solve(ds.x @ ds.x.T, ds.x @ ds.y))
+        assert 0.0 < float(np.linalg.norm(tr.segments[0].delta)) < 1e-14
+        assert norm_certificate(tr) == (0, 0.0)
+
 
 class TestAllActivatedEntry:
     def test_small_positive_pull_activates_everything_first(self, rng):
@@ -817,7 +826,7 @@ class TestGapBounds:
         rates, coeffs, consts = case
         bounds = gap_lower_bounds(rates, coeffs, consts)
         for bound, a, c in zip(bounds, coeffs, consts):
-            roots = ExpSum(c, a, rates).roots(0.0)
+            roots = ExpSum(c, a, rates).roots()
             if roots:
                 assert bound <= roots[0].t
             if np.isinf(bound):

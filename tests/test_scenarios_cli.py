@@ -254,6 +254,38 @@ class TestCli:
         )
         assert (tmp_path / "camp" / "campaign-crossing-bound.json").exists()
 
+    def test_reports_are_written_as_printed(self, dataset_file, tmp_path, capsys):
+        def report_text(obj):
+            return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+        net_file = tmp_path / "net.json"
+        net_file.write_text(json.dumps({"weights": [[[1.0, 0.5]], [[2.0]]]}))
+        data = ["--dataset", str(dataset_file)]
+        commands = {
+            "landscape-summary.json": ["landscape", *data],
+            "certificates.json": ["criteria", *data, "--w0", "0.0001,0.0001,0.0001"],
+            "backprop.json": ["backprop", "--net", str(net_file), "--x", "1,2", "--y", "1"],
+        }
+        for name, argv in commands.items():
+            out = tmp_path / name
+            assert main(argv + ["--out", str(out)]) == 0
+            printed = capsys.readouterr().out
+            assert (out / name).read_text(encoding="utf-8") == printed
+            assert printed == report_text(json.loads(printed)), name
+        out = tmp_path / "campaign"
+        main(["campaign", "crossing-bound", "--trials", "3", "--seed", "1", "--out", str(out)])
+        text = (out / "campaign-crossing-bound.json").read_text(encoding="utf-8")
+        assert text == report_text(run_campaign("crossing-bound", seed=1, trials=3).to_json())
+        assert text.endswith("}\n")
+        out = tmp_path / "scenario"
+        result = run_scenario(builtin_scenario("example-5-2"), out)
+        text = (out / "example-5-2-report.json").read_text(encoding="utf-8")
+        assert text == report_text(result.to_json()) and text.endswith("}\n")
+        runs = [f"example-5-2-{label}{suffix}" for label in ("relu", "linear")
+                for suffix in (".csv", "-events.jsonl")]
+        assert list(result.artifacts) == runs
+        assert all((out / name).is_file() for name in runs)
+
     def test_env_var_overrides_out(self, dataset_file, tmp_path, monkeypatch):
         override = tmp_path / "env-out"
         monkeypatch.setenv("RELUFLOW_OUT", str(override))

@@ -1,0 +1,92 @@
+"""Capture the command-line outputs of a reluflow checkout for byte comparison.
+
+Usage, from anywhere::
+
+    python tools/snapshot_outputs.py OUT_DIR
+
+Runs ``reluflow`` from this checkout's ``src/`` over a fixed set of
+commands: ``reproduce`` for each built-in scenario with ``--engine exact``
+and with ``--engine gd --iters 3000``; ``validate``, ``landscape``,
+``flow`` (exact and gd), ``linear-flow`` and ``criteria`` on each bundled
+fixture; ``backprop`` on a small net; every campaign with ``--trials 20
+--seed 3``; and an unknown scenario and an unknown campaign.  Each command
+gets a directory ``OUT_DIR/<case>/`` holding its ``stdout``, ``stderr``,
+``exit`` status and the files it wrote under ``out/``.  Two checkouts whose
+snapshots give an empty ``diff -r`` behave identically on these commands.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+DATA = Path("src") / "reluflow" / "data"  # relative to ROOT, so messages name no checkout path
+
+# one start per fixture, by its dimension
+W0 = {2: "0.0001,0.0001", 3: "0.0001,0.00005,0.00008"}
+NET = {"weights": [[[1.0, 0.5], [-0.5, 1.0]], [[2.0, -1.0]]]}
+
+
+def _run(out_dir: Path, case: str, args: list[str]) -> None:
+    case_dir = out_dir / case
+    files = case_dir / "out"
+    files.mkdir(parents=True)
+    env = {k: v for k, v in os.environ.items() if k != "RELUFLOW_OUT"}
+    env["PYTHONPATH"] = str(SRC)
+    if args[0] != "validate":  # the one subcommand without --out
+        args = args + ["--out", str(files)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "reluflow.cli", *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    (case_dir / "stdout").write_text(proc.stdout, encoding="utf-8")
+    (case_dir / "stderr").write_text(proc.stderr, encoding="utf-8")
+    (case_dir / "exit").write_text(f"{proc.returncode}\n", encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out_dir = Path(argv[0]).resolve()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sys.path.insert(0, str(SRC))
+    from reluflow.campaigns import CAMPAIGN_IDS
+    from reluflow.dataset import load_dataset
+    from reluflow.scenarios import SCENARIO_NAMES
+
+    for name in SCENARIO_NAMES:
+        _run(out_dir, f"reproduce-{name}-exact", ["reproduce", name, "--engine", "exact"])
+        _run(out_dir, f"reproduce-{name}-gd",
+             ["reproduce", name, "--engine", "gd", "--iters", "3000"])
+    for path in sorted((ROOT / DATA).glob("*.json")):
+        data = ["--dataset", str(DATA / path.name)]
+        w0 = ["--w0", W0[load_dataset(path).d]]
+        stem = path.stem
+        _run(out_dir, f"validate-{stem}", ["validate", *data])
+        _run(out_dir, f"landscape-{stem}", ["landscape", *data])
+        _run(out_dir, f"flow-{stem}-exact", ["flow", *data, *w0])
+        _run(out_dir, f"flow-{stem}-gd", ["flow", *data, *w0, "--engine", "gd", "--iters", "3000"])
+        _run(out_dir, f"linear-flow-{stem}", ["linear-flow", *data, *w0])
+        _run(out_dir, f"criteria-{stem}", ["criteria", *data, *w0])
+    net = out_dir / "net.json"
+    net.write_text(json.dumps(NET) + "\n", encoding="utf-8")
+    _run(out_dir, "backprop", ["backprop", "--net", str(net), "--x", "1,2", "--y", "3"])
+    for kind in CAMPAIGN_IDS:
+        _run(out_dir, f"campaign-{kind}", ["campaign", kind, "--trials", "20", "--seed", "3"])
+    _run(out_dir, "reproduce-unknown", ["reproduce", "example-9-9"])
+    _run(out_dir, "campaign-unknown", ["campaign", "no-such-campaign"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
