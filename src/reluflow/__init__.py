@@ -28,7 +28,6 @@ from .errors import (
 )
 from .expsum import ExpSum, Root
 from .flow import (
-    FlowConfig,
     FlowEvent,
     FlowSegment,
     Trajectory,

@@ -30,14 +30,7 @@ from .criteria import (
 from .dataset import augment_bias, load_dataset, load_json, validate_dataset, write_json
 from .deepnet import DeepNet, backprop_labels, forward_trace
 from .errors import ReluFlowError
-from .flow import (
-    FlowConfig,
-    revisit_report,
-    simulate_flow,
-    simulate_gd,
-    simulate_linear_flow,
-    write_run,
-)
+from .flow import T_MAX, revisit_report, simulate_flow, simulate_gd, simulate_linear_flow, write_run
 from .landscape import (
     INTERPOLATION_TOL,
     census_to_jsonl,
@@ -61,10 +54,6 @@ def _out_dir(args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _flow_config(args) -> FlowConfig:
-    return FlowConfig(converge_tol=args.tol, t_max=getattr(args, "t_max", FlowConfig.t_max))
 
 
 def _load(args):
@@ -110,15 +99,14 @@ def _run_and_store(args) -> int:
     if args.w0 is None:
         raise ReluFlowError("--w0 v1,v2,... is required")
     w0 = _parse_vector(args.w0)
-    cfg = _flow_config(args)
     out = _out_dir(args)
     gd = not args.linear and args.engine == "gd"
     if args.linear:
-        tr = simulate_linear_flow(ds, w0, cfg)
+        tr = simulate_linear_flow(ds, w0)
     elif gd:
         tr = simulate_gd(ds, w0, args.lr, args.iters)
     else:
-        tr = simulate_flow(ds, w0, cfg)
+        tr = simulate_flow(ds, w0, t_max=args.t_max)
     write_run(out, "linear-flow" if args.linear else "flow", tr)
     if gd:
         summary = {
@@ -143,7 +131,7 @@ def _cmd_criteria(args) -> int:
     if args.w0 is None:
         raise ReluFlowError("--w0 v1,v2,... is required")
     w0 = _parse_vector(args.w0)
-    tr = simulate_flow(ds, w0, _flow_config(args))  # checks w0 before anything else reads it
+    tr = simulate_flow(ds, w0, t_max=args.t_max)  # checks w0 before anything else reads it
     if args.w_gm is not None:
         w_gm = _parse_vector(args.w_gm)
     else:
@@ -254,9 +242,8 @@ def _add_common(p, dataset=False, flow=False, horizon=False, engine=False, seed=
         )
     if flow:
         p.add_argument("--w0", help="initial weights, comma separated")
-        p.add_argument("--tol", type=float, default=FlowConfig.converge_tol, help="gradient tolerance")
     if horizon:
-        p.add_argument("--t-max", dest="t_max", type=float, default=FlowConfig.t_max)
+        p.add_argument("--t-max", dest="t_max", type=float, default=T_MAX)
     if seed:
         p.add_argument("--seed", type=int, default=scen.DEFAULT_SEED)
     if out:

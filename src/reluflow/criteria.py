@@ -160,7 +160,6 @@ class BoundaryCrossingContext:
     h_post: np.ndarray
     evals_pre: np.ndarray
     evecs_pre: np.ndarray
-    evals_post: np.ndarray
     evecs_post: np.ndarray
     rank_pre: int
     rank_post: int
@@ -169,7 +168,7 @@ class BoundaryCrossingContext:
 
     def __post_init__(self):
         freeze_fields(self, "w0", "x0", "h_pre", "h_post", "evals_pre", "evecs_pre",
-                      "evals_post", "evecs_post", "w_star_pre", "w_star_post")
+                      "evecs_post", "w_star_pre", "w_star_post")
 
     @property
     def coords_pre(self) -> np.ndarray:
@@ -200,7 +199,7 @@ def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCro
         raise StructuralError("segment/event alignment broken")
     p_pre, p_post = seg_pre.pattern, seg_post.pattern
     lam_pre, vec_pre, r_pre, w_star_pre = _spectral(ds, p_pre)
-    lam_post, vec_post, r_post, w_star_post = _spectral(ds, p_post)
+    _, vec_post, r_post, w_star_post = _spectral(ds, p_post)
     if r_pre == 0 or lam_pre[0] == 0.0:
         raise NumericalError("pre-crossing Gram matrix is zero; no spectral context")
     # sign convention: nonnegative pre-side minimizer coordinates
@@ -212,7 +211,6 @@ def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCro
     perm = np.empty(ds.d, dtype=int)
     perm[rows] = cols
     vec_post = vec_post[:, perm]
-    lam_post = lam_post[perm]
     sign_post = np.where(np.sum(vec_pre * vec_post, axis=0) < 0.0, -1.0, 1.0)
     vec_post = vec_post * sign_post
     h_pre, _ = active_matrices(ds, p_pre)
@@ -227,7 +225,6 @@ def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCro
         h_post=h_post,
         evals_pre=lam_pre,
         evecs_pre=vec_pre,
-        evals_post=lam_post,
         evecs_post=vec_post,
         rank_pre=r_pre,
         rank_post=r_post,

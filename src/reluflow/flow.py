@@ -29,9 +29,10 @@ multiplier alpha_j(t), an exponential sum of the segment, crossing 0
 
 Terminal classification is also exact: a segment with no admissible
 event converges to its analytic limit, which is ``converged`` when the
-segment's field there, projected on its face, is below ``converge_tol``,
-each held multiplier lies in [0, 1], and the pattern matches the limit's
-signs on every datum that clears its boundary.
+segment's field there, projected on its face, is within roundoff of the
+data's scale (:data:`CONVERGE_RTOL`), each held multiplier lies in [0, 1],
+and the pattern matches the limit's signs on every datum that clears its
+boundary.
 """
 
 from __future__ import annotations
@@ -58,26 +59,16 @@ OFF, ON, HELD = 0, 1, 2  # a datum's state at an event; off and on are its bit
 # Every trajectory CSV asks sample_trajectory for CSV_SAMPLES points.
 CSV_SAMPLES = 400
 
+# A limit is stationary when its field is at most CONVERGE_RTOL * |X|_F *
+# (|X|_F |w| + |y|), the roundoff scale of X (X^T w - y): a backward error,
+# so the verdict does not change when the data are only rescaled.
+CONVERGE_RTOL = 1e-12
 
-@dataclass(frozen=True)
-class FlowConfig:
-    """Tolerances and guards of the simulator, all positive.
+# The default time horizon of simulate_flow.
+T_MAX = 1e6
 
-    - ``converge_tol``: gradient norm below which a limit counts as converged.
-    - ``t_max``: hard time horizon.
-    - ``max_events``: event cap; ``None`` means ``10 * n * d`` at simulation time.
-    """
-
-    converge_tol: float = 1e-10
-    t_max: float = 1e6
-    max_events: int | None = None
-
-    def __post_init__(self):
-        for name in ("converge_tol", "t_max"):
-            if not getattr(self, name) > 0.0:
-                raise PreconditionError(f"{name} must be positive")
-        if self.max_events is not None and self.max_events <= 0:
-            raise PreconditionError("max_events must be positive")
+# A flow ends "event-cap" after EVENT_CAP_FACTOR * n * d events.
+EVENT_CAP_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -347,11 +338,11 @@ def _check_start(ds: Dataset, w0) -> np.ndarray:
     return w0
 
 
-def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
-    """Exact event-driven trajectory of the rectified gradient flow from w0."""
-    cfg = cfg or FlowConfig()
+def simulate_flow(ds: Dataset, w0, t_max: float = T_MAX) -> Trajectory:
+    """Exact event-driven trajectory of the rectified gradient flow from w0 up to ``t_max``."""
+    if not t_max > 0.0:
+        raise PreconditionError("t_max must be positive")
     w0 = _check_start(ds, w0)
-    max_events = cfg.max_events if cfg.max_events is not None else 10 * ds.n * ds.d
     t = 0.0
     w = w0
     bits = pattern_of(ds, w0).bits
@@ -368,17 +359,17 @@ def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
             candidates.extend(_release_candidates(ds, seg))
         if not candidates:
             segments.append(seg)
-            terminal = _classify_limit(ds, seg, cfg)
+            terminal = _classify_limit(ds, seg)
             terminal_point = seg.target
             break
         # the candidates tied with the earliest join B; the lowest index sets the time
         tau_min = min(c.tau for c in candidates)
         tied = [c for c in candidates if c.tau <= tau_min + TIE_RTOL * max(1.0, tau_min)]
         tau = min(tied, key=lambda c: c.index).tau
-        if t + tau > cfg.t_max:
-            segments.append(replace(seg, t_end=cfg.t_max))
+        if t + tau > t_max:
+            segments.append(replace(seg, t_end=t_max))
             terminal = "horizon"
-            terminal_point = seg.value_local(cfg.t_max - t)
+            terminal_point = seg.value_local(t_max - t)
             break
         w_ev = seg.value_local(tau)
         if not np.all(np.isfinite(w_ev)):
@@ -412,7 +403,7 @@ def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
         t = t_ev
         w = w_ev
         terminal_point = w_ev
-        if len(events) >= max_events:
+        if len(events) >= EVENT_CAP_FACTOR * ds.n * ds.d:
             terminal = "event-cap"
             break
 
@@ -425,10 +416,16 @@ def simulate_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
     )
 
 
-def _classify_limit(ds: Dataset, seg: FlowSegment, cfg: FlowConfig) -> str:
+def _converge_bound(ds: Dataset, w) -> float:
+    """The largest field norm at ``w`` that counts as stationary (CONVERGE_RTOL)."""
+    scale = np.linalg.norm(ds.x)
+    return CONVERGE_RTOL * scale * (scale * np.linalg.norm(w) + np.linalg.norm(ds.y))
+
+
+def _classify_limit(ds: Dataset, seg: FlowSegment) -> str:
     """A limit converges when the segment's field there, projected on its
-    face, is below ``converge_tol``, each held multiplier lies in [0, 1] up
-    to an alignment of ``converge_tol * |x_j|``, and the pattern matches the
+    face, is within :func:`_converge_bound`, each held multiplier lies in
+    [0, 1] up to an alignment of that bound, and the pattern matches the
     limit's signs on every datum that clears its boundary by BOUNDARY_MARGIN
     (a datum on its boundary off the face has multiplier 0 or 1 by its bit).
     """
@@ -442,23 +439,23 @@ def _classify_limit(ds: Dataset, seg: FlowSegment, cfg: FlowConfig) -> str:
     push = outside * np.abs(ds.y[held]) * np.linalg.norm(ds.x[:, held], axis=0)
     c = clearance(ds, limit)
     clear = np.abs(c) >= BOUNDARY_MARGIN
-    ok = np.linalg.norm(field) < cfg.converge_tol and np.all(push <= cfg.converge_tol)
+    bound = _converge_bound(ds, limit)
+    ok = np.linalg.norm(field) <= bound and np.all(push <= bound)
     return "converged" if ok and np.all((c[clear] > 0.0) == bits[clear]) else "degenerate"
 
 
-def simulate_linear_flow(ds: Dataset, w0, cfg: FlowConfig | None = None) -> Trajectory:
+def simulate_linear_flow(ds: Dataset, w0) -> Trajectory:
     """Single-segment exact flow of the unrectified least-squares problem.
 
     The terminal point is the minimum-norm solution plus the conserved
     null component of ``w0``.  The segment carries the all-ones pattern
     label since every datum contributes throughout.
     """
-    cfg = cfg or FlowConfig()
     w0 = _check_start(ds, w0)
     pattern = ActivationPattern(tuple([1] * ds.n))
     seg = _segment_from(ds, pattern, w0, 0.0)
     grad_norm = float(np.linalg.norm(ds.x @ (ds.x.T @ seg.target - ds.y)))
-    terminal = "converged" if grad_norm < cfg.converge_tol else "degenerate"
+    terminal = "converged" if grad_norm <= _converge_bound(ds, seg.target) else "degenerate"
     return Trajectory(
         dataset=ds,
         segments=(seg,),

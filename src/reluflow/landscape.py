@@ -243,21 +243,6 @@ class SupportOrderingReport:
     pairs: tuple[NestedPair, ...]
     holds: bool
 
-    def to_json(self) -> dict:
-        return {
-            "pairs": [
-                {
-                    "outer": p.outer,
-                    "inner": p.inner,
-                    "loss_outer": p.loss_outer,
-                    "loss_inner": p.loss_inner,
-                    "margin": p.margin,
-                }
-                for p in self.pairs
-            ],
-            "holds": self.holds,
-        }
-
 
 def compare_support_losses(census: MinimaCensus) -> SupportOrderingReport:
     """Check that nested supports order the losses: fewer vectors, more loss."""

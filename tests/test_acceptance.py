@@ -251,7 +251,7 @@ class TestAcceptance09Decomposition:
         start = time.perf_counter()
         report = run_campaign("backprop-equivalence", seed=2024, trials=100)
         _report(
-            "9 layer problems reproduce deep gradients; drift scales with the step",
+            "9 layer problems reproduce deep gradients; each step keeps the balancedness identity",
             report.passed,
             f"{report.trials} trials, {len(report.failures)} failures",
         )

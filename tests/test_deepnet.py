@@ -12,6 +12,7 @@ from reluflow.deepnet import (
 )
 from reluflow.dataset import Dataset
 from reluflow.errors import StructuralError
+from reluflow.expsum import TIE_RTOL
 from reluflow.landscape import gradient as single_gradient
 
 from oracles import deep_forward, deep_gradients, fd_layer_gradient
@@ -134,14 +135,20 @@ class TestBalancedness:
         assert result.max_drift == 0.0
         assert not result.diverged
 
-    def test_halving_the_step_roughly_halves_the_drift(self, rng):
+    def test_each_step_drifts_by_the_squared_gradient_identity(self, rng):
+        # one step of size eta changes |W_1|^2 - |W_2|^2 by exactly
+        # eta^2 (|G_1|^2 - |G_2|^2), with the gradients of the chain-rule oracle
         net = scaled_net(rng, [3, 4, 2])
         x, y = rng.normal(size=3), rng.normal(size=2)
-        coarse = balancedness_drift(net, x, y, step=1e-3, iters=40)
-        fine = balancedness_drift(net, x, y, step=5e-4, iters=80)
-        assert coarse.max_drift > 0.0
-        ratio = coarse.max_drift / fine.max_drift
-        assert 2.0 / 1.5 <= ratio <= 2.0 * 1.5
+        step = 1e-3
+        g1, g2 = deep_gradients(net.weights, x, y)
+        one = balancedness_drift(net, x, y, step=step, iters=1)
+        expected = step**2 * abs(np.sum(g1**2) - np.sum(g2**2))
+        scale = sum(np.sum(w**2) for w in net.weights)
+        assert abs(one.drift[0, 0] - expected) <= TIE_RTOL * scale
+        run = balancedness_drift(net, x, y, step=step, iters=40)
+        assert run.max_drift > 0.0
+        assert run.max_residual <= TIE_RTOL
 
     def test_single_layer_has_no_pairs(self, rng):
         net = DeepNet(weights=(rng.normal(size=(2, 3)),))

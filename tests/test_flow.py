@@ -12,7 +12,6 @@ from reluflow.dataset import Dataset
 from reluflow.errors import NumericalError, PreconditionError, ReluFlowError, StructuralError
 from reluflow.expsum import ExpSum
 from reluflow.flow import (
-    FlowConfig,
     count_hyperplane_crossings,
     gap_lower_bounds,
     linear_loss,
@@ -420,29 +419,46 @@ class TestTrajectoryStructure:
 
 
 class TestGuards:
-    def test_config_requires_positive_entries(self):
-        with pytest.raises(PreconditionError):
-            FlowConfig(converge_tol=0.0)
-        with pytest.raises(PreconditionError):
-            FlowConfig(t_max=-1.0)
-        with pytest.raises(PreconditionError):
-            FlowConfig(max_events=0)
+    def test_horizon_must_be_positive(self, ds_deactivation):
+        for t_max in (0.0, -1.0, np.nan):
+            with pytest.raises(PreconditionError):
+                simulate_flow(ds_deactivation, np.zeros(3), t_max=t_max)
 
     def test_horizon_termination_is_flagged(self, ds_deactivation, rng):
         w0 = small_cube_start(rng, 3)
-        tr = simulate_flow(ds_deactivation, w0, FlowConfig(t_max=1e-3))
+        tr = simulate_flow(ds_deactivation, w0, t_max=1e-3)
         assert tr.terminal == "horizon"
         assert tr.segments[-1].t_end == pytest.approx(1e-3)
 
-    def test_event_cap_is_flagged(self, ds_reactivation, rng):
+    def test_event_cap_is_flagged(self, ds_reactivation, rng, monkeypatch):
+        one_event = 1 / (ds_reactivation.n * ds_reactivation.d)
+        monkeypatch.setattr(flow_engine, "EVENT_CAP_FACTOR", one_event)
         w0 = small_cube_start(rng, 3)
-        tr = simulate_flow(ds_reactivation, w0, FlowConfig(max_events=1))
+        tr = simulate_flow(ds_reactivation, w0)
         assert tr.terminal == "event-cap"
         assert len(tr.events) == 1
 
     def test_non_finite_start_is_rejected(self, ds_deactivation):
         with pytest.raises(PreconditionError):
             simulate_flow(ds_deactivation, np.array([np.nan, 0.0, 0.0]))
+
+
+class TestConvergenceBound:
+    def test_rescaled_data_keep_a_stationary_limit_converged(self):
+        # x scaled by 800 leaves roundoff of 2e-10 in the field at the limit,
+        # 3e-17 of the data's scale: an absolute 1e-10 called it degenerate
+        rng = np.random.default_rng(2)
+        ds0 = random_dataset(rng, 3, 6)
+        w0 = rng.normal(size=3)
+        assert simulate_flow(ds0, w0).terminal == "converged"
+        ds = Dataset(x=800.0 * ds0.x, y=ds0.y)
+        tr = simulate_flow(ds, w0)
+        assert tr.terminal == "converged"
+        assert tr.segments[-1].held == ()
+        xs = ds.x[:, tr.segments[-1].pattern.as_bool()]
+        ys = ds.y[tr.segments[-1].pattern.as_bool()]
+        field = np.linalg.norm(xs @ (xs.T @ tr.terminal_point - ys))
+        assert 1e-10 < field <= flow_engine._converge_bound(ds, tr.terminal_point)
 
 
 class TestSliding:
@@ -494,7 +510,7 @@ class TestSliding:
         )
         seg = flow_engine._segment_from(ds, pattern_of(ds, [0.0, 0.5]), [0.0, 0.5], 0.0, (0,))
         np.testing.assert_allclose(seg.target, [0.0, 0.88], atol=1e-12)
-        assert flow_engine._classify_limit(ds, seg, FlowConfig()) == "degenerate"
+        assert flow_engine._classify_limit(ds, seg) == "degenerate"
 
     @pytest.mark.parametrize(
         "x2, verdict",
@@ -511,7 +527,7 @@ class TestSliding:
         pattern = ActivationPattern((0, 1, 0))
         seg = flow_engine._segment_from(ds, pattern, np.array([0.0, 0.5]), 0.0, (0,))
         np.testing.assert_allclose(seg.target, [0.0, 1.0], atol=1e-12)
-        assert flow_engine._classify_limit(ds, seg, FlowConfig()) == verdict
+        assert flow_engine._classify_limit(ds, seg) == verdict
 
     def test_positive_labels_never_slide(self, rng):
         for _ in range(20):

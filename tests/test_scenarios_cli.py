@@ -353,7 +353,7 @@ class TestCli:
             for name, p in sub.choices.items()
         }
         dataset = {"--dataset", "--augment-bias"}
-        flow = {"--w0", "--tol"}
+        flow = {"--w0"}
         engine = {"--engine", "--lr", "--iters"}
         assert options == {
             "validate": dataset | {"--require"},

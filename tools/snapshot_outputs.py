@@ -8,11 +8,13 @@ Runs ``reluflow`` from this checkout's ``src/`` over a fixed set of
 commands: ``reproduce`` for each built-in scenario with ``--engine exact``
 and with ``--engine gd --iters 3000``; ``validate``, ``landscape``,
 ``flow`` (exact and gd), ``linear-flow`` and ``criteria`` on each bundled
-fixture; ``backprop`` on a small net; every campaign with ``--trials 20
---seed 3``; and an unknown scenario and an unknown campaign.  Each command
-gets a directory ``OUT_DIR/<case>/`` holding its ``stdout``, ``stderr``,
-``exit`` status and the files it wrote under ``out/``.  Two checkouts whose
-snapshots give an empty ``diff -r`` behave identically on these commands.
+fixture, and ``flow`` and ``criteria`` with ``--t-max 0.001`` on
+``example_5_2.json``; ``backprop`` on a small net; every campaign with
+``--trials 20 --seed 3``; and an unknown scenario and an unknown
+campaign.  Each command gets a directory ``OUT_DIR/<case>/`` holding its
+``stdout``, ``stderr``, ``exit`` status and the files it wrote under
+``out/``.  Two checkouts whose snapshots give an empty ``diff -r`` behave
+identically on these commands.
 """
 
 from __future__ import annotations
@@ -78,6 +80,10 @@ def main(argv: list[str]) -> int:
         _run(out_dir, f"flow-{stem}-gd", ["flow", *data, *w0, "--engine", "gd", "--iters", "3000"])
         _run(out_dir, f"linear-flow-{stem}", ["linear-flow", *data, *w0])
         _run(out_dir, f"criteria-{stem}", ["criteria", *data, *w0])
+    # stopped at the horizon, before the fixture's deactivation at t = 0.78
+    data = ["--dataset", str(DATA / "example_5_2.json"), "--w0", W0[3], "--t-max", "0.001"]
+    _run(out_dir, "flow-t-max", ["flow", *data])
+    _run(out_dir, "criteria-t-max", ["criteria", *data])
     net = out_dir / "net.json"
     net.write_text(json.dumps(NET) + "\n", encoding="utf-8")
     _run(out_dir, "backprop", ["backprop", "--net", str(net), "--x", "1,2", "--y", "3"])
