@@ -20,7 +20,6 @@ from .errors import GeometryError, StructuralError
 from .expsum import TIE_RTOL
 from .flow import (
     count_hyperplane_crossings,
-    linear_loss,
     norm_certificate,
     revisit_report,
     sample_trajectory,
@@ -29,7 +28,7 @@ from .flow import (
     simulate_linear_flow,
 )
 from .geometry import BOUNDARY_MARGIN, clearance, partition_count_bound
-from .landscape import LOSS_ORDER_RTOL, compare_support_losses, linear_least_squares
+from .landscape import LOSS_ORDER_RTOL, compare_support_losses, linear_least_squares, linear_loss
 from .landscape import minima_census, relu_vs_linear_gap
 
 # The sampled engine check of a linear flow: between samples its loss may

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from .criteria import (
 from .dataset import augment_bias, load_dataset, load_json, validate_dataset, write_json
 from .deepnet import DeepNet, backprop_labels, forward_trace
 from .errors import ReluFlowError
-from .flow import T_MAX, revisit_report, simulate_flow, simulate_gd, simulate_linear_flow, write_run
+from .flow import revisit_report, simulate_flow, simulate_gd, simulate_linear_flow, write_run
 from .landscape import (
     INTERPOLATION_TOL,
     census_to_jsonl,
@@ -243,7 +244,7 @@ def _add_common(p, dataset=False, flow=False, horizon=False, engine=False, seed=
     if flow:
         p.add_argument("--w0", help="initial weights, comma separated")
     if horizon:
-        p.add_argument("--t-max", dest="t_max", type=float, default=T_MAX)
+        p.add_argument("--t-max", dest="t_max", type=float, default=math.inf)
     if seed:
         p.add_argument("--seed", type=int, default=scen.DEFAULT_SEED)
     if out:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -48,8 +49,8 @@ from .dataset import RANK_RTOL, Dataset, freeze_fields
 from .errors import NumericalError, PreconditionError, StructuralError
 from .expsum import TERMINAL_HORIZON_RATES, TIE_RTOL, ExpSum, gap_lower_bounds
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, active_matrices, clearance
-from .geometry import g_value, pattern_of, pattern_system
-from .landscape import gradient, linear_loss, loss
+from .geometry import pattern_of, pattern_system
+from .landscape import gradient
 
 # The face rule tries all 3^|B| assignments of at most FACE_MAX_DATA data.
 FACE_MAX_DATA = 8
@@ -63,9 +64,6 @@ CSV_SAMPLES = 400
 # (|X|_F |w| + |y|), the roundoff scale of X (X^T w - y): a backward error,
 # so the verdict does not change when the data are only rescaled.
 CONVERGE_RTOL = 1e-12
-
-# The default time horizon of simulate_flow.
-T_MAX = 1e6
 
 # A flow ends "event-cap" after EVENT_CAP_FACTOR * n * d events.
 EVENT_CAP_FACTOR = 10
@@ -338,7 +336,7 @@ def _check_start(ds: Dataset, w0) -> np.ndarray:
     return w0
 
 
-def simulate_flow(ds: Dataset, w0, t_max: float = T_MAX) -> Trajectory:
+def simulate_flow(ds: Dataset, w0, t_max: float = math.inf) -> Trajectory:
     """Exact event-driven trajectory of the rectified gradient flow from w0 up to ``t_max``."""
     if not t_max > 0.0:
         raise PreconditionError("t_max must be positive")
@@ -503,11 +501,11 @@ def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
         raise PreconditionError("iters must be nonnegative")
     iterates = [w.copy()]
     events = []
-    bits = pattern_of(ds, w).bits
+    bits = tuple((ds.x.T @ w > 0.0).tolist())
     for k in range(iters):
         w = w - lr * gradient(ds, w)
         iterates.append(w.copy())
-        new_bits = pattern_of(ds, w).bits
+        new_bits = tuple((ds.x.T @ w > 0.0).tolist())
         if new_bits != bits:
             for j, (a, b) in enumerate(zip(bits, new_bits)):
                 if a != b:
@@ -619,18 +617,47 @@ def events_to_jsonl(tr: Trajectory | GDRun) -> str:
     return "".join(json.dumps(ev.to_json(), sort_keys=True) + "\n" for ev in tr.events)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row as one stacked matmul, bitwise each row's dot product."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_products(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v[i]`` for every row as one stacked matmul, bitwise each row's product."""
+    return np.matmul(m[None], v[:, :, None])[:, :, 0]
+
+
 def trajectory_to_csv(tr: Trajectory | GDRun) -> str:
-    """Plot-ready CSV of an exact, linear or descent run: t, w_1..w_d, loss, norm, g, pattern bits."""
+    """Plot-ready CSV of an exact, linear or descent run: t, w_1..w_d, loss, norm, g, pattern bits.
+
+    All rows are evaluated in one pass of stacked ``matmul`` products, which
+    numpy computes slice by slice with the kernel of the per-row product, so
+    each cell is bitwise its per-row definition (``loss``, ``|w|``,
+    ``g_value``, ``pattern_of``); ``X_a X_a^T`` and ``X_a y_a`` are built once
+    per distinct pattern.
+    """
     ds = tr.dataset
+    ts, ws = zip(*sample_trajectory(tr, CSV_SAMPLES))
+    w = np.array(ws)
+    h = _row_products(ds.x.T, w)
+    if tr.linear:
+        r = h - ds.y
+        g = _row_dots(w, _row_products(ds.x, r))
+        masks, which = np.ones((1, ds.n), dtype=bool), np.zeros(len(w), dtype=int)
+    else:
+        r = np.maximum(h, 0.0) - ds.y
+        g = np.empty(len(w))
+        masks, which = np.unique(h > 0.0, axis=0, return_inverse=True)
+        which = which.ravel()
+        for k, mask in enumerate(masks):
+            rows = which == k
+            xa = ds.x[:, mask]
+            g[rows] = _row_dots(w[rows], _row_products(xa @ xa.T, w[rows]) - xa @ ds.y[mask])
+    pats = ["".join("1" if b else "0" for b in mask.tolist()) for mask in masks]
+    cells = np.column_stack([ts, w, 0.5 * _row_dots(r, r), np.sqrt(_row_dots(w, w)), g]).tolist()
     header = ["t"] + [f"w_{i + 1}" for i in range(ds.d)] + ["loss", "norm", "g", "pattern"]
     lines = [",".join(header)]
-    for t, w in sample_trajectory(tr, CSV_SAMPLES):
-        value = linear_loss(ds, w) if tr.linear else loss(ds, w)
-        g = float(w @ (ds.x @ (ds.x.T @ w - ds.y))) if tr.linear else g_value(ds, w)
-        pat = "1" * ds.n if tr.linear else pattern_of(ds, w).to_string()
-        cells = [repr(float(t))] + [repr(float(x)) for x in w]
-        cells += [repr(float(value)), repr(float(np.linalg.norm(w))), repr(float(g)), pat]
-        lines.append(",".join(cells))
+    lines += [",".join(map(repr, row)) + "," + pats[k] for row, k in zip(cells, which.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -29,7 +29,7 @@ BOUNDARY_MARGIN = 1e-9
 # d=2 boundary angles closer than ANGLE_DEDUPE radians are one boundary.
 ANGLE_DEDUPE = 1e-12
 
-# Enumeration guard: 2^n candidate patterns beyond this is refused.
+# Enumeration guard: datasets with more samples than this are refused.
 ENUMERATION_MAX_N = 24
 
 # The cell count is checked against region_count's 2^n rank tests up to this n.

@@ -8,9 +8,13 @@ differences, deep gradients through a direct forward/backward pass, and
 the zeros of exponential sums and the sign of the norm's slope through a
 dense grid whose sign changes are bisected in 50-digit mpmath arithmetic.
 Expected values in the tests are produced by these routines (or frozen
-from them), never by the code under test.  The one exception is ``boundary_candidates_exhaustive``: it shares
-the flow's root isolator and is the reference for the flow's pruned event
-search, from which it differs only by isolating every datum.
+from them), never by the code under test.  Two exceptions share package
+code.  ``boundary_candidates_exhaustive`` shares the flow's root isolator
+and is the reference for the flow's pruned event search, from which it
+differs only by isolating every datum.  ``trajectory_csv`` is the per-row
+writer that the batched ``flow.trajectory_to_csv`` replaced: it evaluates
+each row through the package's ``loss``, ``g_value`` and ``pattern_of``,
+the definitions of the CSV columns.
 """
 
 from __future__ import annotations
@@ -133,6 +137,25 @@ def boundary_candidates_exhaustive(ds, seg):
                 out.append(_Candidate(tau=root.t, index=k, side=1 - seg.pattern.bits[k]))
                 break
     return out
+
+
+def trajectory_csv(tr) -> str:
+    """The trajectory CSV built row by row from the column definitions."""
+    from reluflow.flow import CSV_SAMPLES, sample_trajectory
+    from reluflow.geometry import g_value, pattern_of
+    from reluflow.landscape import linear_loss, loss
+
+    ds = tr.dataset
+    header = ["t"] + [f"w_{i + 1}" for i in range(ds.d)] + ["loss", "norm", "g", "pattern"]
+    lines = [",".join(header)]
+    for t, w in sample_trajectory(tr, CSV_SAMPLES):
+        value = linear_loss(ds, w) if tr.linear else loss(ds, w)
+        g = float(w @ (ds.x @ (ds.x.T @ w - ds.y))) if tr.linear else g_value(ds, w)
+        pat = "1" * ds.n if tr.linear else pattern_of(ds, w).to_string()
+        cells = [repr(float(t))] + [repr(float(x)) for x in w]
+        cells += [repr(float(value)), repr(float(np.linalg.norm(w))), repr(float(g)), pat]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def _margin_lp(unit_cols: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, float]:

@@ -14,7 +14,6 @@ from reluflow.expsum import ExpSum
 from reluflow.flow import (
     count_hyperplane_crossings,
     gap_lower_bounds,
-    linear_loss,
     norm_certificate,
     revisit_report,
     sample_trajectory,
@@ -22,12 +21,13 @@ from reluflow.flow import (
     simulate_flow,
     simulate_gd,
     simulate_linear_flow,
+    trajectory_to_csv,
 )
 from reluflow.geometry import ActivationPattern, g_value, pattern_of
-from reluflow.landscape import loss
+from reluflow.landscape import linear_loss, loss
 
 from oracles import assert_matches_oracle, boundary_candidates_exhaustive, lstsq_minnorm, segment_certificate
-from oracles import norm_growth_mp
+from oracles import norm_growth_mp, trajectory_csv
 
 
 def small_cube_start(rng, d):
@@ -430,6 +430,18 @@ class TestGuards:
         assert tr.terminal == "horizon"
         assert tr.segments[-1].t_end == pytest.approx(1e-3)
 
+    def test_a_slow_scaled_flow_is_not_cut_short(self):
+        # x scaled by about 1e-3 slows the flow to rates near 1e-6, and its
+        # one event falls at t = 2.1e6: only an absolute horizon would end it
+        rng = np.random.default_rng((31, 57))
+        d, n = int(rng.integers(2, 6)), int(rng.integers(2, 10))
+        x, y, w0 = rng.normal(size=(d, n)), rng.normal(size=n), rng.normal(size=d)
+        x = x * 10.0 ** rng.uniform(-3.0, 3.0)
+        tr = simulate_flow(Dataset(x=x, y=y), w0)
+        assert [(e.index, e.kind) for e in tr.events] == [(2, "activation")]
+        assert tr.events[0].t == pytest.approx(2.1123e6, rel=1e-4)
+        assert tr.terminal == "converged"
+
     def test_event_cap_is_flagged(self, ds_reactivation, rng, monkeypatch):
         one_event = 1 / (ds_reactivation.n * ds_reactivation.d)
         monkeypatch.setattr(flow_engine, "EVENT_CAP_FACTOR", one_event)
@@ -673,6 +685,18 @@ class TestDescentProxy:
             gap = np.linalg.norm(proxy.terminal_point - exact.terminal_point)
             assert gap <= 1e-2 * max(1.0, np.linalg.norm(exact.terminal_point))
 
+    def test_descent_events_are_the_pattern_flips_of_its_iterates(self, ds_reactivation):
+        run = simulate_gd(ds_reactivation, np.array([1e-4, 5e-5, 8e-5]), lr=0.005, iters=6000)
+        bits = [pattern_of(ds_reactivation, w).bits for w in run.iterates]
+        flips = [
+            (k * 0.005, j, "activation" if b[j] else "deactivation")
+            for k, (a, b) in enumerate(zip(bits, bits[1:]), start=1)
+            for j in range(len(a))
+            if a[j] != b[j]
+        ]
+        assert [(e.t, e.index, e.kind) for e in run.events] == flips
+        assert [e.kind for e in run.events] == ["deactivation", "activation"]
+
     def test_descent_start_is_checked_like_the_exact_engines(self, ds_deactivation):
         with pytest.raises(PreconditionError):
             simulate_gd(ds_deactivation, [np.nan, 1.0, 0.0], 0.01, 5)
@@ -688,6 +712,57 @@ class TestDescentProxy:
         np.testing.assert_array_equal(run.at(0.0), run.iterates[0])
         with pytest.raises(PreconditionError, match="nonnegative"):
             run.at(-0.1)
+
+
+class TestTrajectoryCsv:
+    """The batched writer against the per-row oracle, byte for byte.
+
+    The writer's stacked ``matmul`` products must round exactly as the
+    per-row products do; a numpy whose stacked kernels sum in another
+    order fails here first.
+    """
+
+    @staticmethod
+    def assert_matches_oracle(tr):
+        text = trajectory_to_csv(tr)
+        assert text == trajectory_csv(tr)
+        return [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
+
+    def test_exact_flow_with_pattern_changes(self, ds_reactivation):
+        tr = simulate_flow(ds_reactivation, np.array([1e-4, 5e-5, 8e-5]))
+        assert [e.kind for e in tr.events] == ["deactivation", "activation"]
+        assert {"1111", "1110"} <= set(self.assert_matches_oracle(tr))
+
+    def test_mixed_sign_flow_with_held_segments(self):
+        ds = Dataset(
+            x=np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 2.0]]),
+            y=np.array([-3.0, -3.0, 2.0, 1.0]),
+        )
+        tr = simulate_flow(ds, np.array([0.4, 0.2, 0.5]))
+        assert [seg.held for seg in tr.segments] == [(), (1,), (0, 1)]
+        self.assert_matches_oracle(tr)
+
+    def test_flow_cut_by_the_horizon(self, ds_reactivation):
+        tr = simulate_flow(ds_reactivation, np.array([1e-4, 5e-5, 8e-5]), t_max=10.0)
+        assert tr.terminal == "horizon" and len(tr.segments) == 2
+        self.assert_matches_oracle(tr)
+
+    def test_linear_flow(self, ds_deactivation):
+        tr = simulate_linear_flow(ds_deactivation, np.array([1e-4, 5e-5, 8e-5]))
+        assert set(self.assert_matches_oracle(tr)) == {"111"}
+
+    def test_descent_run(self, ds_deactivation):
+        run = simulate_gd(ds_deactivation, np.array([1e-4, 5e-5, 8e-5]), lr=0.005, iters=3000)
+        assert run.events
+        self.assert_matches_oracle(run)
+
+    def test_flow_into_the_all_inactive_pattern(self):
+        # each coordinate decays to -1 and stops at 0, where its datum turns off
+        ds = Dataset(x=np.eye(2), y=np.array([-1.0, -1.0]))
+        tr = simulate_flow(ds, np.array([1.0, 3.0]))
+        assert [seg.pattern.to_string() for seg in tr.segments] == ["11", "01", "00"]
+        np.testing.assert_array_equal(tr.terminal_point, [0.0, 0.0])
+        assert self.assert_matches_oracle(tr)[-1] == "00"
 
 
 class TestSampling:
