@@ -36,10 +36,8 @@ from .errors import NumericalError
 ZERO_RTOL = 1e-13
 
 # Exponential rates closer than MERGE_RTOL (relative to the largest rate)
-# are combined into one term; coefficients below DROP_RTOL of the total
-# coefficient mass are discarded.
+# are combined into one term; a term whose coefficient sums to exactly 0 goes.
 MERGE_RTOL = 1e-12
-DROP_RTOL = 5e-15
 
 # Two instants, or two values, within TIE_RTOL * max(1, |t|) of each other
 # tie: they count as the same root, event or value.
@@ -52,7 +50,7 @@ TERMINAL_HORIZON_RATES = 50.0
 # The grid starts with [0, BOUND_T0_RATES / mu_max] and doubles from
 # there.  A sum is zero-free on a cell only when its enclosure clears 0 by
 # BOUND_SLACK_RTOL * (|c| + sum |a|): 1e4 above ZERO_RTOL, so the zeros
-# the isolator reports, and the terms ExpSum drops, stay inside the slack.
+# the isolator reports, and roundoff-level terms, stay inside the slack.
 BOUND_T0_RATES = 1e-6
 BOUND_SLACK_RTOL = 1e-9
 
@@ -176,8 +174,7 @@ class ExpSum:
         if coeffs.size:
             rates, merged = _merge(rates, coeffs[None, :])
             coeffs = merged[0]
-            scale = abs(c) + np.sum(np.abs(coeffs))
-            keep = np.abs(coeffs) > DROP_RTOL * scale
+            keep = coeffs != 0.0
             coeffs, rates = coeffs[keep], rates[keep]
         self.c = c
         self.coeffs = coeffs

@@ -23,11 +23,9 @@ from .errors import GeometryError, SizeError, StructuralError
 
 # A point clears a datum's boundary when its relative clearance (see
 # ``clearance``) is at least BOUNDARY_MARGIN in size.  It decides feasible
-# patterns, converged limits, contained minimizers and matched minima.
+# patterns, converged limits, contained minimizers and matched minima, and
+# which data share one hyperplane (``hyperplane_classes``).
 BOUNDARY_MARGIN = 1e-9
-
-# d=2 boundary angles closer than ANGLE_DEDUPE radians are one boundary.
-ANGLE_DEDUPE = 1e-12
 
 # Enumeration guard: datasets with more samples than this are refused.
 ENUMERATION_MAX_N = 24
@@ -165,47 +163,58 @@ class PartitionCell:
         freeze_fields(self, "witness")
 
 
+def hyperplane_classes(unit: np.ndarray) -> tuple[list[int], list[tuple[int, bool]]]:
+    """Each class's first column, and each column's (class, antiparallel).
+
+    A unit column within ``2 BOUNDARY_MARGIN`` of a class's first column,
+    or of its negative, joins the first such class (so membership is not
+    transitive): every cell between the two is thinner than the margin.
+    """
+    k = unit.shape[1]
+    # a pair within 2 BOUNDARY_MARGIN has |u_i . u_j| >= 1 - 1e-15, so this is a
+    # necessary condition, not a tolerance: only its pairs take the chord test
+    gram = unit.T @ unit
+    near = np.abs(gram) >= 1.0 - 1e-12
+    if np.count_nonzero(near) == k:
+        return list(range(k)), [(j, False) for j in range(k)]
+    reps, classes = [], []
+    for j in range(k):
+        for i, rep in enumerate(reps):
+            sign = math.copysign(1.0, gram[rep, j])
+            if near[rep, j] and np.linalg.norm(unit[:, j] - sign * unit[:, rep]) <= 2.0 * BOUNDARY_MARGIN:
+                classes.append((i, sign < 0.0))
+                break
+        else:
+            classes.append((len(reps), False))
+            reps.append(j)
+    return reps, classes
+
+
 def region_count(ds: Dataset) -> int:
     """Number of cells of the data's central arrangement, from its matroid alone.
 
     Whitney's formula with Zaslavsky's theorem: the sum over subsets S of
-    the data of ``(-1)^(|S| - rank S)``, with ranks of unit columns decided
-    by ``RANK_RTOL``.  That is 2^n rank tests, one batched SVD per subset size.
+    the ``hyperplane_classes`` normals of ``(-1)^(|S| - rank S)``, ranks
+    decided by ``RANK_RTOL``.  That is 2^k rank tests for k classes.
     """
     unit = ds.x / np.linalg.norm(ds.x, axis=0)
+    unit = unit[:, hyperplane_classes(unit)[0]]
     total = 1  # the empty subset
-    for m in range(1, ds.n + 1):
-        subsets = np.array(list(itertools.combinations(range(ds.n), m)))
+    for m in range(1, unit.shape[1] + 1):
+        subsets = np.array(list(itertools.combinations(range(unit.shape[1]), m)))
         s = np.linalg.svd(unit[:, subsets].transpose(1, 0, 2), compute_uv=False)
         rank = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
         total += int(np.sum((-1) ** (m - rank)))
     return total
 
 
-def _boundary_angles(x: np.ndarray) -> list[float]:
-    """Angles in [0, 2pi) where some column's boundary meets the circle; ties merge."""
-    angles = []
-    for i in range(x.shape[1]):
-        theta = math.atan2(x[1, i], x[0, i])
-        for phi in (theta + math.pi / 2.0, theta - math.pi / 2.0):
-            angles.append(phi % (2.0 * math.pi))
-    angles.sort()
-    out: list[float] = []
-    for a in angles:
-        if not out or a - out[-1] > ANGLE_DEDUPE:
-            out.append(a)
-    # wrap-around duplicate (an angle within tolerance of out[0] + 2pi)
-    if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] <= ANGLE_DEDUPE:
-        out.pop()
-    return out
-
-
 def _sweep_2d(x: np.ndarray) -> dict:
-    """The exact d=2 sweep: the sign vector (True on the active side) of each
-    arc between consecutive boundary angles whose midpoint clears every
-    boundary by more than BOUNDARY_MARGIN, with the first such midpoint."""
+    """The exact d=2 sweep of distinct hyperplanes: sign vector (True on the
+    active side) -> midpoint of its arc between consecutive boundary angles,
+    for each arc whose midpoint clears every boundary by more than BOUNDARY_MARGIN."""
     unit = x / np.linalg.norm(x, axis=0)
-    angles = _boundary_angles(x)
+    thetas = [math.atan2(x[1, i], x[0, i]) for i in range(x.shape[1])]
+    angles = sorted((t + half) % (2.0 * math.pi) for t in thetas for half in (math.pi / 2.0, -math.pi / 2.0))
     k = len(angles)
     cells: dict = {}
     for j in range(k):
@@ -229,12 +238,17 @@ def arrangement_cells(cols: np.ndarray, target: tuple[bool, ...] | None = None) 
     of the central arrangement of the columns' hyperplanes, or with
     ``target`` for that one sign vector's cell (an empty dict when it is empty).
 
-    One row gives the two rays and two rows the exact sweep.  More rows
-    are first reduced to the columns' span, then ``_insert_columns``.
+    Each column takes the sign of its ``hyperplane_classes`` class, flipped
+    when antiparallel.  Of distinct hyperplanes, two rows give the exact
+    sweep; more rows are first reduced to the columns' span, then
+    ``_insert_columns``.
     """
     unit = cols / np.linalg.norm(cols, axis=0)
-    if unit.shape[0] == 1:
-        return _aimed({tuple(side * unit[0] > 0.0): np.array([side]) for side in (1.0, -1.0)}, target)
+    reps, classes = hyperplane_classes(unit)
+    if len(reps) < len(classes):
+        aim = None if target is None else tuple(target[j] for j in reps)
+        cells = arrangement_cells(cols[:, reps], aim)
+        return _aimed({tuple(key[i] != flip for i, flip in classes): w for key, w in cells.items()}, target)
     if unit.shape[0] == 2:
         return _aimed(_sweep_2d(cols), target)
     u, s, _ = np.linalg.svd(unit, full_matrices=False)
@@ -245,7 +259,7 @@ def arrangement_cells(cols: np.ndarray, target: tuple[bool, ...] | None = None) 
 
 
 def _insert_columns(unit: np.ndarray, target: tuple[bool, ...] | None = None) -> dict:
-    """Deletion-restriction on full-rank unit columns, one column at a time.
+    """Deletion-restriction on distinct full-rank unit columns, one at a time.
 
     A cell of the earlier columns is split by column k exactly when its
     sign vector is a cell of the earlier columns restricted to k's
@@ -256,29 +270,14 @@ def _insert_columns(unit: np.ndarray, target: tuple[bool, ...] | None = None) ->
     is kept, and its restriction is searched only when the cell's witness
     lies on the wrong side of column k.
     """
-    # a column within 2 BOUNDARY_MARGIN of an earlier one or of its negative
-    # copies that column's signs: every cell between the two is thinner
-    reps: list[int] = []
-    copy_of: list[tuple[int, bool]] = []  # (representative, antiparallel)
-    for j in range(unit.shape[1]):
-        for i, rep in enumerate(reps):
-            g = float(unit[:, rep] @ unit[:, j])
-            gap = np.linalg.norm(unit[:, j] - math.copysign(1.0, g) * unit[:, rep])
-            if gap <= 2.0 * BOUNDARY_MARGIN:
-                copy_of.append((i, g < 0.0))
-                break
-        else:
-            copy_of.append((len(reps), False))
-            reps.append(j)
-    first = unit[:, reps[0]]
-    cells = {(True,): first, (False,): -first}
-    for k in range(1, len(reps)):
-        aim = None if target is None else tuple(target[j] for j in reps[:k])
+    cells = {(True,): unit[:, 0], (False,): -unit[:, 0]}
+    for k in range(1, unit.shape[1]):
+        aim = None if target is None else target[:k]
         if aim is not None and aim not in cells:
             return {}
-        earlier, uk = unit[:, reps[:k]], unit[:, reps[k]]
+        earlier, uk = unit[:, :k], unit[:, k]
         grown = {key + (bool(uk @ w > 0.0),): w for key, w in _aimed(cells, aim).items()}
-        if aim is None or aim + (target[reps[k]],) not in grown:
+        if aim is None or aim + (target[k],) not in grown:
             basis = np.linalg.svd(uk[:, None])[0][:, 1:]  # orthonormal basis of uk's hyperplane
             for key, z in arrangement_cells(basis.T @ earlier, aim).items():
                 v = basis @ z
@@ -286,7 +285,7 @@ def _insert_columns(unit: np.ndarray, target: tuple[bool, ...] | None = None) ->
                 for side, w in ((True, v + step), (False, v - step)):
                     grown[key + (side,)] = w / np.linalg.norm(w)
         cells = grown
-    return _aimed({tuple(key[i] != flip for i, flip in copy_of): w for key, w in cells.items()}, target)
+    return _aimed(cells, target)
 
 
 def _certified_cells(ds: Dataset) -> list[PartitionCell]:

@@ -100,9 +100,9 @@ class TestEdgeCases:
         assert ExpSum(3.0, [], []).roots() == []
         assert ExpSum(0.0, [], []).roots() == []
 
-    def test_negligible_coefficients_are_dropped(self):
+    def test_a_negligible_coefficient_leaves_the_roots(self):
         f = ExpSum(1.0, [1e-20, -2.0], [1.0, 2.0])
-        assert f.n_terms == 1
+        assert f.roots() == ExpSum(1.0, [-2.0], [2.0]).roots()
 
     def test_equal_rates_merge(self):
         f = ExpSum(1.0, [1.0, -3.0], [2.0, 2.0 + 1e-15])

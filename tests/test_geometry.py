@@ -12,6 +12,7 @@ from reluflow.geometry import (
     active_matrices,
     enumerate_partitions,
     g_value,
+    hyperplane_classes,
     partition_count_bound,
     pattern_of,
     pattern_system,
@@ -156,6 +157,35 @@ class TestEnumeratePartitions:
                     assert np.min(clearance) > geometry.BOUNDARY_MARGIN
         assert certified > 0
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["parallel", "antiparallel"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_data_within_twice_the_margin_are_one_hyperplane(self, d, sign):
+        # the enumerator, the sweep and the count all merge data 0 and 1
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(d, 6))
+        perp = rng.normal(size=d)
+        perp -= (perp @ base[:, 0]) / (base[:, 0] @ base[:, 0]) * base[:, 0]
+        for angle in (5e-10, 1e-9, 1.5e-9):
+            x = base.copy()
+            x[:, 1] = sign * (x[:, 0] + angle * np.linalg.norm(x[:, 0]) / np.linalg.norm(perp) * perp)
+            ds = Dataset(x=x, y=np.ones(6))
+            cells = enumerate_partitions(ds)
+            assert len(cells) == region_count(ds)
+            for cell in cells:
+                assert cell.pattern.bits[1] == (cell.pattern.bits[0] if sign > 0 else 1 - cell.pattern.bits[0])
+
+    def test_copies_add_no_cell(self, rng):
+        for d in (2, 3, 4):
+            x = rng.normal(size=(d, 5))
+            base = {c.pattern.bits for c in enumerate_partitions(Dataset(x=x, y=np.ones(5)))}
+            ds = Dataset(x=np.column_stack([x, 2.0 * x[:, 0], -0.5 * x[:, 1]]), y=np.ones(7))
+            cells = enumerate_partitions(ds)
+            assert {c.pattern.bits[:5] for c in cells} == base
+            assert len(cells) == len(base) == region_count(ds)
+            for cell in cells:
+                bits = cell.pattern.bits
+                assert bits[5] == bits[0] and bits[6] == 1 - bits[1]
+
     def test_region_count_is_covers_count_in_general_position(self, rng):
         for d, n in ((1, 4), (2, 5), (3, 7), (4, 9)):
             assert region_count(random_a1_dataset(rng, d, n)) == partition_count_bound(n, d)
@@ -168,6 +198,25 @@ class TestEnumeratePartitions:
             cells = enumerate_partitions(ds)
             assert len(cells) <= partition_count_bound(n, d)
             assert len({c.pattern.bits for c in cells}) == len(cells)
+
+
+class TestHyperplaneClasses:
+    @staticmethod
+    def _turned(angles):
+        """Unit columns turned from one random unit vector by each angle, in one plane."""
+        u, p = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 2)))[0].T
+        return np.column_stack([np.cos(t) * u + np.sin(t) * p for t in angles])
+
+    def test_copies_within_twice_the_margin_join_the_first_column(self):
+        unit = self._turned([0.0, 0.0, 0.0, 1e-9, 3e-9])
+        unit[:, 2] *= -1.0
+        reps, classes = hyperplane_classes(unit)
+        assert reps == [0, 4]
+        assert classes == [(0, False), (0, False), (0, True), (0, False), (1, False)]
+
+    def test_membership_is_not_transitive(self):
+        # datum 2 is within 2e-9 of datum 1 but not of its class's first column
+        assert hyperplane_classes(self._turned([0.0, 1.5e-9, 3e-9])) == ([0, 2], [(0, False), (0, False), (1, False)])
 
 
 def _circular_order(ds):

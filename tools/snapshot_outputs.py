@@ -9,7 +9,9 @@ commands: ``reproduce`` for each built-in scenario with ``--engine exact``
 and with ``--engine gd --iters 3000``; ``validate``, ``landscape``,
 ``flow`` (exact and gd), ``linear-flow`` and ``criteria`` on each bundled
 fixture, and ``flow`` and ``criteria`` with ``--t-max 0.001`` on
-``example_5_2.json``; ``backprop`` on a small net; every campaign with
+``example_5_2.json``; ``landscape`` on a d=2 and a d=3 dataset that each
+hold an exact copy and a negative copy of a column; ``backprop`` on a
+small net; every campaign with
 ``--trials 20 --seed 3``; and an unknown scenario and an unknown
 campaign.  Each command gets a directory ``OUT_DIR/<case>/`` holding its
 ``stdout``, ``stderr``, ``exit`` status and the files it wrote under
@@ -32,6 +34,13 @@ DATA = Path("src") / "reluflow" / "data"  # relative to ROOT, so messages name n
 # one start per fixture, by its dimension
 W0 = {2: "0.0001,0.0001", 3: "0.0001,0.00005,0.00008"}
 NET = {"weights": [[[1.0, 0.5], [-0.5, 1.0]], [[2.0, -1.0]]]}
+# datum 3 repeats datum 0 and datum 4 negates datum 1: one hyperplane each
+COPIES = {
+    "copies-d2": {"x": [[0.8858, 0.0244], [0.4338, 0.8852], [0.6739, 0.0399], [0.8858, 0.0244],
+                        [-0.4338, -0.8852]], "y": [0.6111, 0.9397, 1.8694, 0.5, -0.3]},
+    "copies-d3": {"x": [[1.0, 0.0, 1.0], [1.0, 2.0, 1.0], [1.0, 0.0, 2.0], [1.0, 0.0, 1.0],
+                        [-1.0, -2.0, -1.0], [0.0, 1.0, 0.0]], "y": [0.1, 0.2, 4.0, 0.3, -0.2, 0.1]},
+}
 
 
 def _run(out_dir: Path, case: str, args: list[str]) -> None:
@@ -84,6 +93,10 @@ def main(argv: list[str]) -> int:
     data = ["--dataset", str(DATA / "example_5_2.json"), "--w0", W0[3], "--t-max", "0.001"]
     _run(out_dir, "flow-t-max", ["flow", *data])
     _run(out_dir, "criteria-t-max", ["criteria", *data])
+    for name, obj in COPIES.items():
+        path = out_dir / f"{name}.json"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        _run(out_dir, f"landscape-{name}", ["landscape", "--dataset", str(path)])
     net = out_dir / "net.json"
     net.write_text(json.dumps(NET) + "\n", encoding="utf-8")
     _run(out_dir, "backprop", ["backprop", "--net", str(net), "--x", "1,2", "--y", "3"])
