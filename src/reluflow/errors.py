@@ -10,7 +10,7 @@ class StructuralError(ReluFlowError):
 
 
 class SizeError(ReluFlowError):
-    """Combinatorial guard exceeded (too many samples to enumerate)."""
+    """Combinatorial guard exceeded (too many cells to enumerate)."""
 
 
 class GeometryError(ReluFlowError):

@@ -5,14 +5,14 @@ Each datum ``x_i`` splits parameter space by the central hyperplane
 of strict activation indicators is constant; points on a boundary belong
 to no partition and are mapped to the deactivated side by convention.
 This module enumerates the nonempty cones with certified strict-interior
-witnesses (or finds the one cone of a given sign vector), counts them, and
+witnesses (or finds the one cone of a given sign vector), counts them by
+deletion-restriction, checks every enumeration against that count, and
 builds the per-pattern spectral kernel and norm-derivative quantities
 used by the flow analysis.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,11 +27,8 @@ from .errors import GeometryError, SizeError, StructuralError
 # which data share one hyperplane (``hyperplane_classes``).
 BOUNDARY_MARGIN = 1e-9
 
-# Enumeration guard: datasets with more samples than this are refused.
-ENUMERATION_MAX_N = 24
-
-# The cell count is checked against region_count's 2^n rank tests up to this n.
-COUNT_CHECK_MAX_N = 18
+# Enumeration guard: datasets whose partition_count_bound exceeds this are refused.
+MAX_CELLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -190,21 +187,24 @@ def hyperplane_classes(unit: np.ndarray) -> tuple[list[int], list[tuple[int, boo
     return reps, classes
 
 
-def region_count(ds: Dataset) -> int:
-    """Number of cells of the data's central arrangement, from its matroid alone.
-
-    Whitney's formula with Zaslavsky's theorem: the sum over subsets S of
-    the ``hyperplane_classes`` normals of ``(-1)^(|S| - rank S)``, ranks
-    decided by ``RANK_RTOL``.  That is 2^k rank tests for k classes.
-    """
-    unit = ds.x / np.linalg.norm(ds.x, axis=0)
+def region_count(cols: np.ndarray) -> int:
+    """Number of cells of the columns' central arrangement by deletion-
+    restriction, r(A) = r(A - H) + r(A^H) (Zaslavsky): ``arrangement_cells``'
+    recursion with counts for witnesses, on class normals reduced to their
+    span at every level.  In the plane each class adds two cells; above it,
+    class k adds the cells of classes 0..k-1 restricted to its hyperplane."""
+    unit = cols / np.linalg.norm(cols, axis=0)
     unit = unit[:, hyperplane_classes(unit)[0]]
-    total = 1  # the empty subset
-    for m in range(1, unit.shape[1] + 1):
-        subsets = np.array(list(itertools.combinations(range(unit.shape[1]), m)))
-        s = np.linalg.svd(unit[:, subsets].transpose(1, 0, 2), compute_uv=False)
-        rank = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
-        total += int(np.sum((-1) ** (m - rank)))
+    u, s, _ = np.linalg.svd(unit, full_matrices=False)
+    r = int(np.sum(s > RANK_RTOL * s[0]))
+    if r < unit.shape[0]:
+        return region_count(u[:, :r].T @ unit)
+    if r <= 2:  # rank 1 is one row, where every column is one class
+        return 2 * unit.shape[1]
+    total = 2
+    for k in range(1, unit.shape[1]):
+        basis = np.linalg.svd(unit[:, k:k + 1])[0][:, 1:]  # orthonormal basis of k's hyperplane
+        total += region_count(basis.T @ unit[:, :k])
     return total
 
 
@@ -304,14 +304,14 @@ def _certified_cells(ds: Dataset) -> list[PartitionCell]:
 def enumerate_partitions(ds: Dataset) -> list[PartitionCell]:
     """All feasible activation patterns, each with an interior witness.
 
-    Refuses datasets with more than ``ENUMERATION_MAX_N`` samples.  Up to
-    ``COUNT_CHECK_MAX_N`` samples, the number of cells must equal
-    ``region_count(ds)`` or a ``GeometryError`` names both counts.
+    Refuses, before enumerating, datasets whose ``partition_count_bound``
+    exceeds ``MAX_CELLS``.  The number of cells must equal
+    ``region_count(ds.x)`` or a ``GeometryError`` names both counts.
     """
-    if ds.n > ENUMERATION_MAX_N:
-        raise SizeError(f"enumeration guard: n = {ds.n} > {ENUMERATION_MAX_N}")
+    if (bound := partition_count_bound(ds.n, ds.d)) > MAX_CELLS:
+        raise SizeError(f"enumeration guard: up to {bound} cells at (d, n) = ({ds.d}, {ds.n}) > {MAX_CELLS}")
     cells = _certified_cells(ds)
-    if ds.n <= COUNT_CHECK_MAX_N and len(cells) != (expected := region_count(ds)):
+    if len(cells) != (expected := region_count(ds.x)):
         raise GeometryError(f"enumeration found {len(cells)} cells, the arrangement has {expected}")
     cells.sort(key=lambda c: c.pattern.to_string())
     return cells

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's computational paths:
 least squares go through numpy's lstsq/pinv, pattern counts through dense
-angular sweeps and margin linear programs, minimizer containment through
+angular sweeps and margin linear programs, cell counts through Whitney's
+sum over all subsets of the normals, minimizer containment through
 an affine margin linear program, gradients through central finite
 differences, deep gradients through a direct forward/backward pass, and
 the zeros of exponential sums and the sign of the norm's slope through a
@@ -19,9 +20,16 @@ the definitions of the CSV columns.
 
 from __future__ import annotations
 
+import itertools
+
 import mpmath
 import numpy as np
 from scipy.optimize import linprog
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from reluflow.dataset import RANK_RTOL
+from reluflow.geometry import hyperplane_classes
 
 # Working precision of the exponential-sum oracles, in decimal digits.
 MP_DPS = 50
@@ -207,6 +215,45 @@ def enumerate_partitions_lp(ds, margin: float = 1e-9) -> set:
                     grown.append((s_new, w_new))
         cells = grown
     return {tuple(int(s > 0) for s in signs) for signs, _ in cells}
+
+
+def region_count_whitney(ds) -> int:
+    """Number of cells of the data's central arrangement, from its matroid alone.
+
+    Whitney's formula with Zaslavsky's theorem: the sum over subsets S of
+    the ``hyperplane_classes`` normals of ``(-1)^(|S| - rank S)``, ranks
+    decided by ``RANK_RTOL``.  That is 2^k rank tests for k classes.
+    """
+    unit = ds.x / np.linalg.norm(ds.x, axis=0)
+    unit = unit[:, hyperplane_classes(unit)[0]]
+    total = 1  # the empty subset
+    for m in range(1, unit.shape[1] + 1):
+        subsets = np.array(list(itertools.combinations(range(unit.shape[1]), m)))
+        s = np.linalg.svd(unit[:, subsets].transpose(1, 0, 2), compute_uv=False)
+        rank = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
+        total += int(np.sum((-1) ** (m - rank)))
+    return total
+
+
+def region_count_exact(x) -> int:
+    """Whitney's subset sum on integer columns, with ranks over the rationals.
+
+    Columns that are exactly parallel, up to sign, are one hyperplane; no
+    tolerance enters anywhere.
+    """
+    x = np.asarray(x)
+    assert np.array_equal(x, np.round(x)), "the exact count needs integer data"
+    m = DomainMatrix([[QQ(int(v)) for v in row] for row in x], x.shape, QQ)
+    rows = list(range(x.shape[0]))
+    normals: list[int] = []
+    for j in range(x.shape[1]):
+        if all(m.extract(rows, [i, j]).rank() == 2 for i in normals):
+            normals.append(j)
+    total = 0
+    for k in range(len(normals) + 1):
+        for subset in itertools.combinations(normals, k):
+            total += (-1) ** (k - (m.extract(rows, list(subset)).rank() if subset else 0))
+    return total
 
 
 def containment_lp(ds, pattern) -> bool:

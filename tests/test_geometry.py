@@ -19,7 +19,15 @@ from reluflow.geometry import (
     region_count,
 )
 
-from oracles import enumerate_partitions_lp, lstsq_minnorm, sweep_patterns_2d
+from reluflow.landscape import minima_census
+
+from oracles import (
+    enumerate_partitions_lp,
+    lstsq_minnorm,
+    region_count_exact,
+    region_count_whitney,
+    sweep_patterns_2d,
+)
 
 
 def random_a1_dataset(rng, d, n):
@@ -109,12 +117,23 @@ class TestEnumeratePartitions:
             cells = _insert_columns(ds.x / np.linalg.norm(ds.x, axis=0))
             assert {pattern_of(ds, w).bits for w in cells.values()} == sweep_patterns_2d(ds, 20000)
 
-    def test_size_guard(self, rng):
-        ds = Dataset(
-            x=rng.uniform(0.1, 1.0, size=(2, 25)), y=rng.uniform(0.1, 1.0, 25)
-        )
-        with pytest.raises(SizeError):
+    def test_size_guard(self, rng, monkeypatch):
+        # refused by its bound of 781,312 cells, before any cell or count is sought
+        ds = Dataset(x=rng.uniform(0.1, 1.0, size=(8, 24)), y=rng.uniform(0.1, 1.0, 24))
+
+        def unexpected(*args):
+            raise AssertionError("enumerated past the guard")
+
+        monkeypatch.setattr(geometry, "_certified_cells", unexpected)
+        monkeypatch.setattr(geometry, "region_count", unexpected)
+        with pytest.raises(SizeError, match="781312 cells"):
             enumerate_partitions(ds)
+
+    def test_a_large_census_is_count_checked(self, rng):
+        # enumerate_partitions raises unless its cells number region_count's
+        ds = random_a1_dataset(rng, 3, 40)
+        assert len(enumerate_partitions(ds)) == region_count(ds.x) == partition_count_bound(40, 3)
+        assert minima_census(ds).minima
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_deletion_restriction_matches_the_margin_programs(self, family):
@@ -126,10 +145,11 @@ class TestEnumeratePartitions:
             ds = Dataset(x=degenerate_columns(rng, family, d, n), y=rng.normal(size=n))
             cells = enumerate_partitions(ds)
             assert {c.pattern.bits for c in cells} == enumerate_partitions_lp(ds)
-            assert len(cells) == region_count(ds)
+            assert len(cells) == region_count(ds.x)
 
-    def test_a_missing_cell_is_reported(self, rng, monkeypatch):
-        ds = random_a1_dataset(rng, 3, 6)
+    @pytest.mark.parametrize("n", [6, 30])
+    def test_a_missing_cell_is_reported(self, rng, monkeypatch, n):
+        ds = random_a1_dataset(rng, 3, n)
         full = geometry._certified_cells(ds)
         monkeypatch.setattr(geometry, "_certified_cells", lambda ds: full[1:])
         with pytest.raises(GeometryError, match=f"found {len(full) - 1} cells.* has {len(full)}"):
@@ -151,11 +171,26 @@ class TestEnumeratePartitions:
                 except GeometryError:
                     continue
                 certified += 1
-                assert len(cells) == region_count(ds)
+                assert len(cells) == region_count(ds.x)
                 for cell in cells:
                     clearance = np.abs(geometry.clearance(ds, cell.witness))
                     assert np.min(clearance) > geometry.BOUNDARY_MARGIN
         assert certified > 0
+
+    def test_restrictions_merge_near_parallel_data(self):
+        # data 0 and 1 are 1e-8 rad apart; on some restrictions their traces
+        # fall within 2 BOUNDARY_MARGIN, and there the count merges them, as
+        # the enumerator does
+        rng = np.random.default_rng((11, 3, 6))
+        x = rng.normal(size=(3, 7))
+        perp = rng.normal(size=3)
+        perp -= (perp @ x[:, 0]) / (x[:, 0] @ x[:, 0]) * x[:, 0]
+        x[:, 1] = x[:, 0] + 1e-8 * np.linalg.norm(x[:, 0]) / np.linalg.norm(perp) * perp
+        ds = Dataset(x=x, y=np.ones(7))
+        cells = enumerate_partitions(ds)
+        assert len(cells) == region_count(ds.x) == 42
+        for cell in cells:
+            assert np.min(np.abs(geometry.clearance(ds, cell.witness))) > geometry.BOUNDARY_MARGIN
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["parallel", "antiparallel"])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -170,7 +205,7 @@ class TestEnumeratePartitions:
             x[:, 1] = sign * (x[:, 0] + angle * np.linalg.norm(x[:, 0]) / np.linalg.norm(perp) * perp)
             ds = Dataset(x=x, y=np.ones(6))
             cells = enumerate_partitions(ds)
-            assert len(cells) == region_count(ds)
+            assert len(cells) == region_count(ds.x)
             for cell in cells:
                 assert cell.pattern.bits[1] == (cell.pattern.bits[0] if sign > 0 else 1 - cell.pattern.bits[0])
 
@@ -181,14 +216,14 @@ class TestEnumeratePartitions:
             ds = Dataset(x=np.column_stack([x, 2.0 * x[:, 0], -0.5 * x[:, 1]]), y=np.ones(7))
             cells = enumerate_partitions(ds)
             assert {c.pattern.bits[:5] for c in cells} == base
-            assert len(cells) == len(base) == region_count(ds)
+            assert len(cells) == len(base) == region_count(ds.x)
             for cell in cells:
                 bits = cell.pattern.bits
                 assert bits[5] == bits[0] and bits[6] == 1 - bits[1]
 
     def test_region_count_is_covers_count_in_general_position(self, rng):
         for d, n in ((1, 4), (2, 5), (3, 7), (4, 9)):
-            assert region_count(random_a1_dataset(rng, d, n)) == partition_count_bound(n, d)
+            assert region_count(random_a1_dataset(rng, d, n).x) == partition_count_bound(n, d)
 
     def test_count_bound_on_random_datasets(self, rng):
         for _ in range(200):
@@ -198,6 +233,54 @@ class TestEnumeratePartitions:
             cells = enumerate_partitions(ds)
             assert len(cells) <= partition_count_bound(n, d)
             assert len({c.pattern.bits for c in cells}) == len(cells)
+
+
+def with_copies(rng, x):
+    """``x`` with a scaled copy and a scaled negative copy of two of its columns."""
+    i, j = rng.choice(x.shape[1], size=2)
+    return np.column_stack([x, int(rng.integers(1, 3)) * x[:, i], -int(rng.integers(1, 3)) * x[:, j]])
+
+
+class TestRegionCount:
+    def test_matches_the_subset_sum_on_generic_data(self):
+        # n < d reduces to the span; n up to 12 keeps the subset sum at 4,096 ranks
+        rng = np.random.default_rng(21)
+        for d in (1, 2, 3, 4, 5) * 4:
+            n = int(rng.integers(1, 13))
+            ds = Dataset(x=rng.normal(size=(d, n)), y=np.ones(n))
+            assert region_count(ds.x) == region_count_whitney(ds)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_the_subset_sum_on_degenerate_data(self, family):
+        rng = np.random.default_rng((22, FAMILIES.index(family)))
+        for d in (3, 4, 5, 6) * 3:
+            n = int(rng.integers(2, 11))
+            x = degenerate_columns(rng, family, d, n)
+            for cols in (x, with_copies(rng, x)):
+                ds = Dataset(x=cols, y=np.ones(cols.shape[1]))
+                assert region_count(ds.x) == region_count_whitney(ds)
+
+    @pytest.mark.parametrize("seed, d", [(6, 6), (7, 5), (11, 5)])
+    def test_each_level_reduces_to_the_span(self, seed, d):
+        # restrictions shrink the columns but not their 1e-11 offsets from a
+        # hyperplane, which would pass RANK_RTOL without a reduction per level
+        x = degenerate_columns(np.random.default_rng((24, seed, d)), "near-rank-deficient", d, 10)
+        assert region_count(x) == region_count_whitney(Dataset(x=x, y=np.ones(10)))
+
+    def test_matches_the_exact_count_on_small_integers(self):
+        # small integers make exact dependencies common; the copies are exact
+        rng = np.random.default_rng(23)
+        checked = 0
+        while checked < 60:
+            d = int(rng.integers(1, 6))
+            x = rng.integers(-2, 3, size=(d, int(rng.integers(1, 9)))).astype(float)
+            if rng.uniform() < 0.5:
+                x = with_copies(rng, x)
+            if not np.all(np.any(x != 0.0, axis=0)):
+                continue
+            ds = Dataset(x=x, y=np.ones(x.shape[1]))
+            assert region_count(x) == region_count_whitney(ds) == region_count_exact(x)
+            checked += 1
 
 
 class TestHyperplaneClasses:

@@ -10,8 +10,9 @@ and with ``--engine gd --iters 3000``; ``validate``, ``landscape``,
 ``flow`` (exact and gd), ``linear-flow`` and ``criteria`` on each bundled
 fixture, and ``flow`` and ``criteria`` with ``--t-max 0.001`` on
 ``example_5_2.json``; ``landscape`` on a d=2 and a d=3 dataset that each
-hold an exact copy and a negative copy of a column; ``backprop`` on a
-small net; every campaign with
+hold an exact copy and a negative copy of a column; ``landscape`` on a
+seeded d=3, n=22 dataset, whose census is checked against its cell
+count; ``backprop`` on a small net; every campaign with
 ``--trials 20 --seed 3``; and an unknown scenario and an unknown
 campaign.  Each command gets a directory ``OUT_DIR/<case>/`` holding its
 ``stdout``, ``stderr``, ``exit`` status and the files it wrote under
@@ -26,6 +27,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -97,6 +100,11 @@ def main(argv: list[str]) -> int:
         path = out_dir / f"{name}.json"
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         _run(out_dir, f"landscape-{name}", ["landscape", "--dataset", str(path)])
+    rng = np.random.default_rng(22)
+    large = {"x": rng.uniform(0.05, 1.0, size=(22, 3)).tolist(), "y": rng.uniform(0.1, 3.0, 22).tolist()}
+    path = out_dir / "large-d3.json"
+    path.write_text(json.dumps(large) + "\n", encoding="utf-8")
+    _run(out_dir, "landscape-large-d3", ["landscape", "--dataset", str(path)])
     net = out_dir / "net.json"
     net.write_text(json.dumps(NET) + "\n", encoding="utf-8")
     _run(out_dir, "backprop", ["backprop", "--net", str(net), "--x", "1,2", "--y", "3"])
