@@ -15,8 +15,9 @@ method on f' splits the cell at the extremum into two monotone halves,
 and a zero there is a touch.  Other cells are bisected; one narrower than
 ``TIE_RTOL * max(1, t)`` that is still undecided raises NumericalError.
 Enclosures are taken term by term and, sharp on near-equal rates, in the
-nested form ``c + e^{-mu_1 t}(a_1 + e^{-(mu_2 - mu_1) t}(a_2 + ...))``;
-batched over sums that share their rates they give the flow's gap bounds.
+nested form ``c + e^{-mu_1 t}(a_1 + e^{-(mu_2 - mu_1) t}(a_2 + ...))``.
+:class:`RootBatch` decides the cells of many sums with shared rates in one
+pass, each row bitwise as alone; ``ExpSum.roots`` is its one-row case.
 
 A run of instants with ``|f|`` within ``ZERO_RTOL`` of the envelope is
 one root (at 0 with ``before`` 0 when the run starts there), and a
@@ -51,8 +52,10 @@ TERMINAL_HORIZON_RATES = 50.0
 # there.  A sum is zero-free on a cell only when its enclosure clears 0 by
 # BOUND_SLACK_RTOL * (|c| + sum |a|): 1e4 above ZERO_RTOL, so the zeros
 # the isolator reports, and roundoff-level terms, stay inside the slack.
+# f' and f'', which decide a cell's shape, need only exclude 0 (_SLACKS).
 BOUND_T0_RATES = 1e-6
 BOUND_SLACK_RTOL = 1e-9
+_SLACKS = np.array([[BOUND_SLACK_RTOL], [0.0], [0.0]])
 
 _BRENTQ_RTOL = 4 * np.finfo(float).eps
 _BRENTQ_XTOL = 1e-30  # absolute term must not mask the machine-relative target
@@ -101,61 +104,38 @@ def _interval_mul(e_lo, e_hi, h_lo, h_hi):
     return np.minimum(e_lo * h_lo, e_hi * h_lo), np.maximum(e_lo * h_hi, e_hi * h_hi)
 
 
-def _zero_free(rates, coeffs, consts, slack, left, right) -> np.ndarray:
-    """Whether row k's sum clears 0 by ``slack[k]`` on each cell [left, right].
+def _clearance(rates, coeffs, consts, edges) -> np.ndarray:
+    """How far the enclosure of row k clears 0 on each cell between ``edges``
+    (negative where it holds 0); ``rates`` ascend and are distinct.
 
-    ``rates`` are ascending and distinct, ``coeffs`` is (rows, r); the
-    result is (rows, cells).  A row with ``c == 0`` is also tested on its
-    nested bracket alone, which has the sum's sign.
+    A decaying term is least on a cell at its right end if its coefficient
+    is positive, else at its left end: the term-by-term bounds are ``c +
+    pos . E_right + neg . E_left`` and its mirror, as stacked per-row
+    products so that no row depends on the others.  One ``exp`` table over
+    the edges also gives the nested form's factors.  A row with ``c == 0``
+    is also bounded by its nested bracket alone, which has its sign.
     """
-    at_left = coeffs[:, None, :] * np.exp(-np.multiply.outer(left, rates))
-    at_right = coeffs[:, None, :] * np.exp(-np.multiply.outer(right, rates))
-    c = consts[:, None]
-    s = slack[:, None]
-    lo = c + np.minimum(at_left, at_right).sum(axis=2)
-    hi = c + np.maximum(at_left, at_right).sum(axis=2)
-    free = (lo > s) | (hi < -s)
-    h_lo = h_hi = coeffs[:, -1:]
+    r = rates.size
     steps = np.concatenate(([rates[0]], np.diff(rates)))
-    for k in range(rates.size - 1, 0, -1):
-        e_lo, e_hi = np.exp(-steps[k] * right), np.exp(-steps[k] * left)
-        h_lo, h_hi = _interval_mul(e_lo, e_hi, h_lo, h_hi)
+    decay = np.exp(-np.multiply.outer(np.concatenate((rates, steps)), edges))
+    right, left = decay[:, 1:], decay[:, :-1]  # each factor's least and greatest value on a cell
+    ends = np.concatenate((np.hstack((right[:r], left[:r])), np.hstack((left[:r], right[:r]))))
+    signed = np.concatenate((np.maximum(coeffs, 0.0), np.minimum(coeffs, 0.0)), axis=1)
+    lo, hi = np.split(np.matmul(signed[:, None, :], ends)[:, 0], 2, axis=1)
+    h_lo = h_hi = coeffs[:, -1:]
+    for k in range(r - 1, 0, -1):
+        h_lo, h_hi = _interval_mul(right[r + k], left[r + k], h_lo, h_hi)
         h_lo = h_lo + coeffs[:, k - 1 : k]
         h_hi = h_hi + coeffs[:, k - 1 : k]
-    inner = (c == 0.0) & ((h_lo > s) | (h_hi < -s))
-    e_lo, e_hi = np.exp(-steps[0] * right), np.exp(-steps[0] * left)
-    h_lo, h_hi = _interval_mul(e_lo, e_hi, h_lo, h_hi)
-    return free | inner | (c + h_lo > s) | (c + h_hi < -s)
+    c = consts[:, None]
+    bracket = np.where(c == 0.0, np.maximum(h_lo, -h_hi), -np.inf)
+    h_lo, h_hi = _interval_mul(right[r], left[r], h_lo, h_hi)
+    return np.maximum(np.maximum(np.maximum(c + lo, -(c + hi)), np.maximum(c + h_lo, -(c + h_hi))), bracket)
 
 
 def _polish(f: "ExpSum", t_a: float, t_b: float) -> float:
     """The zero of f between instants where its signs differ, by Brent's method."""
     return float(brentq(f.value, t_a, t_b, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL, maxiter=200))
-
-
-def gap_lower_bounds(rates, coeffs, consts) -> np.ndarray:
-    """Certified lower bound on the first zero of each row's exponential sum.
-
-    Row k is ``consts[k] + sum_j coeffs[k, j] * exp(-rates[j] * t)`` on
-    [0, inf).  The rows share their merged rates and the isolator's grid,
-    and each is scaled to unit mass ``|c| + sum |a|``.  A row's bound is
-    the left end of its first cell that is not zero-free, or ``inf`` when
-    every cell is: then ``ExpSum(consts[k], coeffs[k], rates).roots()``
-    is empty.
-    """
-    rates = np.asarray(rates, dtype=float)
-    consts = np.asarray(consts, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=float).reshape(consts.size, rates.size)
-    if rates.size == 0:
-        return np.full(consts.size, np.inf)
-    rates, coeffs = _merge(rates, coeffs)
-    scale = np.abs(consts) + np.abs(coeffs).sum(axis=1)
-    scale[scale == 0.0] = 1.0
-    edges = _grid(rates)
-    slack = np.full(consts.size, BOUND_SLACK_RTOL)
-    free = _zero_free(rates, coeffs / scale[:, None], consts / scale, slack, edges[:-1], edges[1:])
-    first = np.argmin(free, axis=1)
-    return np.where(free.all(axis=1), np.inf, edges[first])
 
 
 class ExpSum:
@@ -170,15 +150,10 @@ class ExpSum:
             raise ValueError("coefficients and rates must align")
         if np.any(rates <= 0.0):
             raise ValueError("rates must be strictly positive")
-        c = float(constant)
         if coeffs.size:
-            rates, merged = _merge(rates, coeffs[None, :])
-            coeffs = merged[0]
-            keep = coeffs != 0.0
-            coeffs, rates = coeffs[keep], rates[keep]
-        self.c = c
-        self.coeffs = coeffs
-        self.rates = rates
+            rates, (coeffs,) = _merge(rates, coeffs[None, :])
+            rates, coeffs = rates[coeffs != 0.0], coeffs[coeffs != 0.0]
+        self.c, self.coeffs, self.rates = float(constant), coeffs, rates
         self.coeffs.setflags(write=False)
         self.rates.setflags(write=False)
 
@@ -188,8 +163,6 @@ class ExpSum:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        if self.n_terms == 0:
-            return np.full(t.shape, self.c) if t.ndim else float(self.c)
         expo = np.exp(-np.multiply.outer(t, self.rates))
         out = self.c + expo @ self.coeffs
         return float(out) if t.ndim == 0 else out
@@ -204,26 +177,62 @@ class ExpSum:
         envelope = abs(self.c) + expo @ np.abs(self.coeffs)
         return np.where(np.abs(v) <= ZERO_RTOL * envelope, 0, np.sign(v)).astype(int)
 
-    def roots(self) -> list[Root]:
-        """All isolated zeros in [0, infinity), earliest first."""
-        if self.n_terms == 0:
-            return []
-        scale = abs(self.c) + float(np.sum(np.abs(self.coeffs)))
-        limit = 0 if abs(self.c) <= ZERO_RTOL * scale else int(np.sign(self.c))
-        # unit mass keeps tiny scales from underflowing; a zero limit is exact
-        f = ExpSum(self.c / scale if limit else 0.0, self.coeffs / scale, self.rates)
-        df = f.derivative()
-        rows = np.stack([f.coeffs, -f.rates * f.coeffs, f.rates**2 * f.coeffs])
-        consts = np.array([f.c, 0.0, 0.0])
-        slack = np.array([BOUND_SLACK_RTOL, 0.0, 0.0])  # f' and f'' of f itself need only exclude 0
+    @classmethod
+    def _merged(cls, constant: float, coeffs: np.ndarray, rates: np.ndarray) -> "ExpSum":
+        """The sum with rates that are already merged, taken as it is."""
+        f = cls.__new__(cls)
+        f.c, f.coeffs, f.rates = float(constant), coeffs, rates
+        return f
 
-        def cells(edges):
-            free = _zero_free(f.rates, rows, consts, slack, edges[:-1], edges[1:])
+    def roots(self) -> list[Root]:
+        """All isolated zeros in [0, infinity), earliest first: the one-row case of :class:`RootBatch`."""
+        return RootBatch(self.rates, self.coeffs, [self.c]).roots(0)
+
+
+class RootBatch:
+    """The isolator over rows ``consts[k] + sum_j coeffs[k, j] exp(-rates[j] t)``.
+
+    One pass scales every row to unit mass, takes its limit sign and finds
+    the cells of the merged rates' grid where its f, f' and f'' clear 0;
+    ``lower[k]`` is the left end of row k's first cell where f may vanish
+    (``inf`` if none).  :meth:`roots` resumes from the cells, bisecting the
+    undecided ones, bitwise as ``ExpSum(consts[k], coeffs[k], rates).roots()``,
+    which isolates a row with an exact 0 merged coefficient on its own grid.
+    """
+
+    def __init__(self, rates, coeffs, consts):
+        self.consts, rates = np.asarray(consts, dtype=float), np.asarray(rates, dtype=float)
+        self.lower = np.full(self.consts.size, np.inf)
+        if rates.size == 0:
+            return
+        self.rates, self.coeffs = _merge(rates, np.reshape(coeffs, (self.consts.size, rates.size)).astype(float))
+        # unit mass keeps tiny scales from underflowing; a zero limit is exact
+        scale = np.abs(self.consts) + np.abs(self.coeffs).sum(axis=1)
+        scale[scale == 0.0] = 1.0
+        self.limits = np.where(np.abs(self.consts) <= ZERO_RTOL * scale, 0, np.sign(self.consts)).astype(int)
+        unit = self.coeffs / scale[:, None]
+        self.rows = np.stack((unit, -self.rates * unit, self.rates**2 * unit), axis=1)  # f, f', f''
+        self.row_consts = np.outer(np.where(self.limits != 0, self.consts / scale, 0.0), [1.0, 0.0, 0.0])
+        self.edges = _grid(self.rates)
+        clear = _clearance(self.rates, self.rows.reshape(-1, self.rates.size), self.row_consts.ravel(), self.edges)
+        self.free = clear.reshape(scale.size, 3, -1) > _SLACKS
+        self.lower = np.where(self.free[:, 0].all(axis=1), np.inf, self.edges[np.argmin(self.free[:, 0], axis=1)])
+
+    def roots(self, k: int) -> list[Root]:
+        """All isolated zeros of row k in [0, infinity), earliest first."""
+        if np.isinf(self.lower[k]):
+            return []
+        if not np.all(self.coeffs[k]):
+            return ExpSum(self.consts[k], self.coeffs[k], self.rates).roots()
+        rows, consts, limit = self.rows[k], self.row_consts[k], int(self.limits[k])
+        f, df = ExpSum._merged(consts[0], rows[0], self.rates), ExpSum._merged(0.0, rows[1], self.rates)
+
+        def cells(edges, free):
             return list(zip(edges[:-1].tolist(), edges[1:].tolist(), free.T.tolist()))
 
         # cut f into cells on which it is zero-free or monotone, earliest first
         cuts = [0.0]
-        todo = cells(_grid(f.rates))[::-1]
+        todo = cells(self.edges, self.free[k])[::-1]
         while todo:
             t_a, t_b, (f_free, monotone, unimodal) = todo.pop()
             finite = t_b < np.inf
@@ -239,7 +248,8 @@ class ExpSum:
             mid = 0.5 * (t_a + t_b) if finite else 2.0 * t_a
             if t_b - t_a <= TIE_RTOL * max(1.0, t_a) or mid == np.inf:
                 raise NumericalError(f"no certified root isolation on [{t_a!r}, {t_b!r}]")
-            todo.extend(cells(np.array([t_a, mid, t_b]))[::-1])
+            edges = np.array([t_a, mid, t_b])
+            todo.extend(cells(edges, _clearance(self.rates, rows, consts, edges) > _SLACKS)[::-1])
 
         signs = f._signs(np.array(cuts[:-1])).tolist()
         found: list[Root] = []

@@ -6,11 +6,10 @@ integrated exactly: no time stepping ever happens.  Every datum's
 boundary gap along a segment, like the norm's slope that
 :func:`norm_certificate` checks, is a decaying exponential sum over the
 segment's shared decay rates, and the next event is the earliest
-admissible zero among the gaps.  One batched pass of the isolator's zero-free
-cell test over all n gaps (:func:`reluflow.expsum.gap_lower_bounds`)
-bounds each datum's first zero from below; the data are then isolated by
-:meth:`reluflow.expsum.ExpSum.roots` in order of that bound until the next
-bound lies beyond the tie window of the best zero found, so no datum that
+admissible zero among the gaps and the held multipliers.  One
+:class:`reluflow.expsum.RootBatch` pass over all of them bounds each first
+zero from below; rows are then isolated in order of that bound until the
+next lies beyond the tie window of the best zero found, so no row that
 could win or tie is skipped.
 
 At an event the data on their boundaries decide together (Filippov,
@@ -47,7 +46,7 @@ import numpy as np
 
 from .dataset import RANK_RTOL, Dataset, freeze_fields
 from .errors import NumericalError, PreconditionError, StructuralError
-from .expsum import TERMINAL_HORIZON_RATES, TIE_RTOL, ExpSum, gap_lower_bounds
+from .expsum import TERMINAL_HORIZON_RATES, TIE_RTOL, ExpSum, RootBatch
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, active_matrices, clearance
 from .geometry import pattern_of, pattern_system
 from .landscape import gradient
@@ -112,10 +111,14 @@ class FlowSegment:
 
     def observable(self, v, offset: float = 0.0) -> ExpSum:
         """The exponential sum ``v . w(tau) - offset`` along the segment."""
-        v = np.asarray(v, dtype=float)
-        constant = float(v @ self.target) - offset
-        coeffs = (v @ self.eigenvectors) * self.delta
-        return ExpSum(constant, coeffs, self.eigenvalues)
+        consts, coeffs = self.observables(np.asarray(v, dtype=float)[None], offset)
+        return ExpSum(consts[0], coeffs[0], self.eigenvalues)
+
+    def observables(self, vs: np.ndarray, offsets=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Constants (m,) and coefficients (m, r) of ``vs[i] . w(tau) - offsets[i]``: stacked
+        per-row products, each row bitwise that of ``observable(vs[i])`` with the same strides."""
+        consts = np.matmul(vs[:, None, :], self.target[:, None])[:, 0, 0] - offsets
+        return consts, np.matmul(vs[:, None, :], self.eigenvectors)[:, 0] * self.delta
 
     def norm_slope(self) -> ExpSum:
         """``g = -w . dw/dt`` along the segment: with orthonormal ``e_k``, the sum
@@ -224,52 +227,41 @@ class _Candidate:
 
 
 def _boundary_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
-    """Earliest admissible boundary zero of each datum that can come first.
-
-    The data are isolated in order of their gap bounds.  Once the next
-    bound lies beyond the tie window of the best zero found, no remaining
-    datum can win or tie, so the search stops there.  Held data are skipped.
-    """
-    lower = gap_lower_bounds(
-        seg.eigenvalues, (ds.x.T @ seg.eigenvectors) * seg.delta, ds.x.T @ seg.target
-    )
+    """Earliest admissible zero of each row that can come first: every datum's gap
+    crossing to the side it is not on, held data's own skipped, and each held
+    multiplier less 0 (heading off) and less 1 (on).  Rows are isolated in order of
+    their batch bounds until the next lies beyond the tie window of the best zero."""
+    consts, coeffs = seg.observables(ds.x.T)
+    rows = [(k, 1 - bit, 1 if bit == OFF else -1) for k, bit in enumerate(seg.pattern.bits)]
+    if seg.held:
+        alphas, alpha_coeffs = _multipliers(ds, seg)
+        consts = np.concatenate((consts, alphas, alphas - 1.0))
+        coeffs = np.concatenate((coeffs, alpha_coeffs, alpha_coeffs))
+        rows += [(j, OFF, -1) for j in seg.held] + [(j, ON, 1) for j in seg.held]
+    batch = RootBatch(seg.eigenvalues, coeffs, consts)
+    lower = batch.lower.copy()
     lower[list(seg.held)] = np.inf
-    out = []
-    best = np.inf
-    for k in np.argsort(lower, kind="stable"):
-        if np.isinf(lower[k]) or lower[k] > best + TIE_RTOL * max(1.0, best):
+    out, best = [], np.inf
+    for i in np.argsort(lower, kind="stable").tolist():
+        if np.isinf(lower[i]) or lower[i] > best + TIE_RTOL * max(1.0, best):
             break
-        k = int(k)
-        want = -1 if seg.pattern.bits[k] else 1
-        for root in seg.observable(ds.x[:, k]).roots():
-            if root.is_crossing and root.after == want:
-                out.append(_Candidate(tau=root.t, index=k, side=1 - seg.pattern.bits[k]))
-                best = min(best, root.t)
-                break
+        index, side, after = rows[i]
+        root = next((r for r in batch.roots(i) if r.is_crossing and r.after == after), None)
+        if root is not None:
+            out.append(_Candidate(tau=root.t, index=index, side=side))
+            best = min(best, root.t)
     return out
 
 
-def _multipliers(ds: Dataset, seg: FlowSegment) -> list[ExpSum]:
-    """Each held datum's multiplier along the segment: the field
-    ``g_p(w) - X_S diag(y_S) alpha`` stays on the face for
+def _multipliers(ds: Dataset, seg: FlowSegment) -> tuple[np.ndarray, np.ndarray]:
+    """Each held datum's multiplier along the segment, as :meth:`FlowSegment.observables`
+    rows: the field ``g_p(w) - X_S diag(y_S) alpha`` stays on the face for
     ``alpha = diag(y_S)^-1 (X_S^T X_S)^-1 X_S^T g_p(w)``, linear in w."""
     held = list(seg.held)
     xs = ds.x[:, held]
     rows = np.linalg.solve(xs.T @ xs, xs.T) / ds.y[held][:, None]
     hmat, qvec = active_matrices(ds, seg.pattern)
-    return [seg.observable(hmat @ row, offset=float(row @ qvec)) for row in rows]
-
-
-def _release_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
-    """A held datum is released when its multiplier crosses 0 (it heads off) or 1 (on)."""
-    out = []
-    for j, alpha in zip(seg.held, _multipliers(ds, seg)):
-        for side, level, after in ((OFF, 0.0, -1), (ON, 1.0, 1)):
-            roots = ExpSum(alpha.c - level, alpha.coeffs, alpha.rates).roots()
-            root = next((r for r in roots if r.is_crossing and r.after == after), None)
-            if root is not None:
-                out.append(_Candidate(tau=root.t, index=j, side=side))
-    return out
+    return seg.observables(np.array([hmat @ row for row in rows]), np.array([float(row @ qvec) for row in rows]))
 
 
 def _face_states(ds: Dataset, bits, before: dict, heading: dict, w, stay=True) -> dict | None:
@@ -353,8 +345,6 @@ def simulate_flow(ds: Dataset, w0, t_max: float = math.inf) -> Trajectory:
     while terminal is None:
         seg = _segment_from(ds, ActivationPattern(bits), w, t, held)
         candidates = _boundary_candidates(ds, seg)
-        if held:
-            candidates.extend(_release_candidates(ds, seg))
         if not candidates:
             segments.append(seg)
             terminal = _classify_limit(ds, seg)
@@ -431,7 +421,7 @@ def _classify_limit(ds: Dataset, seg: FlowSegment) -> str:
     bits = seg.pattern.as_bool()
     held = list(seg.held)
     h = ds.x.T @ limit
-    alpha = np.array([a.c for a in _multipliers(ds, seg)]) if held else np.empty(0)
+    alpha = _multipliers(ds, seg)[0] if held else np.empty(0)
     field = ds.x[:, bits] @ (h[bits] - ds.y[bits]) - ds.x[:, held] @ (ds.y[held] * alpha)
     outside = np.maximum(np.maximum(-alpha, alpha - 1.0), 0.0)
     push = outside * np.abs(ds.y[held]) * np.linalg.norm(ds.x[:, held], axis=0)

@@ -11,8 +11,8 @@ dense grid whose sign changes are bisected in 50-digit mpmath arithmetic.
 Expected values in the tests are produced by these routines (or frozen
 from them), never by the code under test.  Two exceptions share package
 code.  ``boundary_candidates_exhaustive`` shares the flow's root isolator
-and is the reference for the flow's pruned event search, from which it
-differs only by isolating every datum.  ``trajectory_csv`` is the per-row
+and is the reference for the flow's pruned, batched event search, from
+which it differs by isolating every gap and held multiplier alone.  ``trajectory_csv`` is the per-row
 writer that the batched ``flow.trajectory_to_csv`` replaced: it evaluates
 each row through the package's ``loss``, ``g_value`` and ``pattern_of``,
 the definitions of the CSV columns.
@@ -128,12 +128,15 @@ def fd_layer_gradient(weights, x, y, layer: int, step: float = 1e-6) -> np.ndarr
 
 
 def boundary_candidates_exhaustive(ds, seg):
-    """Earliest admissible boundary zero of every datum, each isolated in full.
+    """Earliest admissible zero of every gap and held multiplier, each isolated in full.
 
     The flow's bounded search must select the same event as this scan,
-    which isolates every root of every gap on [0, inf) with no pruning.
+    which isolates every root of every datum's gap and of every held
+    multiplier less 0 and less 1 on [0, inf), one ``ExpSum`` at a time,
+    with no pruning.
     """
-    from reluflow.flow import _Candidate
+    from reluflow.expsum import ExpSum
+    from reluflow.flow import OFF, ON, _Candidate, _multipliers
 
     out = []
     for k in range(ds.n):
@@ -144,6 +147,14 @@ def boundary_candidates_exhaustive(ds, seg):
             if root.is_crossing and root.after == want:
                 out.append(_Candidate(tau=root.t, index=k, side=1 - seg.pattern.bits[k]))
                 break
+    if seg.held:
+        alphas, coeffs = _multipliers(ds, seg)
+        for j, alpha, a in zip(seg.held, alphas, coeffs):
+            for side, level, after in ((OFF, 0.0, -1), (ON, 1.0, 1)):
+                roots = ExpSum(alpha - level, a, seg.eigenvalues).roots()
+                root = next((r for r in roots if r.is_crossing and r.after == after), None)
+                if root is not None:
+                    out.append(_Candidate(tau=root.t, index=j, side=side))
     return out
 
 

@@ -10,10 +10,9 @@ from reluflow.campaigns import random_dataset, small_norm_start
 from reluflow.criteria import crossing_context
 from reluflow.dataset import Dataset
 from reluflow.errors import NumericalError, PreconditionError, ReluFlowError, StructuralError
-from reluflow.expsum import ExpSum
+from reluflow.expsum import ExpSum, RootBatch, _clearance, _grid, _merge
 from reluflow.flow import (
     count_hyperplane_crossings,
-    gap_lower_bounds,
     norm_certificate,
     revisit_report,
     sample_trajectory,
@@ -810,36 +809,92 @@ def flow_outcome(ds, w0):
     return events, tr.terminal, tr.terminal_point.tolist()
 
 
+def stress_draw(s):
+    """Draw ``s`` of the stress generator: d in 2-5, n in 2-9, normal x, y and
+    w0, then by ``s % 5`` a parallel pair, a rescaled x, a small start or
+    nonpositive labels."""
+    rng = np.random.default_rng((31, s))
+    d, n = int(rng.integers(2, 6)), int(rng.integers(2, 10))
+    x, y, w0 = rng.normal(size=(d, n)), rng.normal(size=n), rng.normal(size=d)
+    if s % 5 == 1:
+        x[:, 1] = rng.normal() * x[:, 0]
+    elif s % 5 == 2:
+        x = x * 10 ** rng.uniform(-3, 3)
+    elif s % 5 == 3:
+        w0 = w0 * 1e-3
+    elif s % 5 == 4:
+        y = -abs(y)
+    return Dataset(x=x, y=y), w0
+
+
 class TestBoundedEventSearch:
+    @staticmethod
+    def both_ways(monkeypatch, cases):
+        bounded = [flow_outcome(ds, w0) for ds, w0 in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(flow_engine, "_boundary_candidates", boundary_candidates_exhaustive)
+            exhaustive = [flow_outcome(ds, w0) for ds, w0 in cases]
+        return bounded, exhaustive
+
     def test_matches_the_exhaustive_scan(self, monkeypatch):
         # the pruned search must pick bitwise the same events as isolating
-        # every datum in full, on every kind of degenerate input
+        # every datum in full, on every kind of degenerate input, and on
+        # batches of 32 and 80 gaps, where no row may depend on the others
         rng = np.random.default_rng(11)
         kinds = ("positive", "mixed-sign", "scaled", "column-scales", "parallel", "near-parallel")
         cases = [adversarial_flow(rng, kind) for kind in kinds for _ in range(12)]
-        bounded = [flow_outcome(ds, w0) for ds, w0 in cases]
-        monkeypatch.setattr(flow_engine, "_boundary_candidates", boundary_candidates_exhaustive)
-        exhaustive = [flow_outcome(ds, w0) for ds, w0 in cases]
+        for seed in range(3):
+            wide = np.random.default_rng((19, 8, 32, seed))
+            cases.append((random_dataset(wide, 8, 32), wide.normal(size=8)))
+        wide = np.random.default_rng((19, 20, 80))
+        cases.append((random_dataset(wide, 20, 80), wide.normal(size=20)))
+        bounded, exhaustive = self.both_ways(monkeypatch, cases)
         assert bounded == exhaustive
         kinds_seen = {e[1] for out in bounded if isinstance(out, tuple) for e in out[0]}
         assert "sliding" in kinds_seen
+        assert sum(len(out[0]) for out in bounded[-4:]) >= 80
+
+    @pytest.mark.parametrize("draw, missed", [(746, (1, "deactivation")), (1561, (0, "deactivation"))])
+    def test_a_gap_that_cancels_to_roundoff_is_not_missed(self, monkeypatch, draw, missed):
+        # a datum parallel to a held one has a gap of about 1e-15: its bound
+        # must come from the same bits as its isolation, or its crossing is lost
+        bounded, exhaustive = self.both_ways(monkeypatch, [stress_draw(draw)])
+        assert bounded == exhaustive
+        events, terminal, _ = bounded[0]
+        assert terminal == "converged"
+        assert missed in [(index, kind) for index, kind, *_ in events]
 
     def test_isolates_far_fewer_gaps(self, monkeypatch):
         rng = np.random.default_rng(5)
         ds = Dataset(x=rng.uniform(0.05, 1.0, size=(6, 24)), y=rng.uniform(0.1, 3.0, 24))
         w0 = rng.normal(size=6)
         calls = {"n": 0}
-        observable = flow_engine.FlowSegment.observable
+        isolate = RootBatch.roots
 
-        def counted(seg, v, offset=0.0):
+        def counted(batch, k):
             calls["n"] += 1
-            return observable(seg, v, offset)
+            return isolate(batch, k)
 
-        monkeypatch.setattr(flow_engine.FlowSegment, "observable", counted)
+        monkeypatch.setattr(RootBatch, "roots", counted)
         tr = simulate_flow(ds, w0)
         assert tr.terminal == "converged"
         # the exhaustive scan isolates all n gaps in every segment
         assert calls["n"] < 0.5 * ds.n * len(tr.segments)
+
+    def test_batched_gaps_are_bitwise_the_observables(self):
+        rng = np.random.default_rng((19, 20, 80))
+        ds = random_dataset(rng, 20, 80)
+        tr = simulate_flow(ds, rng.normal(size=20))
+        for seg in tr.segments[:6]:
+            consts, coeffs = seg.observables(ds.x.T)
+            batch = RootBatch(seg.eigenvalues, coeffs, consts)
+            for k in range(ds.n):
+                f = seg.observable(ds.x[:, k])
+                assert consts[k] == f.c
+                if np.all(batch.coeffs[k]):
+                    np.testing.assert_array_equal(batch.coeffs[k], f.coeffs)
+                    assert batch.lower[k] == RootBatch(f.rates, f.coeffs, [f.c]).lower[0]
+                assert batch.roots(k) == f.roots()
 
 
 class TestHighRankEvents:
@@ -910,18 +965,39 @@ def ill_conditioned_sums(draw):
     return rates, coeffs, consts
 
 
+@st.composite
+def wide_ill_conditioned_batches(draw):
+    """96 to 128 rows over up to 20 shared rates, of the kinds of
+    ``ill_conditioned_sums``: near-equal rates, near-cancelling terms,
+    c near -sum(a), and every fifth row with c == 0."""
+    r = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([1e-10, 1e-8, 1e-4, 1.0]))
+    rates = draw(st.floats(1e-3, 1e3)) * (1.0 + spread * rng.uniform(size=r))
+    rates[-1] *= draw(st.sampled_from([1.0, 1.0, 1e4, 1e6]))
+    rows = draw(st.integers(96, 128))
+    coeffs = rng.uniform(-1.0, 1.0, (rows, r))
+    if r > 1:
+        coeffs[::2, 1] = -coeffs[::2, 0] * (1.0 + rng.uniform(-1e-8, 1e-8, coeffs[::2].shape[0]))
+    consts = -coeffs.sum(axis=1) + rng.uniform(-1e-12, 1e-12, rows)
+    consts += draw(st.sampled_from([0.0, 0.3, -0.7])) * rng.uniform(-1.0, 1.0, rows)
+    consts[::5] = 0.0
+    return rates, coeffs, consts
+
+
 class TestGapBounds:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(ill_conditioned_sums())
     def test_bound_never_passes_the_first_root(self, case):
         rates, coeffs, consts = case
-        bounds = gap_lower_bounds(rates, coeffs, consts)
-        for bound, a, c in zip(bounds, coeffs, consts):
+        batch = RootBatch(rates, coeffs, consts)
+        for k, (bound, a, c) in enumerate(zip(batch.lower, coeffs, consts)):
             roots = ExpSum(c, a, rates).roots()
             if roots:
                 assert bound <= roots[0].t
             if np.isinf(bound):
                 assert roots == []
+            assert batch.roots(k) == roots
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(ill_conditioned_sums())
@@ -930,15 +1006,48 @@ class TestGapBounds:
         for a, c in zip(coeffs, consts):
             assert_matches_oracle(ExpSum(c, a, rates))
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(ill_conditioned_sums(), wide_ill_conditioned_batches()))
+    def test_each_row_is_bitwise_its_own_batch(self, case):
+        # a row's enclosure, cells and bound are the same whether it is alone
+        # or one of a hundred: a plain gemm would differ in the last bits
+        rates, coeffs = _merge(*case[:2])
+        consts = case[2]
+        edges = _grid(rates)
+        clear = _clearance(rates, coeffs, consts, edges)
+        batch = RootBatch(*case)
+        for k in range(consts.size):
+            row, c = coeffs[k : k + 1].copy(), consts[k : k + 1].copy()
+            np.testing.assert_array_equal(_clearance(rates, row, c, edges), clear[k : k + 1])
+            single = RootBatch(case[0], case[1][k : k + 1].copy(), c)
+            np.testing.assert_array_equal(single.free[0], batch.free[k])
+            assert single.lower[0] == batch.lower[k]
+
+    def test_a_row_with_a_vanishing_term_is_isolated_on_its_own_grid(self):
+        # without its fastest term row 0's grid starts later, so its cells,
+        # and the last bits of its polished root, differ from the shared grid's
+        rates = [0.3131566165480873, 0.9176186079075358, 3.748695896449923, 7.0725813055996785]
+        coeffs = [
+            [-0.291720232439864, 0.8825389674564839, 0.5803500161908991, 0.0],
+            [0.6701043548284794, -2.8281623068437627, 1.02130681750008, -0.9596447598081417],
+        ]
+        consts = [-0.8343099213279848, 0.13822287976049982]
+        batch = RootBatch(rates, coeffs, consts)
+        for k in range(2):
+            assert batch.roots(k) == ExpSum(consts[k], coeffs[k], rates).roots()
+        assert [r.t for r in batch.roots(0)] == [pytest.approx(0.143150994657348, rel=1e-13)]
+
     def test_bound_is_infinite_when_the_sign_never_changes(self):
-        bounds = gap_lower_bounds([2.0, 1.0], [[1.0, 1.0], [-1.0, 0.5]], [0.5, 2.0])
+        bounds = RootBatch([2.0, 1.0], [[1.0, 1.0], [-1.0, 0.5]], [0.5, 2.0]).lower
         assert np.all(np.isinf(bounds))
 
     def test_bound_brackets_a_known_root(self):
         # 1 - 2 exp(-t) vanishes at log 2; the bound is the left end of the
         # doubling cell that holds it
-        bound = gap_lower_bounds([1.0], [[-2.0]], [1.0])[0]
+        bound = RootBatch([1.0], [[-2.0]], [1.0]).lower[0]
         assert np.log(2.0) / 2.0 < bound <= np.log(2.0)
 
     def test_no_rates_means_no_zeros(self):
-        assert np.isinf(gap_lower_bounds(np.zeros(0), np.zeros((3, 0)), [1.0, 0.0, -1.0])).all()
+        batch = RootBatch(np.zeros(0), np.zeros((3, 0)), [1.0, 0.0, -1.0])
+        assert np.isinf(batch.lower).all()
+        assert [batch.roots(k) for k in range(3)] == [[], [], []]
