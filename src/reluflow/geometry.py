@@ -187,6 +187,11 @@ def hyperplane_classes(unit: np.ndarray) -> tuple[list[int], list[tuple[int, boo
     return reps, classes
 
 
+def _hyperplane_bases(unit: np.ndarray) -> np.ndarray:
+    """(k, d, d-1): an orthonormal basis of each unit column's hyperplane, bitwise the single-column SVD's."""
+    return np.linalg.svd(unit.T[:, :, None])[0][:, :, 1:]
+
+
 def region_count(cols: np.ndarray) -> int:
     """Number of cells of the columns' central arrangement by deletion-
     restriction, r(A) = r(A - H) + r(A^H) (Zaslavsky): ``arrangement_cells``'
@@ -201,104 +206,99 @@ def region_count(cols: np.ndarray) -> int:
         return region_count(u[:, :r].T @ unit)
     if r <= 2:  # rank 1 is one row, where every column is one class
         return 2 * unit.shape[1]
-    total = 2
-    for k in range(1, unit.shape[1]):
-        basis = np.linalg.svd(unit[:, k:k + 1])[0][:, 1:]  # orthonormal basis of k's hyperplane
-        total += region_count(basis.T @ unit[:, :k])
-    return total
+    bases = _hyperplane_bases(unit)
+    return 2 + sum(region_count(bases[k].T @ unit[:, :k]) for k in range(1, unit.shape[1]))
 
 
-def _sweep_2d(x: np.ndarray) -> dict:
-    """The exact d=2 sweep of distinct hyperplanes: sign vector (True on the
-    active side) -> midpoint of its arc between consecutive boundary angles,
-    for each arc whose midpoint clears every boundary by more than BOUNDARY_MARGIN."""
+def _sweep_2d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact d=2 sweep of distinct hyperplanes: the midpoints of the arcs
+    between consecutive boundary angles, and one product for every arc's
+    clearance (kept above BOUNDARY_MARGIN) and sign vector."""
     unit = x / np.linalg.norm(x, axis=0)
     thetas = [math.atan2(x[1, i], x[0, i]) for i in range(x.shape[1])]
     angles = sorted((t + half) % (2.0 * math.pi) for t in thetas for half in (math.pi / 2.0, -math.pi / 2.0))
-    k = len(angles)
-    cells: dict = {}
-    for j in range(k):
-        a, b = angles[j], angles[(j + 1) % k]
-        if j == k - 1:
-            b += 2.0 * math.pi
-        mid = 0.5 * (a + b)
-        w = np.array([math.cos(mid), math.sin(mid)])
-        if float(np.min(np.abs(unit.T @ w))) > BOUNDARY_MARGIN:
-            cells.setdefault(tuple(x.T @ w > 0.0), w)
-    return cells
-
-
-def _aimed(cells: dict, target) -> dict:
-    """All of ``cells`` without a target, else at most the target's entry."""
-    return cells if target is None else {key: w for key, w in cells.items() if key == target}
+    mids = [0.5 * (a + b) for a, b in zip(angles, angles[1:] + [angles[0] + 2.0 * math.pi])]
+    w = np.array([[math.cos(mid) for mid in mids], [math.sin(mid) for mid in mids]])
+    w = w[:, np.min(np.abs(unit.T @ w), axis=0) > BOUNDARY_MARGIN]
+    return (x.T @ w > 0.0).T, w
 
 
 def arrangement_cells(cols: np.ndarray, target: tuple[bool, ...] | None = None) -> dict:
     """Sign vector (True on the active side) -> unit witness, for every cell
     of the central arrangement of the columns' hyperplanes, or with
-    ``target`` for that one sign vector's cell (an empty dict when it is empty).
+    ``target`` for that one sign vector's cell (an empty dict when it is empty)."""
+    keys, w = _cells(cols, None if target is None else np.asarray(target, dtype=bool))
+    return dict(zip(map(tuple, keys.tolist()), np.ascontiguousarray(w.T)))
 
-    Each column takes the sign of its ``hyperplane_classes`` class, flipped
-    when antiparallel.  Of distinct hyperplanes, two rows give the exact
-    sweep; more rows are first reduced to the columns' span, then
-    ``_insert_columns``.
-    """
+
+def _cells(cols: np.ndarray, target: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``arrangement_cells`` as (m, k) sign-vector rows and (d, m) witness columns.
+    A column takes its ``hyperplane_classes`` class's sign, flipped when antiparallel;
+    of distinct hyperplanes, two rows give the sweep, more are reduced to their span."""
     unit = cols / np.linalg.norm(cols, axis=0)
     reps, classes = hyperplane_classes(unit)
     if len(reps) < len(classes):
-        aim = None if target is None else tuple(target[j] for j in reps)
-        cells = arrangement_cells(cols[:, reps], aim)
-        return _aimed({tuple(key[i] != flip for i, flip in classes): w for key, w in cells.items()}, target)
-    if unit.shape[0] == 2:
-        return _aimed(_sweep_2d(cols), target)
-    u, s, _ = np.linalg.svd(unit, full_matrices=False)
-    r = int(np.sum(s > RANK_RTOL * s[0]))
-    if r < unit.shape[0]:
-        return {key: u[:, :r] @ w for key, w in arrangement_cells(u[:, :r].T @ unit, target).items()}
-    return _insert_columns(unit, target)
+        keys, w = _cells(cols[:, reps], None if target is None else target[reps])
+        keys = keys[:, [c for c, _ in classes]] != np.array([flip for _, flip in classes])
+    elif unit.shape[0] == 2:
+        keys, w = _sweep_2d(cols)
+    else:
+        u, s, _ = np.linalg.svd(unit, full_matrices=False)
+        if (r := int(np.sum(s > RANK_RTOL * s[0]))) < unit.shape[0]:
+            keys, w = _cells(u[:, :r].T @ unit, target)
+            return keys, u[:, :r] @ w
+        return _insert_columns(unit) if target is None else _walk_to(unit, target)
+    hit = np.ones(len(keys), dtype=bool) if target is None else np.all(keys == target, axis=1)
+    return keys[hit], w[:, hit]
 
 
-def _insert_columns(unit: np.ndarray, target: tuple[bool, ...] | None = None) -> dict:
-    """Deletion-restriction on distinct full-rank unit columns, one at a time.
+def _split(earlier: np.ndarray, uk: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Columns ``v`` on uk's hyperplane, each moved off it by half its least clearance on
+    ``earlier``: the True sides, then the False sides, as unit columns."""
+    step = 0.5 * np.min(np.abs(earlier.T @ v), axis=0) * uk[:, None]
+    sides = np.hstack([v + step, v - step])
+    return sides / np.linalg.norm(sides, axis=0)
 
-    A cell of the earlier columns is split by column k exactly when its
-    sign vector is a cell of the earlier columns restricted to k's
-    hyperplane, one dimension down (Zaslavsky).  The restriction's witness
-    ``v`` steps off that hyperplane to both sides by half its smallest
-    clearance on the earlier columns; an unsplit cell keeps its witness.
-    Aimed at a ``target``, only the target's cell of the earlier columns
-    is kept, and its restriction is searched only when the cell's witness
-    lies on the wrong side of column k.
-    """
-    cells = {(True,): unit[:, 0], (False,): -unit[:, 0]}
+
+def _insert_columns(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deletion-restriction on distinct full-rank unit columns, each level on
+    its (d, m) witness matrix: column k splits exactly the cells of its
+    hyperplane's restriction (Zaslavsky), whose witnesses ``_split`` steps to
+    both sides; one product gives every other cell's side of column k."""
+    bases = _hyperplane_bases(unit)
+    keys, w = np.array([[True], [False]]), np.column_stack([unit[:, 0], -unit[:, 0]])
     for k in range(1, unit.shape[1]):
-        aim = None if target is None else target[:k]
-        if aim is not None and aim not in cells:
-            return {}
-        earlier, uk = unit[:, :k], unit[:, k]
-        grown = {key + (bool(uk @ w > 0.0),): w for key, w in _aimed(cells, aim).items()}
-        if aim is None or aim + (target[k],) not in grown:
-            basis = np.linalg.svd(uk[:, None])[0][:, 1:]  # orthonormal basis of uk's hyperplane
-            for key, z in arrangement_cells(basis.T @ earlier, aim).items():
-                v = basis @ z
-                step = 0.5 * float(np.min(np.abs(earlier.T @ v))) * uk
-                for side, w in ((True, v + step), (False, v - step)):
-                    grown[key + (side,)] = w / np.linalg.norm(w)
-        cells = grown
-    return _aimed(cells, target)
+        split, z = _cells(bases[k].T @ unit[:, :k])
+        packed = np.packbits(np.vstack([keys, split]), axis=1)
+        row = packed.view(f"V{packed.shape[1]}").ravel()  # one opaque value per sign vector
+        kept = ~np.isin(row[:len(keys)], row[len(keys):])
+        halves = np.column_stack([np.vstack([split, split]), np.repeat([[True], [False]], len(split), axis=0)])
+        keys = np.vstack([np.column_stack([keys[kept], unit[:, k] @ w[:, kept] > 0.0]), halves])
+        w = np.hstack([w[:, kept], _split(unit[:, :k], unit[:, k], bases[k] @ z)])
+    return keys, w
+
+
+def _walk_to(unit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_insert_columns`` aimed at one cell, with one witness: one product finds the first later
+    column it lies on the wrong side of, where the target's cell restricted to that column's
+    hyperplane, split, gives the next witness; when that restriction is empty, so is the cell."""
+    w, k = unit[:, 0] if target[0] else -unit[:, 0], 0
+    while (wrong := np.flatnonzero((unit[:, k + 1:].T @ w > 0.0) != target[k + 1:])).size:
+        k += 1 + int(wrong[0])
+        basis = _hyperplane_bases(unit[:, k:k + 1])[0]
+        if not (z := _cells(basis.T @ unit[:, :k], target[:k])[1]).size:
+            return np.zeros((0, len(target)), dtype=bool), unit[:, :0]
+        w = _split(unit[:, :k], unit[:, k], basis @ z)[:, 0 if target[k] else 1]
+    return target[None, :], w[:, None]
 
 
 def _certified_cells(ds: Dataset) -> list[PartitionCell]:
-    """The cells of ``arrangement_cells`` whose witness clears every datum's
-    boundary by more than BOUNDARY_MARGIN, one per pattern."""
-    unit = ds.x / np.linalg.norm(ds.x, axis=0)
-    cells: dict = {}
-    for w in arrangement_cells(ds.x).values():
-        margin = float(np.min(np.abs(unit.T @ w)))
-        if margin > BOUNDARY_MARGIN:
-            pattern = pattern_of(ds, w)
-            cells.setdefault(pattern.bits, PartitionCell(pattern=pattern, witness=w, margin=margin))
-    return list(cells.values())
+    """The cells whose witness clears every datum's boundary by more than
+    BOUNDARY_MARGIN, margins and patterns from one product over the witnesses."""
+    h = (ds.x / np.linalg.norm(ds.x, axis=0)).T @ (w := _cells(ds.x)[1])
+    ok = (margins := np.min(np.abs(h), axis=0)) > BOUNDARY_MARGIN
+    cells = zip((h[:, ok] > 0.0).T.tolist(), w[:, ok].T, margins[ok].tolist())
+    return [PartitionCell(ActivationPattern(tuple(bits)), witness, margin) for bits, witness, margin in cells]
 
 
 def enumerate_partitions(ds: Dataset) -> list[PartitionCell]:

@@ -1,5 +1,7 @@
 """Partition enumeration, counting and the d=2 circular order, the per-pattern spectral kernel, and g."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -114,8 +116,8 @@ class TestEnumeratePartitions:
 
         for _ in range(10):
             ds = random_a1_dataset(rng, 2, 6)
-            cells = _insert_columns(ds.x / np.linalg.norm(ds.x, axis=0))
-            assert {pattern_of(ds, w).bits for w in cells.values()} == sweep_patterns_2d(ds, 20000)
+            _, witnesses = _insert_columns(ds.x / np.linalg.norm(ds.x, axis=0))
+            assert {pattern_of(ds, w).bits for w in witnesses.T} == sweep_patterns_2d(ds, 20000)
 
     def test_size_guard(self, rng, monkeypatch):
         # refused by its bound of 781,312 cells, before any cell or count is sought
@@ -300,6 +302,39 @@ class TestHyperplaneClasses:
     def test_membership_is_not_transitive(self):
         # datum 2 is within 2e-9 of datum 1 but not of its class's first column
         assert hyperplane_classes(self._turned([0.0, 1.5e-9, 3e-9])) == ([0, 2], [(0, False), (0, False), (1, False)])
+
+
+class TestArrangementCells:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_an_aimed_search_returns_only_its_cell(self, d):
+        # an exact and an antiparallel copy, of d + 2 data and of d + 1 data
+        # that span d - 1 dimensions and are reduced to their span
+        rng = np.random.default_rng((25, d))
+        spanned = rng.normal(size=(d, d - 1)) @ rng.normal(size=(d - 1, d + 1))
+        for x in (rng.normal(size=(d, d + 2)), spanned):
+            cols = np.column_stack([x, x[:, 0], -x[:, 1]])
+            cells = geometry.arrangement_cells(cols)
+            for key, w in cells.items():
+                aimed = geometry.arrangement_cells(cols, key)
+                assert list(aimed) == [key]
+                assert tuple(cols.T @ aimed[key] > 0.0) == key
+            signs = itertools.product((False, True), repeat=cols.shape[1])
+            missing = [key for key in signs if key not in cells]
+            assert missing
+            for key in missing:
+                assert geometry.arrangement_cells(cols, key) == {}
+
+    def test_stacked_hyperplane_bases_equal_single_column_svds(self):
+        # region_count's value rests on this equality
+        rng = np.random.default_rng(26)
+        for d in (2, 3, 4, 5, 6):
+            unit = rng.normal(size=(d, 9))
+            unit /= np.linalg.norm(unit, axis=0)
+            bases = geometry._hyperplane_bases(unit)
+            for u, basis in zip(unit.T, bases):
+                assert np.array_equal(basis, np.linalg.svd(u[:, None])[0][:, 1:])
+                assert np.allclose(basis.T @ basis, np.eye(d - 1), rtol=0.0, atol=1e-14)
+                assert np.allclose(basis.T @ u, 0.0, rtol=0.0, atol=1e-15)
 
 
 def _circular_order(ds):

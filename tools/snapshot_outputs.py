@@ -12,9 +12,11 @@ fixture, and ``flow`` and ``criteria`` with ``--t-max 0.001`` on
 ``example_5_2.json``; ``landscape`` on a d=2 and a d=3 dataset that each
 hold an exact copy and a negative copy of a column; ``landscape`` on a
 seeded d=3, n=22 dataset, whose census is checked against its cell
-count; ``backprop`` on a small net; every campaign with
-``--trials 20 --seed 3``; and an unknown scenario and an unknown
-campaign.  Each command gets a directory ``OUT_DIR/<case>/`` holding its
+count, and on seeded normal (d, n) = (4, 10) and (5, 12) datasets,
+whose enumeration restricts to 3-D arrangements and whose rank-deficient
+patterns take the containment search in d >= 4; ``backprop`` on a small
+net; every campaign with ``--trials 20 --seed 3``; and an unknown
+scenario and an unknown campaign.  Each command gets a directory ``OUT_DIR/<case>/`` holding its
 ``stdout``, ``stderr``, ``exit`` status and the files it wrote under
 ``out/``.  Two checkouts whose snapshots give an empty ``diff -r`` behave
 identically on these commands.
@@ -105,6 +107,12 @@ def main(argv: list[str]) -> int:
     path = out_dir / "large-d3.json"
     path.write_text(json.dumps(large) + "\n", encoding="utf-8")
     _run(out_dir, "landscape-large-d3", ["landscape", "--dataset", str(path)])
+    for d, n in ((4, 10), (5, 12)):
+        rng = np.random.default_rng((d, n))
+        normal = {"x": rng.normal(size=(n, d)).tolist(), "y": rng.normal(size=n).tolist()}
+        path = out_dir / f"normal-d{d}.json"
+        path.write_text(json.dumps(normal) + "\n", encoding="utf-8")
+        _run(out_dir, f"landscape-normal-d{d}", ["landscape", "--dataset", str(path)])
     net = out_dir / "net.json"
     net.write_text(json.dumps(NET) + "\n", encoding="utf-8")
     _run(out_dir, "backprop", ["backprop", "--net", str(net), "--x", "1,2", "--y", "3"])
