@@ -9,7 +9,7 @@ fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,29 +59,23 @@ class CampaignReport:
         return tuple(r for r in self.results if not r.passed)
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "trials": self.trials,
-            "passed": self.passed,
-            "failures": [
-                {"index": r.index, "detail": r.detail} for r in self.failures
-            ],
-            "results": [
-                {"index": r.index, "passed": r.passed, "detail": r.detail}
-                for r in self.results
-            ],
-        }
+        failures = [{"index": r.index, "detail": r.detail} for r in self.failures]
+        return {**asdict(self), "passed": self.passed, "failures": failures}
+
+
+def _full_rank_inputs(rng, d: int, n: int) -> np.ndarray:
+    """Uniform positive (d, n) inputs, drawn again until their rank is min(d, n)."""
+    while True:
+        x = rng.uniform(0.05, 1.0, size=(d, n))
+        if matrix_rank(x) == min(d, n):
+            return x
 
 
 def random_dataset(rng, d: int, n: int) -> Dataset:
     """Nonnegative full-rank data with positive labels (all three assumptions)."""
     if n < d:
         raise StructuralError(f"full row rank needs n >= d, got n={n} < d={d}")
-    while True:
-        x = rng.uniform(0.05, 1.0, size=(d, n))
-        if matrix_rank(x) == d:
-            break
+    x = _full_rank_inputs(rng, d, n)
     y = rng.uniform(0.1, 3.0, size=n)
     return Dataset(x=x, y=y, assumptions=frozenset({"A1", "A2", "A3"}))
 
@@ -89,10 +83,7 @@ def random_dataset(rng, d: int, n: int) -> Dataset:
 def realizable_dataset(rng, d: int, n: int) -> tuple[Dataset, np.ndarray]:
     """Dataset interpolated exactly by a positive-orthant reference point."""
     w_gm = rng.uniform(0.2, 1.5, size=d)
-    while True:
-        x = rng.uniform(0.05, 1.0, size=(d, n))
-        if matrix_rank(x) == min(d, n):
-            break
+    x = _full_rank_inputs(rng, d, n)
     y = x.T @ w_gm
     return Dataset(x=x, y=y, assumptions=frozenset({"A1", "A2", "A3"})), w_gm
 

@@ -10,7 +10,7 @@ spectral condition under which norm growth survives a boundary crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .expsum import TIE_RTOL
 from .flow import Trajectory
-from .geometry import ActivationPattern, active_matrices, pattern_of, pattern_system
+from .geometry import active_matrices, pattern_of, pattern_system
 from .landscape import INTERPOLATION_TOL, MinimaCensus, loss
 
 
@@ -59,6 +59,14 @@ def _require_interpolating(ds: Dataset, w_gm: np.ndarray) -> None:
         )
 
 
+def _protected(ds: Dataset, w0: np.ndarray, w_gm: np.ndarray) -> np.ndarray:
+    """Which data the flow from ``w0`` keeps activated: those whose
+    label-to-norm ratio strictly exceeds the distance from ``w0`` to the
+    interpolating reference ``w_gm``."""
+    _require_interpolating(ds, w_gm)
+    return ds.y / np.linalg.norm(ds.x, axis=0) > float(np.linalg.norm(w0 - w_gm))
+
+
 def no_deactivation_certificate(ds: Dataset, w0, w_gm, j: int) -> bool:
     """True iff datum j is provably activated along the whole flow from w0.
 
@@ -67,34 +75,22 @@ def no_deactivation_certificate(ds: Dataset, w0, w_gm, j: int) -> bool:
     the initialization's distance to the reference.
     """
     w0 = np.asarray(w0, dtype=float)
-    w_gm = np.asarray(w_gm, dtype=float)
-    _require_interpolating(ds, w_gm)
-    xj = ds.x[:, j]
-    if float(xj @ w0) <= 0.0:
+    protected = _protected(ds, w0, np.asarray(w_gm, dtype=float))
+    if float(ds.x[:, j] @ w0) <= 0.0:
         raise PreconditionError(f"datum {j} is not activated at w0")
-    return float(ds.y[j]) / float(np.linalg.norm(xj)) > float(np.linalg.norm(w0 - w_gm))
+    return bool(protected[j])
 
 
 def bad_minimum_exclusion(ds: Dataset, w0, w_gm, census: MinimaCensus) -> tuple[int, ...]:
     """Indices of census minima the flow from ``w0`` provably avoids.
 
     A minimum is excluded when some datum outside its support is
-    protected by the activation certificate.  Minima supported by all
-    data are vacuously never excluded.
+    protected by the activation certificate, under that certificate's
+    strict comparison: a ratio equal to the distance protects nothing.
+    Minima supported by all data are vacuously never excluded.
     """
-    w0 = np.asarray(w0, dtype=float)
-    w_gm = np.asarray(w_gm, dtype=float)
-    _require_interpolating(ds, w_gm)
-    dist = float(np.linalg.norm(w0 - w_gm))
-    ratios = ds.y / np.linalg.norm(ds.x, axis=0)
-    excluded = []
-    for i, support in enumerate(census.support_sets):
-        complement = [j for j in range(ds.n) if j not in support]
-        if not complement:
-            continue  # vacuous: no datum outside the support
-        if float(np.max(ratios[complement])) >= dist:
-            excluded.append(i)
-    return tuple(excluded)
+    protected = _protected(ds, np.asarray(w0, dtype=float), np.asarray(w_gm, dtype=float))
+    return tuple(i for i, m in enumerate(census.minima) if np.any(protected & ~m.pattern.as_bool()))
 
 
 @dataclass(frozen=True)
@@ -127,17 +123,6 @@ def cosine_form(ds: Dataset, w0, w_gm, support) -> CosineForm:
         for j in complement
     ]
     return CosineForm(lhs=max(cosines), rhs=rhs, vacuous=False)
-
-
-def _spectral(ds: Dataset, pattern: ActivationPattern):
-    """Full eigenbasis of the pattern's Gram matrix, its rank and minimum-norm point.
-
-    Eigenvalues are descending, padded with exact zeros to length d.
-    """
-    system = pattern_system(ds, pattern)
-    lam = np.zeros(ds.d)
-    lam[: system.rank] = system.eigenvalues
-    return lam, np.hstack([system.basis, system.null_basis]), system.rank, system.point
 
 
 @dataclass(frozen=True)
@@ -198,12 +183,15 @@ def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCro
     if seg_pre.t_end != ev.t:
         raise StructuralError("segment/event alignment broken")
     p_pre, p_post = seg_pre.pattern, seg_post.pattern
-    lam_pre, vec_pre, r_pre, w_star_pre = _spectral(ds, p_pre)
-    _, vec_post, r_post, w_star_post = _spectral(ds, p_post)
-    if r_pre == 0 or lam_pre[0] == 0.0:
+    pre, post = pattern_system(ds, p_pre), pattern_system(ds, p_post)
+    if pre.rank == 0:
         raise NumericalError("pre-crossing Gram matrix is zero; no spectral context")
+    # the B conditions read d modes: the null space's eigenvalues are exact zeros
+    lam_pre = np.concatenate([pre.eigenvalues, np.zeros(ds.d - pre.rank)])
+    vec_pre = np.hstack([pre.basis, pre.null_basis])
+    vec_post = np.hstack([post.basis, post.null_basis])
     # sign convention: nonnegative pre-side minimizer coordinates
-    sign_pre = np.where(vec_pre.T @ w_star_pre < 0.0, -1.0, 1.0)
+    sign_pre = np.where(vec_pre.T @ pre.point < 0.0, -1.0, 1.0)
     vec_pre = vec_pre * sign_pre
     # nearest-subspace pairing of the post basis to the pre basis
     overlap = np.abs(vec_pre.T @ vec_post)
@@ -226,10 +214,10 @@ def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCro
         evals_pre=lam_pre,
         evecs_pre=vec_pre,
         evecs_post=vec_post,
-        rank_pre=r_pre,
-        rank_post=r_post,
-        w_star_pre=w_star_pre,
-        w_star_post=w_star_post,
+        rank_pre=pre.rank,
+        rank_post=post.rank,
+        w_star_pre=pre.point,
+        w_star_post=post.point,
     )
 
 
@@ -256,18 +244,7 @@ class BConditionReport:
         return self.b1 and self.b2 and self.b3 and self.b4
 
     def to_json(self) -> dict:
-        return {
-            "b1_lhs": list(self.b1_lhs),
-            "b1_rhs": list(self.b1_rhs),
-            "b1": self.b1,
-            "b2_lhs": self.b2_lhs,
-            "b2_rhs": self.b2_rhs,
-            "b2": self.b2,
-            "b3": self.b3,
-            "b4_value": self.b4_value,
-            "b4": self.b4,
-            "all_hold": self.all_hold,
-        }
+        return {**asdict(self), "all_hold": self.all_hold}
 
 
 def check_B_conditions(ctx: BoundaryCrossingContext) -> BConditionReport:

@@ -15,7 +15,7 @@ Rank decisions use a scale-free cutoff: singular values below
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -140,14 +140,7 @@ class ValidationReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "required": list(self.required),
-            "held": dict(self.held),
-            "failures": {k: list(v) for k, v in self.failures.items()},
-            "rank": self.rank,
-            "d": self.d,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def validate_dataset(ds: Dataset, require=ASSUMPTIONS) -> ValidationReport:
@@ -216,15 +209,10 @@ def dataset_from_json(obj: dict) -> Dataset:
     return Dataset(x=x, y=y, assumptions=flags)
 
 
-def canonical_json(obj: dict) -> str:
-    """Deterministic serialization used for fixture hashing and artifacts."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def save_dataset(ds: Dataset, path) -> None:
+    """Write ``ds`` as compact JSON with sorted keys and one trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(dataset_to_json(ds)))
-        fh.write("\n")
+        fh.write(json.dumps(dataset_to_json(ds), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def write_json(path, obj) -> str:

@@ -174,9 +174,9 @@ class Trajectory:
         freeze_fields(self, "terminal_point")
 
     def at(self, t: float) -> np.ndarray:
-        """Exact flow point at absolute time ``t``."""
-        if t < 0.0:
-            raise PreconditionError("time must be nonnegative")
+        """Exact flow point at absolute time ``t``; at ``inf``, the limit."""
+        if not t >= 0.0:
+            raise PreconditionError(f"time must be nonnegative, got {t}")
         for seg in self.segments:
             if t <= seg.t_end:
                 return seg.value_local(max(t - seg.t_start, 0.0))
@@ -471,10 +471,10 @@ class GDRun:
     linear = False  # the proxy descends the rectified loss
 
     def at(self, t: float) -> np.ndarray:
-        if t < 0.0:
-            raise PreconditionError("time must be nonnegative")
-        k = min(int(round(t / self.lr)), len(self.iterates) - 1)
-        return self.iterates[k]
+        """The iterate nearest pseudo-time ``t``; past the run, the last one."""
+        if not t >= 0.0:
+            raise PreconditionError(f"time must be nonnegative, got {t}")
+        return self.iterates[round(min(t / self.lr, len(self.iterates) - 1))]
 
 
 def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
@@ -487,8 +487,8 @@ def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
     w = _check_start(ds, w0).copy()
     if not (np.isfinite(lr) and lr > 0.0):
         raise PreconditionError("lr must be positive and finite")
-    if iters < 0:
-        raise PreconditionError("iters must be nonnegative")
+    if not isinstance(iters, (int, np.integer)) or iters < 0:
+        raise PreconditionError(f"iters must be a nonnegative integer, got {iters!r}")
     iterates = [w.copy()]
     events = []
     bits = tuple((ds.x.T @ w > 0.0).tolist())

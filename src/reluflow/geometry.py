@@ -223,29 +223,23 @@ def _sweep_2d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x.T @ w > 0.0).T, w
 
 
-def arrangement_cells(cols: np.ndarray, target: tuple[bool, ...] | None = None) -> dict:
-    """Sign vector (True on the active side) -> unit witness, for every cell
-    of the central arrangement of the columns' hyperplanes, or with
-    ``target`` for that one sign vector's cell (an empty dict when it is empty)."""
-    keys, w = _cells(cols, None if target is None else np.asarray(target, dtype=bool))
-    return dict(zip(map(tuple, keys.tolist()), np.ascontiguousarray(w.T)))
-
-
-def _cells(cols: np.ndarray, target: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``arrangement_cells`` as (m, k) sign-vector rows and (d, m) witness columns.
+def arrangement_cells(cols: np.ndarray, target: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell of the central arrangement of the columns' hyperplanes as (m, k)
+    sign-vector rows (True on the active side) and (d, m) unit witness columns, or
+    with a boolean ``target`` row only that sign vector's cell (none when it is empty).
     A column takes its ``hyperplane_classes`` class's sign, flipped when antiparallel;
     of distinct hyperplanes, two rows give the sweep, more are reduced to their span."""
     unit = cols / np.linalg.norm(cols, axis=0)
     reps, classes = hyperplane_classes(unit)
     if len(reps) < len(classes):
-        keys, w = _cells(cols[:, reps], None if target is None else target[reps])
+        keys, w = arrangement_cells(cols[:, reps], None if target is None else target[reps])
         keys = keys[:, [c for c, _ in classes]] != np.array([flip for _, flip in classes])
     elif unit.shape[0] == 2:
         keys, w = _sweep_2d(cols)
     else:
         u, s, _ = np.linalg.svd(unit, full_matrices=False)
         if (r := int(np.sum(s > RANK_RTOL * s[0]))) < unit.shape[0]:
-            keys, w = _cells(u[:, :r].T @ unit, target)
+            keys, w = arrangement_cells(u[:, :r].T @ unit, target)
             return keys, u[:, :r] @ w
         return _insert_columns(unit) if target is None else _walk_to(unit, target)
     hit = np.ones(len(keys), dtype=bool) if target is None else np.all(keys == target, axis=1)
@@ -268,7 +262,7 @@ def _insert_columns(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bases = _hyperplane_bases(unit)
     keys, w = np.array([[True], [False]]), np.column_stack([unit[:, 0], -unit[:, 0]])
     for k in range(1, unit.shape[1]):
-        split, z = _cells(bases[k].T @ unit[:, :k])
+        split, z = arrangement_cells(bases[k].T @ unit[:, :k])
         packed = np.packbits(np.vstack([keys, split]), axis=1)
         row = packed.view(f"V{packed.shape[1]}").ravel()  # one opaque value per sign vector
         kept = ~np.isin(row[:len(keys)], row[len(keys):])
@@ -286,7 +280,7 @@ def _walk_to(unit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
     while (wrong := np.flatnonzero((unit[:, k + 1:].T @ w > 0.0) != target[k + 1:])).size:
         k += 1 + int(wrong[0])
         basis = _hyperplane_bases(unit[:, k:k + 1])[0]
-        if not (z := _cells(basis.T @ unit[:, :k], target[:k])[1]).size:
+        if not (z := arrangement_cells(basis.T @ unit[:, :k], target[:k])[1]).size:
             return np.zeros((0, len(target)), dtype=bool), unit[:, :0]
         w = _split(unit[:, :k], unit[:, k], basis @ z)[:, 0 if target[k] else 1]
     return target[None, :], w[:, None]
@@ -295,7 +289,7 @@ def _walk_to(unit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _certified_cells(ds: Dataset) -> list[PartitionCell]:
     """The cells whose witness clears every datum's boundary by more than
     BOUNDARY_MARGIN, margins and patterns from one product over the witnesses."""
-    h = (ds.x / np.linalg.norm(ds.x, axis=0)).T @ (w := _cells(ds.x)[1])
+    h = (ds.x / np.linalg.norm(ds.x, axis=0)).T @ (w := arrangement_cells(ds.x)[1])
     ok = (margins := np.min(np.abs(h), axis=0)) > BOUNDARY_MARGIN
     cells = zip((h[:, ok] > 0.0).T.tolist(), w[:, ok].T, margins[ok].tolist())
     return [PartitionCell(ActivationPattern(tuple(bits)), witness, margin) for bits, witness, margin in cells]

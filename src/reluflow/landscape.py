@@ -124,37 +124,28 @@ def _minimizer_in_cell(ds: Dataset, pattern: ActivationPattern, p, null_basis):
     cols = np.vstack([null_basis.T @ unit, (p @ unit)[None, :] / scale])
     cols = cols[:, np.linalg.norm(cols, axis=0) > RANK_RTOL]
     s_axis = np.eye(len(cols))[:, -1:]
-    target = (True,) + (False,) * cols.shape[1]
-    v = arrangement_cells(np.hstack([s_axis, cols]), target).get(target)
-    return None if v is None else p + null_basis @ (scale * v[:-1] / v[-1])
+    target = np.arange(cols.shape[1] + 1) == 0
+    v = arrangement_cells(np.hstack([s_axis, cols]), target)[1]
+    return p + null_basis @ (scale * v[:-1, 0] / v[-1, 0]) if v.size else None
 
 
 def virtual_minimizer(ds: Dataset, pattern: ActivationPattern) -> VirtualMinimizer:
     """Minimum-norm minimizer of the pattern's quadratic, with containment.
 
     The candidate witness is ``point`` at full rank; for a rank-deficient
-    pattern it is a member of the affine minimizer set inside the open
-    cell (:func:`_minimizer_in_cell`), since any such member suffices, and
-    a set that only touches the cell's closure has none.  The pattern is
-    contained when the witness's active data clear their boundaries by
-    more than ``BOUNDARY_MARGIN`` and its deactivated data sit at a
-    relative clearance of at most 1e-12.  The pattern is not checked
-    against the partition; the census asks only about its own cells.
+    pattern, the all-deactivated rank 0 included, it is a member of the
+    affine minimizer set inside the open cell (:func:`_minimizer_in_cell`),
+    since any such member suffices, and a set that only touches the cell's
+    closure, or an empty cell, has none.  The pattern is contained when
+    the witness's active data clear their boundaries by more than
+    ``BOUNDARY_MARGIN`` and its deactivated data sit at a relative
+    clearance of at most 1e-12.  The pattern is not checked against the
+    partition; the census asks only about its own cells.
     """
     if len(pattern) != ds.n:
         raise StructuralError("pattern length does not match dataset")
     active = pattern.as_bool()
     total_inactive = 0.5 * float(np.sum(ds.y[~active] ** 2))
-    if not np.any(active):
-        return VirtualMinimizer(
-            pattern=pattern,
-            point=np.zeros(ds.d),
-            null_basis=np.eye(ds.d),
-            rank=0,
-            contained=True,
-            loss=total_inactive,
-            witness=np.zeros(ds.d),
-        )
     system = pattern_system(ds, pattern)
     point = system.point
     resid = ds.x[:, active].T @ point - ds.y[active]
@@ -197,7 +188,8 @@ class MinimaCensus:
 
 
 def minima_census(ds: Dataset) -> MinimaCensus:
-    """Exhaustive census of contained minimizers over all feasible patterns."""
+    """Exhaustive census of contained minimizers over all feasible patterns,
+    in the pattern order of ``enumerate_partitions``."""
     cells = enumerate_partitions(ds)
     minima: list[VirtualMinimizer] = []
     cone: VirtualMinimizer | None = None
@@ -207,7 +199,6 @@ def minima_census(ds: Dataset) -> MinimaCensus:
             cone = vm
         elif vm.contained:
             minima.append(vm)
-    minima.sort(key=lambda m: m.pattern.to_string())
     gi = None
     if minima:
         gi = min(

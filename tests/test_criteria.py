@@ -152,6 +152,27 @@ class TestBadMinimumExclusion:
             else:
                 assert i not in excluded  # vacuous: nothing outside the support
 
+    def test_a_ratio_equal_to_the_distance_protects_nothing(self):
+        # datum 0's ratio 1 ties the distance |w0 - w_gm| = 1; datum 1's ratio 2 exceeds it
+        ds = Dataset(x=np.eye(2), y=np.array([1.0, 2.0]))
+        w_gm, w0 = np.array([1.0, 2.0]), np.array([1.0, 1.0])
+        assert not no_deactivation_certificate(ds, w0, w_gm, 0)
+        assert no_deactivation_certificate(ds, w0, w_gm, 1)
+        census = minima_census(ds)
+        assert [m.pattern.to_string() for m in census.minima] == ["01", "10", "11"]
+        assert bad_minimum_exclusion(ds, w0, w_gm, census) == (1,)
+
+    def test_exclusion_is_a_certified_datum_outside_the_support(self, rng):
+        for _ in range(25):
+            ds, w_gm = realizable(rng)
+            census = minima_census(ds)
+            spread = float(np.max(ds.y / np.linalg.norm(ds.x, axis=0)))
+            w0 = w_gm + spread * rng.uniform(0.0, 2.0) * rng.normal(size=3)
+            certified = {j for j in range(ds.n)
+                         if ds.x[:, j] @ w0 > 0.0 and no_deactivation_certificate(ds, w0, w_gm, j)}
+            expected = tuple(i for i, support in enumerate(census.support_sets) if certified - set(support))
+            assert bad_minimum_exclusion(ds, w0, w_gm, census) == expected
+
     def test_flow_avoids_excluded_minima(self, rng):
         for _ in range(25):
             ds, w_gm = realizable(rng)

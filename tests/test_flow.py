@@ -453,6 +453,11 @@ class TestGuards:
         with pytest.raises(PreconditionError):
             simulate_flow(ds_deactivation, np.array([np.nan, 0.0, 0.0]))
 
+    def test_nan_time_is_rejected(self, ds_deactivation, rng):
+        tr = simulate_flow(ds_deactivation, small_cube_start(rng, 3))
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            tr.at(np.nan)
+
 
 class TestConvergenceBound:
     def test_rescaled_data_keep_a_stationary_limit_converged(self):
@@ -711,6 +716,21 @@ class TestDescentProxy:
         np.testing.assert_array_equal(run.at(0.0), run.iterates[0])
         with pytest.raises(PreconditionError, match="nonnegative"):
             run.at(-0.1)
+
+    def test_nan_time_is_rejected(self, ds_deactivation):
+        run = simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, 20)
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            run.at(np.nan)
+
+    def test_infinite_time_is_the_last_iterate(self, ds_deactivation):
+        # as Trajectory.at(inf) is the limit
+        run = simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, 20)
+        np.testing.assert_array_equal(run.at(np.inf), run.iterates[-1])
+        np.testing.assert_array_equal(run.at(1e308), run.iterates[-1])
+
+    def test_fractional_iteration_count_is_rejected(self, ds_deactivation):
+        with pytest.raises(PreconditionError, match="integer"):
+            simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, 2.5)
 
 
 class TestTrajectoryCsv:

@@ -313,16 +313,17 @@ class TestArrangementCells:
         spanned = rng.normal(size=(d, d - 1)) @ rng.normal(size=(d - 1, d + 1))
         for x in (rng.normal(size=(d, d + 2)), spanned):
             cols = np.column_stack([x, x[:, 0], -x[:, 1]])
-            cells = geometry.arrangement_cells(cols)
-            for key, w in cells.items():
-                aimed = geometry.arrangement_cells(cols, key)
-                assert list(aimed) == [key]
-                assert tuple(cols.T @ aimed[key] > 0.0) == key
+            keys = geometry.arrangement_cells(cols)[0]
+            for key in keys:
+                aimed, w = geometry.arrangement_cells(cols, key)
+                assert aimed.tolist() == [key.tolist()] and w.shape == (d, 1)
+                assert np.array_equal(cols.T @ w[:, 0] > 0.0, key)
             signs = itertools.product((False, True), repeat=cols.shape[1])
-            missing = [key for key in signs if key not in cells]
+            missing = [key for key in signs if list(key) not in keys.tolist()]
             assert missing
             for key in missing:
-                assert geometry.arrangement_cells(cols, key) == {}
+                aimed, w = geometry.arrangement_cells(cols, np.array(key))
+                assert aimed.shape == (0, cols.shape[1]) and w.shape == (d, 0)
 
     def test_stacked_hyperplane_bases_equal_single_column_svds(self):
         # region_count's value rests on this equality

@@ -183,6 +183,12 @@ class TestVirtualMinimizer:
         assert not virtual_minimizer(ds, ActivationPattern.from_string("10")).contained
         assert "10" not in {m.pattern.to_string() for m in minima_census(ds).minima}
 
+    def test_an_empty_all_off_cone_holds_no_minimizer(self):
+        # antiparallel data: every w activates one of them
+        ds = Dataset(x=np.array([[1.0, -1.0], [0.0, 0.0]]), y=np.array([1.0, 1.0]))
+        vm = virtual_minimizer(ds, ActivationPattern.from_string("00"))
+        assert vm.rank == 0 and not vm.contained and vm.witness is None
+
     def test_only_enumerated_cells_hold_their_minimizer(self, rng):
         # a pattern with data on, but no cell, holds no minimizer
         datasets = [Dataset(x=rng.normal(size=(d, n)), y=rng.normal(size=n))

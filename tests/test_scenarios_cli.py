@@ -2,7 +2,10 @@
 
 import argparse
 import hashlib
+import importlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,7 +406,6 @@ class TestCli:
         import os
         import subprocess
         import sys
-        from pathlib import Path
 
         import reluflow
 
@@ -418,3 +420,13 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("[PASS]") == 5
+
+
+class TestTolerancesTable:
+    def test_every_row_names_a_constant_with_its_value(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \| `(\w+)` \|", table, flags=re.MULTILINE)
+        assert len(rows) == len(re.findall(r"^\| `", table, flags=re.MULTILINE)) >= 10
+        for name, value, module in rows:
+            assert getattr(importlib.import_module(f"reluflow.{module}"), name) == float(value), name
