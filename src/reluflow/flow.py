@@ -518,14 +518,19 @@ def sample_trajectory(tr: Trajectory | GDRun, samples: int) -> list[tuple[float,
     the analytic limit is appended as the final row.  A descent run is
     sampled at every ``len(iterates) // samples``-th iterate instead.
     """
+    return _sample_rows(tr, samples)[0]
+
+
+def _sample_rows(tr: Trajectory | GDRun, samples: int) -> tuple[list[tuple[float, np.ndarray]], list[int]]:
+    """``sample_trajectory``'s rows and the segment each lies on (none for a descent run)."""
     if samples < 2:
         raise PreconditionError("need at least 2 samples")
     if isinstance(tr, GDRun):
         stride = max(1, len(tr.iterates) // samples)
-        return [(k * tr.lr, tr.iterates[k]) for k in range(0, len(tr.iterates), stride)]
+        return [(k * tr.lr, tr.iterates[k]) for k in range(0, len(tr.iterates), stride)], []
     n_seg = len(tr.segments)
     base = max(2, samples // n_seg)
-    rows: list[tuple[float, np.ndarray]] = []
+    rows, on = [], []
     for i, seg in enumerate(tr.segments):
         horizon = seg.local_horizon()
         count = base if i < n_seg - 1 else max(2, samples - base * (n_seg - 1))
@@ -533,9 +538,11 @@ def sample_trajectory(tr: Trajectory | GDRun, samples: int) -> list[tuple[float,
         points = seg.value_local(taus)
         for tau, p in zip(taus, points):
             rows.append((seg.t_start + float(tau), np.asarray(p)))
+        on += [i] * count
     if not np.isfinite(tr.segments[-1].t_end):
         rows.append((tr.segments[-1].t_start + tr.segments[-1].local_horizon(), tr.terminal_point))
-    return rows
+        on.append(n_seg - 1)
+    return rows, on
 
 
 def norm_certificate(tr: Trajectory) -> tuple[int, float] | None:
@@ -620,14 +627,15 @@ def _row_products(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 def trajectory_to_csv(tr: Trajectory | GDRun) -> str:
     """Plot-ready CSV of an exact, linear or descent run: t, w_1..w_d, loss, norm, g, pattern bits.
 
-    All rows are evaluated in one pass of stacked ``matmul`` products, which
-    numpy computes slice by slice with the kernel of the per-row product, so
-    each cell is bitwise its per-row definition (``loss``, ``|w|``,
-    ``g_value``, ``pattern_of``); ``X_a X_a^T`` and ``X_a y_a`` are built once
-    per distinct pattern.
+    ``pattern`` and ``g`` are those of the segment a row lies on, or of a descent
+    iterate's strict signs.  All rows are evaluated in one pass of stacked
+    ``matmul`` products, which numpy computes slice by slice with the kernel of
+    the per-row product, so each cell is bitwise its per-row definition;
+    ``X_a X_a^T`` and ``X_a y_a`` are built once per distinct pattern.
     """
     ds = tr.dataset
-    ts, ws = zip(*sample_trajectory(tr, CSV_SAMPLES))
+    samples, on = _sample_rows(tr, CSV_SAMPLES)
+    ts, ws = zip(*samples)
     w = np.array(ws)
     h = _row_products(ds.x.T, w)
     if tr.linear:
@@ -637,7 +645,8 @@ def trajectory_to_csv(tr: Trajectory | GDRun) -> str:
     else:
         r = np.maximum(h, 0.0) - ds.y
         g = np.empty(len(w))
-        masks, which = np.unique(h > 0.0, axis=0, return_inverse=True)
+        signs = np.array([seg.pattern.bits for seg in tr.segments], dtype=bool)[on] if on else h > 0.0
+        masks, which = np.unique(signs, axis=0, return_inverse=True)
         which = which.ravel()
         for k, mask in enumerate(masks):
             rows = which == k

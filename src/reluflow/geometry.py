@@ -109,38 +109,42 @@ class PatternSystem:
     basis: np.ndarray  # (d, r)
     null_basis: np.ndarray  # (d, d - r)
     point: np.ndarray  # (d,)
-
-    @property
-    def rank(self) -> int:
-        return int(self.eigenvalues.size)
+    rank: int  # r
 
 
-def pattern_system(ds: Dataset, pattern: ActivationPattern, held=()) -> PatternSystem:
-    """Spectrum, null space and minimum-norm point of the pattern's active data.
-
-    The active columns are first projected off the span of the ``held``
-    data, which gives the system of a segment held on their common face.
+def pattern_spectra(ds: Dataset, active: np.ndarray, held=()):
+    """The per-pattern spectral kernel of g patterns with k active data each,
+    ``active`` (g, k) their ascending indices: each one's left singular vectors
+    (g, d, d), singular values (g, min(d, k)), rank (g,) and minimum-norm point
+    (g, d), bitwise those of its own SVD and products, after projecting the
+    active columns off the ``held`` data's span (a segment held on their face).
     Singular values at or below ``max(RANK_RTOL * s_max, 1e-13 * max |x_i|)``
-    count as zero: the absolute floor, tied to the data scale, drops
-    columns that a projection has left as pure roundoff.
+    count as zero; the absolute floor drops columns a projection left as roundoff.
     """
-    if len(pattern) != ds.n:
-        raise StructuralError("pattern length does not match dataset")
-    mask = pattern.as_bool()
-    cols = ds.x[:, mask]
+    cols, ys = ds.x[:, active].transpose(1, 0, 2), ds.y[active]
     if held:
         q = np.linalg.qr(ds.x[:, list(held)])[0]
         cols = cols - q @ (q.T @ cols)
-    d = ds.d
-    if cols.size == 0 or not np.any(np.linalg.norm(cols, axis=0) > 0.0):
-        return PatternSystem(np.empty(0), np.empty((d, 0)), np.eye(d), np.zeros(d))
-    u, s, _ = np.linalg.svd(cols, full_matrices=True)
-    floor = max(RANK_RTOL * s[0], 1e-13 * float(np.max(np.linalg.norm(ds.x, axis=0))))
-    r = int(np.sum(s > floor))
-    lam = s[:r] ** 2
-    basis = u[:, :r]
-    point = basis @ ((basis.T @ (cols @ ds.y[mask])) / lam)
-    return PatternSystem(eigenvalues=lam, basis=basis, null_basis=u[:, r:], point=point)
+    u, s = np.linalg.svd(cols, full_matrices=True)[:2]
+    floor = np.maximum(RANK_RTOL * s[:, :1], 1e-13 * float(np.max(np.linalg.norm(ds.x, axis=0))))
+    ranks = np.sum(s > floor, axis=1)
+    points, moments = np.zeros(u.shape[:2]), np.matmul(cols, ys[:, :, None])
+    found = set(ranks.tolist())
+    for r in found - {0}:
+        rows = slice(None) if found == {r} else ranks == r  # a view, not a copy, for one pattern
+        basis = u[rows][:, :, :r]
+        coef = np.matmul(basis.transpose(0, 2, 1), moments[rows]) / (s[rows, :r] ** 2)[:, :, None]
+        points[rows] = np.matmul(basis, coef)[:, :, 0]
+    return u, s, ranks, points
+
+
+def pattern_system(ds: Dataset, pattern: ActivationPattern, held=()) -> PatternSystem:
+    """:func:`pattern_spectra` of one pattern, its active data projected off the ``held`` data."""
+    if len(pattern) != ds.n:
+        raise StructuralError("pattern length does not match dataset")
+    u, s, ranks, points = pattern_spectra(ds, np.flatnonzero(pattern.bits)[None], held)
+    r = int(ranks[0])
+    return PatternSystem(s[0, :r] ** 2, u[0, :, :r], u[0, :, r:], points[0], r)
 
 
 def partition_count_bound(n: int, d: int) -> int:

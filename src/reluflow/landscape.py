@@ -5,10 +5,13 @@ a constant from the labels of deactivated data.  Every partition has a
 virtual minimizer (the minimum-norm least-squares point of its active
 data), which may or may not lie inside the partition; the census below
 collects exactly the partitions that do contain theirs, which are the
-only candidates for interior local minima.  A rank-deficient pattern
-contains its minimizer when its affine minimizer set meets the open
-cell, which the deletion-restriction of ``geometry`` decides as one
-more cell question; no linear program is solved.
+only candidates for interior local minima.  The census groups its
+patterns by active count: one stacked spectral kernel call per group
+gives every point and null basis, and one clearance product decides the
+group's full-rank containment.  A rank-deficient pattern contains its
+minimizer when its affine minimizer set meets the open cell, which the
+deletion-restriction of ``geometry`` decides as one more cell question;
+no linear program is solved.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import GeometryError, StructuralError
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, clearance, enumerate_partitions
-from .geometry import arrangement_cells, pattern_system
+from .geometry import arrangement_cells, pattern_spectra
 
 # A point interpolates the data when its loss is at most INTERPOLATION_TOL.
 INTERPOLATION_TOL = 1e-10
@@ -129,42 +132,45 @@ def _minimizer_in_cell(ds: Dataset, pattern: ActivationPattern, p, null_basis):
     return p + null_basis @ (scale * v[:-1, 0] / v[-1, 0]) if v.size else None
 
 
-def virtual_minimizer(ds: Dataset, pattern: ActivationPattern) -> VirtualMinimizer:
-    """Minimum-norm minimizer of the pattern's quadratic, with containment.
-
-    The candidate witness is ``point`` at full rank; for a rank-deficient
-    pattern, the all-deactivated rank 0 included, it is a member of the
-    affine minimizer set inside the open cell (:func:`_minimizer_in_cell`),
-    since any such member suffices, and a set that only touches the cell's
-    closure, or an empty cell, has none.  The pattern is contained when
-    the witness's active data clear their boundaries by more than
-    ``BOUNDARY_MARGIN`` and its deactivated data sit at a relative
-    clearance of at most 1e-12.  The pattern is not checked against the
-    partition; the census asks only about its own cells.
+def _virtual_minimizers(ds: Dataset, patterns, keep_all: bool = False) -> list[VirtualMinimizer]:
+    """Each pattern's minimum-norm minimizer and containment, by active count:
+    one :func:`pattern_spectra` call and one clearance product per group.  The
+    witness is ``point`` at full rank, else a member of the minimizer set in the
+    open cell (:func:`_minimizer_in_cell`).  It is contained when its active
+    data clear their boundaries by more than ``BOUNDARY_MARGIN`` and its
+    deactivated data sit at a relative clearance of at most 1e-12.  Patterns
+    neither contained nor all-off are left out, unless ``keep_all``.
     """
+    masks = np.array([p.bits for p in patterns], dtype=bool).reshape(len(patterns), ds.n)
+    counts = masks.sum(axis=1)
+    out: list[VirtualMinimizer | None] = [None] * len(patterns)
+    for k in set(counts.tolist()):
+        rows = np.flatnonzero(counts == k)
+        group = masks[rows]
+        active = np.nonzero(group)[1].reshape(len(rows), k)
+        u, _, ranks, points = pattern_spectra(ds, active)
+        resid = np.matmul(ds.x[:, active].transpose(1, 2, 0), points[:, :, None])[:, :, 0] - ds.y[active]
+        inactive = ds.y[np.nonzero(~group)[1].reshape(len(rows), ds.n - k)]
+        losses = 0.5 * np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0] + 0.5 * np.sum(inactive**2, axis=1)
+        witnesses = points.copy()
+        for i in np.flatnonzero(ranks < ds.d):
+            w = _minimizer_in_cell(ds, patterns[rows[i]], points[i], u[i, :, ranks[i]:])
+            witnesses[i] = np.nan if w is None else w  # NaN fails both clearance tests
+        c = (ds.x.T @ witnesses.T) / np.multiply.outer(
+            np.linalg.norm(ds.x, axis=0), np.maximum(1.0, np.linalg.norm(witnesses, axis=1)))
+        contained = np.all(np.where(group.T, c > BOUNDARY_MARGIN, c <= 1e-12), axis=0)
+        for i in np.flatnonzero(contained | keep_all | (k == 0)):
+            witness = witnesses[i] if contained[i] else None
+            out[rows[i]] = VirtualMinimizer(patterns[rows[i]], points[i], u[i, :, ranks[i]:], int(ranks[i]),
+                                            bool(contained[i]), float(losses[i]), witness)
+    return [vm for vm in out if vm is not None]
+
+
+def virtual_minimizer(ds: Dataset, pattern: ActivationPattern) -> VirtualMinimizer:
+    """Minimum-norm minimizer of the pattern's quadratic, with containment: :func:`_virtual_minimizers` of one."""
     if len(pattern) != ds.n:
         raise StructuralError("pattern length does not match dataset")
-    active = pattern.as_bool()
-    total_inactive = 0.5 * float(np.sum(ds.y[~active] ** 2))
-    system = pattern_system(ds, pattern)
-    point = system.point
-    resid = ds.x[:, active].T @ point - ds.y[active]
-    total = 0.5 * float(resid @ resid) + total_inactive
-    witness = point if system.rank == ds.d else _minimizer_in_cell(ds, pattern, point, system.null_basis)
-    if witness is not None:
-        # active data clear their boundaries; deactivated data may sit on theirs up to 1e-12
-        c = clearance(ds, witness)
-        if not (np.all(c[active] > BOUNDARY_MARGIN) and np.all(c[~active] <= 1e-12)):
-            witness = None
-    return VirtualMinimizer(
-        pattern=pattern,
-        point=point,
-        null_basis=system.null_basis,
-        rank=system.rank,
-        contained=witness is not None,
-        loss=total,
-        witness=witness,
-    )
+    return _virtual_minimizers(ds, [pattern], keep_all=True)[0]
 
 
 @dataclass(frozen=True)
@@ -190,31 +196,12 @@ class MinimaCensus:
 def minima_census(ds: Dataset) -> MinimaCensus:
     """Exhaustive census of contained minimizers over all feasible patterns,
     in the pattern order of ``enumerate_partitions``."""
-    cells = enumerate_partitions(ds)
-    minima: list[VirtualMinimizer] = []
-    cone: VirtualMinimizer | None = None
-    for cell in cells:
-        vm = virtual_minimizer(ds, cell.pattern)
-        if not any(cell.pattern.bits):
-            cone = vm
-        elif vm.contained:
-            minima.append(vm)
-    gi = None
-    if minima:
-        gi = min(
-            range(len(minima)),
-            key=lambda i: (
-                minima[i].loss,
-                len(minima[i].support),
-                minima[i].pattern.to_string(),
-            ),
-        )
-    return MinimaCensus(
-        minima=tuple(minima),
-        global_index=gi,
-        support_sets=tuple(m.support for m in minima),
-        stationary_cone=cone,
-    )
+    entries = _virtual_minimizers(ds, [c.pattern for c in enumerate_partitions(ds)])
+    cone = next((vm for vm in entries if not any(vm.pattern.bits)), None)
+    minima = [vm for vm in entries if vm is not cone]
+    gi = min(range(len(minima)), default=None,
+             key=lambda i: (minima[i].loss, len(minima[i].support), minima[i].pattern.to_string()))
+    return MinimaCensus(tuple(minima), gi, tuple(m.support for m in minima), cone)
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,17 @@ differences, deep gradients through a direct forward/backward pass, and
 the zeros of exponential sums and the sign of the norm's slope through a
 dense grid whose sign changes are bisected in 50-digit mpmath arithmetic.
 Expected values in the tests are produced by these routines (or frozen
-from them), never by the code under test.  Two exceptions share package
+from them), never by the code under test.  Three exceptions share package
 code.  ``boundary_candidates_exhaustive`` shares the flow's root isolator
 and is the reference for the flow's pruned, batched event search, from
-which it differs by isolating every gap and held multiplier alone.  ``trajectory_csv`` is the per-row
-writer that the batched ``flow.trajectory_to_csv`` replaced: it evaluates
-each row through the package's ``loss``, ``g_value`` and ``pattern_of``,
-the definitions of the CSV columns.
+which it differs by isolating every gap and held multiplier alone.
+``trajectory_csv`` is the per-row writer that the batched
+``flow.trajectory_to_csv`` replaced: it evaluates each row through the
+package's ``loss``, ``active_matrices``, ``g_value`` and ``pattern_of``, the
+definitions of the CSV columns, on the package's samples.  ``census_loop`` is the per-pattern
+census that the grouped one replaced, and shares the package's enumeration
+and its rank-deficient containment search; ``pattern_system_single`` is its
+one SVD per pattern.
 """
 
 from __future__ import annotations
@@ -159,18 +163,26 @@ def boundary_candidates_exhaustive(ds, seg):
 
 
 def trajectory_csv(tr) -> str:
-    """The trajectory CSV built row by row from the column definitions."""
-    from reluflow.flow import CSV_SAMPLES, sample_trajectory
-    from reluflow.geometry import g_value, pattern_of
+    """The trajectory CSV built row by row from the column definitions: an
+    exact row's pattern and g are its segment's, a descent iterate's its own."""
+    from reluflow.flow import CSV_SAMPLES, GDRun, _sample_rows
+    from reluflow.geometry import active_matrices, g_value, pattern_of
     from reluflow.landscape import linear_loss, loss
 
     ds = tr.dataset
     header = ["t"] + [f"w_{i + 1}" for i in range(ds.d)] + ["loss", "norm", "g", "pattern"]
     lines = [",".join(header)]
-    for t, w in sample_trajectory(tr, CSV_SAMPLES):
+    rows, on = _sample_rows(tr, CSV_SAMPLES)
+    for row, (t, w) in enumerate(rows):
         value = linear_loss(ds, w) if tr.linear else loss(ds, w)
-        g = float(w @ (ds.x @ (ds.x.T @ w - ds.y))) if tr.linear else g_value(ds, w)
-        pat = "1" * ds.n if tr.linear else pattern_of(ds, w).to_string()
+        if tr.linear:
+            g, pat = float(w @ (ds.x @ (ds.x.T @ w - ds.y))), "1" * ds.n
+        elif isinstance(tr, GDRun):
+            g, pat = g_value(ds, w), pattern_of(ds, w).to_string()
+        else:
+            pattern = tr.segments[on[row]].pattern
+            h, q = active_matrices(ds, pattern)
+            g, pat = float(w @ (h @ w - q)), pattern.to_string()
         cells = [repr(float(t))] + [repr(float(x)) for x in w]
         cells += [repr(float(value)), repr(float(np.linalg.norm(w))), repr(float(g)), pat]
         lines.append(",".join(cells))
@@ -299,6 +311,57 @@ def containment_lp(ds, pattern) -> bool:
     cap = 1.0 + float(np.linalg.norm(p))
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * k + [(None, cap)], method="highs")
     return res.status == 0 and float(res.x[-1]) > 1e-9 * max(1.0, float(np.linalg.norm(p)))
+
+
+def pattern_system_single(ds, pattern, held=()):
+    """The per-pattern spectral kernel that ``geometry.pattern_spectra``
+    stacked: one SVD of the pattern's active columns, projected off the held
+    data, as (eigenvalues, basis, null_basis, point)."""
+    mask = pattern.as_bool()
+    cols = ds.x[:, mask]
+    if held:
+        q = np.linalg.qr(ds.x[:, list(held)])[0]
+        cols = cols - q @ (q.T @ cols)
+    d = ds.d
+    if cols.size == 0 or not np.any(np.linalg.norm(cols, axis=0) > 0.0):
+        return np.empty(0), np.empty((d, 0)), np.eye(d), np.zeros(d)
+    u, s, _ = np.linalg.svd(cols, full_matrices=True)
+    floor = max(RANK_RTOL * s[0], 1e-13 * float(np.max(np.linalg.norm(ds.x, axis=0))))
+    r = int(np.sum(s > floor))
+    lam = s[:r] ** 2
+    basis = u[:, :r]
+    point = basis @ ((basis.T @ (cols @ ds.y[mask])) / lam)
+    return lam, basis, u[:, r:], point
+
+
+def census_loop(ds) -> tuple[list[tuple], tuple | None]:
+    """The census one pattern at a time, as the grouped census replaced it:
+    one ``pattern_system_single`` and one containment decision per
+    enumerated pattern.  Returns the contained entries and the all-off cone,
+    each as (pattern string, point, null_basis, rank, loss, witness or None)."""
+    from reluflow.geometry import BOUNDARY_MARGIN, clearance, enumerate_partitions
+    from reluflow.landscape import _minimizer_in_cell
+
+    minima, cone = [], None
+    for cell in enumerate_partitions(ds):
+        pattern = cell.pattern
+        active = pattern.as_bool()
+        total_inactive = 0.5 * float(np.sum(ds.y[~active] ** 2))
+        _, _, null_basis, point = pattern_system_single(ds, pattern)
+        rank = ds.d - null_basis.shape[1]
+        resid = ds.x[:, active].T @ point - ds.y[active]
+        total = 0.5 * float(resid @ resid) + total_inactive
+        witness = point if rank == ds.d else _minimizer_in_cell(ds, pattern, point, null_basis)
+        if witness is not None:
+            c = clearance(ds, witness)
+            if not (np.all(c[active] > BOUNDARY_MARGIN) and np.all(c[~active] <= 1e-12)):
+                witness = None
+        entry = (pattern.to_string(), point, null_basis, rank, total, witness)
+        if not active.any():
+            cone = entry
+        elif witness is not None:
+            minima.append(entry)
+    return minima, cone
 
 
 def _mp_value(c, coeffs, rates, t):

@@ -783,6 +783,17 @@ class TestTrajectoryCsv:
         np.testing.assert_array_equal(tr.terminal_point, [0.0, 0.0])
         assert self.assert_matches_oracle(tr)[-1] == "00"
 
+    def test_rows_read_their_segment_not_the_roundoff_sign(self):
+        # after t = 0.403 datum 0 sits on its boundary with x_0 . w = +5e-17
+        # of roundoff; its strict sign reads 10, the segment is 00
+        ds = Dataset(x=np.array([[1.0, 0.3], [0.2, 1.0]]), y=np.array([-1.0, 1.0]))
+        tr = simulate_flow(ds, np.array([0.72, -1.0]))
+        assert [seg.pattern.to_string() for seg in tr.segments] == ["10", "00"]
+        pats = self.assert_matches_oracle(tr)
+        assert len(pats) == 401
+        assert pats == ["10"] * 200 + ["00"] * 201
+        assert pattern_of(ds, tr.terminal_point).to_string() == "10"
+
 
 class TestSampling:
     def test_rows_are_time_ordered_and_finite(self, ds_reactivation, rng):

@@ -17,6 +17,7 @@ from reluflow.geometry import (
     hyperplane_classes,
     partition_count_bound,
     pattern_of,
+    pattern_spectra,
     pattern_system,
     region_count,
 )
@@ -26,6 +27,7 @@ from reluflow.landscape import minima_census
 from oracles import (
     enumerate_partitions_lp,
     lstsq_minnorm,
+    pattern_system_single,
     region_count_exact,
     region_count_whitney,
     sweep_patterns_2d,
@@ -405,6 +407,48 @@ class TestPatternSystem:
             np.testing.assert_allclose(h @ system.basis, system.basis * system.eigenvalues, atol=1e-9)
             oracle = lstsq_minnorm(ds.x[:, mask], ds.y[mask]) if mask.any() else np.zeros(ds.d)
             np.testing.assert_allclose(system.point, oracle, atol=1e-9)
+
+    def test_one_pattern_is_the_single_svd_bitwise(self, rng):
+        # a parallel pair makes some patterns rank deficient; held data
+        # project the active columns first
+        for trial in range(40):
+            d, n = int(rng.integers(2, 7)), int(rng.integers(3, 11))
+            x = rng.normal(size=(d, n))
+            x[:, 1] = -0.5 * x[:, 0]
+            ds = Dataset(x=x, y=rng.normal(size=n))
+            for _ in range(5):
+                bits = rng.integers(0, 2, n)
+                held = (int(np.flatnonzero(bits == 0)[0]),) if trial % 2 and not bits.all() else ()
+                pattern = ActivationPattern(tuple(bits))
+                system = pattern_system(ds, pattern, held)
+                got = (system.eigenvalues, system.basis, system.null_basis, system.point)
+                for a, b in zip(got, pattern_system_single(ds, pattern, held)):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_no_nonzero_column_leaves_the_identity(self):
+        # datum 1 is twice datum 0: held on datum 0, its projection is exactly zero
+        ds = Dataset(x=np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]), y=np.array([1.0, 1.0, 1.0]))
+        for bits, held in (("000", ()), ("010", (0,))):
+            system = pattern_system(ds, ActivationPattern.from_string(bits), held)
+            assert system.rank == 0 and system.null_basis.tobytes() == np.eye(2).tobytes()
+            assert system.point.tobytes() == np.zeros(2).tobytes()
+
+    def test_a_stack_is_each_pattern_bitwise(self, rng):
+        # k = d: a pattern with the parallel pair on has rank 3, the rest rank 4
+        d, n, k = 4, 9, 4
+        x = rng.normal(size=(d, n))
+        x[:, 1] = 3.0 * x[:, 0]
+        ds = Dataset(x=x, y=rng.normal(size=n))
+        active = np.array(list(itertools.combinations(range(n), k)))
+        u, s, ranks, points = pattern_spectra(ds, active)
+        assert set(ranks.tolist()) == {3, 4}
+        for i, idx in enumerate(active):
+            bits = np.zeros(n, dtype=int)
+            bits[idx] = 1
+            lam, basis, null_basis, point = pattern_system_single(ds, ActivationPattern(tuple(bits)))
+            r = ranks[i]
+            for a, b in zip((s[i, :r] ** 2, u[i, :, :r], u[i, :, r:], points[i]), (lam, basis, null_basis, point)):
+                assert a.tobytes() == b.tobytes()
 
     def test_slide_projects_onto_the_boundary(self, rng):
         ds = random_a1_dataset(rng, 3, 5)

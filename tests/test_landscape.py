@@ -19,7 +19,8 @@ from reluflow.landscape import (
     virtual_minimizer,
 )
 
-from oracles import containment_lp, finite_diff_gradient, lstsq_loss, lstsq_minnorm, off_boundary
+from oracles import census_loop, containment_lp, finite_diff_gradient, lstsq_loss, lstsq_minnorm, off_boundary
+from oracles import pattern_system_single
 
 
 def random_a1a2a3(rng, d, n):
@@ -263,6 +264,67 @@ class TestMinimaCensus:
                 active = m.pattern.as_bool()
                 assert np.all(h[active] >= 1e-9 * scale[active])
                 assert np.all(h[~active] <= 0.0)
+
+
+def _entry_bytes(pattern, point, null_basis, rank, total, witness):
+    """A census entry as exact bytes, so that equal entries are bitwise equal."""
+    return (pattern, point.tobytes(), null_basis.shape, null_basis.tobytes(), rank, float(total).hex(),
+            None if witness is None else witness.tobytes())
+
+
+def assert_census_is_the_loop(ds):
+    """The grouped census equals the per-pattern loop bitwise: patterns,
+    points, losses, ranks, null bases, witnesses and the cone."""
+    census = minima_census(ds)
+    minima, cone = census_loop(ds)
+    got = [_entry_bytes(m.pattern.to_string(), m.point, m.null_basis, m.rank, m.loss, m.witness)
+           for m in census.minima]
+    assert got == [_entry_bytes(*e) for e in minima]
+    c = census.stationary_cone
+    assert (c is None) == (cone is None)
+    if c is not None:
+        assert _entry_bytes(c.pattern.to_string(), c.point, c.null_basis, c.rank, c.loss, c.witness) == _entry_bytes(*cone)
+    return census
+
+
+class TestGroupedCensus:
+    """``minima_census`` groups its patterns by active count; the per-pattern loop is the oracle."""
+
+    def test_seeded_random_datasets(self):
+        for s in range(6):
+            census = assert_census_is_the_loop(random_dataset(np.random.default_rng((22, s)), 4, 10))
+            assert any(m.rank < 4 for m in census.minima)
+
+    @pytest.mark.parametrize("d, n", [(4, 10), (5, 12)])
+    def test_normal_datasets(self, d, n):
+        for s in range(3):
+            rng = np.random.default_rng((23, d, n, s))
+            assert_census_is_the_loop(Dataset(x=rng.normal(size=(d, n)), y=rng.normal(size=n)))
+
+    def test_exact_and_antiparallel_copies(self):
+        for s in range(4):
+            rng = np.random.default_rng((24, s))
+            x = rng.uniform(0.05, 1.0, size=(4, 9))
+            x[:, 5], x[:, 6] = x[:, 0], -1.5 * x[:, 1]
+            census = assert_census_is_the_loop(Dataset(x=x, y=rng.uniform(0.1, 3.0, 9)))
+            assert any(m.rank < 4 for m in census.minima)
+
+    def test_one_group_holds_mixed_ranks(self):
+        # columns 0 and 1 are parallel: a pattern with both on and k >= d data
+        # active is rank deficient, beside full-rank patterns of the same count
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(3, 7))
+        x[:, 1] = 2.0 * x[:, 0]
+        ds = Dataset(x=x, y=rng.normal(size=7))
+        ranks: dict[int, set[int]] = {}
+        for cell in enumerate_partitions(ds):
+            k = sum(cell.pattern.bits)
+            ranks.setdefault(k, set()).add(pattern_system_single(ds, cell.pattern)[0].size)
+        assert any(k >= ds.d and len(r) > 1 for k, r in ranks.items())
+        census = assert_census_is_the_loop(ds)
+        for cell in enumerate_partitions(ds):
+            vm = virtual_minimizer(ds, cell.pattern)
+            assert vm.contained == (cell.pattern in {m.pattern for m in census.minima}) or not any(cell.pattern.bits)
 
 
 class TestSupportOrdering:

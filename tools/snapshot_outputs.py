@@ -14,7 +14,9 @@ hold an exact copy and a negative copy of a column; ``landscape`` on a
 seeded d=3, n=22 dataset, whose census is checked against its cell
 count, and on seeded normal (d, n) = (4, 10) and (5, 12) datasets,
 whose enumeration restricts to 3-D arrangements and whose rank-deficient
-patterns take the containment search in d >= 4; ``backprop`` on a small
+patterns take the containment search in d >= 4, and on a positive (4, 10)
+``random_dataset`` drawn as the first of the ``census-cells`` benchmark
+pool, most of whose minima are rank deficient; ``backprop`` on a small
 net; every campaign with ``--trials 20 --seed 3``; and an unknown
 scenario and an unknown campaign.  Each command gets a directory ``OUT_DIR/<case>/`` holding its
 ``stdout``, ``stderr``, ``exit`` status and the files it wrote under
@@ -76,7 +78,7 @@ def main(argv: list[str]) -> int:
     out_dir = Path(argv[0]).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
     sys.path.insert(0, str(SRC))
-    from reluflow.campaigns import CAMPAIGN_IDS
+    from reluflow.campaigns import CAMPAIGN_IDS, random_dataset
     from reluflow.dataset import load_dataset
     from reluflow.scenarios import SCENARIO_NAMES
 
@@ -113,6 +115,10 @@ def main(argv: list[str]) -> int:
         path = out_dir / f"normal-d{d}.json"
         path.write_text(json.dumps(normal) + "\n", encoding="utf-8")
         _run(out_dir, f"landscape-normal-d{d}", ["landscape", "--dataset", str(path)])
+    pool = random_dataset(np.random.default_rng((0, 2, 0)), 4, 10)
+    path = out_dir / "positive-d4.json"
+    path.write_text(json.dumps({"x": pool.x.T.tolist(), "y": pool.y.tolist()}) + "\n", encoding="utf-8")
+    _run(out_dir, "landscape-positive-d4", ["landscape", "--dataset", str(path)])
     net = out_dir / "net.json"
     net.write_text(json.dumps(NET) + "\n", encoding="utf-8")
     _run(out_dir, "backprop", ["backprop", "--net", str(net), "--x", "1,2", "--y", "3"])
