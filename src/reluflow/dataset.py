@@ -59,12 +59,6 @@ def _assumption_failures(x: np.ndarray, y: np.ndarray) -> dict[str, tuple[int, .
     return {"A1": a1, "A2": a2, "A3": a3}
 
 
-def detect_assumptions(x: np.ndarray, y: np.ndarray) -> frozenset[str]:
-    """The subset of A1/A2/A3 that actually holds for (x, y)."""
-    fails = _assumption_failures(np.asarray(x, float), np.asarray(y, float))
-    return frozenset(flag for flag, bad in fails.items() if bad == ())
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable training set: ``x`` holds inputs as columns, ``y`` labels.
@@ -172,7 +166,8 @@ def validate_dataset(ds: Dataset, require=ASSUMPTIONS) -> ValidationReport:
 def augment_bias(ds: Dataset) -> Dataset:
     """Append a constant-1 input coordinate so a bias term becomes a weight."""
     x_new = np.vstack([ds.x, np.ones(ds.n)])
-    return Dataset(x=x_new, y=ds.y, assumptions=detect_assumptions(x_new, ds.y))
+    held = validate_dataset(Dataset(x=x_new, y=ds.y)).held
+    return Dataset(x=x_new, y=ds.y, assumptions=frozenset(flag for flag, ok in held.items() if ok))
 
 
 def dataset_to_json(ds: Dataset) -> dict:

@@ -44,11 +44,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RANK_RTOL, Dataset, freeze_fields
+from .dataset import Dataset, freeze_fields, matrix_rank
 from .errors import NumericalError, PreconditionError, StructuralError
 from .expsum import TERMINAL_HORIZON_RATES, TIE_RTOL, ExpSum, RootBatch
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, active_matrices, clearance
-from .geometry import pattern_of, pattern_system
+from .geometry import pattern_system
 from .landscape import gradient
 
 # The face rule tries all 3^|B| assignments of at most FACE_MAX_DATA data.
@@ -174,13 +174,16 @@ class Trajectory:
         freeze_fields(self, "terminal_point")
 
     def at(self, t: float) -> np.ndarray:
-        """Exact flow point at absolute time ``t``; at ``inf``, the limit."""
+        """Exact flow point at absolute time ``t``; at ``inf``, the limit.  A run that
+        stopped (``horizon``, ``event-cap``) has no point past its last segment."""
         if not t >= 0.0:
             raise PreconditionError(f"time must be nonnegative, got {t}")
         for seg in self.segments:
             if t <= seg.t_end:
                 return seg.value_local(max(t - seg.t_start, 0.0))
         last = self.segments[-1]
+        if not last.covers(t - last.t_start):
+            raise PreconditionError(f"time {t} is past the end of a run that ended {self.terminal} at {last.t_end}")
         return last.value_local(t - last.t_start)
 
 
@@ -264,59 +267,57 @@ def _multipliers(ds: Dataset, seg: FlowSegment) -> tuple[np.ndarray, np.ndarray]
     return seg.observables(np.array([hmat @ row for row in rows]), np.array([float(row @ qvec) for row in rows]))
 
 
-def _face_states(ds: Dataset, bits, before: dict, heading: dict, w, stay=True) -> dict | None:
-    """The state of each datum of B after an event at ``w``, or None.
+def _face_states(ds: Dataset, state: np.ndarray, b: list[int], heading: dict, w) -> np.ndarray | None:
+    """The states (OFF, ON or HELD) of the data ``b`` of B after an event at ``w``, or None.
 
-    B is the keys of ``before``, which maps each datum to its state before
-    the event.  ``heading`` maps each datum that reached its boundary, or
-    whose multiplier left [0, 1], to the side it heads to; without
-    ``stay`` such a datum may not keep its old state.  The first
-    consistent assignment by total preference rank (ties in index order)
-    is returned, or None.  With more than FACE_MAX_DATA data in B only the
-    preferred assignment is tried; last comes every datum off.  An
-    alignment within ``TIE_RTOL`` of ``|x_j| (|g0| + sum_B |y_l| |x_l|)``
-    counts as zero.
+    ``state`` holds every datum's state before the event; ``heading`` maps
+    each datum that reached its boundary, or whose multiplier left [0, 1],
+    to the side it heads to.  The first consistent assignment by total
+    preference rank (ties in index order) is taken; if it changes nothing
+    (a tangency), the first with no such datum keeping its old state.  With
+    more than FACE_MAX_DATA data in B only the preferred assignment is
+    tried, then every datum off (the rest state wherever g0 = 0, as at the
+    origin).  An alignment within ``TIE_RTOL`` of ``|x_j| (|g0| + sum_B
+    |y_l| |x_l|)`` counts as zero.
     """
-    b = sorted(before)
-    rest = ActivationPattern([v and j not in before for j, v in enumerate(bits)])
-    hm, qm = active_matrices(ds, rest)
-    g0 = hm @ w - qm
-    xb = ds.x[:, b]
-    yb = ds.y[b]
+    rest = state == ON
+    rest[b] = False
+    xa = ds.x[:, rest]
+    g0 = xa @ xa.T @ w - xa @ ds.y[rest]
+    xb, yb = ds.x[:, b], ds.y[b]
     norms = np.linalg.norm(xb, axis=0)
     tie = TIE_RTOL * norms * (np.linalg.norm(g0) + float(np.abs(yb) @ norms))
-    prefs = [
-        [s for s in (heading[j], HELD, 1 - heading[j]) if stay or s != before[j]]
-        if j in heading
-        else (HELD, OFF, ON)
-        for j in b
-    ]
-    if len(b) <= FACE_MAX_DATA:
-        ranked = sorted(itertools.product(*(range(len(p)) for p in prefs)), key=sum)
-    else:
-        ranked = [(0,) * len(b)]
-    tries = [tuple(p[r] for p, r in zip(prefs, ranks)) for ranks in ranked]
-    if all(OFF in p for p in prefs):
-        # the rest state wherever g0 = 0, as at the origin, where every boundary meets
-        tries.append((OFF,) * len(b))
-    for states in map(np.array, tries):
-        on = states == ON
-        hold = states == HELD
+
+    def consistent(states: np.ndarray) -> bool:
+        on, hold = states == ON, states == HELD
         g = g0 - xb[:, on] @ yb[on]
         if hold.any():
-            xs = xb[:, hold]
-            ys = yb[hold]
-            sv = np.linalg.svd(xs / norms[hold], compute_uv=False)
-            if hold.sum() > ds.d or sv[-1] <= RANK_RTOL * sv[0] or not np.all(ys):
-                continue  # dependent columns, or a term that vanishes on its boundary
+            xs, ys = xb[:, hold], yb[hold]
+            if matrix_rank(xs / norms[hold]) < hold.sum() or not np.all(ys):
+                return False  # dependent columns, or a term that vanishes on its boundary
             alpha = np.linalg.solve(xs.T @ xs, xs.T @ g) / ys
             if not np.all((alpha > 0.0) & (alpha < 1.0)):
-                continue
+                return False
             g = g - xs @ (ys * alpha)
         align = xb.T @ g
-        if np.all(hold | (on & (align <= tie)) | (~on & (align >= -tie))):
-            return dict(zip(b, states.tolist()))
-    return None
+        return bool(np.all(hold | (on & (align <= tie)) | (~on & (align >= -tie))))
+
+    before = state[b]
+    for stay in (True, False):
+        prefs = [
+            [s for s in (heading[j], HELD, 1 - heading[j]) if stay or s != old] if j in heading else (HELD, OFF, ON)
+            for j, old in zip(b, before.tolist())
+        ]
+        if len(b) <= FACE_MAX_DATA:
+            ranked = sorted(itertools.product(*(range(len(p)) for p in prefs)), key=sum)
+            tries = [tuple(p[r] for p, r in zip(prefs, ranks)) for ranks in ranked]
+        else:
+            tries = [tuple(p[0] for p in prefs)]
+            if all(OFF in p for p in prefs):
+                tries.append((OFF,) * len(b))
+        found = next((s for s in map(np.array, tries) if consistent(s)), None)
+        if found is None or not stay or not np.array_equal(found, before):
+            return found
 
 
 def _check_start(ds: Dataset, w0) -> np.ndarray:
@@ -335,15 +336,15 @@ def simulate_flow(ds: Dataset, w0, t_max: float = math.inf) -> Trajectory:
     w0 = _check_start(ds, w0)
     t = 0.0
     w = w0
-    bits = pattern_of(ds, w0).bits
-    held: tuple[int, ...] = ()
+    state = (ds.x.T @ w0 > 0.0).astype(int)  # OFF, ON or HELD per datum
     segments: list[FlowSegment] = []
     events: list[FlowEvent] = []
     terminal = None
     terminal_point = w0
 
     while terminal is None:
-        seg = _segment_from(ds, ActivationPattern(bits), w, t, held)
+        held = tuple(np.flatnonzero(state == HELD).tolist())
+        seg = _segment_from(ds, ActivationPattern(state == ON), w, t, held)
         candidates = _boundary_candidates(ds, seg)
         if not candidates:
             segments.append(seg)
@@ -364,30 +365,25 @@ def simulate_flow(ds: Dataset, w0, t_max: float = math.inf) -> Trajectory:
             raise NumericalError("non-finite event point")
         t_ev = t + tau
         heading = {c.index: c.side for c in tied}
-        before = {j: HELD if j in held else bits[j] for j in set(held) | set(heading)}
-        states = _face_states(ds, bits, before, heading, w_ev)
-        if states == before:  # a tangency: no arrival may keep its state
-            states = _face_states(ds, bits, before, heading, w_ev, stay=False)
+        b = sorted(set(held) | set(heading))
+        states = _face_states(ds, state, b, heading, w_ev)
         if states is None:
-            raise NumericalError(f"no consistent state for data {sorted(before)} at t = {t_ev!r}")
+            raise NumericalError(f"no consistent state for data {b} at t = {t_ev!r}")
         # one event per changed datum in index order, each closing one segment
         closed = replace(seg, t_end=t_ev)
         segments.append(closed)
-        for i, j in enumerate(sorted(j for j in states if states[j] != before[j])):
+        for i, (j, s) in enumerate([(j, s) for j, s in zip(b, states.tolist()) if s != state[j]]):
             if i:  # between simultaneous events the flow stands still for zero time
                 still = replace(
                     closed, t_start=t_ev, w_start=w_ev, target=w_ev, delta=0.0 * seg.delta,
-                    pattern=ActivationPattern(bits), held=held,
+                    pattern=ActivationPattern(state == ON), held=tuple(np.flatnonzero(state == HELD).tolist()),
                 )
                 segments.append(still)
-            kind = "activation" if states[j] == ON else "sliding"
-            if (before[j], states[j]) == (ON, OFF):
+            kind = "activation" if s == ON else "sliding"
+            if (state[j], s) == (ON, OFF):
                 kind = "deactivation"
             events.append(FlowEvent(t=t_ev, index=j, kind=kind, point=w_ev))
-            bits = bits[:j] + (int(states[j] == ON),) + bits[j + 1 :]
-            held = tuple(k for k in held if k != j)
-            if states[j] == HELD:
-                held = tuple(sorted(held + (j,)))
+            state[j] = s
         t = t_ev
         w = w_ev
         terminal_point = w_ev

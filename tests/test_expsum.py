@@ -150,6 +150,14 @@ class TestConventions:
         assert one.roots() == [Root(0.0, 0, -1)]
         assert many.roots() == [Root(0.0, 0, -1)]
 
+    def test_a_crossing_hidden_in_a_run_of_zeros_is_polished(self):
+        # e^{-t} - e^{-t*} with t* = 1e-6 * 2^19 a grid edge: the cut at t*
+        # reads sign 0, and the signs around it, + then -, make it a crossing
+        t_star = 1e-6 * 2**19
+        f = ExpSum(-np.exp(-t_star), [1.0], [1.0])
+        assert f.roots() == [Root(t_star, 1, -1)]
+        assert_matches_oracle(f)
+
     def test_scales_that_underflow_are_isolated(self):
         # coefficients near the smallest normal double: the isolator works
         # on the unit-mass sum, so its slack cannot underflow

@@ -374,6 +374,15 @@ class TestCrossings:
             c = float(rng.normal())
             assert count_hyperplane_crossings(tr, v, c) <= d
 
+    def test_a_crossing_on_a_segment_boundary_counts_once(self):
+        # datum 1 activates at t = 0.470, where one segment ends and the next
+        # starts: both isolate the same crossing of its hyperplane
+        ds = Dataset(x=np.array([[1.0, 1.0], [0.0, 1.0]]), y=np.array([1.0, 1.0]))
+        tr = simulate_flow(ds, np.array([0.2, -0.5]))
+        assert [(e.index, e.kind) for e in tr.events] == [(1, "activation")]
+        assert tr.events[0].t == pytest.approx(0.470, abs=1e-3)
+        assert count_hyperplane_crossings(tr, ds.x[:, 1], 0.0) == 1
+
 
 class TestTrajectoryStructure:
     def test_segments_chain_continuously(self, trajectory):
@@ -457,6 +466,24 @@ class TestGuards:
         tr = simulate_flow(ds_deactivation, small_cube_start(rng, 3))
         with pytest.raises(PreconditionError, match="nonnegative"):
             tr.at(np.nan)
+
+    def test_a_stopped_run_has_no_point_past_its_end(self):
+        # the run stops at t = 0.2, before datum 0 deactivates at t = 0.40:
+        # past its end it would extrapolate a segment the full flow leaves
+        ds = Dataset(x=np.array([[1.0, 0.3], [0.2, 1.0]]), y=np.array([-1.0, 1.0]))
+        w0 = np.array([0.72, -1.0])
+        tr = simulate_flow(ds, w0, t_max=0.2)
+        full = simulate_flow(ds, w0)
+        assert tr.terminal == "horizon"
+        np.testing.assert_allclose(full.at(1.0), [0.22, -1.1], atol=1e-12)
+        np.testing.assert_array_equal(tr.at(0.2), tr.terminal_point)
+        # within the 1e-12 widening of its end, the last segment still answers
+        np.testing.assert_array_equal(tr.at(0.2 * (1 + 1e-13)), tr.segments[-1].value_local(0.2 * (1 + 1e-13)))
+        for t in (1.0, np.inf):
+            with pytest.raises(PreconditionError, match="past the end of a run that ended horizon"):
+                tr.at(t)
+        # a run whose last segment is open to infinity reaches its limit
+        np.testing.assert_array_equal(full.at(np.inf), full.terminal_point)
 
 
 class TestConvergenceBound:

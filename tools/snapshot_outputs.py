@@ -20,8 +20,12 @@ pool, most of whose minima are rank deficient; ``backprop`` on a small
 net; every campaign with ``--trials 20 --seed 3``; and an unknown
 scenario and an unknown campaign.  Each command gets a directory ``OUT_DIR/<case>/`` holding its
 ``stdout``, ``stderr``, ``exit`` status and the files it wrote under
-``out/``.  Two checkouts whose snapshots give an empty ``diff -r`` behave
-identically on these commands.
+``out/``.  The case ``stress-flows`` runs ``simulate_flow`` in process on
+the 2,000 stress draws (see :func:`stress_draw`) and writes one ``stdout``
+line per draw: its verdict, or the error's type and message, with the
+``repr`` of each event's time, index and kind and of the terminal point.
+Two checkouts whose snapshots give an empty ``diff -r`` behave
+identically on these commands and draws.
 """
 
 from __future__ import annotations
@@ -69,6 +73,44 @@ def _run(out_dir: Path, case: str, args: list[str]) -> None:
     (case_dir / "stdout").write_text(proc.stdout, encoding="utf-8")
     (case_dir / "stderr").write_text(proc.stderr, encoding="utf-8")
     (case_dir / "exit").write_text(f"{proc.returncode}\n", encoding="utf-8")
+
+
+def stress_draw(s: int):
+    """Draw ``s`` of the stress generator: d in 2-5, n in 2-9, normal x, y and
+    w0, then by ``s % 5`` a parallel pair, a rescaled x, a small start or
+    nonpositive labels."""
+    rng = np.random.default_rng((31, s))
+    d, n = int(rng.integers(2, 6)), int(rng.integers(2, 10))
+    x, y, w0 = rng.normal(size=(d, n)), rng.normal(size=n), rng.normal(size=d)
+    if s % 5 == 1:
+        x[:, 1] = rng.normal() * x[:, 0]
+    elif s % 5 == 2:
+        x = x * 10 ** rng.uniform(-3, 3)
+    elif s % 5 == 3:
+        w0 = w0 * 1e-3
+    elif s % 5 == 4:
+        y = -abs(y)
+    return x, y, w0
+
+
+def _stress_flows(out_dir: Path) -> None:
+    from reluflow.dataset import Dataset
+    from reluflow.errors import ReluFlowError
+    from reluflow.flow import simulate_flow
+
+    lines = []
+    for s in range(2000):
+        x, y, w0 = stress_draw(s)
+        try:
+            tr = simulate_flow(Dataset(x=x, y=y), w0)
+        except ReluFlowError as err:
+            lines.append(f"{s} {type(err).__name__}: {err}")
+            continue
+        events = [(float(ev.t), ev.index, ev.kind) for ev in tr.events]
+        lines.append(f"{s} {tr.terminal} {events!r} {tr.terminal_point.tolist()!r}")
+    case_dir = out_dir / "stress-flows"
+    case_dir.mkdir(parents=True)
+    (case_dir / "stdout").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:
@@ -126,6 +168,7 @@ def main(argv: list[str]) -> int:
         _run(out_dir, f"campaign-{kind}", ["campaign", kind, "--trials", "20", "--seed", "3"])
     _run(out_dir, "reproduce-unknown", ["reproduce", "example-9-9"])
     _run(out_dir, "campaign-unknown", ["campaign", "no-such-campaign"])
+    _stress_flows(out_dir)
     return 0
 
 
