@@ -275,9 +275,10 @@ def _chain_rule_gradients(net: DeepNet, x, y) -> list[np.ndarray]:
     return grads
 
 
-def random_net(rng, max_depth: int = 4, max_width: int = 8) -> DeepNet:
-    depth = int(rng.integers(1, max_depth + 1))
-    dims = [int(rng.integers(1, max_width + 1)) for _ in range(depth + 1)]
+def random_net(rng) -> DeepNet:
+    """A bias-free net of 1 to 4 layers, each 1 to 8 wide."""
+    depth = int(rng.integers(1, 5))
+    dims = [int(rng.integers(1, 9)) for _ in range(depth + 1)]
     # fan-in scaling keeps the campaign's descent step from diverging
     weights = tuple(
         rng.normal(size=(dims[i + 1], dims[i])) / np.sqrt(dims[i]) for i in range(depth)
@@ -322,6 +323,8 @@ def run_campaign(kind: str, seed: int, trials: int | None = None) -> CampaignRep
     """Run a named campaign; deterministic under a fixed seed."""
     if kind not in _TRIALS:
         raise StructuralError(f"unknown campaign {kind!r}; choose from {CAMPAIGN_IDS}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise StructuralError(f"seed must be a nonnegative integer, got {seed!r}")
     trial, default_trials = _TRIALS[kind]
     if trials is None:
         trials = default_trials

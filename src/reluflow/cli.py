@@ -187,9 +187,9 @@ def _cmd_backprop(args) -> int:
     x = _parse_vector(args.x)
     y = _parse_vector(args.y)
     problems = backprop_labels(net, x, y)
-    trace = forward_trace(net, x)
+    output = forward_trace(net, x)[-1][1]
     layers = []
-    for p, (x_m, o_m) in zip(problems, trace):
+    for p in problems:
         layers.append(
             {
                 "layer": p.layer_index,
@@ -202,7 +202,7 @@ def _cmd_backprop(args) -> int:
                 "label_positive": bool(np.all(p.backprop_label > 0.0)),
             }
         )
-    report = {"depth": net.depth, "layers": layers, "output": trace[-1][1].tolist()}
+    report = {"depth": net.depth, "layers": layers, "output": output.tolist()}
     print(write_json(_out_dir(args) / "backprop.json", report), end="")
     return 0
 

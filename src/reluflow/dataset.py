@@ -27,7 +27,8 @@ ASSUMPTIONS = ("A1", "A2", "A3")
 RANK_RTOL = 1e-10
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
+def as_readonly(a: np.ndarray) -> np.ndarray:
+    """A read-only float copy of ``a``."""
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -38,7 +39,7 @@ def freeze_fields(obj, *names: str) -> None:
     for name in names:
         value = getattr(obj, name)
         if value is not None:
-            object.__setattr__(obj, name, _as_readonly(value))
+            object.__setattr__(obj, name, as_readonly(value))
 
 
 def matrix_rank(x: np.ndarray) -> int:
@@ -73,8 +74,8 @@ class Dataset:
     assumptions: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        x = _as_readonly(self.x)
-        y = _as_readonly(self.y)
+        x = as_readonly(self.x)
+        y = as_readonly(self.y)
         if x.ndim != 2:
             raise StructuralError(f"x must be a 2-d matrix, got ndim={x.ndim}")
         if y.ndim != 1:

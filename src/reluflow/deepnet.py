@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import freeze_fields
-from .errors import StructuralError
+from .errors import PreconditionError, StructuralError
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,11 @@ def balancedness_drift(
     step's departure from the identity, relative to ``|W_m|^2 + |W_{m+1}|^2``
     before the step.
     """
-    if step <= 0.0:
-        raise StructuralError("step must be positive")
+    if not (np.isfinite(step) and step > 0.0):
+        raise PreconditionError(f"step must be positive and finite, got {step!r}")
+    if not isinstance(iters, (int, np.integer)) or iters < 0:
+        raise PreconditionError(f"iters must be a nonnegative integer, got {iters!r}")
+    step = np.float64(step)  # so that step**2 overflows to inf, not OverflowError
     weights = [w.copy() for w in net.weights]
     l = len(weights)
 

@@ -1,12 +1,12 @@
 """Built-in reproduction scenarios and the scenario runner.
 
-Each scenario bundles a packaged dataset fixture, a list of
-initializations, and machine-checkable expectations (event sequences,
-terminal matches against pseudoinverse oracles, agreement between
-runs).  The runner executes every run with the exact engine (or the
-small-step descent proxy for a qualitative cross-check), writes
-plot-ready artifacts, and evaluates the expectations; the CLI turns the
-outcome into an exit status.
+Each scenario is a packaged dataset fixture, its starts by label (the
+run labelled ``linear`` is unrectified), and machine-checkable
+expectations (event sequences, terminal matches against pseudoinverse
+oracles, agreement between runs).  The runner executes every run with
+the exact engine (or the small-step descent proxy for a qualitative
+cross-check), writes plot-ready artifacts, and evaluates the
+expectations; the CLI turns the outcome into an exit status.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .dataset import Dataset, RANK_RTOL, freeze_fields, load_dataset, write_json
+from .dataset import Dataset, RANK_RTOL, as_readonly, load_dataset, write_json
 from .errors import StructuralError
 from .flow import (
     Trajectory,
@@ -46,16 +47,6 @@ def fixture_dataset(name: str) -> Dataset:
 
 
 @dataclass(frozen=True)
-class RunSpec:
-    label: str
-    kind: str  # "relu" | "linear"
-    w0: np.ndarray
-
-    def __post_init__(self):
-        freeze_fields(self, "w0")
-
-
-@dataclass(frozen=True)
 class Expectation:
     name: str
     fn: Callable[[dict], tuple[bool, str]]
@@ -66,7 +57,7 @@ class Expectation:
 class Scenario:
     name: str
     dataset: Dataset
-    runs: tuple[RunSpec, ...]
+    runs: Mapping[str, np.ndarray]  # read-only start by label, in artifact order
     expectations: tuple[Expectation, ...]
 
 
@@ -84,17 +75,18 @@ def _event_signature(tr) -> list[tuple[str, int]]:
     return [(ev.kind, ev.index) for ev in tr.events]
 
 
-def _coincide_before(tr_a: Trajectory, tr_b: Trajectory, t_stop: float, k: int = 64) -> float:
-    ts = np.linspace(0.0, t_stop, k)
+def _coincide_before(tr_a: Trajectory, tr_b: Trajectory, t_stop: float) -> float:
+    ts = np.linspace(0.0, t_stop, 64)
     return max(float(np.linalg.norm(tr_a.at(t) - tr_b.at(t))) for t in ts)
 
 
-def _scenario_5_2(seed: int) -> Scenario:
-    ds = fixture_dataset("example-5-2")
-    rng = np.random.default_rng(seed)
-    w0 = 1e-4 * rng.uniform(0.0, 1.0, ds.d)
-    runs = (RunSpec("relu", "relu", w0), RunSpec("linear", "linear", w0))
+def _small_start(ds: Dataset, seed: int) -> dict[str, np.ndarray]:
+    """One seeded small positive start, run rectified and unrectified."""
+    w0 = 1e-4 * np.random.default_rng(seed).uniform(0.0, 1.0, ds.d)
+    return {"relu": w0, "linear": w0}
 
+
+def _scenario_5_2(ds: Dataset, seed: int):
     def exp_events(results):
         sig = _event_signature(results["relu"])
         ok = sig == [("deactivation", 0)]
@@ -122,26 +114,16 @@ def _scenario_5_2(seed: int) -> Scenario:
         gap = _coincide_before(results["relu"], results["linear"], t_ev * (1 - 1e-9))
         return gap <= 1e-8, f"max pre-event gap {gap:.2e}"
 
-    return Scenario(
-        name="example-5-2",
-        dataset=ds,
-        runs=runs,
-        expectations=(
-            Expectation("one-deactivation-of-index-0", exp_events, gd_applicable=True),
-            Expectation("no-reactivation", exp_no_revisit, gd_applicable=True),
-            Expectation("terminal-is-reduced-least-squares", exp_terminal),
-            Expectation("linear-terminal-is-minimum-norm", exp_linear_terminal),
-            Expectation("flows-coincide-before-the-event", exp_coincide),
-        ),
+    return _small_start(ds, seed), (
+        Expectation("one-deactivation-of-index-0", exp_events, gd_applicable=True),
+        Expectation("no-reactivation", exp_no_revisit, gd_applicable=True),
+        Expectation("terminal-is-reduced-least-squares", exp_terminal),
+        Expectation("linear-terminal-is-minimum-norm", exp_linear_terminal),
+        Expectation("flows-coincide-before-the-event", exp_coincide),
     )
 
 
-def _scenario_5_3(seed: int) -> Scenario:
-    ds = fixture_dataset("example-5-3")
-    rng = np.random.default_rng(seed)
-    w0 = 1e-4 * rng.uniform(0.0, 1.0, ds.d)
-    runs = (RunSpec("relu", "relu", w0), RunSpec("linear", "linear", w0))
-
+def _scenario_5_3(ds: Dataset, seed: int):
     def exp_events(results):
         sig = _event_signature(results["relu"])
         wanted = [("deactivation", 3), ("activation", 3)]
@@ -162,21 +144,16 @@ def _scenario_5_3(seed: int) -> Scenario:
         err = float(np.linalg.norm(results["relu"].terminal_point - oracle))
         return err <= 1e-6, f"terminal error {err:.2e} vs all-data least squares"
 
-    return Scenario(
-        name="example-5-3",
-        dataset=ds,
-        runs=runs,
-        expectations=(
-            Expectation("deactivate-then-reactivate-index-3", exp_events, gd_applicable=True),
-            Expectation("relu-and-linear-terminals-agree", exp_terminals_agree),
-            Expectation("terminal-is-all-data-least-squares", exp_terminal_lstsq),
-        ),
+    return _small_start(ds, seed), (
+        Expectation("deactivate-then-reactivate-index-3", exp_events, gd_applicable=True),
+        Expectation("relu-and-linear-terminals-agree", exp_terminals_agree),
+        Expectation("terminal-is-all-data-least-squares", exp_terminal_lstsq),
     )
 
 
 # printed initializations of the d=2 showcase: one tiny, two large,
 # and seven small-norm points with positive descent direction
-_EX51_MAIN = [(1e-4, 1e-4), (0.0, 8.0), (0.0, 45.0)]
+_EX51_MAIN = {"small": (1e-4, 1e-4), "large-8": (0.0, 8.0), "large-45": (0.0, 45.0)}
 _EX51_CLUSTER = [
     (-0.05, 0.15),
     (0.1, -0.1),
@@ -188,16 +165,8 @@ _EX51_CLUSTER = [
 ]
 
 
-def _scenario_5_1(seed: int) -> Scenario:
-    ds = fixture_dataset("example-5-1")
-    runs = [
-        RunSpec("small", "relu", np.array(_EX51_MAIN[0])),
-        RunSpec("large-8", "relu", np.array(_EX51_MAIN[1])),
-        RunSpec("large-45", "relu", np.array(_EX51_MAIN[2])),
-    ]
-    runs += [
-        RunSpec(f"cluster-{i}", "relu", np.array(p)) for i, p in enumerate(_EX51_CLUSTER)
-    ]
+def _scenario_5_1(ds: Dataset, seed: int):
+    runs = _EX51_MAIN | {f"cluster-{i}": p for i, p in enumerate(_EX51_CLUSTER)}
     census = minima_census(ds)
 
     def exp_small_all_activated(results):
@@ -244,16 +213,11 @@ def _scenario_5_1(seed: int) -> Scenario:
         ]
         return not bad, f"non-positive descent at cluster points {bad}"
 
-    return Scenario(
-        name="example-5-1",
-        dataset=ds,
-        runs=tuple(runs),
-        expectations=(
-            Expectation("small-norm-run-reaches-all-activated-minimum", exp_small_all_activated),
-            Expectation("large-norm-runs-reach-distinct-smaller-support-minima", exp_large_local),
-            Expectation("small-ball-runs-share-one-terminal", exp_cluster_agree),
-            Expectation("small-ball-runs-descend-positively", exp_cluster_descent),
-        ),
+    return runs, (
+        Expectation("small-norm-run-reaches-all-activated-minimum", exp_small_all_activated),
+        Expectation("large-norm-runs-reach-distinct-smaller-support-minima", exp_large_local),
+        Expectation("small-ball-runs-share-one-terminal", exp_cluster_agree),
+        Expectation("small-ball-runs-descend-positively", exp_cluster_descent),
     )
 
 
@@ -266,9 +230,13 @@ SCENARIO_NAMES = tuple(_BUILDERS)
 
 
 def builtin_scenario(name: str, seed: int = DEFAULT_SEED) -> Scenario:
-    if name not in _BUILDERS:
-        raise StructuralError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-    return _BUILDERS[name](seed)
+    """Scenario ``name`` on its packaged fixture; ``seed`` draws the seeded starts."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise StructuralError(f"seed must be a nonnegative integer, got {seed!r}")
+    ds = fixture_dataset(name)
+    runs, expectations = _BUILDERS[name](ds, seed)
+    starts = {label: as_readonly(w0) for label, w0 in runs.items()}
+    return Scenario(name, ds, MappingProxyType(starts), expectations)
 
 
 @dataclass(frozen=True)
@@ -309,16 +277,16 @@ def run_scenario(
     ds = scenario.dataset
     results: dict[str, object] = {}
     artifacts: list[str] = []
-    for run in scenario.runs:
-        if run.kind == "linear":
-            tr = simulate_linear_flow(ds, run.w0)
+    for label, w0 in scenario.runs.items():
+        if label == "linear":
+            tr = simulate_linear_flow(ds, w0)
         elif engine == "gd":
-            tr = simulate_gd(ds, run.w0, lr, iters)
+            tr = simulate_gd(ds, w0, lr, iters)
         else:
-            tr = simulate_flow(ds, run.w0)
-        results[run.label] = tr
+            tr = simulate_flow(ds, w0)
+        results[label] = tr
         # names only: reports stay portable
-        artifacts += write_run(out_dir, f"{scenario.name}-{run.label}", tr)
+        artifacts += write_run(out_dir, f"{scenario.name}-{label}", tr)
     checks = []
     for exp in scenario.expectations:
         if engine == "gd" and not exp.gd_applicable:

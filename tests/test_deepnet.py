@@ -11,7 +11,7 @@ from reluflow.deepnet import (
     network_gradients,
 )
 from reluflow.dataset import Dataset
-from reluflow.errors import StructuralError
+from reluflow.errors import PreconditionError, StructuralError
 from reluflow.expsum import TIE_RTOL
 from reluflow.landscape import gradient as single_gradient
 
@@ -155,6 +155,21 @@ class TestBalancedness:
         result = balancedness_drift(net, rng.normal(size=3), rng.normal(size=2), 1e-3, 10)
         assert result.drift.shape == (10, 0)
         assert result.max_drift == 0.0
+
+    def test_step_and_iters_are_checked(self, rng):
+        net = scaled_net(rng, [2, 2, 1])
+        x, y = np.array([1.0, 2.0]), np.array([0.5])
+        for step in (np.nan, np.inf, 0.0, -1e-3):
+            with pytest.raises(PreconditionError, match="step must be positive and finite"):
+                balancedness_drift(net, x, y, step, 5)
+        for iters in (-1, 1.5):
+            with pytest.raises(PreconditionError, match="iters must be a nonnegative integer"):
+                balancedness_drift(net, x, y, 1e-3, iters)
+        assert balancedness_drift(net, x, y, 1e-3, np.int64(2)).losses.shape == (3,)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # step**2 is formed in float64: it overflows to inf, not to OverflowError
+            run = balancedness_drift(net, x, y, 1e200, 5)
+        assert run.losses.size >= 2
 
     def test_divergence_is_flagged(self):
         # a step far beyond 2/curvature makes plain descent oscillate and blow up

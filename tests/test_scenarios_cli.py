@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reluflow import scenarios
 from reluflow.campaigns import run_campaign
 from reluflow.cli import build_parser, main
 from reluflow.dataset import save_dataset
 from reluflow.errors import StructuralError
+from reluflow.flow import Trajectory, write_run
 from reluflow.scenarios import (
     builtin_scenario,
     fixture_dataset,
@@ -56,6 +58,13 @@ class TestFixtures:
         with pytest.raises(StructuralError):
             builtin_scenario("example-9-9")
 
+    @pytest.mark.parametrize("name", ["example-5-1", "example-5-2", "example-5-3"])
+    def test_seed_must_be_a_nonnegative_integer(self, name):
+        for seed in (-1, 1.5, "3"):
+            with pytest.raises(StructuralError, match="seed must be a nonnegative integer"):
+                builtin_scenario(name, seed=seed)
+        assert builtin_scenario(name, seed=np.int64(3)).name == name
+
 
 class TestScenarios:
     @pytest.mark.parametrize("name", ["example-5-1", "example-5-2", "example-5-3"])
@@ -84,6 +93,29 @@ class TestScenarios:
                 outs.append(hashlib.sha256(blob).hexdigest())
             assert outs[0] == outs[1], engine
 
+    @pytest.mark.parametrize("name", ["example-5-1", "example-5-2", "example-5-3"])
+    def test_starts_by_label_and_only_linear_is_unrectified(self, name, tmp_path, monkeypatch):
+        scenario = builtin_scenario(name)
+        for w0 in scenario.runs.values():
+            assert isinstance(w0, np.ndarray) and not w0.flags.writeable
+        with pytest.raises(TypeError):
+            scenario.runs["extra"] = np.zeros(scenario.dataset.d)
+        written = []
+
+        def record(out_dir, stem, tr):
+            written.append((stem, tr))
+            return write_run(out_dir, stem, tr)
+
+        monkeypatch.setattr(scenarios, "write_run", record)
+        result = run_scenario(scenario, tmp_path)
+        labels = list(scenario.runs)
+        assert [stem for stem, _ in written] == [f"{name}-{label}" for label in labels]
+        assert list(result.artifacts) == [f"{name}-{label}{suffix}" for label in labels
+                                          for suffix in (".csv", "-events.jsonl")]
+        for label, (_, tr) in zip(labels, written):
+            assert isinstance(tr, Trajectory) and tr.linear == (label == "linear"), label
+        assert ("linear" in labels) == (name != "example-5-1")
+
     def test_descent_proxy_checks_event_sequence_only(self, tmp_path):
         result = run_scenario(
             builtin_scenario("example-5-2"), tmp_path, engine="gd", iters=10000
@@ -102,6 +134,12 @@ class TestCampaignInterface:
     def test_unknown_campaign_is_rejected(self):
         with pytest.raises(StructuralError):
             run_campaign("does-not-exist", seed=0, trials=1)
+
+    def test_seed_must_be_a_nonnegative_integer(self):
+        for seed in (-1, 1.5):
+            with pytest.raises(StructuralError, match="seed must be a nonnegative integer"):
+                run_campaign("crossing-bound", seed=seed, trials=1)
+        assert run_campaign("crossing-bound", seed=np.int64(3), trials=1).trials == 1
 
     def test_deterministic_under_seed(self):
         a = run_campaign("crossing-bound", seed=9, trials=10)
@@ -256,6 +294,19 @@ class TestCli:
             == 0
         )
         assert (tmp_path / "camp" / "campaign-crossing-bound.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reproduce", "example-5-1", "--seed", "-1"],
+            ["reproduce", "example-5-2", "--seed", "-1"],
+            ["campaign", "crossing-bound", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
 
     def test_reports_are_written_as_printed(self, dataset_file, tmp_path, capsys):
         def report_text(obj):

@@ -17,15 +17,17 @@ whose enumeration restricts to 3-D arrangements and whose rank-deficient
 patterns take the containment search in d >= 4, and on a positive (4, 10)
 ``random_dataset`` drawn as the first of the ``census-cells`` benchmark
 pool, most of whose minima are rank deficient; ``backprop`` on a small
-net; every campaign with ``--trials 20 --seed 3``; and an unknown
-scenario and an unknown campaign.  Each command gets a directory ``OUT_DIR/<case>/`` holding its
-``stdout``, ``stderr``, ``exit`` status and the files it wrote under
-``out/``.  The case ``stress-flows`` runs ``simulate_flow`` in process on
-the 2,000 stress draws (see :func:`stress_draw`) and writes one ``stdout``
-line per draw: its verdict, or the error's type and message, with the
-``repr`` of each event's time, index and kind and of the terminal point.
-Two checkouts whose snapshots give an empty ``diff -r`` behave
-identically on these commands and draws.
+net; every campaign with ``--trials 20 --seed 3``; an unknown
+scenario and an unknown campaign; and ``reproduce example-5-2`` and
+``campaign crossing-bound`` with ``--seed -1``.  Each command gets a
+directory ``OUT_DIR/<case>/`` holding its ``stdout``, ``stderr``,
+``exit`` status and the files it wrote under ``out/``.  The case
+``stress-flows`` runs ``simulate_flow`` in process on the 2,000 stress
+draws (see :func:`stress_draw`) and writes one ``stdout`` line per draw:
+its verdict, or the error's type and message, with the ``repr`` of each
+event's time, index and kind and of the terminal point.  Two checkouts
+whose snapshots give an empty ``diff -r`` behave identically on these
+commands and draws.
 """
 
 from __future__ import annotations
@@ -168,6 +170,8 @@ def main(argv: list[str]) -> int:
         _run(out_dir, f"campaign-{kind}", ["campaign", kind, "--trials", "20", "--seed", "3"])
     _run(out_dir, "reproduce-unknown", ["reproduce", "example-9-9"])
     _run(out_dir, "campaign-unknown", ["campaign", "no-such-campaign"])
+    _run(out_dir, "reproduce-negative-seed", ["reproduce", "example-5-2", "--seed", "-1"])
+    _run(out_dir, "campaign-negative-seed", ["campaign", "crossing-bound", "--seed", "-1"])
     _stress_flows(out_dir)
     return 0
 
