@@ -328,8 +328,8 @@ def run_campaign(kind: str, seed: int, trials: int | None = None) -> CampaignRep
     trial, default_trials = _TRIALS[kind]
     if trials is None:
         trials = default_trials
-    if trials < 0:
-        raise StructuralError("trials must be nonnegative")
+    if not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise StructuralError(f"trials must be a nonnegative integer, got {trials!r}")
     rng = np.random.default_rng(seed)
     results = tuple(trial(rng, i) for i in range(trials))
     return CampaignReport(kind=kind, seed=seed, trials=trials, results=results)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .dataset import Dataset, freeze_fields
+from .dataset import Dataset, check_point, freeze_fields
 from .errors import (
     DegenerateDirectionError,
     NumericalError,
@@ -36,8 +36,8 @@ def alpha_star(ds: Dataset, w0, j: int) -> float:
     the returned value, provided the denominator ``x_j . H w0`` is
     positive (it is whenever A1 data are all activated at ``w0``).
     """
-    w0 = np.asarray(w0, dtype=float)
-    xj = ds.x[:, j]
+    w0 = check_point(ds, w0)
+    xj = ds.x[:, _datum(ds, j)]
     hmat, qvec = active_matrices(ds, pattern_of(ds, w0))
     denom = float(xj @ (hmat @ w0))
     if abs(denom) < 1e-12:
@@ -47,23 +47,29 @@ def alpha_star(ds: Dataset, w0, j: int) -> float:
     return float(xj @ qvec) / denom
 
 
-def _require_interpolating(ds: Dataset, w_gm: np.ndarray) -> None:
-    if w_gm.shape != (ds.d,):
-        raise StructuralError(f"reference point must have length {ds.d}, got shape {w_gm.shape}")
-    if not np.all(np.isfinite(w_gm)):
-        raise PreconditionError(f"reference point must be finite, got {w_gm}")
+def _datum(ds: Dataset, j) -> int:
+    """``j`` as a datum index, refused unless it is an integer in ``0..n-1``."""
+    if not (isinstance(j, (int, np.integer)) and 0 <= j < ds.n):
+        raise StructuralError(f"datum index must be an integer in 0..{ds.n - 1}, got {j!r}")
+    return int(j)
+
+
+def _require_interpolating(ds: Dataset, w_gm) -> np.ndarray:
+    """``w_gm`` as a checked point of zero loss up to ``INTERPOLATION_TOL``."""
+    w_gm = check_point(ds, w_gm, "reference point")
     value = loss(ds, w_gm)
     if value > INTERPOLATION_TOL:
         raise PreconditionError(
             f"reference point is not interpolating: loss = {value:.3e}"
         )
+    return w_gm
 
 
 def _protected(ds: Dataset, w0: np.ndarray, w_gm: np.ndarray) -> np.ndarray:
     """Which data the flow from ``w0`` keeps activated: those whose
     label-to-norm ratio strictly exceeds the distance from ``w0`` to the
     interpolating reference ``w_gm``."""
-    _require_interpolating(ds, w_gm)
+    w_gm = _require_interpolating(ds, w_gm)
     return ds.y / np.linalg.norm(ds.x, axis=0) > float(np.linalg.norm(w0 - w_gm))
 
 
@@ -74,8 +80,8 @@ def no_deactivation_certificate(ds: Dataset, w0, w_gm, j: int) -> bool:
     datum; the certificate compares the datum's label-to-norm ratio with
     the initialization's distance to the reference.
     """
-    w0 = np.asarray(w0, dtype=float)
-    protected = _protected(ds, w0, np.asarray(w_gm, dtype=float))
+    w0, j = check_point(ds, w0), _datum(ds, j)
+    protected = _protected(ds, w0, w_gm)
     if float(ds.x[:, j] @ w0) <= 0.0:
         raise PreconditionError(f"datum {j} is not activated at w0")
     return bool(protected[j])
@@ -89,7 +95,7 @@ def bad_minimum_exclusion(ds: Dataset, w0, w_gm, census: MinimaCensus) -> tuple[
     strict comparison: a ratio equal to the distance protects nothing.
     Minima supported by all data are vacuously never excluded.
     """
-    protected = _protected(ds, np.asarray(w0, dtype=float), np.asarray(w_gm, dtype=float))
+    protected = _protected(ds, check_point(ds, w0), w_gm)
     return tuple(i for i, m in enumerate(census.minima) if np.any(protected & ~m.pattern.as_bool()))
 
 
@@ -108,9 +114,7 @@ class CosineForm:
 
 def cosine_form(ds: Dataset, w0, w_gm, support) -> CosineForm:
     """Angle-based reading of the exclusion condition for a support set."""
-    w0 = np.asarray(w0, dtype=float)
-    w_gm = np.asarray(w_gm, dtype=float)
-    _require_interpolating(ds, w_gm)
+    w0, w_gm = check_point(ds, w0), _require_interpolating(ds, w_gm)
     gm_norm = float(np.linalg.norm(w_gm))
     if gm_norm == 0.0:
         raise PreconditionError("reference point must be nonzero")
@@ -141,8 +145,6 @@ class BoundaryCrossingContext:
     y0: float
     index: int
     kind: str
-    h_pre: np.ndarray
-    h_post: np.ndarray
     evals_pre: np.ndarray
     evecs_pre: np.ndarray
     evecs_post: np.ndarray
@@ -152,8 +154,7 @@ class BoundaryCrossingContext:
     w_star_post: np.ndarray
 
     def __post_init__(self):
-        freeze_fields(self, "w0", "x0", "h_pre", "h_post", "evals_pre", "evecs_pre",
-                      "evecs_post", "w_star_pre", "w_star_post")
+        freeze_fields(self, "w0", "x0", "evals_pre", "evecs_pre", "evecs_post", "w_star_pre", "w_star_post")
 
     @property
     def coords_pre(self) -> np.ndarray:
@@ -182,8 +183,7 @@ def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCro
     seg_post = tr.segments[event_pos + 1]
     if seg_pre.t_end != ev.t:
         raise StructuralError("segment/event alignment broken")
-    p_pre, p_post = seg_pre.pattern, seg_post.pattern
-    pre, post = pattern_system(ds, p_pre), pattern_system(ds, p_post)
+    pre, post = pattern_system(ds, seg_pre.pattern), pattern_system(ds, seg_post.pattern)
     if pre.rank == 0:
         raise NumericalError("pre-crossing Gram matrix is zero; no spectral context")
     # the B conditions read d modes: the null space's eigenvalues are exact zeros
@@ -201,16 +201,12 @@ def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCro
     vec_post = vec_post[:, perm]
     sign_post = np.where(np.sum(vec_pre * vec_post, axis=0) < 0.0, -1.0, 1.0)
     vec_post = vec_post * sign_post
-    h_pre, _ = active_matrices(ds, p_pre)
-    h_post, _ = active_matrices(ds, p_post)
     return BoundaryCrossingContext(
         w0=ev.point,
         x0=ds.x[:, ev.index],
         y0=float(ds.y[ev.index]),
         index=ev.index,
         kind=ev.kind,
-        h_pre=h_pre,
-        h_post=h_post,
         evals_pre=lam_pre,
         evecs_pre=vec_pre,
         evecs_post=vec_post,

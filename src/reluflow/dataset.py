@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import PreconditionError, StructuralError
 
 ASSUMPTIONS = ("A1", "A2", "A3")
 
@@ -117,6 +117,16 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.x.shape[1]
+
+
+def check_point(ds: Dataset, w, name: str = "w0") -> np.ndarray:
+    """``w`` as a float vector of length ``ds.d`` with finite entries, else a typed error naming it."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (ds.d,):
+        raise StructuralError(f"{name} must have length {ds.d}, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise PreconditionError(f"{name} must be finite")
+    return w
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,8 @@ def balancedness_drift(
     |G_{m+1}|^2)``; the drift over a fixed time is first order in the step
     only when that sum does not cancel along the path.  ``residual`` is each
     step's departure from the identity, relative to ``|W_m|^2 + |W_{m+1}|^2``
-    before the step.
+    before the step.  Descent stops as ``diverged`` at the first step whose loss exceeds
+    1e12 or whose weights, loss, drift or residual is not finite; it is kept if its weights are.
     """
     if not (np.isfinite(step) and step > 0.0):
         raise PreconditionError(f"step must be positive and finite, got {step!r}")
@@ -201,19 +202,22 @@ def balancedness_drift(
     for it in range(iters):
         grads = network_gradients(current, x, y)
         before = squares(current.weights)
-        weights = [w - step * g for w, g in zip(current.weights, grads)]
-        current = DeepNet(weights=tuple(weights))
-        out = forward_trace(current, x)[-1][1]
-        losses[it + 1] = 0.5 * float(np.sum((out - y) ** 2))
-        if l > 1:
-            after = np.diff(squares(weights))
-            drift[it] = np.abs(after - base)
-            moved = after - np.diff(before) - step**2 * np.diff(squares(grads))
-            residual[it] = np.abs(moved) / np.maximum(before[:-1] + before[1:], np.finfo(float).tiny)
-        if not np.isfinite(losses[it + 1]) or losses[it + 1] > 1e12:
-            diverged = True
-            drift = drift[: it + 1]
-            residual = residual[: it + 1]
-            losses = losses[: it + 2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = [w - step * g for w, g in zip(current.weights, grads)]
+            if not all(np.all(np.isfinite(w)) for w in weights):
+                diverged, kept = True, it  # the step left no network to evaluate
+                break
+            current = DeepNet(weights=tuple(weights))
+            out = forward_trace(current, x)[-1][1]
+            losses[it + 1] = 0.5 * float(np.sum((out - y) ** 2))
+            if l > 1:
+                after = np.diff(squares(weights))
+                drift[it] = np.abs(after - base)
+                moved = after - np.diff(before) - step**2 * np.diff(squares(grads))
+                residual[it] = np.abs(moved) / np.maximum(before[:-1] + before[1:], np.finfo(float).tiny)
+        if not np.all(np.isfinite([*drift[it], *residual[it], losses[it + 1]])) or losses[it + 1] > 1e12:
+            diverged, kept = True, it + 1
             break
+    if diverged:
+        drift, residual, losses = drift[:kept], residual[:kept], losses[:kept + 1]
     return BalancednessResult(drift=drift, residual=residual, losses=losses, diverged=diverged)

@@ -44,8 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, freeze_fields, matrix_rank
-from .errors import NumericalError, PreconditionError, StructuralError
+from .dataset import Dataset, check_point, freeze_fields, matrix_rank
+from .errors import NumericalError, PreconditionError
 from .expsum import TERMINAL_HORIZON_RATES, TIE_RTOL, ExpSum, RootBatch
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, active_matrices, clearance
 from .geometry import pattern_system
@@ -320,20 +320,11 @@ def _face_states(ds: Dataset, state: np.ndarray, b: list[int], heading: dict, w)
             return found
 
 
-def _check_start(ds: Dataset, w0) -> np.ndarray:
-    w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (ds.d,):
-        raise StructuralError(f"w0 must have length {ds.d}")
-    if not np.all(np.isfinite(w0)):
-        raise PreconditionError("w0 must be finite")
-    return w0
-
-
 def simulate_flow(ds: Dataset, w0, t_max: float = math.inf) -> Trajectory:
     """Exact event-driven trajectory of the rectified gradient flow from w0 up to ``t_max``."""
     if not t_max > 0.0:
         raise PreconditionError("t_max must be positive")
-    w0 = _check_start(ds, w0)
+    w0 = check_point(ds, w0)
     t = 0.0
     w = w0
     state = (ds.x.T @ w0 > 0.0).astype(int)  # OFF, ON or HELD per datum
@@ -435,7 +426,7 @@ def simulate_linear_flow(ds: Dataset, w0) -> Trajectory:
     null component of ``w0``.  The segment carries the all-ones pattern
     label since every datum contributes throughout.
     """
-    w0 = _check_start(ds, w0)
+    w0 = check_point(ds, w0)
     pattern = ActivationPattern(tuple([1] * ds.n))
     seg = _segment_from(ds, pattern, w0, 0.0)
     grad_norm = float(np.linalg.norm(ds.x @ (ds.x.T @ seg.target - ds.y)))
@@ -480,7 +471,7 @@ def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
     ``iteration * lr`` so event sequences are comparable with the exact
     engine's.  The start is checked as the exact engines check it.
     """
-    w = _check_start(ds, w0).copy()
+    w = check_point(ds, w0).copy()
     if not (np.isfinite(lr) and lr > 0.0):
         raise PreconditionError("lr must be positive and finite")
     if not isinstance(iters, (int, np.integer)) or iters < 0:

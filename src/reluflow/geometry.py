@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, RANK_RTOL, freeze_fields
+from .dataset import Dataset, RANK_RTOL, check_point, freeze_fields
 from .errors import GeometryError, SizeError, StructuralError
 
 # A point clears a datum's boundary when its relative clearance (see
@@ -70,9 +70,7 @@ class ActivationPattern:
 
 def pattern_of(ds: Dataset, w) -> ActivationPattern:
     """Strict activation indicators at ``w``; boundary points deactivate."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (ds.d,):
-        raise StructuralError(f"w must have length {ds.d}, got shape {w.shape}")
+    w = check_point(ds, w, "w")
     return ActivationPattern(tuple(int(v > 0.0) for v in ds.x.T @ w))
 
 
@@ -290,17 +288,10 @@ def _walk_to(unit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return target[None, :], w[:, None]
 
 
-def _certified_cells(ds: Dataset) -> list[PartitionCell]:
-    """The cells whose witness clears every datum's boundary by more than
-    BOUNDARY_MARGIN, margins and patterns from one product over the witnesses."""
-    h = (ds.x / np.linalg.norm(ds.x, axis=0)).T @ (w := arrangement_cells(ds.x)[1])
-    ok = (margins := np.min(np.abs(h), axis=0)) > BOUNDARY_MARGIN
-    cells = zip((h[:, ok] > 0.0).T.tolist(), w[:, ok].T, margins[ok].tolist())
-    return [PartitionCell(ActivationPattern(tuple(bits)), witness, margin) for bits, witness, margin in cells]
-
-
-def enumerate_partitions(ds: Dataset) -> list[PartitionCell]:
-    """All feasible activation patterns, each with an interior witness.
+def partition_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All feasible activation patterns as (m, n) sign rows, True where a datum is
+    active, in pattern order, with (d, m) witnesses that clear every datum's
+    boundary by their (m,) margins, each more than BOUNDARY_MARGIN.
 
     Refuses, before enumerating, datasets whose ``partition_count_bound``
     exceeds ``MAX_CELLS``.  The number of cells must equal
@@ -308,11 +299,19 @@ def enumerate_partitions(ds: Dataset) -> list[PartitionCell]:
     """
     if (bound := partition_count_bound(ds.n, ds.d)) > MAX_CELLS:
         raise SizeError(f"enumeration guard: up to {bound} cells at (d, n) = ({ds.d}, {ds.n}) > {MAX_CELLS}")
-    cells = _certified_cells(ds)
-    if len(cells) != (expected := region_count(ds.x)):
-        raise GeometryError(f"enumeration found {len(cells)} cells, the arrangement has {expected}")
-    cells.sort(key=lambda c: c.pattern.to_string())
-    return cells
+    h = (ds.x / np.linalg.norm(ds.x, axis=0)).T @ (w := arrangement_cells(ds.x)[1])
+    ok = (margins := np.min(np.abs(h), axis=0)) > BOUNDARY_MARGIN
+    if len(rows := (h[:, ok] > 0.0).T) != (expected := region_count(ds.x)):
+        raise GeometryError(f"enumeration found {len(rows)} cells, the arrangement has {expected}")
+    order = np.lexsort(rows.T[::-1])  # datum 0 is the most significant bit, as in to_string
+    return rows[order], w[:, ok][:, order], margins[ok][order]
+
+
+def enumerate_partitions(ds: Dataset) -> list[PartitionCell]:
+    """:func:`partition_rows` as one ``PartitionCell`` per feasible pattern."""
+    rows, w, margins = partition_rows(ds)
+    return [PartitionCell(ActivationPattern(tuple(bits)), witness, margin)
+            for bits, witness, margin in zip(rows.tolist(), w.T, margins.tolist())]
 
 
 def g_value(ds: Dataset, w) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import GeometryError, StructuralError
-from .geometry import BOUNDARY_MARGIN, ActivationPattern, clearance, enumerate_partitions
+from .geometry import BOUNDARY_MARGIN, ActivationPattern, clearance, partition_rows
 from .geometry import arrangement_cells, pattern_spectra
 
 # A point interpolates the data when its loss is at most INTERPOLATION_TOL.
@@ -109,9 +109,9 @@ class VirtualMinimizer:
         return bool(np.all(c[active] >= -BOUNDARY_MARGIN) and np.all(c[~active] <= BOUNDARY_MARGIN))
 
 
-def _minimizer_in_cell(ds: Dataset, pattern: ActivationPattern, p, null_basis):
-    """A member of the minimizer set ``p + N z`` strictly on the deactivated
-    side of every deactivated datum, or None when the set misses that cell.
+def _minimizer_in_cell(ds: Dataset, active: np.ndarray, p, null_basis):
+    """A member of the minimizer set ``p + N z`` strictly on the deactivated side
+    of every datum off in the boolean row ``active``, or None when the set misses that cell.
 
     Active data are orthogonal to ``N`` up to the rank cutoff, so they
     clear every member of the set as they clear ``p``.  In homogeneous
@@ -121,7 +121,7 @@ def _minimizer_in_cell(ds: Dataset, pattern: ActivationPattern, p, null_basis):
     negative, ``s`` positive" is one of its cells.  A datum whose column
     vanishes there sits on its boundary across the whole set and is dropped.
     """
-    x = ds.x[:, ~pattern.as_bool()]
+    x = ds.x[:, ~active]
     unit = x / np.linalg.norm(x, axis=0)
     scale = max(1.0, float(np.linalg.norm(p)))
     cols = np.vstack([null_basis.T @ unit, (p @ unit)[None, :] / scale])
@@ -132,18 +132,17 @@ def _minimizer_in_cell(ds: Dataset, pattern: ActivationPattern, p, null_basis):
     return p + null_basis @ (scale * v[:-1, 0] / v[-1, 0]) if v.size else None
 
 
-def _virtual_minimizers(ds: Dataset, patterns, keep_all: bool = False) -> list[VirtualMinimizer]:
-    """Each pattern's minimum-norm minimizer and containment, by active count:
-    one :func:`pattern_spectra` call and one clearance product per group.  The
-    witness is ``point`` at full rank, else a member of the minimizer set in the
-    open cell (:func:`_minimizer_in_cell`).  It is contained when its active
-    data clear their boundaries by more than ``BOUNDARY_MARGIN`` and its
-    deactivated data sit at a relative clearance of at most 1e-12.  Patterns
-    neither contained nor all-off are left out, unless ``keep_all``.
+def _virtual_minimizers(ds: Dataset, masks: np.ndarray, keep_all: bool = False) -> list[VirtualMinimizer]:
+    """Each boolean row of ``masks`` (m, n) as a pattern's minimum-norm minimizer and
+    containment, by active count: one :func:`pattern_spectra` call and one clearance
+    product per group.  The witness is ``point`` at full rank, else a member of the
+    minimizer set in the open cell (:func:`_minimizer_in_cell`).  It is contained when
+    its active data clear their boundaries by more than ``BOUNDARY_MARGIN`` and its
+    deactivated data sit at a relative clearance of at most 1e-12.  Rows neither
+    contained nor all-off are left out, unless ``keep_all``.
     """
-    masks = np.array([p.bits for p in patterns], dtype=bool).reshape(len(patterns), ds.n)
     counts = masks.sum(axis=1)
-    out: list[VirtualMinimizer | None] = [None] * len(patterns)
+    out: list[VirtualMinimizer | None] = [None] * len(masks)
     for k in set(counts.tolist()):
         rows = np.flatnonzero(counts == k)
         group = masks[rows]
@@ -154,15 +153,15 @@ def _virtual_minimizers(ds: Dataset, patterns, keep_all: bool = False) -> list[V
         losses = 0.5 * np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0] + 0.5 * np.sum(inactive**2, axis=1)
         witnesses = points.copy()
         for i in np.flatnonzero(ranks < ds.d):
-            w = _minimizer_in_cell(ds, patterns[rows[i]], points[i], u[i, :, ranks[i]:])
+            w = _minimizer_in_cell(ds, group[i], points[i], u[i, :, ranks[i]:])
             witnesses[i] = np.nan if w is None else w  # NaN fails both clearance tests
         c = (ds.x.T @ witnesses.T) / np.multiply.outer(
             np.linalg.norm(ds.x, axis=0), np.maximum(1.0, np.linalg.norm(witnesses, axis=1)))
         contained = np.all(np.where(group.T, c > BOUNDARY_MARGIN, c <= 1e-12), axis=0)
         for i in np.flatnonzero(contained | keep_all | (k == 0)):
             witness = witnesses[i] if contained[i] else None
-            out[rows[i]] = VirtualMinimizer(patterns[rows[i]], points[i], u[i, :, ranks[i]:], int(ranks[i]),
-                                            bool(contained[i]), float(losses[i]), witness)
+            out[rows[i]] = VirtualMinimizer(ActivationPattern(group[i].tolist()), points[i], u[i, :, ranks[i]:],
+                                            int(ranks[i]), bool(contained[i]), float(losses[i]), witness)
     return [vm for vm in out if vm is not None]
 
 
@@ -170,7 +169,7 @@ def virtual_minimizer(ds: Dataset, pattern: ActivationPattern) -> VirtualMinimiz
     """Minimum-norm minimizer of the pattern's quadratic, with containment: :func:`_virtual_minimizers` of one."""
     if len(pattern) != ds.n:
         raise StructuralError("pattern length does not match dataset")
-    return _virtual_minimizers(ds, [pattern], keep_all=True)[0]
+    return _virtual_minimizers(ds, pattern.as_bool()[None], keep_all=True)[0]
 
 
 @dataclass(frozen=True)
@@ -194,9 +193,9 @@ class MinimaCensus:
 
 
 def minima_census(ds: Dataset) -> MinimaCensus:
-    """Exhaustive census of contained minimizers over all feasible patterns,
-    in the pattern order of ``enumerate_partitions``."""
-    entries = _virtual_minimizers(ds, [c.pattern for c in enumerate_partitions(ds)])
+    """Exhaustive census of contained minimizers over the sign rows of
+    ``partition_rows``, in their pattern order."""
+    entries = _virtual_minimizers(ds, partition_rows(ds)[0])
     cone = next((vm for vm in entries if not any(vm.pattern.bits)), None)
     minima = [vm for vm in entries if vm is not cone]
     gi = min(range(len(minima)), default=None,

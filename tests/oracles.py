@@ -351,7 +351,7 @@ def census_loop(ds) -> tuple[list[tuple], tuple | None]:
         rank = ds.d - null_basis.shape[1]
         resid = ds.x[:, active].T @ point - ds.y[active]
         total = 0.5 * float(resid @ resid) + total_inactive
-        witness = point if rank == ds.d else _minimizer_in_cell(ds, pattern, point, null_basis)
+        witness = point if rank == ds.d else _minimizer_in_cell(ds, active, point, null_basis)
         if witness is not None:
             c = clearance(ds, witness)
             if not (np.all(c[active] > BOUNDARY_MARGIN) and np.all(c[~active] <= 1e-12)):

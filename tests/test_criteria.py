@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from reluflow.campaigns import realizable_dataset
 from reluflow.criteria import (
     alpha_star,
     bad_minimum_exclusion,
@@ -15,7 +16,7 @@ from reluflow.criteria import (
     no_deactivation_certificate,
 )
 from reluflow.dataset import Dataset
-from reluflow.errors import DegenerateDirectionError, PreconditionError
+from reluflow.errors import DegenerateDirectionError, PreconditionError, StructuralError
 from reluflow.flow import simulate_flow, simulate_linear_flow
 from reluflow.geometry import active_matrices, pattern_of
 from reluflow.landscape import gradient, minima_census
@@ -220,6 +221,43 @@ class TestCosineForm:
         assert not form.holds
 
 
+class TestMalformedInputs:
+    @pytest.fixture
+    def case(self):
+        ds, w_gm = realizable_dataset(np.random.default_rng(0), 3, 5)
+        return ds, w_gm, minima_census(ds)
+
+    @pytest.mark.parametrize("w0, error, message", [
+        ([5.0], StructuralError, "w0 must have length 3"),
+        ([np.nan, 1.0, 1.0], PreconditionError, "w0 must be finite"),
+    ])
+    def test_a_malformed_start_is_refused(self, case, w0, error, message):
+        ds, w_gm, census = case
+        calls = (
+            lambda: alpha_star(ds, w0, 0),
+            lambda: no_deactivation_certificate(ds, w0, w_gm, 0),
+            lambda: bad_minimum_exclusion(ds, w0, w_gm, census),
+            lambda: cosine_form(ds, w0, w_gm, (0,)),
+        )
+        for call in calls:
+            with pytest.raises(error, match=message):
+                call()
+
+    @pytest.mark.parametrize("j", [-1, 5, 7, 1.0])
+    def test_a_datum_index_outside_the_data_is_refused(self, case, j):
+        ds, w_gm, _ = case  # every datum is active at the positive reference
+        with pytest.raises(StructuralError, match=r"datum index must be an integer in 0\.\.4"):
+            alpha_star(ds, w_gm, j)
+        with pytest.raises(StructuralError, match=r"datum index must be an integer in 0\.\.4"):
+            no_deactivation_certificate(ds, w_gm, w_gm, j)
+        assert no_deactivation_certificate(ds, w_gm, w_gm, np.int64(4))
+
+
+def crossing_grams(ds, tr, pos):
+    """The active Gram matrices of the segments before and after event ``pos``."""
+    return [active_matrices(ds, tr.segments[pos + k].pattern)[0] for k in (0, 1)]
+
+
 @pytest.fixture(scope="module")
 def context(ds_deactivation):
     rng = np.random.default_rng(7)
@@ -232,9 +270,8 @@ class TestCrossingContext:
     def test_invariants(self, context):
         ds, tr, ctx = context
         assert abs(float(ctx.w0 @ ctx.x0)) <= 1e-10 * max(1.0, float(np.linalg.norm(ctx.w0)))
-        np.testing.assert_allclose(
-            ctx.h_post, ctx.h_pre - np.outer(ctx.x0, ctx.x0), atol=1e-12
-        )
+        h_pre, h_post = crossing_grams(ds, tr, 0)
+        np.testing.assert_allclose(h_post, h_pre - np.outer(ctx.x0, ctx.x0), atol=1e-12)
         # post eigenvectors are aligned to the pre basis
         overlaps = np.sum(ctx.evecs_pre * ctx.evecs_post, axis=0)
         assert np.all(overlaps >= 0.0)
@@ -273,9 +310,8 @@ class TestCrossingContext:
             i for i, e in enumerate(tr.events) if e.kind == "activation" and e.index == 3
         )
         ctx = crossing_context(ds_reactivation, tr, pos)
-        np.testing.assert_allclose(
-            ctx.h_post, ctx.h_pre + np.outer(ctx.x0, ctx.x0), atol=1e-12
-        )
+        h_pre, h_post = crossing_grams(ds_reactivation, tr, pos)
+        np.testing.assert_allclose(h_post, h_pre + np.outer(ctx.x0, ctx.x0), atol=1e-12)
         report = check_B_conditions(ctx)
         assert report.b3  # all four data active afterwards: full rank
 

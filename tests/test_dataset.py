@@ -13,7 +13,10 @@ from reluflow.dataset import (
 )
 from reluflow.errors import StructuralError
 from reluflow.flow import sample_trajectory, simulate_flow
-from reluflow.landscape import loss
+from reluflow.geometry import ActivationPattern, active_matrices, pattern_system
+from reluflow.landscape import loss, virtual_minimizer
+
+SHORT = ActivationPattern((1, 0))  # two bits for the three data of ds_deactivation
 
 
 class TestValidation:
@@ -62,6 +65,25 @@ class TestValidation:
             for size in ("x", 2.7):
                 with pytest.raises(StructuralError, match="malformed dataset JSON"):
                     dataset_from_json(obj | {key: size})
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda ds: Dataset(x=np.ones(3), y=np.ones(3)), "x must be a 2-d matrix"),
+        (lambda ds: Dataset(x=np.ones((2, 3)), y=np.ones((3, 1))), "y must be a 1-d vector"),
+        (lambda ds: Dataset(x=np.ones((2, 0)), y=np.ones(0)), "need at least one sample"),
+        (lambda ds: Dataset(x=[[1.0, np.inf]], y=[1.0, 1.0]), "non-finite entries"),
+        (lambda ds: Dataset(x=[[1.0, 2.0]], y=[np.nan, 1.0]), "non-finite entries"),
+        (lambda ds: dataset_from_json({"x": [], "y": []}), "no input columns"),
+        (lambda ds: dataset_from_json({"x": [[1.0, 2.0], [1.0]], "y": [1.0, 1.0]}), "share one length"),
+        (lambda ds: dataset_from_json({"d": 3, "x": [[1.0, 2.0]], "y": [1.0]}), "declared d=3"),
+        (lambda ds: dataset_from_json({"n": 2, "x": [[1.0, 2.0]], "y": [1.0]}), "declared n=2"),
+        (lambda ds: ActivationPattern((0, 2)), "pattern bits must be 0 or 1"),
+        (lambda ds: active_matrices(ds, SHORT), "pattern length does not match"),
+        (lambda ds: pattern_system(ds, SHORT), "pattern length does not match"),
+        (lambda ds: virtual_minimizer(ds, SHORT), "pattern length does not match"),
+    ])
+    def test_malformed_input_is_structural(self, ds_deactivation, make, message):
+        with pytest.raises(StructuralError, match=message):
+            make(ds_deactivation)
 
     def test_malformed_json_file_is_structural(self, tmp_path):
         path = tmp_path / "data.json"

@@ -171,6 +171,19 @@ class TestBalancedness:
             run = balancedness_drift(net, x, y, 1e200, 5)
         assert run.losses.size >= 2
 
+    def test_non_finite_drift_or_weights_are_divergence(self, rng):
+        x, y = np.array([1.0, 2.0]), np.array([0.5])
+        # the weights stay finite and the loss at 0.125, but the squared norms
+        # overflow, so the drift and the residual are NaN: the step is kept
+        run = balancedness_drift(scaled_net(rng, [2, 2, 1]), x, y, 1e200, 5)
+        assert run.diverged
+        assert run.drift.shape == (1, 1) and run.losses.shape == (2,)
+        # the weights overflow: the step leaves no network, and only the start is kept
+        net = DeepNet(weights=([[1.0, 2.0], [0.5, 1.0]], [[3.0, 1.0]]))
+        run = balancedness_drift(net, x, y, 1e308, 5)
+        assert run.diverged
+        assert run.drift.shape == (0, 1) and run.losses.tolist() == [144.5]
+
     def test_divergence_is_flagged(self):
         # a step far beyond 2/curvature makes plain descent oscillate and blow up
         net = DeepNet(weights=(np.array([[1.0]]),))

@@ -16,6 +16,7 @@ from reluflow.geometry import (
     g_value,
     hyperplane_classes,
     partition_count_bound,
+    partition_rows,
     pattern_of,
     pattern_spectra,
     pattern_system,
@@ -121,6 +122,20 @@ class TestEnumeratePartitions:
             _, witnesses = _insert_columns(ds.x / np.linalg.norm(ds.x, axis=0))
             assert {pattern_of(ds, w).bits for w in witnesses.T} == sweep_patterns_2d(ds, 20000)
 
+    @pytest.mark.parametrize("family", ["positive", "normal", "parallel"])
+    def test_the_rows_are_the_cells_in_order(self, family):
+        rng = np.random.default_rng(FAMILIES.index(family))
+        for d, n in ((2, 5), (3, 8), (4, 10)):
+            ds = Dataset(x=degenerate_columns(rng, family, d, n), y=rng.normal(size=n))
+            rows, w, margins = partition_rows(ds)
+            cells = enumerate_partitions(ds)
+            assert rows.dtype == bool and rows.shape == (len(cells), n) and w.shape == (d, len(cells))
+            assert rows.astype(int).tolist() == [list(c.pattern.bits) for c in cells]
+            np.testing.assert_array_equal(w, np.column_stack([c.witness for c in cells]))
+            assert margins.tolist() == [c.margin for c in cells]
+            strings = [c.pattern.to_string() for c in cells]
+            assert strings == sorted(strings)
+
     def test_size_guard(self, rng, monkeypatch):
         # refused by its bound of 781,312 cells, before any cell or count is sought
         ds = Dataset(x=rng.uniform(0.1, 1.0, size=(8, 24)), y=rng.uniform(0.1, 1.0, 24))
@@ -128,7 +143,7 @@ class TestEnumeratePartitions:
         def unexpected(*args):
             raise AssertionError("enumerated past the guard")
 
-        monkeypatch.setattr(geometry, "_certified_cells", unexpected)
+        monkeypatch.setattr(geometry, "arrangement_cells", unexpected)
         monkeypatch.setattr(geometry, "region_count", unexpected)
         with pytest.raises(SizeError, match="781312 cells"):
             enumerate_partitions(ds)
@@ -154,9 +169,9 @@ class TestEnumeratePartitions:
     @pytest.mark.parametrize("n", [6, 30])
     def test_a_missing_cell_is_reported(self, rng, monkeypatch, n):
         ds = random_a1_dataset(rng, 3, n)
-        full = geometry._certified_cells(ds)
-        monkeypatch.setattr(geometry, "_certified_cells", lambda ds: full[1:])
-        with pytest.raises(GeometryError, match=f"found {len(full) - 1} cells.* has {len(full)}"):
+        keys, w = geometry.arrangement_cells(ds.x)
+        monkeypatch.setattr(geometry, "arrangement_cells", lambda cols: (keys[1:], w[:, 1:]))
+        with pytest.raises(GeometryError, match=f"found {len(keys) - 1} cells.* has {len(keys)}"):
             enumerate_partitions(ds)
 
     def test_nearly_parallel_data_give_certified_cells_or_an_error(self, rng):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reluflow
+from reluflow import geometry, landscape
 from reluflow.campaigns import random_dataset, realizable_dataset
 from reluflow.dataset import Dataset
 from reluflow.flow import simulate_flow
@@ -325,6 +326,24 @@ class TestGroupedCensus:
         for cell in enumerate_partitions(ds):
             vm = virtual_minimizer(ds, cell.pattern)
             assert vm.contained == (cell.pattern in {m.pattern for m in census.minima}) or not any(cell.pattern.bits)
+
+    def test_the_census_builds_objects_only_for_its_entries(self, monkeypatch):
+        built = []
+
+        class Counted(ActivationPattern):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self.bits)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the census built a PartitionCell")
+
+        monkeypatch.setattr(geometry, "PartitionCell", refuse)
+        monkeypatch.setattr(geometry, "ActivationPattern", Counted)
+        monkeypatch.setattr(landscape, "ActivationPattern", Counted)
+        census = minima_census(random_dataset(np.random.default_rng((0, 2, 0)), 4, 10))
+        returned = [m.pattern.bits for m in census.minima] + [census.stationary_cone.pattern.bits]
+        assert sorted(built) == sorted(returned)
 
 
 class TestSupportOrdering:

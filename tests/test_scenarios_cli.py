@@ -141,6 +141,12 @@ class TestCampaignInterface:
                 run_campaign("crossing-bound", seed=seed, trials=1)
         assert run_campaign("crossing-bound", seed=np.int64(3), trials=1).trials == 1
 
+    def test_trials_must_be_a_nonnegative_integer(self):
+        for trials in (-1, 1.5, "2"):
+            with pytest.raises(StructuralError, match="trials must be a nonnegative integer"):
+                run_campaign("crossing-bound", seed=0, trials=trials)
+        assert len(run_campaign("crossing-bound", seed=0, trials=np.int64(2)).results) == 2
+
     def test_deterministic_under_seed(self):
         a = run_campaign("crossing-bound", seed=9, trials=10)
         b = run_campaign("crossing-bound", seed=9, trials=10)

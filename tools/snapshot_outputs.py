@@ -25,9 +25,14 @@ directory ``OUT_DIR/<case>/`` holding its ``stdout``, ``stderr``,
 ``stress-flows`` runs ``simulate_flow`` in process on the 2,000 stress
 draws (see :func:`stress_draw`) and writes one ``stdout`` line per draw:
 its verdict, or the error's type and message, with the ``repr`` of each
-event's time, index and kind and of the terminal point.  Two checkouts
-whose snapshots give an empty ``diff -r`` behave identically on these
-commands and draws.
+event's time, index and kind and of the terminal point.  The case
+``census-pools`` runs ``minima_census`` in process on the seed 0-2 pools of
+the ``census-cells`` benchmark, ``random_dataset(default_rng((seed, 2, i)),
+4, 10)`` for i < 64, and writes one ``stdout`` line per dataset: the global
+index, then the pattern and the ``repr`` of the point, loss and witness of
+each minimum and of the all-off cone.  Two checkouts whose snapshots give
+an empty ``diff -r`` behave identically on these commands, draws and
+datasets.
 """
 
 from __future__ import annotations
@@ -115,6 +120,24 @@ def _stress_flows(out_dir: Path) -> None:
     (case_dir / "stdout").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _census_pools(out_dir: Path) -> None:
+    from reluflow.campaigns import random_dataset
+    from reluflow.landscape import minima_census
+
+    def entry(m):
+        return m.pattern.to_string(), m.point.tolist(), m.loss, None if m.witness is None else m.witness.tolist()
+
+    lines = []
+    for seed in range(3):
+        for i in range(64):
+            census = minima_census(random_dataset(np.random.default_rng((seed, 2, i)), 4, 10))
+            cone = None if census.stationary_cone is None else entry(census.stationary_cone)
+            lines.append(f"{seed} {i} {census.global_index!r} {[entry(m) for m in census.minima]!r} {cone!r}")
+    case_dir = out_dir / "census-pools"
+    case_dir.mkdir(parents=True)
+    (case_dir / "stdout").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -173,6 +196,7 @@ def main(argv: list[str]) -> int:
     _run(out_dir, "reproduce-negative-seed", ["reproduce", "example-5-2", "--seed", "-1"])
     _run(out_dir, "campaign-negative-seed", ["campaign", "crossing-bound", "--seed", "-1"])
     _stress_flows(out_dir)
+    _census_pools(out_dir)
     return 0
 
 
