@@ -103,19 +103,13 @@ def _loss_monotone(tr) -> bool:
 def _trial_d2_global(rng, index: int) -> TrialResult:
     ds = random_dataset(rng, 2, int(rng.integers(2, 9)))
     w0 = small_norm_start(rng, ds)
-    q0 = ds.x @ ds.y  # all data activated at a positive-orthant start
-    if not np.all(q0 > 0.0):
-        return TrialResult(index, False, "drawn dataset lacks positive pull")
     tr = simulate_flow(ds, w0)
     census = minima_census(ds)
     problems = []
     notes = []
     if tr.terminal != "converged":
         problems.append(f"terminal {tr.terminal}")
-    hit = next(
-        (i for i, m in enumerate(census.minima) if m.matches(ds, tr.terminal_point)),
-        None,
-    )
+    hit = census.index_of(tr.terminal_face)
     if hit is None:
         problems.append("terminal matches no census minimum")
     elif hit != census.global_index:
@@ -175,9 +169,9 @@ def _trial_bad_min_exclusion(rng, index: int) -> TrialResult:
     excluded = bad_minimum_exclusion(ds, w0, w_gm, census)
     tr = simulate_flow(ds, w0)
     problems = []
-    for i in excluded:
-        if census.minima[i].matches(ds, tr.terminal_point):
-            problems.append(f"terminal matches excluded minimum {i}")
+    hit = census.index_of(tr.terminal_face)
+    if hit in excluded:
+        problems.append(f"terminal matches excluded minimum {hit}")
     return TrialResult(index, not problems, "; ".join(problems) or "ok")
 
 

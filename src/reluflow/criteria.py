@@ -170,7 +170,8 @@ class BoundaryCrossingContext:
 
 
 def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCrossingContext:
-    """Build the spectral crossing context for one trajectory event."""
+    """Build the spectral crossing context for one trajectory event; a side
+    held on its face reads its segment's system, projected off the held data."""
     if not 0 <= event_pos < len(tr.events):
         raise StructuralError(f"trajectory has no event {event_pos}")
     ev = tr.events[event_pos]
@@ -183,7 +184,8 @@ def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCro
     seg_post = tr.segments[event_pos + 1]
     if seg_pre.t_end != ev.t:
         raise StructuralError("segment/event alignment broken")
-    pre, post = pattern_system(ds, seg_pre.pattern), pattern_system(ds, seg_post.pattern)
+    pre = pattern_system(ds, seg_pre.pattern, seg_pre.held)
+    post = pattern_system(ds, seg_post.pattern, seg_post.held)
     if pre.rank == 0:
         raise NumericalError("pre-crossing Gram matrix is zero; no spectral context")
     # the B conditions read d modes: the null space's eigenvalues are exact zeros

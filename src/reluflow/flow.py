@@ -160,7 +160,8 @@ class Trajectory:
     face, with the segment's pattern), ``horizon`` (t_max reached),
     ``event-cap`` (too many events), or ``degenerate`` (the limit exists
     but could not be certified).  ``terminal_point`` is the analytic limit when available,
-    otherwise the last computed point.
+    otherwise the last computed point.  A converged terminal is identified by
+    its face key, ``terminal_face``, not by its distance to a minimizer set.
     """
 
     dataset: Dataset
@@ -172,6 +173,14 @@ class Trajectory:
 
     def __post_init__(self):
         freeze_fields(self, "terminal_point")
+
+    @property
+    def terminal_face(self) -> tuple[ActivationPattern, tuple[int, ...]] | None:
+        """The last segment's ``(pattern, held)`` when the run converged, else None."""
+        if self.terminal != "converged":
+            return None
+        last = self.segments[-1]
+        return last.pattern, last.held
 
     def at(self, t: float) -> np.ndarray:
         """Exact flow point at absolute time ``t``; at ``inf``, the limit.  A run that

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import GeometryError, StructuralError
-from .geometry import BOUNDARY_MARGIN, ActivationPattern, clearance, partition_rows
+from .geometry import BOUNDARY_MARGIN, ActivationPattern, partition_rows
 from .geometry import arrangement_cells, pattern_spectra
 
 # A point interpolates the data when its loss is at most INTERPOLATION_TOL.
@@ -32,10 +32,6 @@ INTERPOLATION_TOL = 1e-10
 # One loss undercuts another only when it is lower by more than
 # LOSS_ORDER_RTOL * max(1, |other loss|).
 LOSS_ORDER_RTOL = 1e-9
-
-# A point is a census minimum when it lies within MATCH_TOL of that
-# minimum's minimizer set (and in its partition's closure).
-MATCH_TOL = 1e-6
 
 
 def loss(ds: Dataset, w) -> float:
@@ -84,29 +80,6 @@ class VirtualMinimizer:
     @property
     def support(self) -> tuple[int, ...]:
         return self.pattern.active_indices
-
-    def set_distance(self, w) -> float:
-        """Euclidean distance from ``w`` to the full minimizer set."""
-        delta = np.asarray(w, dtype=float) - self.point
-        if self.null_basis.size:
-            delta = delta - self.null_basis @ (self.null_basis.T @ delta)
-        return float(np.linalg.norm(delta))
-
-    def matches(self, ds: Dataset, w) -> bool:
-        """Whether ``w`` is this minimum: within ``MATCH_TOL`` of the
-        minimizer set and in the partition closure.
-
-        The set test alone is not an identification: with interpolatable
-        labels one point can minimize many patterns' quadratics at once,
-        but it is a given pattern's local minimum only where that
-        pattern's activation signs actually hold.
-        """
-        w = np.asarray(w, dtype=float)
-        if self.set_distance(w) > MATCH_TOL:
-            return False
-        c = clearance(ds, w)
-        active = self.pattern.as_bool()
-        return bool(np.all(c[active] >= -BOUNDARY_MARGIN) and np.all(c[~active] <= BOUNDARY_MARGIN))
 
 
 def _minimizer_in_cell(ds: Dataset, active: np.ndarray, p, null_basis):
@@ -190,6 +163,14 @@ class MinimaCensus:
         if self.global_index is None:
             raise GeometryError("census has no interior minima")
         return self.minima[self.global_index]
+
+    def index_of(self, face) -> int | None:
+        """Index of the entry whose pattern is the ``(pattern, held)`` face, such as
+        ``Trajectory.terminal_face``.  None for no face, for a face that holds data
+        (entries have no held set), and for a pattern with no entry."""
+        if face is None or face[1]:
+            return None
+        return next((i for i, m in enumerate(self.minima) if m.pattern == face[0]), None)
 
 
 def minima_census(ds: Dataset) -> MinimaCensus:

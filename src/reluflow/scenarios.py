@@ -2,11 +2,11 @@
 
 Each scenario is a packaged dataset fixture, its starts by label (the
 run labelled ``linear`` is unrectified), and machine-checkable
-expectations (event sequences, terminal matches against pseudoinverse
-oracles, agreement between runs).  The runner executes every run with
-the exact engine (or the small-step descent proxy for a qualitative
-cross-check), writes plot-ready artifacts, and evaluates the
-expectations; the CLI turns the outcome into an exit status.
+expectations (event sequences, terminals against pseudoinverse oracles
+or census entries by face, agreement between runs).  The runner
+executes every run with the exact engine (or the small-step descent
+proxy for a qualitative cross-check), writes plot-ready artifacts, and
+evaluates the expectations; the CLI turns the outcome into an exit status.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .flow import (
     simulate_linear_flow,
     write_run,
 )
-from .landscape import MATCH_TOL, gradient, linear_least_squares, minima_census
+from .landscape import gradient, linear_least_squares, minima_census
 
 DEFAULT_SEED = 0
 
@@ -174,28 +174,18 @@ def _scenario_5_1(ds: Dataset, seed: int):
         # this entry is not the lowest-loss one for this dataset (a
         # smaller-support minimum undercuts it), so "all activated" rather
         # than "census global" is the checkable statement
-        tr = results["small"]
-        full = next(
-            (m for m in census.minima if len(m.support) == ds.n), None
-        )
-        if full is None:
-            return False, "census has no all-activated minimum"
-        dist = full.set_distance(tr.terminal_point)
-        return dist <= MATCH_TOL, f"distance to all-activated minimum {dist:.2e}"
+        hit = census.index_of(results["small"].terminal_face)
+        if hit is None:
+            return False, "terminal is no census minimum"
+        active = len(census.minima[hit].support)
+        return active == ds.n, f"terminal is census minimum {hit}, {active} of {ds.n} data active"
 
     def exp_large_local(results):
-        details = []
-        ok = True
-        matched = []
-        for label in ("large-8", "large-45"):
-            tr = results[label]
-            dists = [m.set_distance(tr.terminal_point) for m in census.minima]
-            best = int(np.argmin(dists))
-            matched.append(best)
-            details.append(f"{label}->minimum {best} at {dists[best]:.2e}")
-            if dists[best] > MATCH_TOL or len(census.minima[best].support) == ds.n:
-                ok = False
-        if matched[0] == matched[1]:
+        labels = ("large-8", "large-45")
+        hits = [census.index_of(results[label].terminal_face) for label in labels]
+        details = [f"{label}->minimum {hit}" for label, hit in zip(labels, hits)]
+        ok = all(hit is not None and len(census.minima[hit].support) < ds.n for hit in hits)
+        if hits[0] == hits[1]:
             ok = False
             details.append("both large runs hit the same minimum")
         return ok, "; ".join(details)

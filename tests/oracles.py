@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's computational paths:
 least squares go through numpy's lstsq/pinv, pattern counts through dense
 angular sweeps and margin linear programs, cell counts through Whitney's
 sum over all subsets of the normals, minimizer containment through
-an affine margin linear program, gradients through central finite
+an affine margin linear program, which census minimum a point is through
+its distance to each minimizer set, gradients through central finite
 differences, deep gradients through a direct forward/backward pass, and
 the zeros of exponential sums and the sign of the norm's slope through a
 dense grid whose sign changes are bisected in 50-digit mpmath arithmetic.
@@ -33,10 +34,14 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from reluflow.dataset import RANK_RTOL
-from reluflow.geometry import hyperplane_classes
+from reluflow.geometry import BOUNDARY_MARGIN, hyperplane_classes
 
 # Working precision of the exponential-sum oracles, in decimal digits.
 MP_DPS = 50
+
+# A point is a census minimum when it lies within MATCH_TOL of that
+# minimum's minimizer set (and in its partition's closure).
+MATCH_TOL = 1e-6
 
 
 def sweep_patterns_2d(ds, directions: int = 10000) -> set:
@@ -84,6 +89,32 @@ def off_boundary(ds, w, clearance: float = 1e-3) -> bool:
     h = ds.x.T @ np.asarray(w, dtype=float)
     scale = np.linalg.norm(ds.x, axis=0) * max(1.0, float(np.linalg.norm(w)))
     return bool(np.min(np.abs(h) / scale) > clearance)
+
+
+def set_distance(vm, w) -> float:
+    """Euclidean distance from ``w`` to a virtual minimizer's full minimizer set."""
+    delta = np.asarray(w, dtype=float) - vm.point
+    if vm.null_basis.size:
+        delta = delta - vm.null_basis @ (vm.null_basis.T @ delta)
+    return float(np.linalg.norm(delta))
+
+
+def matches(ds, vm, w) -> bool:
+    """Whether ``w`` is the census minimum ``vm``: within ``MATCH_TOL`` of its
+    minimizer set and in its partition's closure, each datum's relative
+    clearance within ``BOUNDARY_MARGIN`` of its side.
+
+    The set test alone is not an identification: with interpolatable
+    labels one point can minimize many patterns' quadratics at once, but
+    it is a given pattern's local minimum only where that pattern's
+    activation signs actually hold.
+    """
+    if set_distance(vm, w) > MATCH_TOL:
+        return False
+    w = np.asarray(w, dtype=float)
+    c = (ds.x.T @ w) / (np.linalg.norm(ds.x, axis=0) * max(1.0, float(np.linalg.norm(w))))
+    active = np.array(vm.pattern.bits, dtype=bool)
+    return bool(np.all(c[active] >= -BOUNDARY_MARGIN) and np.all(c[~active] <= BOUNDARY_MARGIN))
 
 
 def deep_forward(weights, x):
@@ -339,7 +370,7 @@ def census_loop(ds) -> tuple[list[tuple], tuple | None]:
     one ``pattern_system_single`` and one containment decision per
     enumerated pattern.  Returns the contained entries and the all-off cone,
     each as (pattern string, point, null_basis, rank, loss, witness or None)."""
-    from reluflow.geometry import BOUNDARY_MARGIN, clearance, enumerate_partitions
+    from reluflow.geometry import clearance, enumerate_partitions
     from reluflow.landscape import _minimizer_in_cell
 
     minima, cone = [], None

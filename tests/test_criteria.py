@@ -21,6 +21,9 @@ from reluflow.flow import simulate_flow, simulate_linear_flow
 from reluflow.geometry import active_matrices, pattern_of
 from reluflow.landscape import gradient, minima_census
 
+from oracles import lstsq_minnorm
+from test_flow import stress_draw
+
 
 def realizable(rng, d=3, n=5):
     w_gm = rng.uniform(0.2, 1.5, d)
@@ -182,8 +185,8 @@ class TestBadMinimumExclusion:
             w0 = w_gm + spread * rng.uniform(0.0, 2.0) * rng.normal(size=3)
             excluded = bad_minimum_exclusion(ds, w0, w_gm, census)
             tr = simulate_flow(ds, w0)
-            for i in excluded:
-                assert not census.minima[i].matches(ds, tr.terminal_point)
+            assert tr.terminal == "converged"
+            assert census.index_of(tr.terminal_face) not in excluded
 
 
 class TestCosineForm:
@@ -314,6 +317,23 @@ class TestCrossingContext:
         np.testing.assert_allclose(h_post, h_pre + np.outer(ctx.x0, ctx.x0), atol=1e-12)
         report = check_B_conditions(ctx)
         assert report.b3  # all four data active afterwards: full rank
+
+    def test_a_held_side_reads_its_projected_system(self):
+        # stress draw 4 sheds datum 5 at event 6 while datum 7 is held: both
+        # sides run their active columns projected off x_7, and the pre side
+        # would read (1.0708, 0.0625) from the unprojected columns
+        ds, w0 = stress_draw(4)
+        tr = simulate_flow(ds, w0)
+        seg = tr.segments[6]
+        assert (tr.events[6].index, seg.held, tr.segments[7].held) == (5, (7,), (7,))
+        ctx = crossing_context(ds, tr, 6)
+        u = ds.x[:, 7] / np.linalg.norm(ds.x[:, 7])
+        cols = ds.x[:, seg.pattern.as_bool()]
+        cols = cols - np.outer(u, u @ cols)
+        np.testing.assert_allclose(ctx.evals_pre, np.linalg.eigvalsh(cols @ cols.T)[::-1], atol=1e-12)
+        np.testing.assert_allclose(ctx.w_star_pre, lstsq_minnorm(cols, ds.y[seg.pattern.as_bool()]), atol=1e-12)
+        assert ctx.evals_pre[0] == pytest.approx(0.92924369, abs=1e-8)
+        assert (ctx.rank_pre, ctx.rank_post) == (1, 1)
 
     def test_conditions_are_recorded_not_asserted(self, rng):
         # norm growth can survive violated conditions: record the reports

@@ -438,6 +438,13 @@ class TestGuards:
         assert tr.terminal == "horizon"
         assert tr.segments[-1].t_end == pytest.approx(1e-3)
 
+    def test_a_run_stopped_by_t_max_has_no_terminal_face(self, ds_deactivation):
+        # without the horizon this start converges on the face 011
+        w0 = np.array([1e-4, 5e-5, 8e-5])
+        assert simulate_flow(ds_deactivation, w0).terminal_face == (ActivationPattern.from_string("011"), ())
+        tr = simulate_flow(ds_deactivation, w0, t_max=1e-3)
+        assert tr.terminal == "horizon" and tr.terminal_face is None
+
     def test_a_slow_scaled_flow_is_not_cut_short(self):
         # x scaled by about 1e-3 slows the flow to rates near 1e-6, and its
         # one event falls at t = 2.1e6: only an absolute horizon would end it

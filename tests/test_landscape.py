@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reluflow
-from reluflow import geometry, landscape
+from reluflow import campaigns, geometry, landscape
 from reluflow.campaigns import random_dataset, realizable_dataset
 from reluflow.dataset import Dataset
 from reluflow.flow import simulate_flow
@@ -21,7 +21,7 @@ from reluflow.landscape import (
 )
 
 from oracles import census_loop, containment_lp, finite_diff_gradient, lstsq_loss, lstsq_minnorm, off_boundary
-from oracles import pattern_system_single
+from oracles import matches, pattern_system_single, set_distance
 
 
 def random_a1a2a3(rng, d, n):
@@ -158,7 +158,7 @@ class TestVirtualMinimizer:
         pattern = ActivationPattern.from_string("0110000")
         touch = np.array([1.0, 3.0, 0.0, 2.0])
         vm = virtual_minimizer(ds, pattern)
-        assert vm.rank == 2 and vm.set_distance(touch) < 1e-12
+        assert vm.rank == 2 and set_distance(vm, touch) < 1e-12
         assert containment_lp(ds, pattern)
         assert not vm.contained and vm.witness is None
         steps = rng.normal(size=(20000, 4))
@@ -265,6 +265,43 @@ class TestMinimaCensus:
                 active = m.pattern.as_bool()
                 assert np.all(h[active] >= 1e-9 * scale[active])
                 assert np.all(h[~active] <= 0.0)
+
+
+class TestTerminalFaceKey:
+    def test_the_key_is_the_distance_oracle_on_campaign_draws(self, monkeypatch):
+        # every flow of one seed's d2-global-convergence and bad-min-exclusion
+        # trials, at their default counts: the entry keyed by the terminal face
+        # is the one entry that the distance oracle finds
+        flows = []
+
+        def recorded(ds, w0):
+            flows.append(simulate_flow(ds, w0))
+            return flows[-1]
+
+        monkeypatch.setattr(campaigns, "simulate_flow", recorded)
+        for kind in ("d2-global-convergence", "bad-min-exclusion"):
+            assert campaigns.run_campaign(kind, seed=3).passed  # 200 and 100 trials
+        assert len(flows) == 300
+        hits = []
+        for tr in flows:
+            census = minima_census(tr.dataset)
+            hits.append(census.index_of(tr.terminal_face))
+            assert tr.terminal == "converged"
+            found = [i for i, m in enumerate(census.minima) if matches(tr.dataset, m, tr.terminal_point)]
+            assert found == ([] if hits[-1] is None else [hits[-1]])
+        assert None not in hits[:200]  # every planar terminal is a census minimum
+
+    def test_a_held_terminal_is_no_entry(self):
+        # datum 0 (y = -1.7) holds the flow on its boundary, at a point of
+        # entry 01's minimizer set that the distance oracle calls entry 0;
+        # census entries have no held set, so the key names no entry
+        ds = Dataset(x=np.array([[-0.6, 0.4], [-0.2, 0.8]]), y=np.array([-1.7, 0.7]))
+        tr = simulate_flow(ds, np.array([-1.2, 1.6]))
+        census = minima_census(ds)
+        assert tr.terminal_face == (ActivationPattern.from_string("01"), (0,))
+        assert census.index_of((tr.terminal_face[0], ())) == 0
+        assert matches(ds, census.minima[0], tr.terminal_point)
+        assert census.index_of(tr.terminal_face) is None
 
 
 def _entry_bytes(pattern, point, null_basis, rank, total, witness):

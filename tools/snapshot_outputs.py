@@ -25,7 +25,8 @@ directory ``OUT_DIR/<case>/`` holding its ``stdout``, ``stderr``,
 ``stress-flows`` runs ``simulate_flow`` in process on the 2,000 stress
 draws (see :func:`stress_draw`) and writes one ``stdout`` line per draw:
 its verdict, or the error's type and message, with the ``repr`` of each
-event's time, index and kind and of the terminal point.  The case
+event's time, index and kind and of the terminal point, and the last
+segment's pattern and held data (the terminal face).  The case
 ``census-pools`` runs ``minima_census`` in process on the seed 0-2 pools of
 the ``census-cells`` benchmark, ``random_dataset(default_rng((seed, 2, i)),
 4, 10)`` for i < 64, and writes one ``stdout`` line per dataset: the global
@@ -114,7 +115,9 @@ def _stress_flows(out_dir: Path) -> None:
             lines.append(f"{s} {type(err).__name__}: {err}")
             continue
         events = [(float(ev.t), ev.index, ev.kind) for ev in tr.events]
-        lines.append(f"{s} {tr.terminal} {events!r} {tr.terminal_point.tolist()!r}")
+        last = tr.segments[-1]
+        face = f"{last.pattern.to_string()} {list(last.held)!r}"
+        lines.append(f"{s} {tr.terminal} {events!r} {tr.terminal_point.tolist()!r} {face}")
     case_dir = out_dir / "stress-flows"
     case_dir.mkdir(parents=True)
     (case_dir / "stdout").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
