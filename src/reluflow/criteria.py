@@ -16,12 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .dataset import Dataset, check_point, freeze_fields
-from .errors import (
-    DegenerateDirectionError,
-    NumericalError,
-    PreconditionError,
-    StructuralError,
-)
+from .errors import DegenerateDirectionError, PreconditionError, StructuralError
 from .expsum import TIE_RTOL
 from .flow import Trajectory
 from .geometry import active_matrices, pattern_of, pattern_system
@@ -186,8 +181,6 @@ def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCro
         raise StructuralError("segment/event alignment broken")
     pre = pattern_system(ds, seg_pre.pattern, seg_pre.held)
     post = pattern_system(ds, seg_post.pattern, seg_post.held)
-    if pre.rank == 0:
-        raise NumericalError("pre-crossing Gram matrix is zero; no spectral context")
     # the B conditions read d modes: the null space's eigenvalues are exact zeros
     lam_pre = np.concatenate([pre.eigenvalues, np.zeros(ds.d - pre.rank)])
     vec_pre = np.hstack([pre.basis, pre.null_basis])
@@ -225,13 +218,14 @@ class BConditionReport:
 
     These are sufficient conditions only: a trajectory may grow in norm
     with some of them violated, so campaigns record rather than assert.
+    Where b1 and b2 are undefined they do not hold, with None right sides.
     """
 
     b1_lhs: tuple[float, ...]  # eigenvector drift per mode
-    b1_rhs: tuple[float, ...]
+    b1_rhs: tuple[float, ...] | None
     b1: bool
     b2_lhs: float  # label of the crossing datum
-    b2_rhs: float
+    b2_rhs: float | None
     b2: bool
     b3: bool  # post-crossing Gram matrix has full rank
     b4_value: float  # alignment of the crossing datum with the pre minimizer
@@ -248,55 +242,36 @@ class BConditionReport:
 def check_B_conditions(ctx: BoundaryCrossingContext) -> BConditionReport:
     """Evaluate the four crossing conditions with both sides' numbers.
 
-    The second condition's per-mode term is evaluated in the equivalent
-    product form ``lam_k (c*_k - c_k) - r lam_k^2 c_k / lam_max`` which
-    avoids dividing by vanishing coordinates.
+    b1 and b2 read the direction ``w0 / |w0|`` and the pre side's ratio
+    ``lam_min+ / lam_max``, so they are evaluated only where both exist; b3
+    and b4 at every crossing.  b2's per-mode term is the product form
+    ``lam_k (c*_k - c_k) - r lam_k^2 c_k / lam_max``, free of coordinate division.
     """
-    d = ctx.w0.shape[0]
-    lam = ctx.evals_pre
-    lam_max = float(lam[0])
-    lam_min_pos = float(lam[ctx.rank_pre - 1])
-    if not np.all(np.isfinite(lam)) or lam_max <= 0.0:
-        raise NumericalError("invalid pre-crossing spectrum")
+    d, r = ctx.w0.shape[0], ctx.rank_pre
+    b1_lhs = tuple(float(np.linalg.norm(col)) for col in ctx.eigvec_deltas.T)
+    b4_value = float(ctx.x0 @ ctx.w_star_pre)
+    b1_rhs = b2_rhs = None
     w0_norm = float(np.linalg.norm(ctx.w0))
-    c = ctx.coords_pre
-    c_star = ctx.extents_pre
-    deltas = ctx.eigvec_deltas
-    b1_lhs = tuple(float(np.linalg.norm(deltas[:, k])) for k in range(d))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b1_rhs = tuple(
-            float((lam_min_pos / lam_max) * (c[k] / w0_norm)) if w0_norm > 0 else np.inf
-            for k in range(d)
-        )
-    b1 = all(l < r for l, r in zip(b1_lhs, b1_rhs))
-
-    x0 = ctx.x0
-    x0_norm = float(np.linalg.norm(x0))
-    # x0^T H^{-1} x0 through the spectral data (pseudo-inverse if rank deficient)
-    proj = ctx.evecs_pre.T @ x0
-    inv_terms = np.zeros(d)
-    inv_terms[: ctx.rank_pre] = proj[: ctx.rank_pre] ** 2 / lam[: ctx.rank_pre]
-    x0_hinv_x0 = float(np.sum(inv_terms))
-    ratio = float(np.linalg.norm(ctx.w_star_post - ctx.w0)) / w0_norm if w0_norm > 0 else np.inf
-    per_mode = lam * (c_star - c) - ratio * (lam**2) * c / lam_max
-    b2_rhs = float(x0 @ ctx.w_star_pre) + (1.0 - x0_hinv_x0) / x0_norm * float(
-        np.min(per_mode)
-    )
-    b2_lhs = ctx.y0
-    # a tie up to roundoff does not satisfy the strict inequality
-    b2 = b2_rhs - b2_lhs > TIE_RTOL * max(1.0, abs(b2_lhs), abs(b2_rhs))
-
-    b3 = ctx.rank_post == d
-    b4_value = float(x0 @ ctx.w_star_pre)
-    b4 = b4_value < 0.0
+    if w0_norm > 0 and r > 0:
+        lam, c = ctx.evals_pre, ctx.coords_pre
+        b1_rhs = tuple(float((float(lam[r - 1]) / float(lam[0])) * (c[k] / w0_norm)) for k in range(d))
+        # x0^T H^{-1} x0 through the spectral data (pseudo-inverse if rank deficient)
+        proj = ctx.evecs_pre.T @ ctx.x0
+        inv_terms = np.zeros(d)
+        inv_terms[:r] = proj[:r] ** 2 / lam[:r]
+        x0_hinv_x0 = float(np.sum(inv_terms))
+        ratio = float(np.linalg.norm(ctx.w_star_post - ctx.w0)) / w0_norm
+        per_mode = lam * (ctx.extents_pre - c) - ratio * (lam**2) * c / float(lam[0])
+        b2_rhs = b4_value + (1.0 - x0_hinv_x0) / float(np.linalg.norm(ctx.x0)) * float(np.min(per_mode))
     return BConditionReport(
         b1_lhs=b1_lhs,
         b1_rhs=b1_rhs,
-        b1=b1,
-        b2_lhs=b2_lhs,
+        b1=b1_rhs is not None and all(lhs < rhs for lhs, rhs in zip(b1_lhs, b1_rhs)),
+        b2_lhs=ctx.y0,
         b2_rhs=b2_rhs,
-        b2=b2,
-        b3=b3,
+        # a tie up to roundoff does not satisfy the strict inequality
+        b2=b2_rhs is not None and b2_rhs - ctx.y0 > TIE_RTOL * max(1.0, abs(ctx.y0), abs(b2_rhs)),
+        b3=ctx.rank_post == d,
         b4_value=b4_value,
-        b4=b4,
+        b4=b4_value < 0.0,
     )

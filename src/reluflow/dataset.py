@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, StructuralError
+from .errors import NumericalError, PreconditionError, StructuralError
 
 ASSUMPTIONS = ("A1", "A2", "A3")
 
@@ -223,8 +223,13 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def write_json(path, obj) -> str:
     """Write ``obj`` to ``path`` as the package's JSON report text (indented,
-    keys sorted, one trailing newline) and return that text."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    keys sorted, one trailing newline) and return that text.  A NaN or
+    infinite number is not JSON: it raises ``NumericalError`` and nothing is
+    written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"cannot write {path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text

@@ -253,6 +253,7 @@ class RootBatch:
 
         signs = f._signs(np.array(cuts[:-1])).tolist()
         found: list[Root] = []
+        # a run reaching the last cut keeps 'after' 0, its limit: past 50 / mu_min only a 0 limit vanishes
         run: int | None = None  # the root of a run of zeros, awaiting its 'after' sign
         last = -1  # the cut of the last nonzero sign
         for i, (t, s) in enumerate(zip(cuts, signs)):
@@ -270,7 +271,5 @@ class RootBatch:
             elif last == i - 1 >= 0 and signs[last] == -s:
                 found.append(Root(_polish(f, cuts[last], t), signs[last], s))
             last = i
-        if run is not None:
-            found[run] = Root(found[run].t, found[run].before, limit)
         # tied roots are one root
         return [r for i, r in enumerate(found) if not i or r.t - found[i - 1].t > TIE_RTOL * max(1.0, r.t)]

@@ -128,8 +128,8 @@ class FlowSegment:
         return ExpSum(0.0, coeffs, np.concatenate([lam, 2.0 * lam]))
 
     def covers(self, tau: float) -> bool:
-        """Whether local time ``tau`` lies on the segment, its end widened by 1e-12 relative."""
-        return not np.isfinite(self.t_end) or tau <= self.duration * (1 + 1e-12) + 1e-300
+        """Whether local time ``tau`` lies on the segment, its end widened by ``TIE_RTOL`` relative."""
+        return not np.isfinite(self.t_end) or tau <= self.duration * (1 + TIE_RTOL) + 1e-300
 
     def local_horizon(self) -> float:
         """Finite sampling horizon: the duration, or the decay horizon if infinite."""

@@ -23,6 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import GeometryError, StructuralError
+from .expsum import TIE_RTOL
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, partition_rows
 from .geometry import arrangement_cells, pattern_spectra
 
@@ -111,7 +112,7 @@ def _virtual_minimizers(ds: Dataset, masks: np.ndarray, keep_all: bool = False) 
     product per group.  The witness is ``point`` at full rank, else a member of the
     minimizer set in the open cell (:func:`_minimizer_in_cell`).  It is contained when
     its active data clear their boundaries by more than ``BOUNDARY_MARGIN`` and its
-    deactivated data sit at a relative clearance of at most 1e-12.  Rows neither
+    deactivated data sit at a relative clearance of at most ``TIE_RTOL``.  Rows neither
     contained nor all-off are left out, unless ``keep_all``.
     """
     counts = masks.sum(axis=1)
@@ -130,7 +131,7 @@ def _virtual_minimizers(ds: Dataset, masks: np.ndarray, keep_all: bool = False) 
             witnesses[i] = np.nan if w is None else w  # NaN fails both clearance tests
         c = (ds.x.T @ witnesses.T) / np.multiply.outer(
             np.linalg.norm(ds.x, axis=0), np.maximum(1.0, np.linalg.norm(witnesses, axis=1)))
-        contained = np.all(np.where(group.T, c > BOUNDARY_MARGIN, c <= 1e-12), axis=0)
+        contained = np.all(np.where(group.T, c > BOUNDARY_MARGIN, c <= TIE_RTOL), axis=0)
         for i in np.flatnonzero(contained | keep_all | (k == 0)):
             witness = witnesses[i] if contained[i] else None
             out[rows[i]] = VirtualMinimizer(ActivationPattern(group[i].tolist()), points[i], u[i, :, ranks[i]:],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parents[1] / "tools"))  # the stress recipe of snapshot_outputs
 
 from reluflow.dataset import Dataset
 from reluflow.scenarios import fixture_dataset

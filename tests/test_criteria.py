@@ -2,6 +2,7 @@
 minimum exclusion, and the boundary-crossing condition reports."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,13 +17,13 @@ from reluflow.criteria import (
     no_deactivation_certificate,
 )
 from reluflow.dataset import Dataset
-from reluflow.errors import DegenerateDirectionError, PreconditionError, StructuralError
+from reluflow.errors import DegenerateDirectionError, PreconditionError, ReluFlowError, StructuralError
 from reluflow.flow import simulate_flow, simulate_linear_flow
 from reluflow.geometry import active_matrices, pattern_of
 from reluflow.landscape import gradient, minima_census
 
 from oracles import lstsq_minnorm
-from test_flow import stress_draw
+from snapshot_outputs import stress_draw
 
 
 def realizable(rng, d=3, n=5):
@@ -256,6 +257,13 @@ class TestMalformedInputs:
         assert no_deactivation_certificate(ds, w_gm, w_gm, np.int64(4))
 
 
+def stress_flow(s):
+    """Dataset and flow of stress draw ``s``."""
+    x, y, w0 = stress_draw(s)
+    ds = Dataset(x=x, y=y)
+    return ds, simulate_flow(ds, w0)
+
+
 def crossing_grams(ds, tr, pos):
     """The active Gram matrices of the segments before and after event ``pos``."""
     return [active_matrices(ds, tr.segments[pos + k].pattern)[0] for k in (0, 1)]
@@ -322,8 +330,7 @@ class TestCrossingContext:
         # stress draw 4 sheds datum 5 at event 6 while datum 7 is held: both
         # sides run their active columns projected off x_7, and the pre side
         # would read (1.0708, 0.0625) from the unprojected columns
-        ds, w0 = stress_draw(4)
-        tr = simulate_flow(ds, w0)
+        ds, tr = stress_flow(4)
         seg = tr.segments[6]
         assert (tr.events[6].index, seg.held, tr.segments[7].held) == (5, (7,), (7,))
         ctx = crossing_context(ds, tr, 6)
@@ -334,6 +341,44 @@ class TestCrossingContext:
         np.testing.assert_allclose(ctx.w_star_pre, lstsq_minnorm(cols, ds.y[seg.pattern.as_bool()]), atol=1e-12)
         assert ctx.evals_pre[0] == pytest.approx(0.92924369, abs=1e-8)
         assert (ctx.rank_pre, ctx.rank_post) == (1, 1)
+
+    def test_a_rank_zero_pre_side_leaves_b1_and_b2_undefined(self):
+        # stress draw 56 activates datum 1 at event 2 from the all-off sliding
+        # segment: the pre side has no modes, so there is no ratio to read
+        ds, tr = stress_flow(56)
+        assert (tr.events[2].index, tr.events[2].kind) == (1, "activation")
+        ctx = crossing_context(ds, tr, 2)
+        assert ctx.rank_pre == 0
+        assert np.all(ctx.evals_pre == 0.0) and np.all(ctx.w_star_pre == 0.0)
+        report = check_B_conditions(ctx)
+        assert (report.b1, report.b1_rhs, report.b2, report.b2_rhs) == (False, None, False, None)
+        assert (report.b3, report.b4_value, report.b4) == (False, 0.0, False)
+        assert len(report.b1_lhs) == ds.d
+
+    def test_a_crossing_through_the_origin_leaves_b1_and_b2_undefined(self):
+        # stress draw 294 passes through the origin at events 2-5: no direction
+        ds, tr = stress_flow(294)
+        ctx = crossing_context(ds, tr, 2)
+        assert np.all(ctx.w0 == 0.0) and ctx.rank_pre == 1
+        report = check_B_conditions(ctx)
+        assert (report.b1, report.b1_rhs, report.b2, report.b2_rhs) == (False, None, False, None)
+        assert report.b4_value == float(ctx.x0 @ ctx.w_star_pre) < 0.0 and report.b4
+        assert '"b2_rhs": null' in json.dumps(report.to_json(), allow_nan=False)
+
+    def test_every_stress_crossing_has_a_strict_json_report(self):
+        crossings = undefined = 0
+        for s in range(300):
+            try:
+                ds, tr = stress_flow(s)
+            except ReluFlowError:  # a refused flow has no trajectory
+                continue
+            for i, ev in enumerate(tr.events):
+                if ev.kind in ("activation", "deactivation"):
+                    report = check_B_conditions(crossing_context(ds, tr, i)).to_json()
+                    json.dumps(report, allow_nan=False)
+                    crossings += 1
+                    undefined += report["b2_rhs"] is None
+        assert crossings > 600 and undefined > 20
 
     def test_conditions_are_recorded_not_asserted(self, rng):
         # norm growth can survive violated conditions: record the reports

@@ -27,6 +27,7 @@ from reluflow.landscape import linear_loss, loss
 
 from oracles import assert_matches_oracle, boundary_candidates_exhaustive, lstsq_minnorm, segment_certificate
 from oracles import norm_growth_mp, trajectory_csv
+from snapshot_outputs import stress_draw
 
 
 def small_cube_start(rng, d):
@@ -195,6 +196,18 @@ class TestNormProfile:
         assert max(norms) - min(norms) <= 1e-10
         # a flow that never moves (g = 0 throughout) does not grow
         assert norm_certificate(tr) == (0, 0.0)
+        assert_norm_certificate_matches_oracle(tr)
+
+    def test_a_zero_length_segment_is_skipped(self):
+        # the flow of TestFaceRule::test_simultaneous_arrivals_log_one_event_each:
+        # its second segment has no length and no delta, which is not a stop
+        ds = Dataset(
+            x=np.array([[-0.9, 1.8, 0.7], [1.8, -0.9, 0.7], [-0.5, -0.5, 1.0]]),
+            y=np.array([0.8, 0.8, 3.5]),
+        )
+        tr = simulate_flow(ds, np.array([0.3, 0.3, 0.7]))
+        assert (tr.segments[1].duration, float(np.linalg.norm(tr.segments[1].delta))) == (0.0, 0.0)
+        assert norm_certificate(tr) is None
         assert_norm_certificate_matches_oracle(tr)
 
     def test_g_matches_norm_slope(self, ds_reactivation, rng):
@@ -382,6 +395,26 @@ class TestCrossings:
         assert [(e.index, e.kind) for e in tr.events] == [(1, "activation")]
         assert tr.events[0].t == pytest.approx(0.470, abs=1e-3)
         assert count_hyperplane_crossings(tr, ds.x[:, 1], 0.0) == 1
+
+    def test_a_touch_does_not_count(self):
+        # H = diag(1, 2) exactly, so v . w(t) - c = (e^{-t} - 1/2)^2 + (3.75 - c):
+        # c = 3.75 touches the hyperplane at t = ln 2, a larger c crosses it twice
+        ds = Dataset(x=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), y=np.array([2.0, 2.0, 2.0]))
+        tr = simulate_flow(ds, np.array([1.0, 3.0]))
+        v = np.array([1.0, 1.0])
+        (touch,) = tr.segments[0].observable(v, offset=3.75).roots()
+        assert not touch.is_crossing and touch.t == pytest.approx(np.log(2.0), rel=1e-6)
+        assert [count_hyperplane_crossings(tr, v, c) for c in (3.7, 3.75, 3.8)] == [0, 0, 2]
+
+    def test_a_root_past_a_segment_end_does_not_count(self):
+        # x_0 . w falls from 0.52 towards y_0 = -1 but stops at 0, where datum 0
+        # deactivates: the first segment's sum crosses -0.5 only past its end
+        ds = Dataset(x=np.array([[1.0, 0.3], [0.2, 1.0]]), y=np.array([-1.0, 1.0]))
+        tr = simulate_flow(ds, np.array([0.72, -1.0]))
+        first = tr.segments[0]
+        (past,) = first.observable(ds.x[:, 0], offset=-0.5).roots()
+        assert past.is_crossing and not first.covers(past.t)
+        assert [count_hyperplane_crossings(tr, ds.x[:, 0], c) for c in (0.25, -0.5)] == [1, 0]
 
 
 class TestTrajectoryStructure:
@@ -874,24 +907,6 @@ def flow_outcome(ds, w0):
     return events, tr.terminal, tr.terminal_point.tolist()
 
 
-def stress_draw(s):
-    """Draw ``s`` of the stress generator: d in 2-5, n in 2-9, normal x, y and
-    w0, then by ``s % 5`` a parallel pair, a rescaled x, a small start or
-    nonpositive labels."""
-    rng = np.random.default_rng((31, s))
-    d, n = int(rng.integers(2, 6)), int(rng.integers(2, 10))
-    x, y, w0 = rng.normal(size=(d, n)), rng.normal(size=n), rng.normal(size=d)
-    if s % 5 == 1:
-        x[:, 1] = rng.normal() * x[:, 0]
-    elif s % 5 == 2:
-        x = x * 10 ** rng.uniform(-3, 3)
-    elif s % 5 == 3:
-        w0 = w0 * 1e-3
-    elif s % 5 == 4:
-        y = -abs(y)
-    return Dataset(x=x, y=y), w0
-
-
 class TestBoundedEventSearch:
     @staticmethod
     def both_ways(monkeypatch, cases):
@@ -923,7 +938,8 @@ class TestBoundedEventSearch:
     def test_a_gap_that_cancels_to_roundoff_is_not_missed(self, monkeypatch, draw, missed):
         # a datum parallel to a held one has a gap of about 1e-15: its bound
         # must come from the same bits as its isolation, or its crossing is lost
-        bounded, exhaustive = self.both_ways(monkeypatch, [stress_draw(draw)])
+        x, y, w0 = stress_draw(draw)
+        bounded, exhaustive = self.both_ways(monkeypatch, [(Dataset(x=x, y=y), w0)])
         assert bounded == exhaustive
         events, terminal, _ = bounded[0]
         assert terminal == "converged"

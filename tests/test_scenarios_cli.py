@@ -280,6 +280,20 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: malformed JSON")
 
+    def test_a_report_with_a_non_finite_number_is_not_written(self, tmp_path, capsys):
+        # weights of 1e200 overflow the forward pass: the report would hold
+        # Infinity and NaN, which are not JSON
+        net_file = tmp_path / "net.json"
+        net_file.write_text(json.dumps({"weights": [[[1e200]], [[1e200]]]}))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["backprop", "--net", str(net_file), "--x", "1", "--y", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'backprop.json'}: Out of range float values")
+        assert err.count("\n") == 1
+        assert not (out / "backprop.json").exists()
+
     def test_reproduce_and_campaign_exit_codes(self, tmp_path):
         assert (
             main(["reproduce", "example-5-2", "--out", str(tmp_path / "repro")]) == 0

@@ -27,7 +27,11 @@ draws (see :func:`stress_draw`) and writes one ``stdout`` line per draw:
 its verdict, or the error's type and message, with the ``repr`` of each
 event's time, index and kind and of the terminal point, and the last
 segment's pattern and held data (the terminal face).  The case
-``census-pools`` runs ``minima_census`` in process on the seed 0-2 pools of
+``stress-crossings`` runs ``check_B_conditions`` in process on every
+activation or deactivation crossing of those flows and writes one
+``stdout`` line per crossing: the draw, the event's position and the
+``repr`` of the report's ``to_json()``, or the error's type and message.
+The case ``census-pools`` runs ``minima_census`` in process on the seed 0-2 pools of
 the ``census-cells`` benchmark, ``random_dataset(default_rng((seed, 2, i)),
 4, 10)`` for i < 64, and writes one ``stdout`` line per dataset: the global
 index, then the pattern and the ``repr`` of the point, loss and witness of
@@ -123,6 +127,32 @@ def _stress_flows(out_dir: Path) -> None:
     (case_dir / "stdout").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _stress_crossings(out_dir: Path) -> None:
+    from reluflow.criteria import check_B_conditions, crossing_context
+    from reluflow.dataset import Dataset
+    from reluflow.errors import ReluFlowError
+    from reluflow.flow import simulate_flow
+
+    lines = []
+    for s in range(2000):
+        x, y, w0 = stress_draw(s)
+        ds = Dataset(x=x, y=y)
+        try:
+            tr = simulate_flow(ds, w0)
+        except ReluFlowError:
+            continue  # stress-flows records the error
+        for i, ev in enumerate(tr.events):
+            if ev.kind not in ("activation", "deactivation"):
+                continue
+            try:
+                lines.append(f"{s} {i} {check_B_conditions(crossing_context(ds, tr, i)).to_json()!r}")
+            except ReluFlowError as err:
+                lines.append(f"{s} {i} {type(err).__name__}: {err}")
+    case_dir = out_dir / "stress-crossings"
+    case_dir.mkdir(parents=True)
+    (case_dir / "stdout").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
 def _census_pools(out_dir: Path) -> None:
     from reluflow.campaigns import random_dataset
     from reluflow.landscape import minima_census
@@ -199,6 +229,7 @@ def main(argv: list[str]) -> int:
     _run(out_dir, "reproduce-negative-seed", ["reproduce", "example-5-2", "--seed", "-1"])
     _run(out_dir, "campaign-negative-seed", ["campaign", "crossing-bound", "--seed", "-1"])
     _stress_flows(out_dir)
+    _stress_crossings(out_dir)
     _census_pools(out_dir)
     return 0
 
