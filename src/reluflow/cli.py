@@ -33,7 +33,7 @@ from .deepnet import DeepNet, backprop_labels, forward_trace
 from .errors import ReluFlowError
 from .flow import revisit_report, simulate_flow, simulate_gd, simulate_linear_flow, write_run
 from .landscape import (
-    INTERPOLATION_TOL,
+    INTERPOLATION_RTOL,
     census_to_jsonl,
     compare_support_losses,
     linear_least_squares,
@@ -45,7 +45,7 @@ from .landscape import (
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v != ""])
+        return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise ReluFlowError(f"cannot parse vector {text!r}: {exc}") from exc
 
@@ -137,7 +137,7 @@ def _cmd_criteria(args) -> int:
         w_gm = _parse_vector(args.w_gm)
     else:
         w_gm, _ = linear_least_squares(ds)
-        if loss(ds, w_gm) > INTERPOLATION_TOL:
+        if loss(ds, w_gm) > INTERPOLATION_RTOL * 0.5 * float(ds.y @ ds.y):
             raise ReluFlowError("data admits no interpolating solution; pass --w-gm explicitly")
     census = minima_census(ds)
     per_index = {}
@@ -186,8 +186,9 @@ def _cmd_backprop(args) -> int:
     net = DeepNet.from_json(load_json(args.net))
     x = _parse_vector(args.x)
     y = _parse_vector(args.y)
-    problems = backprop_labels(net, x, y)
-    output = forward_trace(net, x)[-1][1]
+    with np.errstate(over="ignore", invalid="ignore"):  # write_json refuses a non-finite report
+        problems = backprop_labels(net, x, y)
+        output = forward_trace(net, x)[-1][1]
     layers = []
     for p in problems:
         layers.append(

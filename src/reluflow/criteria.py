@@ -20,7 +20,7 @@ from .errors import DegenerateDirectionError, PreconditionError, StructuralError
 from .expsum import TIE_RTOL
 from .flow import Trajectory
 from .geometry import active_matrices, pattern_of, pattern_system
-from .landscape import INTERPOLATION_TOL, MinimaCensus, loss
+from .landscape import INTERPOLATION_RTOL, MinimaCensus, loss
 
 
 def alpha_star(ds: Dataset, w0, j: int) -> float:
@@ -29,16 +29,16 @@ def alpha_star(ds: Dataset, w0, j: int) -> float:
     With the pattern of ``w0`` held fixed, the gradient alignment
     ``grad L(a w0) . x_j`` is nonnegative exactly for ``a`` at or above
     the returned value, provided the denominator ``x_j . H w0`` is
-    positive (it is whenever A1 data are all activated at ``w0``).
+    positive (it is whenever A1 data are all activated at ``w0``); one within
+    ``TIE_RTOL * |x_j| |H w0|`` of zero is refused.
     """
     w0 = check_point(ds, w0)
     xj = ds.x[:, _datum(ds, j)]
     hmat, qvec = active_matrices(ds, pattern_of(ds, w0))
-    denom = float(xj @ (hmat @ w0))
-    if abs(denom) < 1e-12:
-        raise DegenerateDirectionError(
-            f"x_{j} . H w0 = {denom:.3e} is numerically zero"
-        )
+    hw0 = hmat @ w0
+    denom = float(xj @ hw0)
+    if abs(denom) <= TIE_RTOL * float(np.linalg.norm(xj) * np.linalg.norm(hw0)):
+        raise DegenerateDirectionError(f"x_{j} . H w0 = {denom:.3e} is numerically zero")
     return float(xj @ qvec) / denom
 
 
@@ -50,13 +50,11 @@ def _datum(ds: Dataset, j) -> int:
 
 
 def _require_interpolating(ds: Dataset, w_gm) -> np.ndarray:
-    """``w_gm`` as a checked point of zero loss up to ``INTERPOLATION_TOL``."""
+    """``w_gm`` as a checked point of zero loss up to ``INTERPOLATION_RTOL``."""
     w_gm = check_point(ds, w_gm, "reference point")
     value = loss(ds, w_gm)
-    if value > INTERPOLATION_TOL:
-        raise PreconditionError(
-            f"reference point is not interpolating: loss = {value:.3e}"
-        )
+    if value > INTERPOLATION_RTOL * 0.5 * float(ds.y @ ds.y):
+        raise PreconditionError(f"reference point is not interpolating: loss = {value:.3e}")
     return w_gm
 
 
@@ -165,22 +163,15 @@ class BoundaryCrossingContext:
 
 
 def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCrossingContext:
-    """Build the spectral crossing context for one trajectory event; a side
-    held on its face reads its segment's system, projected off the held data."""
+    """Build the spectral crossing context for one trajectory event from the
+    faces it leaves and enters; a held side's system is projected off the held data."""
     if not 0 <= event_pos < len(tr.events):
         raise StructuralError(f"trajectory has no event {event_pos}")
     ev = tr.events[event_pos]
     if ev.kind not in ("activation", "deactivation"):
         raise StructuralError(f"event {event_pos} is a {ev.kind} transition, not a crossing")
-    # one segment closes per event, so segments and events align positionally
-    if event_pos + 1 >= len(tr.segments):
-        raise StructuralError("event has no post-crossing segment")
-    seg_pre = tr.segments[event_pos]
-    seg_post = tr.segments[event_pos + 1]
-    if seg_pre.t_end != ev.t:
-        raise StructuralError("segment/event alignment broken")
-    pre = pattern_system(ds, seg_pre.pattern, seg_pre.held)
-    post = pattern_system(ds, seg_post.pattern, seg_post.held)
+    pre = pattern_system(ds, *ev.before)
+    post = pattern_system(ds, *ev.after)
     # the B conditions read d modes: the null space's eigenvalues are exact zeros
     lam_pre = np.concatenate([pre.eigenvalues, np.zeros(ds.d - pre.rank)])
     vec_pre = np.hstack([pre.basis, pre.null_basis])

@@ -24,7 +24,7 @@ that would change nothing no arrival may keep its state, and no
 consistent assignment raises ``NumericalError``.  A held segment projects the
 active columns off the held data's span, and a release is a held
 multiplier alpha_j(t), an exponential sum of the segment, crossing 0
-(off) or 1 (on).  With positive labels no datum is ever held.
+(off) or 1 (on).  When every label is positive no datum is ever held.
 
 Terminal classification is also exact: a segment with no admissible
 event converges to its analytic limit, which is ``converged`` when the
@@ -140,10 +140,15 @@ class FlowSegment:
 
 @dataclass(frozen=True)
 class FlowEvent:
+    """One datum changing state; ``before`` and ``after`` are the ``(pattern, held)`` faces it
+    leaves and enters, as in :attr:`Trajectory.terminal_face` (None for a descent proxy)."""
+
     t: float
     index: int
     kind: str  # "activation" (turns on) | "deactivation" (turns off) | "sliding" (held or let go)
     point: np.ndarray
+    before: tuple[ActivationPattern, tuple[int, ...]] | None = None
+    after: tuple[ActivationPattern, tuple[int, ...]] | None = None
 
     def __post_init__(self):
         freeze_fields(self, "point")
@@ -156,6 +161,8 @@ class FlowEvent:
 class Trajectory:
     """Ordered exact segments, the event log, and the terminal verdict.
 
+    Only segments the flow moves on are kept (a run capped before it moves
+    keeps its one closed segment); each event records the faces it joins.
     ``terminal`` is one of ``converged`` (limit certified stationary on its
     face, with the segment's pattern), ``horizon`` (t_max reached),
     ``event-cap`` (too many events), or ``degenerate`` (the limit exists
@@ -337,14 +344,14 @@ def simulate_flow(ds: Dataset, w0, t_max: float = math.inf) -> Trajectory:
     t = 0.0
     w = w0
     state = (ds.x.T @ w0 > 0.0).astype(int)  # OFF, ON or HELD per datum
+    face = (ActivationPattern(state == ON), ())  # no datum starts held
     segments: list[FlowSegment] = []
     events: list[FlowEvent] = []
     terminal = None
     terminal_point = w0
 
     while terminal is None:
-        held = tuple(np.flatnonzero(state == HELD).tolist())
-        seg = _segment_from(ds, ActivationPattern(state == ON), w, t, held)
+        seg = _segment_from(ds, face[0], w, t, face[1])
         candidates = _boundary_candidates(ds, seg)
         if not candidates:
             segments.append(seg)
@@ -365,30 +372,28 @@ def simulate_flow(ds: Dataset, w0, t_max: float = math.inf) -> Trajectory:
             raise NumericalError("non-finite event point")
         t_ev = t + tau
         heading = {c.index: c.side for c in tied}
-        b = sorted(set(held) | set(heading))
+        b = sorted(set(seg.held) | set(heading))
         states = _face_states(ds, state, b, heading, w_ev)
         if states is None:
             raise NumericalError(f"no consistent state for data {b} at t = {t_ev!r}")
-        # one event per changed datum in index order, each closing one segment
         closed = replace(seg, t_end=t_ev)
-        segments.append(closed)
-        for i, (j, s) in enumerate([(j, s) for j, s in zip(b, states.tolist()) if s != state[j]]):
-            if i:  # between simultaneous events the flow stands still for zero time
-                still = replace(
-                    closed, t_start=t_ev, w_start=w_ev, target=w_ev, delta=0.0 * seg.delta,
-                    pattern=ActivationPattern(state == ON), held=tuple(np.flatnonzero(state == HELD).tolist()),
-                )
-                segments.append(still)
+        if t_ev > t:  # only a segment the flow moves on is kept
+            segments.append(closed)
+        # one event per changed datum in index order, each entering its own face
+        for j, s in [(j, s) for j, s in zip(b, states.tolist()) if s != state[j]]:
             kind = "activation" if s == ON else "sliding"
             if (state[j], s) == (ON, OFF):
                 kind = "deactivation"
-            events.append(FlowEvent(t=t_ev, index=j, kind=kind, point=w_ev))
             state[j] = s
+            before, face = face, (ActivationPattern(state == ON), tuple(np.flatnonzero(state == HELD).tolist()))
+            events.append(FlowEvent(t=t_ev, index=j, kind=kind, point=w_ev, before=before, after=face))
         t = t_ev
         w = w_ev
         terminal_point = w_ev
         if len(events) >= EVENT_CAP_FACTOR * ds.n * ds.d:
             terminal = "event-cap"
+            if not segments:  # a run that never moved keeps its last segment
+                segments.append(closed)
             break
 
     return Trajectory(
@@ -547,11 +552,10 @@ def norm_certificate(tr: Trajectory) -> tuple[int, float] | None:
     |w| grows on a segment iff its :meth:`FlowSegment.norm_slope` g is below 0 there,
     but for touches from below and a zero at tau = 0 that g leaves downwards (as from
     the origin); g identically 0 is not growth, nor is a segment that starts at its
-    limit to within ``TIE_RTOL``.  Zero-length segments are skipped.
+    limit to within ``TIE_RTOL``.  Every segment is read, the zero-length one kept by
+    a run that reached ``event-cap`` without moving too.
     """
     for i, seg in enumerate(tr.segments):
-        if seg.duration == 0.0:
-            continue
         if np.linalg.norm(seg.delta) <= TIE_RTOL * max(1.0, float(np.linalg.norm(seg.target))):
             return i, 0.0
         g = seg.norm_slope()

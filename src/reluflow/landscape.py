@@ -27,8 +27,8 @@ from .expsum import TIE_RTOL
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, partition_rows
 from .geometry import arrangement_cells, pattern_spectra
 
-# A point interpolates the data when its loss is at most INTERPOLATION_TOL.
-INTERPOLATION_TOL = 1e-10
+# A point interpolates the data when its loss is at most INTERPOLATION_RTOL * 0.5 |y|^2, the loss at 0.
+INTERPOLATION_RTOL = 1e-10
 
 # One loss undercuts another only when it is lower by more than
 # LOSS_ORDER_RTOL * max(1, |other loss|).

@@ -505,8 +505,7 @@ def segment_certificate(tr, points: int = 800) -> list[str]:
       bit, or within ``tol`` of its boundary, on all of ``(0, tau_end)``;
     - the gap of every held datum vanishes identically, to ``tol``;
     - every held multiplier stays in [-1e-9, 1 + 1e-9] on ``(0, tau_end)``;
-      the zero-length segments between simultaneous events, where the flow
-      does not move, are exempt from this one.
+      a zero-length segment, where the flow does not move, is exempt from this one.
 
     Each function is built from the segment's spectral data directly (no
     merged or dropped terms) and sampled at ``points`` linear and

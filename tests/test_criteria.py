@@ -20,7 +20,7 @@ from reluflow.dataset import Dataset
 from reluflow.errors import DegenerateDirectionError, PreconditionError, ReluFlowError, StructuralError
 from reluflow.flow import simulate_flow, simulate_linear_flow
 from reluflow.geometry import active_matrices, pattern_of
-from reluflow.landscape import gradient, minima_census
+from reluflow.landscape import gradient, linear_least_squares, minima_census
 
 from oracles import lstsq_minnorm
 from snapshot_outputs import stress_draw
@@ -86,6 +86,14 @@ class TestAlphaStar:
         with pytest.raises(DegenerateDirectionError):
             alpha_star(ds, w0, 0)
 
+    def test_threshold_scales_with_the_data(self):
+        # x scaled by s and y by s^2 scale the threshold by s exactly; at
+        # s = 1e-5 the denominator x_0 . H w0 is 2e-15, small but not zero
+        x = np.array([[1.0, 0.2, 0.5], [0.3, 1.0, 0.4]])
+        y, w0, s = np.array([1.0, 2.0, 0.5]), np.array([0.7, 0.9]), 1e-5
+        unit = alpha_star(Dataset(x=x, y=y), w0, 0)
+        assert alpha_star(Dataset(x=s * x, y=s**2 * y), w0, 0) == pytest.approx(s * unit, rel=1e-12)
+
 
 class TestNoDeactivationCertificate:
     def test_reference_start_certifies_everything(self, rng):
@@ -104,6 +112,20 @@ class TestNoDeactivationCertificate:
                 np.linalg.norm(w0 - w_gm)
             )
             assert no_deactivation_certificate(ds, w0, w_gm, j) == expected
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_interpolation_is_judged_relative_to_the_labels(self, scale):
+        # three data in d = 2 have no interpolant: at every scale the least-squares
+        # reference keeps 3.4% of the loss at the origin, 0.5 |y|^2, and is refused
+        x = np.array([[1.0, 0.2, 0.5], [0.3, 1.0, 0.4]])
+        ds = Dataset(x=x, y=scale * np.array([1.0, 2.0, 0.5]))
+        w_gm, _ = linear_least_squares(ds)
+        with pytest.raises(PreconditionError, match="not interpolating"):
+            no_deactivation_certificate(ds, w_gm + 1e-9, w_gm, 0)
+        # the first two data are interpolated, and still are by a point 1e-7 off relative
+        two = Dataset(x=x[:, :2], y=ds.y[:2])
+        w_two = np.linalg.solve(x[:, :2].T, two.y) * (1 + 1e-7)
+        assert no_deactivation_certificate(two, w_two, w_two, 0)
 
     def test_certified_data_never_deactivate(self, rng):
         for _ in range(25):
@@ -265,8 +287,9 @@ def stress_flow(s):
 
 
 def crossing_grams(ds, tr, pos):
-    """The active Gram matrices of the segments before and after event ``pos``."""
-    return [active_matrices(ds, tr.segments[pos + k].pattern)[0] for k in (0, 1)]
+    """The active Gram matrices of the faces event ``pos`` leaves and enters."""
+    ev = tr.events[pos]
+    return [active_matrices(ds, face[0])[0] for face in (ev.before, ev.after)]
 
 
 @pytest.fixture(scope="module")
@@ -331,14 +354,14 @@ class TestCrossingContext:
         # sides run their active columns projected off x_7, and the pre side
         # would read (1.0708, 0.0625) from the unprojected columns
         ds, tr = stress_flow(4)
-        seg = tr.segments[6]
-        assert (tr.events[6].index, seg.held, tr.segments[7].held) == (5, (7,), (7,))
+        ev = tr.events[6]
+        assert (ev.index, ev.before[1], ev.after[1]) == (5, (7,), (7,))
         ctx = crossing_context(ds, tr, 6)
         u = ds.x[:, 7] / np.linalg.norm(ds.x[:, 7])
-        cols = ds.x[:, seg.pattern.as_bool()]
-        cols = cols - np.outer(u, u @ cols)
+        active = ev.before[0].as_bool()
+        cols = ds.x[:, active] - np.outer(u, u @ ds.x[:, active])
         np.testing.assert_allclose(ctx.evals_pre, np.linalg.eigvalsh(cols @ cols.T)[::-1], atol=1e-12)
-        np.testing.assert_allclose(ctx.w_star_pre, lstsq_minnorm(cols, ds.y[seg.pattern.as_bool()]), atol=1e-12)
+        np.testing.assert_allclose(ctx.w_star_pre, lstsq_minnorm(cols, ds.y[active]), atol=1e-12)
         assert ctx.evals_pre[0] == pytest.approx(0.92924369, abs=1e-8)
         assert (ctx.rank_pre, ctx.rank_post) == (1, 1)
 

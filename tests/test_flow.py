@@ -200,13 +200,15 @@ class TestNormProfile:
 
     def test_a_zero_length_segment_is_skipped(self):
         # the flow of TestFaceRule::test_simultaneous_arrivals_log_one_event_each:
-        # its second segment has no length and no delta, which is not a stop
+        # its two events at one instant leave no segment of zero length, and
+        # the instant between them is not a stop
         ds = Dataset(
             x=np.array([[-0.9, 1.8, 0.7], [1.8, -0.9, 0.7], [-0.5, -0.5, 1.0]]),
             y=np.array([0.8, 0.8, 3.5]),
         )
         tr = simulate_flow(ds, np.array([0.3, 0.3, 0.7]))
-        assert (tr.segments[1].duration, float(np.linalg.norm(tr.segments[1].delta))) == (0.0, 0.0)
+        assert tr.events[0].t == tr.events[1].t
+        assert [seg.duration > 0.0 for seg in tr.segments] == [True, True]
         assert norm_certificate(tr) is None
         assert_norm_certificate_matches_oracle(tr)
 
@@ -430,6 +432,23 @@ class TestTrajectoryStructure:
             diff = [k for k in range(len(p)) if p[k] != q[k]]
             assert diff == [ev.index]
 
+    def test_events_chain_the_faces_of_the_segments(self):
+        # stress draws 0-299 include events at one instant, at t = 0 and on
+        # held faces: each segment runs on the face its last event entered
+        for s in range(300):
+            x, y, w0 = stress_draw(s)
+            try:
+                tr = simulate_flow(Dataset(x=x, y=y), w0)
+            except ReluFlowError:  # a refused flow has no trajectory
+                continue
+            for a, b in zip(tr.events, tr.events[1:]):
+                assert a.after == b.before, s
+            for seg in tr.segments:
+                assert seg.duration > 0.0, s
+                if tr.events:
+                    entered = [tr.events[0].before] + [ev.after for ev in tr.events if ev.t <= seg.t_start]
+                    assert entered[-1] == (seg.pattern, seg.held), s
+
     def test_events_sit_on_their_boundaries(self, trajectory, ds_reactivation):
         for ev in trajectory.events:
             xk = ds_reactivation.x[:, ev.index]
@@ -497,6 +516,21 @@ class TestGuards:
         tr = simulate_flow(ds_reactivation, w0)
         assert tr.terminal == "event-cap"
         assert len(tr.events) == 1
+
+    def test_a_run_capped_before_it_moves_keeps_one_segment(self, monkeypatch):
+        # lattice draw 3 (positive labels) starts with datum 2 on its
+        # boundary, so its first event is at t = 0; capped there, the run
+        # keeps the segment it closed, of zero length, and does not grow
+        rng = np.random.default_rng((91, 3))
+        d = int(rng.integers(2, 5))
+        n = int(rng.integers(d, 10))
+        x, y, w0 = rng.integers(-2, 3, (d, n)), rng.integers(1, 4, n), rng.integers(-2, 3, d)
+        ds = Dataset(x=x.astype(float), y=y.astype(float))
+        monkeypatch.setattr(flow_engine, "EVENT_CAP_FACTOR", 1 / (n * d))
+        tr = simulate_flow(ds, w0.astype(float))
+        assert tr.terminal == "event-cap" and [(e.t, e.index) for e in tr.events] == [(0.0, 2)]
+        assert [seg.duration for seg in tr.segments] == [0.0]
+        assert norm_certificate(tr) == (0, 0.0)
 
     def test_non_finite_start_is_rejected(self, ds_deactivation):
         with pytest.raises(PreconditionError):
@@ -654,8 +688,11 @@ class TestFaceRule:
         tr = simulate_flow(ds, np.array([0.3, 0.3, 0.7]))
         assert [(e.index, e.kind) for e in tr.events] == [(0, "activation"), (1, "activation")]
         assert tr.events[0].t == tr.events[1].t
-        assert len(tr.segments) == len(tr.events) + 1
-        assert tr.segments[1].duration == 0.0
+        # the instant between them is the face 101, which the flow never moves on
+        faces = [(ev.before[0].to_string(), ev.after[0].to_string()) for ev in tr.events]
+        assert faces == [("001", "101"), ("101", "111")]
+        assert tr.events[0].after == tr.events[1].before
+        assert [seg.pattern.to_string() for seg in tr.segments] == ["001", "111"]
         for pos, ev in enumerate(tr.events):
             ctx = crossing_context(ds, tr, pos)
             assert (ctx.index, ctx.rank_post) == (ev.index, ctx.rank_pre + 1)
@@ -697,7 +734,11 @@ class TestFaceRule:
         ds = Dataset(x=x, y=-np.abs(y))
         tr = simulate_flow(ds, w0)
         assert (ds.d, ds.n) == (2, 9)
-        assert [seg.held for seg in tr.segments[3:5]] == [(3,), (3,)]
+        assert tr.segments[3].held == (3,)
+        # datum 3 stays held until the events at the origin let it go
+        assert [ev.before[1] for ev in tr.events[3:5]] == [(3,), (3,)]
+        assert (tr.events[4].index, tr.events[4].after[1]) == (3, ())
+        np.testing.assert_allclose(tr.events[3].point, [0.0, 0.0], atol=1e-12)
         assert tr.segments[-1].pattern.bits == (0,) * 9 and tr.segments[-1].held == ()
         assert tr.terminal == "converged"
         np.testing.assert_allclose(tr.terminal_point, [0.0, 0.0], atol=1e-12)
@@ -827,6 +868,16 @@ class TestTrajectoryCsv:
         tr = simulate_flow(ds, np.array([0.4, 0.2, 0.5]))
         assert [seg.held for seg in tr.segments] == [(), (1,), (0, 1)]
         self.assert_matches_oracle(tr)
+
+    def test_simultaneous_events_write_no_row_between_them(self):
+        # the flow of TestFaceRule::test_simultaneous_arrivals_log_one_event_each
+        # passes the face 101 in no time, so no row lies on it
+        ds = Dataset(
+            x=np.array([[-0.9, 1.8, 0.7], [1.8, -0.9, 0.7], [-0.5, -0.5, 1.0]]),
+            y=np.array([0.8, 0.8, 3.5]),
+        )
+        pats = self.assert_matches_oracle(simulate_flow(ds, np.array([0.3, 0.3, 0.7])))
+        assert set(pats) == {"001", "111"}
 
     def test_flow_cut_by_the_horizon(self, ds_reactivation):
         tr = simulate_flow(ds_reactivation, np.array([1e-4, 5e-5, 8e-5]), t_max=10.0)

@@ -294,6 +294,36 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (out / "backprop.json").exists()
 
+    def test_an_overflow_is_reported_once(self, tmp_path):
+        # run as a process, so that a numpy warning would reach its stderr
+        import os
+        import subprocess
+        import sys
+
+        import reluflow
+
+        net_file = tmp_path / "net.json"
+        net_file.write_text(json.dumps({"weights": [[[1e200]], [[1e200]]]}))
+        src = str(Path(reluflow.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "reluflow.cli", "backprop", "--net", str(net_file), "--x", "1", "--y", "1",
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize("w0", ["1,,2", "1,2,", ""])
+    def test_an_empty_vector_field_is_an_error(self, w0, tmp_path, capsys):
+        argv = ["flow", "--dataset", str(fixture_path("example-5-1")), "--w0", w0, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot parse vector {w0!r}: could not convert string to float: ''\n"
+        assert not (tmp_path / "flow.csv").exists()
+
     def test_reproduce_and_campaign_exit_codes(self, tmp_path):
         assert (
             main(["reproduce", "example-5-2", "--out", str(tmp_path / "repro")]) == 0

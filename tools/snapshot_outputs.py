@@ -16,10 +16,13 @@ count, and on seeded normal (d, n) = (4, 10) and (5, 12) datasets,
 whose enumeration restricts to 3-D arrangements and whose rank-deficient
 patterns take the containment search in d >= 4, and on a positive (4, 10)
 ``random_dataset`` drawn as the first of the ``census-cells`` benchmark
-pool, most of whose minima are rank deficient; ``backprop`` on a small
-net; every campaign with ``--trials 20 --seed 3``; an unknown
-scenario and an unknown campaign; and ``reproduce example-5-2`` and
-``campaign crossing-bound`` with ``--seed -1``.  Each command gets a
+pool, most of whose minima are rank deficient; ``flow`` on a d=3 dataset
+whose data 0 and 1 reach their boundaries at one instant
+(``flow-simultaneous``); ``backprop`` on a small net and through weights
+of 1e200 (``backprop-overflow``); ``flow`` with an empty field in
+``--w0`` (``flow-empty-field``); every campaign with ``--trials 20
+--seed 3``; an unknown scenario and an unknown campaign; and ``reproduce
+example-5-2`` and ``campaign crossing-bound`` with ``--seed -1``.  Each command gets a
 directory ``OUT_DIR/<case>/`` holding its ``stdout``, ``stderr``,
 ``exit`` status and the files it wrote under ``out/``.  The case
 ``stress-flows`` runs ``simulate_flow`` in process on the 2,000 stress
@@ -64,6 +67,8 @@ COPIES = {
     "copies-d3": {"x": [[1.0, 0.0, 1.0], [1.0, 2.0, 1.0], [1.0, 0.0, 2.0], [1.0, 0.0, 1.0],
                         [-1.0, -2.0, -1.0], [0.0, 1.0, 0.0]], "y": [0.1, 0.2, 4.0, 0.3, -0.2, 0.1]},
 }
+# data 0 and 1 mirror each other across w1 = w2: from a start on that plane both activate at one instant
+SIMULTANEOUS = {"x": [[-0.9, 1.8, -0.5], [1.8, -0.9, -0.5], [0.7, 0.7, 1.0]], "y": [0.8, 0.8, 3.5]}
 
 
 def _run(out_dir: Path, case: str, args: list[str]) -> None:
@@ -222,6 +227,13 @@ def main(argv: list[str]) -> int:
     net = out_dir / "net.json"
     net.write_text(json.dumps(NET) + "\n", encoding="utf-8")
     _run(out_dir, "backprop", ["backprop", "--net", str(net), "--x", "1,2", "--y", "3"])
+    path = out_dir / "simultaneous.json"
+    path.write_text(json.dumps(SIMULTANEOUS) + "\n", encoding="utf-8")
+    _run(out_dir, "flow-simultaneous", ["flow", "--dataset", str(path), "--w0", "0.3,0.3,0.7"])
+    net = out_dir / "net-overflow.json"
+    net.write_text(json.dumps({"weights": [[[1e200]], [[1e200]]]}) + "\n", encoding="utf-8")
+    _run(out_dir, "backprop-overflow", ["backprop", "--net", str(net), "--x", "1", "--y", "1"])
+    _run(out_dir, "flow-empty-field", ["flow", "--dataset", str(DATA / "example_5_1.json"), "--w0", "1,,2"])
     for kind in CAMPAIGN_IDS:
         _run(out_dir, f"campaign-{kind}", ["campaign", kind, "--trials", "20", "--seed", "3"])
     _run(out_dir, "reproduce-unknown", ["reproduce", "example-9-9"])
