@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .criteria import bad_minimum_exclusion, no_deactivation_certificate
-from .dataset import Dataset, matrix_rank
+from .dataset import Dataset, check_count, matrix_rank
 from .deepnet import DeepNet, balancedness_drift, network_gradients
 from .errors import GeometryError, StructuralError
 from .expsum import TIE_RTOL
@@ -134,12 +134,7 @@ def _trial_no_deactivation(rng, index: int) -> TrialResult:
     direction = rng.normal(size=ds.d)
     direction /= float(np.linalg.norm(direction))
     w0 = w_gm + radius * rng.uniform(0.1, 1.0) * direction
-    certified = []
-    for j in range(ds.n):
-        if float(ds.x[:, j] @ w0) <= 0.0:
-            continue
-        if no_deactivation_certificate(ds, w0, w_gm, j):
-            certified.append(j)
+    certified = [j for j in range(ds.n) if no_deactivation_certificate(ds, w0, w_gm, j)]
     tr = simulate_flow(ds, w0)
     problems = []
     deactivated = {ev.index for ev in tr.events if ev.kind == "deactivation"}
@@ -240,7 +235,7 @@ def _trial_census_orderings(rng, index: int) -> TrialResult:
         c = clearance(ds, m.witness)
         active = m.pattern.as_bool()
         if np.any(c[active] < BOUNDARY_MARGIN):
-            problems.append(f"minimum {i} active margin below 1e-9")
+            problems.append(f"minimum {i} active margin below {BOUNDARY_MARGIN:g}")
         if np.any(c[~active] > 0.0):
             problems.append(f"minimum {i} has positive inactive gap")
     detail = "; ".join(problems) if problems else "; ".join(["ok"] + notes)
@@ -317,13 +312,9 @@ def run_campaign(kind: str, seed: int, trials: int | None = None) -> CampaignRep
     """Run a named campaign; deterministic under a fixed seed."""
     if kind not in _TRIALS:
         raise StructuralError(f"unknown campaign {kind!r}; choose from {CAMPAIGN_IDS}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise StructuralError(f"seed must be a nonnegative integer, got {seed!r}")
+    seed = check_count(seed, "seed")
     trial, default_trials = _TRIALS[kind]
-    if trials is None:
-        trials = default_trials
-    if not isinstance(trials, (int, np.integer)) or trials < 0:
-        raise StructuralError(f"trials must be a nonnegative integer, got {trials!r}")
+    trials = check_count(default_trials if trials is None else trials, "trials")
     rng = np.random.default_rng(seed)
     results = tuple(trial(rng, i) for i in range(trials))
     return CampaignReport(kind=kind, seed=seed, trials=trials, results=results)

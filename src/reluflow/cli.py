@@ -66,6 +66,13 @@ def _load(args):
     return ds
 
 
+def _descent(args) -> tuple[float, int]:
+    """``--lr`` and ``--iters``, which only ``--engine gd`` reads: given without it, refused."""
+    if args.engine != "gd" and (args.lr is not None or args.iters is not None):
+        raise ReluFlowError("--lr and --iters need --engine gd")
+    return (0.005 if args.lr is None else args.lr), (20000 if args.iters is None else args.iters)
+
+
 def _cmd_validate(args) -> int:
     ds = _load(args)
     require = args.require.split(",") if args.require else ["A1", "A2", "A3"]
@@ -100,15 +107,15 @@ def _run_and_store(args) -> int:
     if args.w0 is None:
         raise ReluFlowError("--w0 v1,v2,... is required")
     w0 = _parse_vector(args.w0)
-    out = _out_dir(args)
     gd = not args.linear and args.engine == "gd"
     if args.linear:
         tr = simulate_linear_flow(ds, w0)
     elif gd:
-        tr = simulate_gd(ds, w0, args.lr, args.iters)
+        tr = simulate_gd(ds, w0, *_descent(args))
     else:
+        _descent(args)  # refuses the descent options
         tr = simulate_flow(ds, w0, t_max=args.t_max)
-    write_run(out, "linear-flow" if args.linear else "flow", tr)
+    write_run(_out_dir(args), "linear-flow" if args.linear else "flow", tr)
     if gd:
         summary = {
             "engine": "gd",
@@ -140,12 +147,7 @@ def _cmd_criteria(args) -> int:
         if loss(ds, w_gm) > INTERPOLATION_RTOL * 0.5 * float(ds.y @ ds.y):
             raise ReluFlowError("data admits no interpolating solution; pass --w-gm explicitly")
     census = minima_census(ds)
-    per_index = {}
-    for j in range(ds.n):
-        if float(ds.x[:, j] @ w0) <= 0.0:
-            per_index[str(j)] = None  # certificate undefined: datum starts deactivated
-        else:
-            per_index[str(j)] = no_deactivation_certificate(ds, w0, w_gm, j)
+    per_index = {str(j): no_deactivation_certificate(ds, w0, w_gm, j) for j in range(ds.n)}
     excluded = bad_minimum_exclusion(ds, w0, w_gm, census)
     exclusion = []
     for i, m in enumerate(census.minima):
@@ -209,14 +211,9 @@ def _cmd_backprop(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    lr, iters = _descent(args)
     scenario = scen.builtin_scenario(args.name, seed=args.seed)
-    result = scen.run_scenario(
-        scenario,
-        _out_dir(args),
-        engine=args.engine,
-        lr=args.lr,
-        iters=args.iters,
-    )
+    result = scen.run_scenario(scenario, _out_dir(args), engine=args.engine, lr=lr, iters=iters)
     for name, ok, detail in result.checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {result.name}: {name} ({detail})")
     return 0 if result.passed else 1
@@ -252,8 +249,8 @@ def _add_common(p, dataset=False, flow=False, horizon=False, engine=False, seed=
         p.add_argument("--out", default="reluflow-out", help="output directory")
     if engine:
         p.add_argument("--engine", choices=("exact", "gd"), default="exact")
-        p.add_argument("--lr", type=float, default=0.005)
-        p.add_argument("--iters", type=int, default=20000)
+        p.add_argument("--lr", type=float, help="descent step, with --engine gd (default 0.005)")
+        p.add_argument("--iters", type=int, help="descent iterations, with --engine gd (default 20000)")
 
 
 def build_parser() -> argparse.ArgumentParser:

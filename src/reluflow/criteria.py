@@ -66,17 +66,17 @@ def _protected(ds: Dataset, w0: np.ndarray, w_gm: np.ndarray) -> np.ndarray:
     return ds.y / np.linalg.norm(ds.x, axis=0) > float(np.linalg.norm(w0 - w_gm))
 
 
-def no_deactivation_certificate(ds: Dataset, w0, w_gm, j: int) -> bool:
+def no_deactivation_certificate(ds: Dataset, w0, w_gm, j: int) -> bool | None:
     """True iff datum j is provably activated along the whole flow from w0.
 
-    Requires an interpolating reference point and an initially activated
-    datum; the certificate compares the datum's label-to-norm ratio with
-    the initialization's distance to the reference.
+    Requires an interpolating reference point; the certificate compares the
+    datum's label-to-norm ratio with the initialization's distance to the
+    reference.  It speaks only of data activated at w0: for any other it is None.
     """
     w0, j = check_point(ds, w0), _datum(ds, j)
     protected = _protected(ds, w0, w_gm)
     if float(ds.x[:, j] @ w0) <= 0.0:
-        raise PreconditionError(f"datum {j} is not activated at w0")
+        return None
     return bool(protected[j])
 
 

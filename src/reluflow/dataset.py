@@ -50,16 +50,6 @@ def matrix_rank(x: np.ndarray) -> int:
     return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def _assumption_failures(x: np.ndarray, y: np.ndarray) -> dict[str, tuple[int, ...]]:
-    """Offending column indices per assumption, ``()`` where it holds (A3 reports
-    no indices: ``None`` marks its failure)."""
-    d = x.shape[0]
-    a1 = tuple(int(i) for i in np.nonzero(np.any(x < 0.0, axis=0))[0])
-    a2 = tuple(int(i) for i in np.nonzero(~(y > 0.0))[0])
-    a3 = () if matrix_rank(x) == d else None  # None marks a rank failure
-    return {"A1": a1, "A2": a2, "A3": a3}
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable training set: ``x`` holds inputs as columns, ``y`` labels.
@@ -93,19 +83,13 @@ class Dataset:
             bad = np.nonzero(norms == 0.0)[0].tolist()
             raise StructuralError(f"zero input column(s) at indices {bad}")
         flags = frozenset(self.assumptions)
-        unknown = flags - set(ASSUMPTIONS)
-        if unknown:
-            raise StructuralError(f"unknown assumption flags: {sorted(unknown)}")
-        fails = _assumption_failures(x, y)
-        for flag in sorted(flags):
-            bad = fails[flag]
+        report = _assumption_report(x, y, flags)
+        for flag in report.required:
+            if report.held[flag]:
+                continue
             if flag == "A3":
-                if bad is None:
-                    raise StructuralError(
-                        f"A3 asserted but rank(x) = {matrix_rank(x)} < d = {x.shape[0]}"
-                    )
-            elif bad:
-                raise StructuralError(f"{flag} asserted but violated at indices {list(bad)}")
+                raise StructuralError(f"A3 asserted but rank(x) = {report.rank} < d = {report.d}")
+            raise StructuralError(f"{flag} asserted but violated at indices {list(report.failures[flag])}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "assumptions", flags)
@@ -129,6 +113,14 @@ def check_point(ds: Dataset, w, name: str = "w0") -> np.ndarray:
     return w
 
 
+def check_count(value, name: str) -> int:
+    """``value`` as an ``int`` when it is a nonnegative integer (a bool is not), else a
+    ``StructuralError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise StructuralError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Per-assumption outcome of :func:`validate_dataset`.
@@ -148,6 +140,30 @@ class ValidationReport:
         return asdict(self)
 
 
+def _assumption_report(x: np.ndarray, y: np.ndarray, require) -> ValidationReport:
+    """Check the assumption flags ``require`` against inputs ``x`` and labels ``y``."""
+    require = tuple(sorted(set(require)))
+    unknown = set(require) - set(ASSUMPTIONS)
+    if unknown:
+        raise StructuralError(f"unknown assumption flags: {sorted(unknown)}")
+    rank = matrix_rank(x)
+    # A3 failures carry no column indices; the deficient rank is reported instead.
+    offending = {
+        "A1": tuple(np.flatnonzero(np.any(x < 0.0, axis=0)).tolist()),
+        "A2": tuple(np.flatnonzero(~(y > 0.0)).tolist()),
+        "A3": (),
+    }
+    held = {flag: rank == x.shape[0] if flag == "A3" else not offending[flag] for flag in require}
+    return ValidationReport(
+        required=require,
+        held=held,
+        failures={flag: offending[flag] for flag in require},
+        rank=rank,
+        d=x.shape[0],
+        passed=all(held.values()),
+    )
+
+
 def validate_dataset(ds: Dataset, require=ASSUMPTIONS) -> ValidationReport:
     """Check the required assumption flags against the data.
 
@@ -155,29 +171,13 @@ def validate_dataset(ds: Dataset, require=ASSUMPTIONS) -> ValidationReport:
     mismatch, zero columns) are rejected by the :class:`Dataset` constructor
     itself and never reach this report.
     """
-    require = tuple(sorted(set(require)))
-    unknown = set(require) - set(ASSUMPTIONS)
-    if unknown:
-        raise StructuralError(f"unknown assumption flags: {sorted(unknown)}")
-    fails = _assumption_failures(ds.x, ds.y)
-    rank = matrix_rank(ds.x)
-    # A3 failures carry no column indices; the deficient rank is reported instead.
-    failures = {flag: fails[flag] or () for flag in require}
-    held = {flag: fails[flag] == () for flag in require}
-    return ValidationReport(
-        required=require,
-        held=held,
-        failures=failures,
-        rank=rank,
-        d=ds.d,
-        passed=all(held.values()),
-    )
+    return _assumption_report(ds.x, ds.y, require)
 
 
 def augment_bias(ds: Dataset) -> Dataset:
     """Append a constant-1 input coordinate so a bias term becomes a weight."""
     x_new = np.vstack([ds.x, np.ones(ds.n)])
-    held = validate_dataset(Dataset(x=x_new, y=ds.y)).held
+    held = _assumption_report(x_new, ds.y, ASSUMPTIONS).held
     return Dataset(x=x_new, y=ds.y, assumptions=frozenset(flag for flag, ok in held.items() if ok))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import freeze_fields
+from .dataset import check_count, freeze_fields
 from .errors import PreconditionError, StructuralError
 
 
@@ -181,8 +181,7 @@ def balancedness_drift(
     """
     if not (np.isfinite(step) and step > 0.0):
         raise PreconditionError(f"step must be positive and finite, got {step!r}")
-    if not isinstance(iters, (int, np.integer)) or iters < 0:
-        raise PreconditionError(f"iters must be a nonnegative integer, got {iters!r}")
+    iters = check_count(iters, "iters")
     step = np.float64(step)  # so that step**2 overflows to inf, not OverflowError
     weights = [w.copy() for w in net.weights]
     l = len(weights)

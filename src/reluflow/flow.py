@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, check_point, freeze_fields, matrix_rank
+from .dataset import Dataset, check_count, check_point, freeze_fields, matrix_rank
 from .errors import NumericalError, PreconditionError
 from .expsum import TERMINAL_HORIZON_RATES, TIE_RTOL, ExpSum, RootBatch
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, active_matrices, clearance
@@ -353,19 +353,21 @@ def simulate_flow(ds: Dataset, w0, t_max: float = math.inf) -> Trajectory:
     while terminal is None:
         seg = _segment_from(ds, face[0], w, t, face[1])
         candidates = _boundary_candidates(ds, seg)
-        if not candidates:
-            segments.append(seg)
-            terminal = _classify_limit(ds, seg)
-            terminal_point = seg.target
-            break
-        # the candidates tied with the earliest join B; the lowest index sets the time
-        tau_min = min(c.tau for c in candidates)
-        tied = [c for c in candidates if c.tau <= tau_min + TIE_RTOL * max(1.0, tau_min)]
-        tau = min(tied, key=lambda c: c.index).tau
+        tau = math.inf  # no event follows
+        if candidates:
+            # the candidates tied with the earliest join B; the lowest index sets the time
+            tau_min = min(c.tau for c in candidates)
+            tied = [c for c in candidates if c.tau <= tau_min + TIE_RTOL * max(1.0, tau_min)]
+            tau = min(tied, key=lambda c: c.index).tau
         if t + tau > t_max:
             segments.append(replace(seg, t_end=t_max))
             terminal = "horizon"
             terminal_point = seg.value_local(t_max - t)
+            break
+        if not candidates:
+            segments.append(seg)
+            terminal = _classify_limit(ds, seg)
+            terminal_point = seg.target
             break
         w_ev = seg.value_local(tau)
         if not np.all(np.isfinite(w_ev)):
@@ -488,8 +490,7 @@ def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
     w = check_point(ds, w0).copy()
     if not (np.isfinite(lr) and lr > 0.0):
         raise PreconditionError("lr must be positive and finite")
-    if not isinstance(iters, (int, np.integer)) or iters < 0:
-        raise PreconditionError(f"iters must be a nonnegative integer, got {iters!r}")
+    iters = check_count(iters, "iters")
     iterates = [w.copy()]
     events = []
     bits = tuple((ds.x.T @ w > 0.0).tolist())

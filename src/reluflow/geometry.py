@@ -23,8 +23,8 @@ from .errors import GeometryError, SizeError, StructuralError
 
 # A point clears a datum's boundary when its relative clearance (see
 # ``clearance``) is at least BOUNDARY_MARGIN in size.  It decides feasible
-# patterns, converged limits, contained minimizers and matched minima, and
-# which data share one hyperplane (``hyperplane_classes``).
+# patterns, converged limits and contained minimizers, and which data share
+# one hyperplane (``hyperplane_classes``).
 BOUNDARY_MARGIN = 1e-9
 
 # Enumeration guard: datasets whose partition_count_bound exceeds this are refused.

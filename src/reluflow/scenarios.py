@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dataset import Dataset, RANK_RTOL, as_readonly, load_dataset, write_json
+from .dataset import Dataset, RANK_RTOL, as_readonly, check_count, load_dataset, write_json
 from .errors import StructuralError
 from .flow import (
     Trajectory,
@@ -221,8 +221,7 @@ SCENARIO_NAMES = tuple(_BUILDERS)
 
 def builtin_scenario(name: str, seed: int = DEFAULT_SEED) -> Scenario:
     """Scenario ``name`` on its packaged fixture; ``seed`` draws the seeded starts."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise StructuralError(f"seed must be a nonnegative integer, got {seed!r}")
+    seed = check_count(seed, "seed")
     ds = fixture_dataset(name)
     runs, expectations = _BUILDERS[name](ds, seed)
     starts = {label: as_readonly(w0) for label, w0 in runs.items()}

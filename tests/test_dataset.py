@@ -1,11 +1,15 @@
 """Dataset validation, assumption flags, JSON I/O, and loss and flow invariance
 off the span of the data."""
 
+import re
+
 import numpy as np
 import pytest
 
 from reluflow.dataset import (
     Dataset,
+    augment_bias,
+    check_count,
     dataset_from_json,
     dataset_to_json,
     load_dataset,
@@ -52,6 +56,29 @@ class TestValidation:
                 y=np.array([-2.0]),
                 assumptions=frozenset({"A2"}),
             )
+
+    @pytest.mark.parametrize("flags, message", [
+        ({"A1", "A2"}, r"A1 asserted but violated at indices \[1\]"),
+        ({"A2"}, r"A2 asserted but violated at indices \[0, 2\]"),
+        ({"A3"}, r"A3 asserted but rank\(x\) = 1 < d = 2"),
+        ({"A1", "A4"}, r"unknown assumption flags: \['A4'\]"),
+    ])
+    def test_construction_reports_the_first_failing_flag(self, flags, message):
+        x, y = np.array([[1.0, -2.0, 3.0], [1.0, -2.0, 3.0]]), np.array([-1.0, 1.0, 0.0])
+        with pytest.raises(StructuralError, match=message):
+            Dataset(x=x, y=y, assumptions=frozenset(flags))
+        with pytest.raises(StructuralError, match="unknown assumption flags"):
+            validate_dataset(Dataset(x=x, y=y), require={"A4"})
+        report = validate_dataset(Dataset(x=x, y=y))
+        assert report.held == {"A1": False, "A2": False, "A3": False}
+        assert report.failures == {"A1": (1,), "A2": (0, 2), "A3": ()}
+        assert (report.rank, report.d, report.passed) == (1, 2, False)
+
+    def test_augment_bias_asserts_the_flags_its_data_meet(self):
+        ds = Dataset(x=np.array([[1.0, 2.0, 0.5]]), y=np.array([1.0, 2.0, 1.0]), assumptions=frozenset({"A1"}))
+        assert augment_bias(ds).assumptions == {"A1", "A2", "A3"}
+        ds = Dataset(x=np.array([[1.0, 2.0], [3.0, -1.0]]), y=np.array([1.0, -2.0]))
+        assert augment_bias(ds).assumptions == frozenset()
 
     def test_json_round_trip(self, ds_reactivation):
         clone = dataset_from_json(dataset_to_json(ds_reactivation))
@@ -119,3 +146,13 @@ class TestReductionInvariants:
             for _, w in sample_trajectory(tr, 40):
                 disp = w - w0
                 assert np.max(np.abs(p @ disp - disp)) <= 1e-8
+
+
+class TestCheckCount:
+    def test_a_count_is_a_nonnegative_integer_and_comes_back_as_int(self):
+        for value in (0, 3, np.int64(3), np.uint8(3)):
+            assert type(check_count(value, "n")) is int and check_count(value, "n") == value
+        for value in (True, False, np.True_, 2.5, 3.0, -1, np.int64(-1), "3", None):
+            with pytest.raises(StructuralError, match=re.escape(f"n must be a nonnegative integer, got {value!r}")):
+                check_count(value, "n")
+

@@ -162,8 +162,8 @@ class TestBalancedness:
         for step in (np.nan, np.inf, 0.0, -1e-3):
             with pytest.raises(PreconditionError, match="step must be positive and finite"):
                 balancedness_drift(net, x, y, step, 5)
-        for iters in (-1, 1.5):
-            with pytest.raises(PreconditionError, match="iters must be a nonnegative integer"):
+        for iters in (True, -1, 1.5, "3"):
+            with pytest.raises(StructuralError, match="iters must be a nonnegative integer"):
                 balancedness_drift(net, x, y, 1e-3, iters)
         assert balancedness_drift(net, x, y, 1e-3, np.int64(2)).losses.shape == (3,)
         with np.errstate(over="ignore", invalid="ignore"):

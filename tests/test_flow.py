@@ -559,6 +559,20 @@ class TestGuards:
         # a run whose last segment is open to infinity reaches its limit
         np.testing.assert_array_equal(full.at(np.inf), full.terminal_point)
 
+    def test_a_horizon_before_the_limit_stops_a_run_with_no_event(self):
+        # x = I, y = (1, 2): from (0.5, 0.5) no datum ever reaches its boundary
+        ds = Dataset(x=np.eye(2), y=np.array([1.0, 2.0]))
+        w0 = np.array([0.5, 0.5])
+        assert simulate_flow(ds, w0).terminal == "converged"
+        tr = simulate_flow(ds, w0, t_max=1e-3)
+        assert tr.terminal == "horizon" and tr.events == ()
+        (seg,) = tr.segments
+        assert seg.t_end == 1e-3
+        np.testing.assert_array_equal(tr.terminal_point, seg.value_local(1e-3))
+        np.testing.assert_allclose(tr.terminal_point, [1.0, 2.0] - np.array([0.5, 1.5]) * np.exp(-1e-3), rtol=1e-14)
+        with pytest.raises(PreconditionError, match="past the end of a run that ended horizon"):
+            tr.at(50.0)
+
 
 class TestConvergenceBound:
     def test_rescaled_data_keep_a_stationary_limit_converged(self):
@@ -814,9 +828,11 @@ class TestDescentProxy:
             simulate_gd(ds_deactivation, [np.nan, 1.0, 0.0], 0.01, 5)
         with pytest.raises(StructuralError):
             simulate_gd(ds_deactivation, [1.0, 0.0], 0.01, 5)
-        for lr, iters in ((0.0, 5), (-0.01, 5), (np.inf, 5), (0.01, -1)):
+        for lr in (0.0, -0.01, np.inf):
             with pytest.raises(PreconditionError):
-                simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], lr, iters)
+                simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], lr, 5)
+        with pytest.raises(StructuralError):
+            simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, -1)
         assert len(simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, 0).iterates) == 1
 
     def test_negative_time_is_rejected_like_the_exact_engine(self, ds_deactivation):
@@ -837,8 +853,10 @@ class TestDescentProxy:
         np.testing.assert_array_equal(run.at(1e308), run.iterates[-1])
 
     def test_fractional_iteration_count_is_rejected(self, ds_deactivation):
-        with pytest.raises(PreconditionError, match="integer"):
-            simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, 2.5)
+        for iters in (True, 2.5, "3"):
+            with pytest.raises(StructuralError, match="iters must be a nonnegative integer"):
+                simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, iters)
+        assert len(simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, np.int64(3)).iterates) == 4
 
 
 class TestTrajectoryCsv:

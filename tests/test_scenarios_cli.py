@@ -12,7 +12,7 @@ import pytest
 
 from reluflow import scenarios
 from reluflow.campaigns import run_campaign
-from reluflow.cli import build_parser, main
+from reluflow.cli import _descent, build_parser, main
 from reluflow.dataset import save_dataset
 from reluflow.errors import StructuralError
 from reluflow.flow import Trajectory, write_run
@@ -60,7 +60,7 @@ class TestFixtures:
 
     @pytest.mark.parametrize("name", ["example-5-1", "example-5-2", "example-5-3"])
     def test_seed_must_be_a_nonnegative_integer(self, name):
-        for seed in (-1, 1.5, "3"):
+        for seed in (True, -1, 1.5, "3"):
             with pytest.raises(StructuralError, match="seed must be a nonnegative integer"):
                 builtin_scenario(name, seed=seed)
         assert builtin_scenario(name, seed=np.int64(3)).name == name
@@ -136,16 +136,21 @@ class TestCampaignInterface:
             run_campaign("does-not-exist", seed=0, trials=1)
 
     def test_seed_must_be_a_nonnegative_integer(self):
-        for seed in (-1, 1.5):
+        for seed in (True, -1, 1.5, "3"):
             with pytest.raises(StructuralError, match="seed must be a nonnegative integer"):
                 run_campaign("crossing-bound", seed=seed, trials=1)
         assert run_campaign("crossing-bound", seed=np.int64(3), trials=1).trials == 1
 
     def test_trials_must_be_a_nonnegative_integer(self):
-        for trials in (-1, 1.5, "2"):
+        for trials in (True, -1, 1.5, "2"):
             with pytest.raises(StructuralError, match="trials must be a nonnegative integer"):
                 run_campaign("crossing-bound", seed=0, trials=trials)
         assert len(run_campaign("crossing-bound", seed=0, trials=np.int64(2)).results) == 2
+
+    def test_a_numpy_seed_is_written_as_an_integer(self):
+        report = run_campaign("crossing-bound", np.int64(3), trials=1)
+        assert json.loads(json.dumps(report.to_json()))["seed"] == 3
+        assert type(report.seed) is int and type(report.trials) is int
 
     def test_deterministic_under_seed(self):
         a = run_campaign("crossing-bound", seed=9, trials=10)
@@ -449,6 +454,24 @@ class TestCli:
         argv = ["flow", "--dataset", str(dataset_file), "--w0", "1,0,0", "--engine", "gd"]
         assert main(argv + ["--lr", "0", "--out", str(tmp_path)]) == 2
         assert "lr must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--lr", "0"], ["--iters", "-5"], ["--engine", "exact", "--lr", "0.01"]])
+    @pytest.mark.parametrize("command", ["flow", "reproduce"])
+    def test_descent_options_need_the_descent_engine(self, command, option, dataset_file, tmp_path, capsys):
+        if command == "flow":
+            argv = ["flow", "--dataset", str(dataset_file), "--w0", "0.0001,0.00005,0.00008"]
+        else:
+            argv = ["reproduce", "example-5-2"]
+        assert main(argv + option + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: --lr and --iters need --engine gd\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["flow"], ["reproduce", "example-5-2"]])
+    def test_the_descent_engine_keeps_its_defaults(self, command):
+        args = build_parser().parse_args(command + ["--engine", "gd"])
+        assert _descent(args) == (0.005, 20000)
+        args = build_parser().parse_args(command + ["--engine", "gd", "--lr", "0.5", "--iters", "7"])
+        assert _descent(args) == (0.5, 7)
 
     def test_each_subcommand_takes_only_the_options_it_reads(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -9,7 +9,9 @@ commands: ``reproduce`` for each built-in scenario with ``--engine exact``
 and with ``--engine gd --iters 3000``; ``validate``, ``landscape``,
 ``flow`` (exact and gd), ``linear-flow`` and ``criteria`` on each bundled
 fixture, and ``flow`` and ``criteria`` with ``--t-max 0.001`` on
-``example_5_2.json``; ``landscape`` on a d=2 and a d=3 dataset that each
+``example_5_2.json``; ``flow`` with ``--t-max 0.001`` on a d=2 dataset
+whose flow meets no event (``flow-t-max-no-event``); ``flow --lr 0``
+without ``--engine`` (``flow-lr-exact``); ``landscape`` on a d=2 and a d=3 dataset that each
 hold an exact copy and a negative copy of a column; ``landscape`` on a
 seeded d=3, n=22 dataset, whose census is checked against its cell
 count, and on seeded normal (d, n) = (4, 10) and (5, 12) datasets,
@@ -24,7 +26,9 @@ of 1e200 (``backprop-overflow``); ``flow`` with an empty field in
 --seed 3``; an unknown scenario and an unknown campaign; and ``reproduce
 example-5-2`` and ``campaign crossing-bound`` with ``--seed -1``.  Each command gets a
 directory ``OUT_DIR/<case>/`` holding its ``stdout``, ``stderr``,
-``exit`` status and the files it wrote under ``out/``.  The case
+``exit`` status and the files it wrote under ``out/``; the captured
+``stdout`` and ``stderr`` name that directory as ``<out>``, so snapshots
+made in two places compare equal.  The case
 ``stress-flows`` runs ``simulate_flow`` in process on the 2,000 stress
 draws (see :func:`stress_draw`) and writes one ``stdout`` line per draw:
 its verdict, or the error's type and message, with the ``repr`` of each
@@ -69,6 +73,8 @@ COPIES = {
 }
 # data 0 and 1 mirror each other across w1 = w2: from a start on that plane both activate at one instant
 SIMULTANEOUS = {"x": [[-0.9, 1.8, -0.5], [1.8, -0.9, -0.5], [0.7, 0.7, 1.0]], "y": [0.8, 0.8, 3.5]}
+# x = I, y = (1, 2): the flow from (0.5, 0.5) meets no event and converges to (1, 2)
+NO_EVENT = {"x": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 2.0]}
 
 
 def _run(out_dir: Path, case: str, args: list[str]) -> None:
@@ -87,8 +93,8 @@ def _run(out_dir: Path, case: str, args: list[str]) -> None:
         text=True,
         check=False,
     )
-    (case_dir / "stdout").write_text(proc.stdout, encoding="utf-8")
-    (case_dir / "stderr").write_text(proc.stderr, encoding="utf-8")
+    (case_dir / "stdout").write_text(proc.stdout.replace(str(files), "<out>"), encoding="utf-8")
+    (case_dir / "stderr").write_text(proc.stderr.replace(str(files), "<out>"), encoding="utf-8")
     (case_dir / "exit").write_text(f"{proc.returncode}\n", encoding="utf-8")
 
 
@@ -205,6 +211,10 @@ def main(argv: list[str]) -> int:
     data = ["--dataset", str(DATA / "example_5_2.json"), "--w0", W0[3], "--t-max", "0.001"]
     _run(out_dir, "flow-t-max", ["flow", *data])
     _run(out_dir, "criteria-t-max", ["criteria", *data])
+    path = out_dir / "no-event.json"
+    path.write_text(json.dumps(NO_EVENT) + "\n", encoding="utf-8")
+    _run(out_dir, "flow-t-max-no-event", ["flow", "--dataset", str(path), "--w0", "0.5,0.5", "--t-max", "0.001"])
+    _run(out_dir, "flow-lr-exact", ["flow", *data[:4], "--lr", "0"])
     for name, obj in COPIES.items():
         path = out_dir / f"{name}.json"
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
