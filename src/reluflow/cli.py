@@ -67,9 +67,11 @@ def _load(args):
 
 
 def _descent(args) -> tuple[float, int]:
-    """``--lr`` and ``--iters``, which only ``--engine gd`` reads: given without it, refused."""
+    """The descent options, refused where they do not apply: ``--lr`` and ``--iters`` need ``--engine gd``."""
     if args.engine != "gd" and (args.lr is not None or args.iters is not None):
         raise ReluFlowError("--lr and --iters need --engine gd")
+    if args.engine == "gd" and getattr(args, "t_max", math.inf) != math.inf:  # the proxy has no horizon
+        raise ReluFlowError("--t-max needs --engine exact")
     return (0.005 if args.lr is None else args.lr), (20000 if args.iters is None else args.iters)
 
 

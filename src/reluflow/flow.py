@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -598,16 +599,18 @@ def segment_root_counts(tr: Trajectory, v, c: float) -> list[tuple[int, int]]:
     return [(len(f.roots()), f.n_terms) for f in sums]
 
 
-def revisit_report(tr: Trajectory) -> tuple[int, ...]:
-    """Data indices deactivated and later activated again (empty = no revisit)."""
-    deactivated_at: dict[int, float] = {}
-    revisited: set[int] = set()
+def revisit_report(tr: Trajectory | GDRun) -> tuple[int, ...]:
+    """Data indices that are active, later off (neither active nor held) and later active again
+    (empty = no revisit), each datum's states read from its events' ``before`` and ``after`` faces;
+    a descent proxy's events carry no faces and turn their datum on or off."""
+    states: dict[int, str] = {}  # each datum's states in order: 1 on, 0 off, h held
     for ev in tr.events:
-        if ev.kind == "deactivation":
-            deactivated_at.setdefault(ev.index, ev.t)
-        elif ev.kind == "activation" and ev.index in deactivated_at:
-            revisited.add(ev.index)
-    return tuple(sorted(revisited))
+        j, on = ev.index, ev.kind == "activation"
+        for face, state in ((ev.before, "0" if on else "1"), (ev.after, "1" if on else "0")):
+            if face is not None:
+                state = "1" if face[0].bits[j] else "h" if j in face[1] else "0"
+            states[j] = states.get(j, "") + state
+    return tuple(sorted(j for j, seq in states.items() if re.search("1.*0.*1", seq)))
 
 
 def events_to_jsonl(tr: Trajectory | GDRun) -> str:

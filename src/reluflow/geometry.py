@@ -212,48 +212,46 @@ def region_count(cols: np.ndarray) -> int:
     return 2 + sum(region_count(bases[k].T @ unit[:, :k]) for k in range(1, unit.shape[1]))
 
 
-def _sweep_2d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exact d=2 sweep of distinct hyperplanes: the midpoints of the arcs
-    between consecutive boundary angles, and one product for every arc's
-    clearance (kept above BOUNDARY_MARGIN) and sign vector."""
-    unit = x / np.linalg.norm(x, axis=0)
-    thetas = [math.atan2(x[1, i], x[0, i]) for i in range(x.shape[1])]
-    angles = sorted((t + half) % (2.0 * math.pi) for t in thetas for half in (math.pi / 2.0, -math.pi / 2.0))
-    mids = [0.5 * (a + b) for a, b in zip(angles, angles[1:] + [angles[0] + 2.0 * math.pi])]
-    w = np.array([[math.cos(mid) for mid in mids], [math.sin(mid) for mid in mids]])
-    w = w[:, np.min(np.abs(unit.T @ w), axis=0) > BOUNDARY_MARGIN]
-    return (x.T @ w > 0.0).T, w
+def _sweep_2d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact d=2 sweep of g stacks of k distinct hyperplanes (g, 2, k): the (g, 2, 2k) arc
+    midpoints between consecutive boundary angles (math.atan2, cos, sin), each arc's (g, 2k, k)
+    sign vector, and (g, 2k) True where its clearance is above BOUNDARY_MARGIN."""
+    g, _, k = x.shape
+    unit = x / np.linalg.norm(x, axis=1)[:, None, :]
+    thetas = np.array(list(map(math.atan2, x[:, 1].ravel().tolist(), x[:, 0].ravel().tolist()))).reshape(g, k)
+    angles = np.sort(np.hstack([(thetas + half) % (2.0 * math.pi) for half in (math.pi / 2.0, -math.pi / 2.0)]))
+    mids = (0.5 * (angles + np.hstack([angles[:, 1:], angles[:, :1] + 2.0 * math.pi]))).ravel().tolist()
+    w = np.array([list(map(math.cos, mids)), list(map(math.sin, mids))]).reshape(2, g, 2 * k).transpose(1, 0, 2)
+    ok = np.min(np.abs(np.matmul(unit.transpose(0, 2, 1), w)), axis=1) > BOUNDARY_MARGIN
+    return np.matmul(x.transpose(0, 2, 1), w).transpose(0, 2, 1) > 0.0, w, ok
 
 
-def arrangement_cells(cols: np.ndarray, target: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def arrangement_cells(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every cell of the central arrangement of the columns' hyperplanes as (m, k)
-    sign-vector rows (True on the active side) and (d, m) unit witness columns, or
-    with a boolean ``target`` row only that sign vector's cell (none when it is empty).
+    sign-vector rows (True on the active side) and (d, m) unit witness columns.
     A column takes its ``hyperplane_classes`` class's sign, flipped when antiparallel;
     of distinct hyperplanes, two rows give the sweep, more are reduced to their span."""
     unit = cols / np.linalg.norm(cols, axis=0)
     reps, classes = hyperplane_classes(unit)
     if len(reps) < len(classes):
-        keys, w = arrangement_cells(cols[:, reps], None if target is None else target[reps])
-        keys = keys[:, [c for c, _ in classes]] != np.array([flip for _, flip in classes])
-    elif unit.shape[0] == 2:
-        keys, w = _sweep_2d(cols)
-    else:
-        u, s, _ = np.linalg.svd(unit, full_matrices=False)
-        if (r := int(np.sum(s > RANK_RTOL * s[0]))) < unit.shape[0]:
-            keys, w = arrangement_cells(u[:, :r].T @ unit, target)
-            return keys, u[:, :r] @ w
-        return _insert_columns(unit) if target is None else _walk_to(unit, target)
-    hit = np.ones(len(keys), dtype=bool) if target is None else np.all(keys == target, axis=1)
-    return keys[hit], w[:, hit]
+        keys, w = arrangement_cells(cols[:, reps])
+        return keys[:, [c for c, _ in classes]] != np.array([flip for _, flip in classes]), w
+    if unit.shape[0] == 2:
+        keys, w, ok = _sweep_2d(cols[None])
+        return keys[0][ok[0]], w[0][:, ok[0]]
+    u, s, _ = np.linalg.svd(unit, full_matrices=False)
+    if (r := int(np.sum(s > RANK_RTOL * s[0]))) < unit.shape[0]:
+        keys, w = arrangement_cells(u[:, :r].T @ unit)
+        return keys, u[:, :r] @ w
+    return _insert_columns(unit)
 
 
-def _split(earlier: np.ndarray, uk: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Columns ``v`` on uk's hyperplane, each moved off it by half its least clearance on
-    ``earlier``: the True sides, then the False sides, as unit columns."""
-    step = 0.5 * np.min(np.abs(earlier.T @ v), axis=0) * uk[:, None]
-    sides = np.hstack([v + step, v - step])
-    return sides / np.linalg.norm(sides, axis=0)
+def _split(least: np.ndarray, uk: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Columns ``v`` on uk's hyperplane, each moved off it by half its ``least`` clearance on
+    the earlier columns: the True sides, then the False sides, as unit columns (stacked alike)."""
+    step = 0.5 * least * uk[..., None]
+    sides = np.concatenate([v + step, v - step], axis=-1)
+    return sides / np.linalg.norm(sides, axis=-2, keepdims=True)
 
 
 def _insert_columns(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,22 +268,82 @@ def _insert_columns(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         kept = ~np.isin(row[:len(keys)], row[len(keys):])
         halves = np.column_stack([np.vstack([split, split]), np.repeat([[True], [False]], len(split), axis=0)])
         keys = np.vstack([np.column_stack([keys[kept], unit[:, k] @ w[:, kept] > 0.0]), halves])
-        w = np.hstack([w[:, kept], _split(unit[:, :k], unit[:, k], bases[k] @ z)])
+        w = np.hstack([w[:, kept], _split(np.min(np.abs(unit[:, :k].T @ (v := bases[k] @ z)), axis=0), unit[:, k], v)])
     return keys, w
 
 
-def _walk_to(unit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_insert_columns`` aimed at one cell, with one witness: one product finds the first later
-    column it lies on the wrong side of, where the target's cell restricted to that column's
-    hyperplane, split, gives the next witness; when that restriction is empty, so is the cell."""
-    w, k = unit[:, 0] if target[0] else -unit[:, 0], 0
-    while (wrong := np.flatnonzero((unit[:, k + 1:].T @ w > 0.0) != target[k + 1:])).size:
-        k += 1 + int(wrong[0])
-        basis = _hyperplane_bases(unit[:, k:k + 1])[0]
-        if not (z := arrangement_cells(basis.T @ unit[:, :k], target[:k])[1]).size:
-            return np.zeros((0, len(target)), dtype=bool), unit[:, :0]
-        w = _split(unit[:, :k], unit[:, k], basis @ z)[:, 0 if target[k] else 1]
-    return target[None, :], w[:, None]
+def target_cells(cols: np.ndarray, keep: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For g stacked (d, k) column sets, each cut to its ``keep`` row (column 0 kept), whether
+    the cell of its ``target`` sign row exists (g,), and a (g, d) unit witness, read only where it
+    does; kept columns are packed first (F-ordered, as picked from a matrix), then column 0."""
+    width = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :width.max()]
+    order = np.where(np.arange(order.shape[1]) < width[:, None], order, 0)
+    packed = np.take_along_axis(cols.transpose(0, 2, 1), order[:, :, None], axis=1).transpose(0, 2, 1)
+    return _aimed(packed, width, np.take_along_axis(target, order, axis=1))
+
+
+def _aimed(cols: np.ndarray, width: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``target_cells`` on packed rows (``width`` columns, then copies of column 0) as ``arrangement_cells``:
+    classes, sweep, span, walk.  BLAS rounds by shape and by whether a leading dimension equals its size,
+    so every product that reaches a witness is taken on slices laid out as in the row's own search."""
+    g, dim, k = cols.shape
+    unit = cols / np.linalg.norm(cols, axis=1)[:, None, :]
+    found, w, keep = np.ones(g, dtype=bool), np.zeros((g, dim)), np.arange(k) < width[:, None]
+    near = (np.abs(np.matmul(unit.transpose(0, 2, 1), unit)) >= 1.0 - 1e-12) & keep[:, :, None] & keep[:, None, :]
+    for i in np.flatnonzero(np.count_nonzero(near, axis=(1, 2)) > width):
+        reps, classes = hyperplane_classes(unit[i, :, :width[i]])
+        keep[i] = np.isin(np.arange(k), reps)
+        found[i] = all(target[i, j] == (target[i, reps[c]] != flip) for j, (c, flip) in enumerate(classes))
+    if (merged := np.flatnonzero(keep.sum(axis=1) < width)).size:
+        ok, w[merged] = target_cells(cols[merged], keep[merged], target[merged])
+        found[merged] &= ok
+    rest = np.flatnonzero(keep.sum(axis=1) == width)
+    if dim == 2:
+        keys, arcs, ok = _sweep_2d(cols[rest])
+        hit = ok & np.all(keys == target[rest][:, None, :], axis=2)
+        found[rest], w[rest] = hit.any(axis=1), arcs[np.arange(rest.size), :, np.argmax(hit, axis=1)]
+        return found, w
+    walk = [rest[:0]]
+    for wd in set(width[rest].tolist()):
+        rows = rest[width[rest] == wd]
+        whole = np.copy(unit[rows][:, :, :wd], order="K")  # each row's own (dim, wd) matrix
+        u, s, _ = np.linalg.svd(whole, full_matrices=False)
+        ranks = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
+        walk.append(rows[ranks == dim])
+        for r in set(ranks[ranks < dim].tolist()):
+            sub, basis = rows[ranks == r], u[ranks == r][:, :, :r]
+            ok, z = _aimed(np.matmul(basis.transpose(0, 2, 1), whole[ranks == r]), width[sub], target[sub][:, :wd])
+            found[sub], w[sub] = ok, np.matmul(basis, z[:, :, None])[:, :, 0]
+    walk = np.concatenate(walk)
+    found[walk], w[walk] = _walk(unit[walk], target[walk])
+    return found, w
+
+
+def _walk(unit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_insert_columns`` aimed at each row's target cell, with one witness: each row's first later
+    column on the wrong side restricts the target cell to its hyperplane, whose witness, split, is
+    the next (none: the cell is empty); one ``_aimed`` call searches all rows' restrictions."""
+    g, dim, k = unit.shape
+    found, w = np.ones(g, dtype=bool), np.where(target[:, :1], unit[:, :, 0], -unit[:, :, 0])
+    at, rows = np.zeros(g, dtype=int), np.arange(g)
+    while True:
+        wrong = (np.matmul(unit[rows].transpose(0, 2, 1), w[rows][:, :, None])[:, :, 0] > 0.0) != target[rows]
+        wrong &= np.arange(k) > at[rows][:, None]
+        if not (moving := wrong.any(axis=1)).any():
+            return found, w
+        cut = np.argmax(wrong[moving], axis=1)
+        rows, cut = rows[moving][np.argsort(cut, kind="stable")], np.sort(cut, kind="stable")
+        # the split columns' hyperplane bases are u[..., 1:], sliced after any row selection to keep their layout
+        u, cuts, at[rows] = np.linalg.svd(unit[rows, :, cut][:, :, None])[0], sorted(set(cut.tolist())), cut
+        index = np.where(np.arange(cuts[-1]) < cut[:, None], np.arange(cuts[-1]), 0)  # then copies of column 0
+        parts = [np.matmul(u[cut == c][:, :, 1:].transpose(0, 2, 1), unit[rows[cut == c]][:, :, :c]) for c in cuts]
+        parts = [np.take_along_axis(part, index[cut == c][:, None, :], axis=2) for c, part in zip(cuts, parts)]
+        ok, z = _aimed(np.concatenate(parts), cut, np.take_along_axis(target[rows], index, axis=1))
+        found[rows[~ok]], v, rows, cut = False, np.matmul(u[ok][:, :, 1:], z[ok][:, :, None]), rows[ok], cut[ok]
+        least = [np.min(np.abs(unit[rows[cut == c]][:, :, :c].transpose(0, 2, 1) @ v[cut == c]), axis=1) for c in cuts]
+        sides = _split(np.concatenate(least)[:, :, None], unit[rows, :, cut], v)
+        w[rows] = np.where(target[rows, cut][:, None], sides[:, :, 0], sides[:, :, 1])
 
 
 def partition_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

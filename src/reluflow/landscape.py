@@ -9,9 +9,9 @@ only candidates for interior local minima.  The census groups its
 patterns by active count: one stacked spectral kernel call per group
 gives every point and null basis, and one clearance product decides the
 group's full-rank containment.  A rank-deficient pattern contains its
-minimizer when its affine minimizer set meets the open cell, which the
-deletion-restriction of ``geometry`` decides as one more cell question;
-no linear program is solved.
+minimizer when its affine minimizer set meets the open cell, which is one
+more cell question: one batched target-cell search of ``geometry`` per
+(active count, rank) group decides it; no linear program is solved.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import GeometryError, StructuralError
 from .expsum import TIE_RTOL
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, partition_rows
-from .geometry import arrangement_cells, pattern_spectra
+from .geometry import pattern_spectra, target_cells
 
 # A point interpolates the data when its loss is at most INTERPOLATION_RTOL * 0.5 |y|^2, the loss at 0.
 INTERPOLATION_RTOL = 1e-10
@@ -83,37 +83,18 @@ class VirtualMinimizer:
         return self.pattern.active_indices
 
 
-def _minimizer_in_cell(ds: Dataset, active: np.ndarray, p, null_basis):
-    """A member of the minimizer set ``p + N z`` strictly on the deactivated side
-    of every datum off in the boolean row ``active``, or None when the set misses that cell.
-
-    Active data are orthogonal to ``N`` up to the rank cutoff, so they
-    clear every member of the set as they clear ``p``.  In homogeneous
-    coordinates ``(z, s)``, with ``p`` scaled by ``1 / max(1, |p|)``, the
-    deactivated data form a central arrangement with the extra column
-    ``s``; the set meets the cell exactly when "every deactivated datum
-    negative, ``s`` positive" is one of its cells.  A datum whose column
-    vanishes there sits on its boundary across the whole set and is dropped.
-    """
-    x = ds.x[:, ~active]
-    unit = x / np.linalg.norm(x, axis=0)
-    scale = max(1.0, float(np.linalg.norm(p)))
-    cols = np.vstack([null_basis.T @ unit, (p @ unit)[None, :] / scale])
-    cols = cols[:, np.linalg.norm(cols, axis=0) > RANK_RTOL]
-    s_axis = np.eye(len(cols))[:, -1:]
-    target = np.arange(cols.shape[1] + 1) == 0
-    v = arrangement_cells(np.hstack([s_axis, cols]), target)[1]
-    return p + null_basis @ (scale * v[:-1, 0] / v[-1, 0]) if v.size else None
-
-
 def _virtual_minimizers(ds: Dataset, masks: np.ndarray, keep_all: bool = False) -> list[VirtualMinimizer]:
     """Each boolean row of ``masks`` (m, n) as a pattern's minimum-norm minimizer and
     containment, by active count: one :func:`pattern_spectra` call and one clearance
     product per group.  The witness is ``point`` at full rank, else a member of the
-    minimizer set in the open cell (:func:`_minimizer_in_cell`).  It is contained when
-    its active data clear their boundaries by more than ``BOUNDARY_MARGIN`` and its
-    deactivated data sit at a relative clearance of at most ``TIE_RTOL``.  Rows neither
-    contained nor all-off are left out, unless ``keep_all``.
+    minimizer set ``p + N z`` strictly on the deactivated side of every datum off, found by
+    one :func:`target_cells` search per rank: active data clear every member as they clear
+    ``p``, and in homogeneous coordinates ``(z, s)``, ``p`` scaled by ``1 / max(1, |p|)``,
+    the set meets the cell exactly when "s positive, every deactivated datum negative" is
+    a cell of their arrangement (a datum whose column vanishes there is dropped).  It is
+    contained when its active data clear their boundaries by more than ``BOUNDARY_MARGIN``
+    and its deactivated data sit at a relative clearance of at most ``TIE_RTOL``.  Rows
+    neither contained nor all-off are left out, unless ``keep_all``.
     """
     counts = masks.sum(axis=1)
     out: list[VirtualMinimizer | None] = [None] * len(masks)
@@ -126,9 +107,20 @@ def _virtual_minimizers(ds: Dataset, masks: np.ndarray, keep_all: bool = False) 
         inactive = ds.y[np.nonzero(~group)[1].reshape(len(rows), ds.n - k)]
         losses = 0.5 * np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0] + 0.5 * np.sum(inactive**2, axis=1)
         witnesses = points.copy()
-        for i in np.flatnonzero(ranks < ds.d):
-            w = _minimizer_in_cell(ds, group[i], points[i], u[i, :, ranks[i]:])
-            witnesses[i] = np.nan if w is None else w  # NaN fails both clearance tests
+        for r in set(ranks[ranks < ds.d].tolist()):
+            sel = np.flatnonzero(ranks == r)
+            # each (d, M) slice F-ordered, as gathered columns are: target_cells rounds as one pattern alone
+            x = ds.x[:, np.nonzero(~group[sel])[1].reshape(len(sel), ds.n - k)].transpose(1, 0, 2)
+            unit, null, p = x / np.linalg.norm(x, axis=1)[:, None, :], u[sel][:, :, r:], points[sel]
+            scale = np.maximum(1.0, np.sqrt(np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0]))  # each |p| by one dot
+            cols = np.zeros((len(sel), ds.d - r + 1, ds.n - k + 1))  # column 0 is the s axis, the last row s
+            cols[:, -1, 0], cols[:, :-1, 1:] = 1.0, np.matmul(null.transpose(0, 2, 1), unit)
+            cols[:, -1, 1:] = np.matmul(p[:, None, :], unit)[:, 0] / scale[:, None]
+            keep = np.linalg.norm(cols, axis=1) > RANK_RTOL
+            found, v = target_cells(cols, keep, keep & (np.arange(keep.shape[1]) == 0))
+            witnesses[sel[~found]] = np.nan  # a set that misses its cell: NaN fails both clearance tests
+            coef, hit = scale[found, None] * v[found, :-1] / v[found, -1:], sel[found]
+            witnesses[hit] = points[hit] + np.matmul(u[hit][:, :, r:], coef[:, :, None])[:, :, 0]
         c = (ds.x.T @ witnesses.T) / np.multiply.outer(
             np.linalg.norm(ds.x, axis=0), np.maximum(1.0, np.linalg.norm(witnesses, axis=1)))
         contained = np.all(np.where(group.T, c > BOUNDARY_MARGIN, c <= TIE_RTOL), axis=0)

@@ -10,7 +10,7 @@ differences, deep gradients through a direct forward/backward pass, and
 the zeros of exponential sums and the sign of the norm's slope through a
 dense grid whose sign changes are bisected in 50-digit mpmath arithmetic.
 Expected values in the tests are produced by these routines (or frozen
-from them), never by the code under test.  Three exceptions share package
+from them), never by the code under test.  Four exceptions share package
 code.  ``boundary_candidates_exhaustive`` shares the flow's root isolator
 and is the reference for the flow's pruned, batched event search, from
 which it differs by isolating every gap and held multiplier alone.
@@ -18,14 +18,18 @@ which it differs by isolating every gap and held multiplier alone.
 ``flow.trajectory_to_csv`` replaced: it evaluates each row through the
 package's ``loss``, ``active_matrices``, ``g_value`` and ``pattern_of``, the
 definitions of the CSV columns, on the package's samples.  ``census_loop`` is the per-pattern
-census that the grouped one replaced, and shares the package's enumeration
-and its rank-deficient containment search; ``pattern_system_single`` is its
-one SVD per pattern.
+census that the grouped one replaced, and shares the package's enumeration;
+``pattern_system_single`` is its one SVD per pattern, and ``minimizer_in_cell``
+its rank-deficient containment search.  That search, ``aimed_cell`` (one
+arrangement, one target sign vector, one witness), is the one that the
+lockstep ``geometry.target_cells`` replaced; it shares the package's
+``hyperplane_classes``, and the tests hold the two bitwise equal.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -365,13 +369,84 @@ def pattern_system_single(ds, pattern, held=()):
     return lam, basis, u[:, r:], point
 
 
+def _sweep_single(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-arrangement d=2 sweep that ``geometry._sweep_2d`` stacked: arc
+    midpoints by ``math.atan2``/``cos``/``sin``, kept above BOUNDARY_MARGIN."""
+    unit = x / np.linalg.norm(x, axis=0)
+    thetas = [math.atan2(x[1, i], x[0, i]) for i in range(x.shape[1])]
+    angles = sorted((t + half) % (2.0 * math.pi) for t in thetas for half in (math.pi / 2.0, -math.pi / 2.0))
+    mids = [0.5 * (a + b) for a, b in zip(angles, angles[1:] + [angles[0] + 2.0 * math.pi])]
+    w = np.array([[math.cos(mid) for mid in mids], [math.sin(mid) for mid in mids]])
+    w = w[:, np.min(np.abs(unit.T @ w), axis=0) > BOUNDARY_MARGIN]
+    return (x.T @ w > 0.0).T, w
+
+
+def _split_single(earlier: np.ndarray, uk: np.ndarray, v: np.ndarray) -> np.ndarray:
+    step = 0.5 * np.min(np.abs(earlier.T @ v), axis=0) * uk[:, None]
+    sides = np.hstack([v + step, v - step])
+    return sides / np.linalg.norm(sides, axis=0)
+
+
+def aimed_cell(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one cell of the columns' central arrangement with the boolean ``target``
+    sign vector, searched alone, as ``geometry.target_cells`` searches a stack:
+    ((1, k) sign rows, (d, 1) unit witness), or zero rows when the cell is empty."""
+    unit = cols / np.linalg.norm(cols, axis=0)
+    reps, classes = hyperplane_classes(unit)
+    if len(reps) < len(classes):
+        keys, w = aimed_cell(cols[:, reps], target[reps])
+        keys = keys[:, [c for c, _ in classes]] != np.array([flip for _, flip in classes])
+    elif unit.shape[0] == 2:
+        keys, w = _sweep_single(cols)
+    else:
+        u, s, _ = np.linalg.svd(unit, full_matrices=False)
+        if (r := int(np.sum(s > RANK_RTOL * s[0]))) < unit.shape[0]:
+            keys, w = aimed_cell(u[:, :r].T @ unit, target)
+            return keys, u[:, :r] @ w
+        return _walk_to(unit, target)
+    hit = np.all(keys == target, axis=1)
+    return keys[hit], w[:, hit]
+
+
+def _walk_to(unit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deletion-restriction aimed at one cell, with one witness: one product finds the first
+    later column it lies on the wrong side of, where the target's cell restricted to that
+    column's hyperplane, split, gives the next witness; when that restriction is empty, so is
+    the cell."""
+    w, k = unit[:, 0] if target[0] else -unit[:, 0], 0
+    while (wrong := np.flatnonzero((unit[:, k + 1:].T @ w > 0.0) != target[k + 1:])).size:
+        k += 1 + int(wrong[0])
+        basis = np.linalg.svd(unit[:, k:k + 1].T[:, :, None])[0][0, :, 1:]
+        if not (z := aimed_cell(basis.T @ unit[:, :k], target[:k])[1]).size:
+            return np.zeros((0, len(target)), dtype=bool), unit[:, :0]
+        w = _split_single(unit[:, :k], unit[:, k], basis @ z)[:, 0 if target[k] else 1]
+    return target[None, :], w[:, None]
+
+
+def minimizer_in_cell(ds, active: np.ndarray, p, null_basis):
+    """A member of the minimizer set ``p + N z`` strictly on the deactivated side of
+    every datum off in the boolean row ``active``, or None, searched for one pattern
+    alone: the homogeneous arrangement ``(z, s)`` of the deactivated data, with ``p``
+    scaled by ``1 / max(1, |p|)`` and the extra column ``s``, has the cell "every
+    deactivated datum negative, ``s`` positive" (``aimed_cell``) exactly when the set
+    meets the pattern's cell; a datum whose column vanishes there is dropped."""
+    x = ds.x[:, ~active]
+    unit = x / np.linalg.norm(x, axis=0)
+    scale = max(1.0, float(np.linalg.norm(p)))
+    cols = np.vstack([null_basis.T @ unit, (p @ unit)[None, :] / scale])
+    cols = cols[:, np.linalg.norm(cols, axis=0) > RANK_RTOL]
+    s_axis = np.eye(len(cols))[:, -1:]
+    target = np.arange(cols.shape[1] + 1) == 0
+    v = aimed_cell(np.hstack([s_axis, cols]), target)[1]
+    return p + null_basis @ (scale * v[:-1, 0] / v[-1, 0]) if v.size else None
+
+
 def census_loop(ds) -> tuple[list[tuple], tuple | None]:
     """The census one pattern at a time, as the grouped census replaced it:
     one ``pattern_system_single`` and one containment decision per
     enumerated pattern.  Returns the contained entries and the all-off cone,
     each as (pattern string, point, null_basis, rank, loss, witness or None)."""
     from reluflow.geometry import clearance, enumerate_partitions
-    from reluflow.landscape import _minimizer_in_cell
 
     minima, cone = [], None
     for cell in enumerate_partitions(ds):
@@ -382,7 +457,7 @@ def census_loop(ds) -> tuple[list[tuple], tuple | None]:
         rank = ds.d - null_basis.shape[1]
         resid = ds.x[:, active].T @ point - ds.y[active]
         total = 0.5 * float(resid @ resid) + total_inactive
-        witness = point if rank == ds.d else _minimizer_in_cell(ds, active, point, null_basis)
+        witness = point if rank == ds.d else minimizer_in_cell(ds, active, point, null_basis)
         if witness is not None:
             c = clearance(ds, witness)
             if not (np.all(c[active] > BOUNDARY_MARGIN) and np.all(c[~active] <= 1e-12)):

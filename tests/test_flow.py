@@ -134,6 +134,19 @@ class TestReactivationShowcase:
         assert sig.index(("deactivation", 3)) < sig.index(("activation", 3))
         assert revisit_report(tr) == (3,)
 
+    def test_a_datum_let_go_off_its_boundary_and_active_again_is_revisited(self):
+        # stress draw 467: datum 1 is held, released to off ("sliding", not "deactivation")
+        # and activated later; its state is read from the faces, not from the kinds
+        x, y, w0 = stress_draw(467)
+        tr = simulate_flow(Dataset(x=x, y=y), w0)
+
+        def state(face):
+            return "on" if face[0].bits[1] else "held" if 1 in face[1] else "off"
+
+        steps = [(e.kind, state(e.before), state(e.after)) for e in tr.events if e.index == 1]
+        assert steps == [("sliding", "on", "held"), ("sliding", "held", "off"), ("activation", "off", "on")]
+        assert revisit_report(tr) == (1,)
+
     def test_terminals_coincide_with_all_data_solution(self, reactivation_runs):
         ds, tr, lin = reactivation_runs
         oracle = lstsq_minnorm(ds.x, ds.y)

@@ -26,6 +26,7 @@ from reluflow.geometry import (
 from reluflow.landscape import minima_census
 
 from oracles import (
+    aimed_cell,
     enumerate_partitions_lp,
     lstsq_minnorm,
     pattern_system_single,
@@ -325,22 +326,25 @@ class TestArrangementCells:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_an_aimed_search_returns_only_its_cell(self, d):
         # an exact and an antiparallel copy, of d + 2 data and of d + 1 data
-        # that span d - 1 dimensions and are reduced to their span
+        # that span d - 1 dimensions and are reduced to their span; every
+        # present and missing sign vector is one row of one batch
         rng = np.random.default_rng((25, d))
         spanned = rng.normal(size=(d, d - 1)) @ rng.normal(size=(d - 1, d + 1))
         for x in (rng.normal(size=(d, d + 2)), spanned):
             cols = np.column_stack([x, x[:, 0], -x[:, 1]])
             keys = geometry.arrangement_cells(cols)[0]
-            for key in keys:
-                aimed, w = geometry.arrangement_cells(cols, key)
-                assert aimed.tolist() == [key.tolist()] and w.shape == (d, 1)
-                assert np.array_equal(cols.T @ w[:, 0] > 0.0, key)
-            signs = itertools.product((False, True), repeat=cols.shape[1])
-            missing = [key for key in signs if list(key) not in keys.tolist()]
-            assert missing
-            for key in missing:
-                aimed, w = geometry.arrangement_cells(cols, np.array(key))
-                assert aimed.shape == (0, cols.shape[1]) and w.shape == (d, 0)
+            signs = np.array(list(itertools.product((False, True), repeat=cols.shape[1])))
+            present = np.any(np.all(signs[:, None, :] == keys[None, :, :], axis=2), axis=1)
+            assert present.sum() == len(keys) and not present.all()
+            found, w = geometry.target_cells(np.broadcast_to(cols, (len(signs), *cols.shape)),
+                                             np.ones(signs.shape, dtype=bool), signs)
+            assert np.array_equal(found, present) and w.shape == (len(signs), d)
+            assert np.array_equal(w[found] @ cols > 0.0, signs[found])
+            for key, hit, witness in zip(signs, found, w):
+                # bitwise the one-cell search, on columns laid out as picked out of a matrix
+                aimed, alone = aimed_cell(np.asfortranarray(cols), key)
+                assert aimed.tolist() == [key.tolist()] * int(hit)
+                assert alone.shape == (d, int(hit)) and alone.T.tobytes() == (witness.tobytes() if hit else b"")
 
     def test_stacked_hyperplane_bases_equal_single_column_svds(self):
         # region_count's value rests on this equality

@@ -333,7 +333,17 @@ class TestGroupedCensus:
             census = assert_census_is_the_loop(random_dataset(np.random.default_rng((22, s)), 4, 10))
             assert any(m.rank < 4 for m in census.minima)
 
-    @pytest.mark.parametrize("d, n", [(4, 10), (5, 12)])
+    @pytest.mark.parametrize("d, n", [(5, 12), (6, 12)])
+    def test_seeded_random_datasets_in_more_dimensions(self, d, n):
+        # minimizer sets of dimension 3 and more take nested walks, and many miss their cells
+        for s in range(2):
+            ds = random_dataset(np.random.default_rng((26, d, n, s)), d, n)
+            census = assert_census_is_the_loop(ds)
+            assert any(m.rank <= d - 3 for m in census.minima)
+            entries = landscape._virtual_minimizers(ds, geometry.partition_rows(ds)[0], keep_all=True)
+            assert any(vm.rank <= d - 3 and not vm.contained for vm in entries)
+
+    @pytest.mark.parametrize("d, n", [(4, 10), (5, 12), (6, 12)])
     def test_normal_datasets(self, d, n):
         for s in range(3):
             rng = np.random.default_rng((23, d, n, s))

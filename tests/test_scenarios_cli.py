@@ -466,6 +466,14 @@ class TestCli:
         assert capsys.readouterr().err == "error: --lr and --iters need --engine gd\n"
         assert not (tmp_path / "out").exists()
 
+    def test_the_horizon_needs_the_exact_engine(self, dataset_file, tmp_path, capsys):
+        # the descent proxy has no horizon: --t-max is refused before --out is made, not ignored
+        argv = ["flow", "--dataset", str(dataset_file), "--w0", "0.0001,0.00005,0.00008", "--engine", "gd",
+                "--iters", "3000", "--t-max", "0.001", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --t-max needs --engine exact\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", [["flow"], ["reproduce", "example-5-2"]])
     def test_the_descent_engine_keeps_its_defaults(self, command):
         args = build_parser().parse_args(command + ["--engine", "gd"])

@@ -9,7 +9,8 @@ commands: ``reproduce`` for each built-in scenario with ``--engine exact``
 and with ``--engine gd --iters 3000``; ``validate``, ``landscape``,
 ``flow`` (exact and gd), ``linear-flow`` and ``criteria`` on each bundled
 fixture, and ``flow`` and ``criteria`` with ``--t-max 0.001`` on
-``example_5_2.json``; ``flow`` with ``--t-max 0.001`` on a d=2 dataset
+``example_5_2.json``, and ``flow --engine gd --iters 3000`` with it
+(``flow-gd-t-max``, refused); ``flow`` with ``--t-max 0.001`` on a d=2 dataset
 whose flow meets no event (``flow-t-max-no-event``); ``flow --lr 0``
 without ``--engine`` (``flow-lr-exact``); ``landscape`` on a d=2 and a d=3 dataset that each
 hold an exact copy and a negative copy of a column; ``landscape`` on a
@@ -42,7 +43,11 @@ The case ``census-pools`` runs ``minima_census`` in process on the seed 0-2 pool
 the ``census-cells`` benchmark, ``random_dataset(default_rng((seed, 2, i)),
 4, 10)`` for i < 64, and writes one ``stdout`` line per dataset: the global
 index, then the pattern and the ``repr`` of the point, loss and witness of
-each minimum and of the all-off cone.  Two checkouts whose snapshots give
+each minimum and of the all-off cone.  The case ``census-deep`` does
+the same on 16 draws each at (d, n) = (5, 12) and (6, 12), from
+``default_rng((d, n, i))``: odd draws with normal x and y, even ones
+``random_dataset``; their minimizer sets reach dimension 6 and take
+nested walks.  Two checkouts whose snapshots give
 an empty ``diff -r`` behave identically on these commands, draws and
 datasets.
 """
@@ -182,6 +187,27 @@ def _census_pools(out_dir: Path) -> None:
     (case_dir / "stdout").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _census_deep(out_dir: Path) -> None:
+    from reluflow.campaigns import random_dataset
+    from reluflow.dataset import Dataset
+    from reluflow.landscape import minima_census
+
+    def entry(m):
+        return m.pattern.to_string(), m.point.tolist(), m.loss, None if m.witness is None else m.witness.tolist()
+
+    lines = []
+    for d, n in ((5, 12), (6, 12)):
+        for i in range(16):
+            rng = np.random.default_rng((d, n, i))
+            ds = Dataset(x=rng.normal(size=(d, n)), y=rng.normal(size=n)) if i % 2 else random_dataset(rng, d, n)
+            census = minima_census(ds)
+            cone = None if census.stationary_cone is None else entry(census.stationary_cone)
+            lines.append(f"{d} {n} {i} {census.global_index!r} {[entry(m) for m in census.minima]!r} {cone!r}")
+    case_dir = out_dir / "census-deep"
+    case_dir.mkdir(parents=True)
+    (case_dir / "stdout").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -211,6 +237,7 @@ def main(argv: list[str]) -> int:
     data = ["--dataset", str(DATA / "example_5_2.json"), "--w0", W0[3], "--t-max", "0.001"]
     _run(out_dir, "flow-t-max", ["flow", *data])
     _run(out_dir, "criteria-t-max", ["criteria", *data])
+    _run(out_dir, "flow-gd-t-max", ["flow", *data, "--engine", "gd", "--iters", "3000"])
     path = out_dir / "no-event.json"
     path.write_text(json.dumps(NO_EVENT) + "\n", encoding="utf-8")
     _run(out_dir, "flow-t-max-no-event", ["flow", "--dataset", str(path), "--w0", "0.5,0.5", "--t-max", "0.001"])
@@ -253,6 +280,7 @@ def main(argv: list[str]) -> int:
     _stress_flows(out_dir)
     _stress_crossings(out_dir)
     _census_pools(out_dir)
+    _census_deep(out_dir)
     return 0
 
 
