@@ -5,10 +5,10 @@ Each datum ``x_i`` splits parameter space by the central hyperplane
 of strict activation indicators is constant; points on a boundary belong
 to no partition and are mapped to the deactivated side by convention.
 This module enumerates the nonempty cones with certified strict-interior
-witnesses (or finds the one cone of a given sign vector), counts them by
-deletion-restriction, checks every enumeration against that count, and
-builds the per-pattern spectral kernel and norm-derivative quantities
-used by the flow analysis.
+witnesses and counts them on one breadth-first deletion-restriction tree,
+checks the one against the other (or finds the one cone of a given sign
+vector), and builds the per-pattern spectral kernel and norm-derivative
+quantities used by the flow analysis.
 """
 
 from __future__ import annotations
@@ -194,24 +194,6 @@ def _hyperplane_bases(unit: np.ndarray) -> np.ndarray:
     return np.linalg.svd(unit.T[:, :, None])[0][:, :, 1:]
 
 
-def region_count(cols: np.ndarray) -> int:
-    """Number of cells of the columns' central arrangement by deletion-
-    restriction, r(A) = r(A - H) + r(A^H) (Zaslavsky): ``arrangement_cells``'
-    recursion with counts for witnesses, on class normals reduced to their
-    span at every level.  In the plane each class adds two cells; above it,
-    class k adds the cells of classes 0..k-1 restricted to its hyperplane."""
-    unit = cols / np.linalg.norm(cols, axis=0)
-    unit = unit[:, hyperplane_classes(unit)[0]]
-    u, s, _ = np.linalg.svd(unit, full_matrices=False)
-    r = int(np.sum(s > RANK_RTOL * s[0]))
-    if r < unit.shape[0]:
-        return region_count(u[:, :r].T @ unit)
-    if r <= 2:  # rank 1 is one row, where every column is one class
-        return 2 * unit.shape[1]
-    bases = _hyperplane_bases(unit)
-    return 2 + sum(region_count(bases[k].T @ unit[:, :k]) for k in range(1, unit.shape[1]))
-
-
 def _sweep_2d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The exact d=2 sweep of g stacks of k distinct hyperplanes (g, 2, k): the (g, 2, 2k) arc
     midpoints between consecutive boundary angles (math.atan2, cos, sin), each arc's (g, 2k, k)
@@ -226,26 +208,6 @@ def _sweep_2d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.matmul(x.transpose(0, 2, 1), w).transpose(0, 2, 1) > 0.0, w, ok
 
 
-def arrangement_cells(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every cell of the central arrangement of the columns' hyperplanes as (m, k)
-    sign-vector rows (True on the active side) and (d, m) unit witness columns.
-    A column takes its ``hyperplane_classes`` class's sign, flipped when antiparallel;
-    of distinct hyperplanes, two rows give the sweep, more are reduced to their span."""
-    unit = cols / np.linalg.norm(cols, axis=0)
-    reps, classes = hyperplane_classes(unit)
-    if len(reps) < len(classes):
-        keys, w = arrangement_cells(cols[:, reps])
-        return keys[:, [c for c, _ in classes]] != np.array([flip for _, flip in classes]), w
-    if unit.shape[0] == 2:
-        keys, w, ok = _sweep_2d(cols[None])
-        return keys[0][ok[0]], w[0][:, ok[0]]
-    u, s, _ = np.linalg.svd(unit, full_matrices=False)
-    if (r := int(np.sum(s > RANK_RTOL * s[0]))) < unit.shape[0]:
-        keys, w = arrangement_cells(u[:, :r].T @ unit)
-        return keys, u[:, :r] @ w
-    return _insert_columns(unit)
-
-
 def _split(least: np.ndarray, uk: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Columns ``v`` on uk's hyperplane, each moved off it by half its ``least`` clearance on
     the earlier columns: the True sides, then the False sides, as unit columns (stacked alike)."""
@@ -254,28 +216,85 @@ def _split(least: np.ndarray, uk: np.ndarray, v: np.ndarray) -> np.ndarray:
     return sides / np.linalg.norm(sides, axis=-2, keepdims=True)
 
 
-def _insert_columns(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deletion-restriction on distinct full-rank unit columns, each level on
-    its (d, m) witness matrix: column k splits exactly the cells of its
-    hyperplane's restriction (Zaslavsky), whose witnesses ``_split`` steps to
-    both sides; one product gives every other cell's side of column k."""
-    bases = _hyperplane_bases(unit)
-    keys, w = np.array([[True], [False]]), np.column_stack([unit[:, 0], -unit[:, 0]])
-    for k in range(1, unit.shape[1]):
-        split, z = arrangement_cells(bases[k].T @ unit[:, :k])
-        packed = np.packbits(np.vstack([keys, split]), axis=1)
-        row = packed.view(f"V{packed.shape[1]}").ravel()  # one opaque value per sign vector
-        kept = ~np.isin(row[:len(keys)], row[len(keys):])
-        halves = np.column_stack([np.vstack([split, split]), np.repeat([[True], [False]], len(split), axis=0)])
-        keys = np.vstack([np.column_stack([keys[kept], unit[:, k] @ w[:, kept] > 0.0]), halves])
-        w = np.hstack([w[:, kept], _split(np.min(np.abs(unit[:, :k].T @ (v := bases[k] @ z)), axis=0), unit[:, k], v)])
-    return keys, w
+def _cells(level: list) -> dict:
+    """Each ``level`` matrix's (witnesses, cells): (d, m) unit witnesses of the cells of its columns' central
+    arrangement and their number, on one deletion-restriction tree (Zaslavsky) built breadth first, this depth
+    grouped by (dim, width) and the next depth in one call.  A node whose classes merge has its class columns'
+    cells, a rank-deficient one its columns' on their span, lifted; a plane node is swept; a full-rank
+    one of width K has 2 + the cells of column k's hyperplane restriction of columns 0..k-1, k < K (``_insert``)."""
+    found, lifts, full, shapes = {}, [], [], np.array([m.shape for m in level]) @ [1 << 32, 1]
+    for key in dict.fromkeys(shapes.tolist()):
+        (dim, wd), ids = divmod(key, 1 << 32), np.flatnonzero(shapes == key)
+        unit = (stack := np.stack([level[i] for i in ids])) / np.linalg.norm(stack, axis=1)[:, None, :]
+        near = np.count_nonzero(np.abs(np.matmul(unit.transpose(0, 2, 1), unit)) >= 1.0 - 1e-12, axis=(1, 2))
+        reps = {j: r for j in np.flatnonzero(near > wd).tolist() if len(r := hyperplane_classes(unit[j])[0]) < wd}
+        lifts += [(ids[j], None, stack[j][:, r]) for j, r in reps.items()]
+        rest = np.array([j for j in range(len(ids)) if j not in reps], dtype=int)
+        if rest.size and dim == 2:
+            found.update(zip(ids[rest].tolist(), ((a[:, ok], 2 * wd) for a, ok in zip(*_sweep_2d(stack[rest])[1:]))))
+        elif rest.size:
+            u, s, _ = np.linalg.svd(unit[rest], full_matrices=False)
+            ranks = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
+            lifts += [(ids[j], b[:, :r], b[:, :r].T @ unit[j]) for j, r, b in zip(rest, ranks, u) if r < dim]
+            full += [(dim, ids[f], unit[f])] if (f := rest[ranks == dim]).size else []
+    nxt, groups = [child for *_, child in lifts], []
+    for dim in dict.fromkeys(d for d, *_ in full):  # one SVD for all hyperplane bases, one product for all restrictions
+        parts = [(i, u) for d, i, u in full if d == dim]
+        k, nodes = max(u.shape[2] for _, u in parts), np.concatenate([i for i, _ in parts]).tolist()  # pad to k
+        unit = np.concatenate([np.concatenate([u, np.zeros((*u.shape[:2], k - u.shape[2]))], 2) for _, u in parts])
+        wds = [u.shape[2] for i, u in parts for _ in i]
+        bases = _hyperplane_bases(np.hstack(unit)).reshape(len(nodes), k, dim, -1)
+        groups.append((nodes, len(nxt), (unit, bases, wds)))
+        nxt += [c[j, :, :j].copy() for c, wd in zip(np.matmul(bases.transpose(0, 1, 3, 2), unit[:, None]), wds)
+                for j in range(1, wd)]  # copied out of the padding, which is then freed
+    below = _cells(nxt) if nxt else {}
+    for i, (node, basis, _) in enumerate(lifts):
+        found[node] = (below[i][0] if basis is None else basis @ below[i][0], below[i][1])
+    for nodes, first, data in groups:
+        found.update(zip(nodes, _insert(*data, below, first)))
+    return found
+
+
+def _insert(unit: np.ndarray, bases: np.ndarray, wds: list, below: dict, first: int):
+    """The (witnesses, cells) of g full-rank nodes, zero-padded to (g, dim, k) unit columns (``wds`` each) with
+    hyperplane bases (g, k, dim, dim-1), from their children's, ``below[first:]`` node by node.  Each child's
+    witness is lifted onto its birth column's hyperplane and ``_split`` by half its least clearance on the
+    earlier columns; of each sign row only the last-born witness is kept, the one that inserting the columns
+    one at a time keeps: a witness born at column c goes at the first later column whose restriction holds
+    its row, and that split has the same final row and a later birth.  Products run in blocks of 4096."""
+    g, dim, k = unit.shape
+    start = np.cumsum([first - 1, *(wd - 1 for wd in wds)])  # node i's child j is below[start[i] + j]
+    slots = [(i, j) for j in range(k - 1, -1, -1) for i in range(g) if j < wds[i]]  # the last-born first
+    kids = [below[start[i] + j] if j else (np.zeros((dim - 1, 1)), 2) for i, j in slots]  # 0: column 0's sides
+    owner, birth = np.repeat(np.array(slots).T, [z.shape[1] for z, _ in kids], axis=1)
+    z, sides, rows = np.hstack([z for z, _ in kids]).T[:, :, None], np.empty((len(owner), 2, dim)), []
+    for b in range(0, len(z), 4096):
+        o, c, uo = owner[b:b + 4096], birth[b:b + 4096], unit[owner[b:b + 4096]]
+        v = np.matmul(bases[o, c], z[b:b + 4096])
+        least = np.min(np.abs(v.transpose(0, 2, 1) @ uo), axis=2, initial=2.0, where=np.arange(k) < c[:, None, None])
+        sides[b:b + 4096] = _split(least[:, :, None], unit[o, :, c], v).transpose(0, 2, 1)
+        rows.append(np.packbits(sides[b:b + 4096] @ uo > 0.0, axis=2).reshape(2 * len(o), -1))
+    keys = np.concatenate([(owner := np.repeat(owner, 2)).astype(">u4")[:, None].view(np.uint8), np.vstack(rows)], 1)
+    kept = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True)[1]  # the first of each: last-born
+    found = np.split(sides.reshape(-1, dim)[kept].T, np.cumsum(np.bincount(owner[kept], minlength=g))[:-1], axis=1)
+    return zip(found, np.bincount(np.array(slots)[:, 0], [n for _, n in kids], g).astype(int).tolist())
+
+
+def region_count(cols: np.ndarray) -> int:
+    """The number of cells of the columns' central arrangement, read off ``_cells``' tree, not its witnesses."""
+    return _cells([cols])[0][1]
+
+
+def arrangement_cells(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell of the columns' central arrangement as (m, k) sign rows, True on the active side, and
+    ``_cells``' (d, m) unit witnesses."""
+    return (cols.T @ (w := _cells([cols])[0][0])).T > 0.0, w
 
 
 def target_cells(cols: np.ndarray, keep: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For g stacked (d, k) column sets, each cut to its ``keep`` row (column 0 kept), whether
-    the cell of its ``target`` sign row exists (g,), and a (g, d) unit witness, read only where it
-    does; kept columns are packed first (F-ordered, as picked from a matrix), then column 0."""
+    """For g stacked (d, k) column sets, each cut to its ``keep`` row (column 0 kept), whether the cell of
+    its ``target`` sign row exists (g,), and a (g, d) unit witness, read only where it does: one path down
+    ``_cells``' tree; kept columns are packed first (F-ordered, as picked from a matrix), then column 0."""
     width = keep.sum(axis=1)
     order = np.argsort(~keep, axis=1, kind="stable")[:, :width.max()]
     order = np.where(np.arange(order.shape[1]) < width[:, None], order, 0)
@@ -284,7 +303,7 @@ def target_cells(cols: np.ndarray, keep: np.ndarray, target: np.ndarray) -> tupl
 
 
 def _aimed(cols: np.ndarray, width: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``target_cells`` on packed rows (``width`` columns, then copies of column 0) as ``arrangement_cells``:
+    """``target_cells`` on packed rows (``width`` columns, then copies of column 0) as a node of ``_cells``:
     classes, sweep, span, walk.  BLAS rounds by shape and by whether a leading dimension equals its size,
     so every product that reaches a witness is taken on slices laid out as in the row's own search."""
     g, dim, k = cols.shape
@@ -321,7 +340,7 @@ def _aimed(cols: np.ndarray, width: np.ndarray, target: np.ndarray) -> tuple[np.
 
 
 def _walk(unit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_insert_columns`` aimed at each row's target cell, with one witness: each row's first later
+    """The columns' insertion aimed at each row's target cell, with one witness: each row's first later
     column on the wrong side restricts the target cell to its hyperplane, whose witness, split, is
     the next (none: the cell is empty); one ``_aimed`` call searches all rows' restrictions."""
     g, dim, k = unit.shape
@@ -352,14 +371,15 @@ def partition_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     boundary by their (m,) margins, each more than BOUNDARY_MARGIN.
 
     Refuses, before enumerating, datasets whose ``partition_count_bound``
-    exceeds ``MAX_CELLS``.  The number of cells must equal
-    ``region_count(ds.x)`` or a ``GeometryError`` names both counts.
+    exceeds ``MAX_CELLS``.  The number of cells must equal the count read
+    off the same tree (``region_count``), or a ``GeometryError`` names both.
     """
     if (bound := partition_count_bound(ds.n, ds.d)) > MAX_CELLS:
         raise SizeError(f"enumeration guard: up to {bound} cells at (d, n) = ({ds.d}, {ds.n}) > {MAX_CELLS}")
-    h = (ds.x / np.linalg.norm(ds.x, axis=0)).T @ (w := arrangement_cells(ds.x)[1])
+    w, expected = _cells([ds.x])[0]
+    h = (ds.x / np.linalg.norm(ds.x, axis=0)).T @ w
     ok = (margins := np.min(np.abs(h), axis=0)) > BOUNDARY_MARGIN
-    if len(rows := (h[:, ok] > 0.0).T) != (expected := region_count(ds.x)):
+    if len(rows := (h > 0.0)[:, ok].T) != expected:
         raise GeometryError(f"enumeration found {len(rows)} cells, the arrangement has {expected}")
     order = np.lexsort(rows.T[::-1])  # datum 0 is the most significant bit, as in to_string
     return rows[order], w[:, ok][:, order], margins[ok][order]

@@ -18,7 +18,8 @@ which it differs by isolating every gap and held multiplier alone.
 ``flow.trajectory_to_csv`` replaced: it evaluates each row through the
 package's ``loss``, ``active_matrices``, ``g_value`` and ``pattern_of``, the
 definitions of the CSV columns, on the package's samples.  ``census_loop`` is the per-pattern
-census that the grouped one replaced, and shares the package's enumeration;
+census that the grouped one replaced, and shares the package's enumeration
+(``geometry.partition_rows``, one breadth-first deletion-restriction tree);
 ``pattern_system_single`` is its one SVD per pattern, and ``minimizer_in_cell``
 its rank-deficient containment search.  That search, ``aimed_cell`` (one
 arrangement, one target sign vector, one witness), is the one that the

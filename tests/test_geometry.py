@@ -65,6 +65,24 @@ def degenerate_columns(rng, family, d, n):
     return x
 
 
+def integer_columns(rng, family, d, n):
+    """Small-integer columns with a family's exact degeneracies, which ``region_count_exact`` counts;
+    the near-rank-deficient family's offset is below integer resolution, so there it is rank deficient."""
+    while True:
+        if family.endswith("rank-deficient"):
+            x = rng.integers(-2, 3, size=(d, d - 1)) @ rng.integers(-2, 3, size=(d - 1, n))
+        else:
+            x = rng.integers(1, 5, size=(d, n)) if family == "positive" else rng.integers(-3, 4, size=(d, n))
+            for j in range(2, n):
+                i, k = rng.choice(j, size=2, replace=False)
+                if family == "parallel" and rng.uniform() < 0.4:
+                    x[:, j] = rng.choice([-2, -1, 1, 2]) * x[:, i]
+                elif family == "dependent-triples" and rng.uniform() < 0.4:
+                    x[:, j] = rng.choice([-2, -1, 1, 2]) * x[:, i] + rng.choice([-1, 1]) * x[:, k]
+        if np.all(np.any(x != 0, axis=0)):
+            return x.astype(float)
+
+
 class TestPatternOf:
     def test_all_inner_products_positive(self, ds_deactivation):
         pat = pattern_of(ds_deactivation, np.array([1.0, 1.0, 1.0]))
@@ -115,12 +133,14 @@ class TestEnumeratePartitions:
                 assert cell.margin > 1e-9
 
     def test_general_dimension_matches_sweep_in_2d(self, rng):
-        # force the insertion recursion, down to the d=1 rays, on d=2 data
-        from reluflow.geometry import _insert_columns
-
+        # force the full-rank insertion, down to the d=1 rays, on d=2 data
         for _ in range(10):
             ds = random_a1_dataset(rng, 2, 6)
-            _, witnesses = _insert_columns(ds.x / np.linalg.norm(ds.x, axis=0))
+            unit = ds.x / np.linalg.norm(ds.x, axis=0)
+            bases = geometry._hyperplane_bases(unit)
+            rays = geometry._cells([bases[k].T @ unit[:, :k] for k in range(1, 6)])
+            [(witnesses, count)] = geometry._insert(unit[None], bases[None], [6], rays, 0)
+            assert count == 12
             assert {pattern_of(ds, w).bits for w in witnesses.T} == sweep_patterns_2d(ds, 20000)
 
     @pytest.mark.parametrize("family", ["positive", "normal", "parallel"])
@@ -144,7 +164,7 @@ class TestEnumeratePartitions:
         def unexpected(*args):
             raise AssertionError("enumerated past the guard")
 
-        monkeypatch.setattr(geometry, "arrangement_cells", unexpected)
+        monkeypatch.setattr(geometry, "_cells", unexpected)
         monkeypatch.setattr(geometry, "region_count", unexpected)
         with pytest.raises(SizeError, match="781312 cells"):
             enumerate_partitions(ds)
@@ -166,13 +186,29 @@ class TestEnumeratePartitions:
             cells = enumerate_partitions(ds)
             assert {c.pattern.bits for c in cells} == enumerate_partitions_lp(ds)
             assert len(cells) == region_count(ds.x)
+        for n in (5, 7, 8):
+            # d = 7: spanning columns are restricted five times, down to the plane sweeps
+            x = integer_columns(rng, family, 7, n)
+            ds = Dataset(x=x, y=rng.normal(size=n))
+            cells = enumerate_partitions(ds)
+            assert {c.pattern.bits for c in cells} == enumerate_partitions_lp(ds)
+            assert len(cells) == region_count(x) == region_count_exact(x)
+
+    @pytest.mark.parametrize("d, n", [(5, 12), (6, 14)])
+    def test_one_product_gives_each_witness_its_row(self, d, n):
+        # every returned witness reads its own row off one product, and no row repeats
+        for ds in (random_a1_dataset(np.random.default_rng((27, d, n)), d, n),
+                   Dataset(x=np.random.default_rng((28, d, n)).normal(size=(d, n)), y=np.ones(n))):
+            rows, w, _ = partition_rows(ds)
+            assert np.array_equal((ds.x.T @ w > 0.0).T, rows)
+            assert len(np.unique(rows, axis=0)) == len(rows) == partition_count_bound(n, d)
 
     @pytest.mark.parametrize("n", [6, 30])
     def test_a_missing_cell_is_reported(self, rng, monkeypatch, n):
         ds = random_a1_dataset(rng, 3, n)
-        keys, w = geometry.arrangement_cells(ds.x)
-        monkeypatch.setattr(geometry, "arrangement_cells", lambda cols: (keys[1:], w[:, 1:]))
-        with pytest.raises(GeometryError, match=f"found {len(keys) - 1} cells.* has {len(keys)}"):
+        w, count = geometry._cells([ds.x])[0]
+        monkeypatch.setattr(geometry, "_cells", lambda level: {0: (w[:, 1:], count)})
+        with pytest.raises(GeometryError, match=f"found {count - 1} cells.* has {count}"):
             enumerate_partitions(ds)
 
     def test_nearly_parallel_data_give_certified_cells_or_an_error(self, rng):
@@ -347,7 +383,7 @@ class TestArrangementCells:
                 assert alone.shape == (d, int(hit)) and alone.T.tobytes() == (witness.tobytes() if hit else b"")
 
     def test_stacked_hyperplane_bases_equal_single_column_svds(self):
-        # region_count's value rests on this equality
+        # the tree takes every hyperplane basis of a depth from one stacked SVD
         rng = np.random.default_rng(26)
         for d in (2, 3, 4, 5, 6):
             unit = rng.normal(size=(d, 9))

@@ -47,9 +47,11 @@ each minimum and of the all-off cone.  The case ``census-deep`` does
 the same on 16 draws each at (d, n) = (5, 12) and (6, 12), from
 ``default_rng((d, n, i))``: odd draws with normal x and y, even ones
 ``random_dataset``; their minimizer sets reach dimension 6 and take
-nested walks.  Two checkouts whose snapshots give
-an empty ``diff -r`` behave identically on these commands, draws and
-datasets.
+nested walks.  The file ``OUT_DIR/versions`` names the Python, numpy,
+scipy and BLAS that made the snapshot: the census witnesses' last bits
+depend on how numpy and the BLAS round.  Two checkouts whose snapshots
+give an empty ``diff -r`` behave identically on these commands, draws
+and datasets.
 """
 
 from __future__ import annotations
@@ -208,12 +210,24 @@ def _census_deep(out_dir: Path) -> None:
     (case_dir / "stdout").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _versions(out_dir: Path) -> None:
+    import platform
+
+    import scipy
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    lines = [f"python {platform.python_version()}", f"numpy {np.__version__}", f"scipy {scipy.__version__}",
+             f"blas {blas.get('name', '?')} {blas.get('version', '')}".strip()]
+    (out_dir / "versions").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     out_dir = Path(argv[0]).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
+    _versions(out_dir)
     sys.path.insert(0, str(SRC))
     from reluflow.campaigns import CAMPAIGN_IDS, random_dataset
     from reluflow.dataset import load_dataset
