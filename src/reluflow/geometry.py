@@ -162,6 +162,13 @@ class PartitionCell:
         freeze_fields(self, "witness")
 
 
+def _near_parallel(gram: np.ndarray) -> np.ndarray:
+    """True where a unit columns' Gram entry has ``|u_i . u_j| >= 1 - 1e-12``.  A pair within
+    2 BOUNDARY_MARGIN has ``|u_i . u_j| >= 1 - 1e-15``, so this is a necessary condition, not a
+    tolerance: only its pairs take ``hyperplane_classes``' chord test."""
+    return np.abs(gram) >= 1.0 - 1e-12
+
+
 def hyperplane_classes(unit: np.ndarray) -> tuple[list[int], list[tuple[int, bool]]]:
     """Each class's first column, and each column's (class, antiparallel).
 
@@ -170,10 +177,7 @@ def hyperplane_classes(unit: np.ndarray) -> tuple[list[int], list[tuple[int, boo
     transitive): every cell between the two is thinner than the margin.
     """
     k = unit.shape[1]
-    # a pair within 2 BOUNDARY_MARGIN has |u_i . u_j| >= 1 - 1e-15, so this is a
-    # necessary condition, not a tolerance: only its pairs take the chord test
-    gram = unit.T @ unit
-    near = np.abs(gram) >= 1.0 - 1e-12
+    near = _near_parallel(gram := unit.T @ unit)
     if np.count_nonzero(near) == k:
         return list(range(k)), [(j, False) for j in range(k)]
     reps, classes = [], []
@@ -196,14 +200,13 @@ def _hyperplane_bases(unit: np.ndarray) -> np.ndarray:
 
 def _sweep_2d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The exact d=2 sweep of g stacks of k distinct hyperplanes (g, 2, k): the (g, 2, 2k) arc
-    midpoints between consecutive boundary angles (math.atan2, cos, sin), each arc's (g, 2k, k)
-    sign vector, and (g, 2k) True where its clearance is above BOUNDARY_MARGIN."""
-    g, _, k = x.shape
+    midpoints between consecutive boundary angles, each arc's (g, 2k, k) sign vector, and (g, 2k)
+    True where its clearance is above BOUNDARY_MARGIN."""
     unit = x / np.linalg.norm(x, axis=1)[:, None, :]
-    thetas = np.array(list(map(math.atan2, x[:, 1].ravel().tolist(), x[:, 0].ravel().tolist()))).reshape(g, k)
+    thetas = np.arctan2(x[:, 1], x[:, 0])
     angles = np.sort(np.hstack([(thetas + half) % (2.0 * math.pi) for half in (math.pi / 2.0, -math.pi / 2.0)]))
-    mids = (0.5 * (angles + np.hstack([angles[:, 1:], angles[:, :1] + 2.0 * math.pi]))).ravel().tolist()
-    w = np.array([list(map(math.cos, mids)), list(map(math.sin, mids))]).reshape(2, g, 2 * k).transpose(1, 0, 2)
+    mids = 0.5 * (angles + np.hstack([angles[:, 1:], angles[:, :1] + 2.0 * math.pi]))
+    w = np.stack([np.cos(mids), np.sin(mids)], axis=1)
     ok = np.min(np.abs(np.matmul(unit.transpose(0, 2, 1), w)), axis=1) > BOUNDARY_MARGIN
     return np.matmul(x.transpose(0, 2, 1), w).transpose(0, 2, 1) > 0.0, w, ok
 
@@ -226,7 +229,7 @@ def _cells(level: list) -> dict:
     for key in dict.fromkeys(shapes.tolist()):
         (dim, wd), ids = divmod(key, 1 << 32), np.flatnonzero(shapes == key)
         unit = (stack := np.stack([level[i] for i in ids])) / np.linalg.norm(stack, axis=1)[:, None, :]
-        near = np.count_nonzero(np.abs(np.matmul(unit.transpose(0, 2, 1), unit)) >= 1.0 - 1e-12, axis=(1, 2))
+        near = np.count_nonzero(_near_parallel(np.matmul(unit.transpose(0, 2, 1), unit)), axis=(1, 2))
         reps = {j: r for j in np.flatnonzero(near > wd).tolist() if len(r := hyperplane_classes(unit[j])[0]) < wd}
         lifts += [(ids[j], None, stack[j][:, r]) for j, r in reps.items()]
         rest = np.array([j for j in range(len(ids)) if j not in reps], dtype=int)
@@ -294,22 +297,21 @@ def arrangement_cells(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def target_cells(cols: np.ndarray, keep: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For g stacked (d, k) column sets, each cut to its ``keep`` row (column 0 kept), whether the cell of
     its ``target`` sign row exists (g,), and a (g, d) unit witness, read only where it does: one path down
-    ``_cells``' tree; kept columns are packed first (F-ordered, as picked from a matrix), then column 0."""
+    ``_cells``' tree, all rows in lockstep; kept columns are packed first, then copies of column 0."""
     width = keep.sum(axis=1)
     order = np.argsort(~keep, axis=1, kind="stable")[:, :width.max()]
     order = np.where(np.arange(order.shape[1]) < width[:, None], order, 0)
-    packed = np.take_along_axis(cols.transpose(0, 2, 1), order[:, :, None], axis=1).transpose(0, 2, 1)
-    return _aimed(packed, width, np.take_along_axis(target, order, axis=1))
+    return _aimed(np.take_along_axis(cols, order[:, None, :], axis=2), width, np.take_along_axis(target, order, axis=1))
 
 
 def _aimed(cols: np.ndarray, width: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``target_cells`` on packed rows (``width`` columns, then copies of column 0) as a node of ``_cells``:
-    classes, sweep, span, walk.  BLAS rounds by shape and by whether a leading dimension equals its size,
-    so every product that reaches a witness is taken on slices laid out as in the row's own search."""
+    classes, sweep, span, walk.  One SVD of the stack, its padding columns zeroed, gives every row's rank;
+    the rank-deficient rows are searched on their span, one call per rank, the full-rank ones walked."""
     g, dim, k = cols.shape
     unit = cols / np.linalg.norm(cols, axis=1)[:, None, :]
     found, w, keep = np.ones(g, dtype=bool), np.zeros((g, dim)), np.arange(k) < width[:, None]
-    near = (np.abs(np.matmul(unit.transpose(0, 2, 1), unit)) >= 1.0 - 1e-12) & keep[:, :, None] & keep[:, None, :]
+    near = _near_parallel(np.matmul(unit.transpose(0, 2, 1), unit)) & keep[:, :, None] & keep[:, None, :]
     for i in np.flatnonzero(np.count_nonzero(near, axis=(1, 2)) > width):
         reps, classes = hyperplane_classes(unit[i, :, :width[i]])
         keep[i] = np.isin(np.arange(k), reps)
@@ -323,26 +325,22 @@ def _aimed(cols: np.ndarray, width: np.ndarray, target: np.ndarray) -> tuple[np.
         hit = ok & np.all(keys == target[rest][:, None, :], axis=2)
         found[rest], w[rest] = hit.any(axis=1), arcs[np.arange(rest.size), :, np.argmax(hit, axis=1)]
         return found, w
-    walk = [rest[:0]]
-    for wd in set(width[rest].tolist()):
-        rows = rest[width[rest] == wd]
-        whole = np.copy(unit[rows][:, :, :wd], order="K")  # each row's own (dim, wd) matrix
-        u, s, _ = np.linalg.svd(whole, full_matrices=False)
-        ranks = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
-        walk.append(rows[ranks == dim])
-        for r in set(ranks[ranks < dim].tolist()):
-            sub, basis = rows[ranks == r], u[ranks == r][:, :, :r]
-            ok, z = _aimed(np.matmul(basis.transpose(0, 2, 1), whole[ranks == r]), width[sub], target[sub][:, :wd])
-            found[sub], w[sub] = ok, np.matmul(basis, z[:, :, None])[:, :, 0]
-    walk = np.concatenate(walk)
+    u, s, _ = np.linalg.svd(np.where(keep[rest][:, None, :], unit[rest], 0.0), full_matrices=False)
+    ranks = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
+    for r in set(ranks[ranks < dim].tolist()):
+        sub, basis = rest[ranks == r], u[ranks == r][:, :, :r]
+        ok, z = _aimed(np.matmul(basis.transpose(0, 2, 1), unit[sub]), width[sub], target[sub])
+        found[sub], w[sub] = ok, np.matmul(basis, z[:, :, None])[:, :, 0]
+    walk = rest[ranks == dim]
     found[walk], w[walk] = _walk(unit[walk], target[walk])
     return found, w
 
 
 def _walk(unit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The columns' insertion aimed at each row's target cell, with one witness: each row's first later
-    column on the wrong side restricts the target cell to its hyperplane, whose witness, split, is
-    the next (none: the cell is empty); one ``_aimed`` call searches all rows' restrictions."""
+    column on the wrong side restricts the target cell to its hyperplane, whose witness, split by half
+    its least clearance on the earlier columns, is the next (none: the cell is empty).  One ``_aimed``
+    call searches all rows' restrictions, their earlier columns padded with copies of column 0."""
     g, dim, k = unit.shape
     found, w = np.ones(g, dtype=bool), np.where(target[:, :1], unit[:, :, 0], -unit[:, :, 0])
     at, rows = np.zeros(g, dtype=int), np.arange(g)
@@ -351,17 +349,14 @@ def _walk(unit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         wrong &= np.arange(k) > at[rows][:, None]
         if not (moving := wrong.any(axis=1)).any():
             return found, w
-        cut = np.argmax(wrong[moving], axis=1)
-        rows, cut = rows[moving][np.argsort(cut, kind="stable")], np.sort(cut, kind="stable")
-        # the split columns' hyperplane bases are u[..., 1:], sliced after any row selection to keep their layout
-        u, cuts, at[rows] = np.linalg.svd(unit[rows, :, cut][:, :, None])[0], sorted(set(cut.tolist())), cut
-        index = np.where(np.arange(cuts[-1]) < cut[:, None], np.arange(cuts[-1]), 0)  # then copies of column 0
-        parts = [np.matmul(u[cut == c][:, :, 1:].transpose(0, 2, 1), unit[rows[cut == c]][:, :, :c]) for c in cuts]
-        parts = [np.take_along_axis(part, index[cut == c][:, None, :], axis=2) for c, part in zip(cuts, parts)]
-        ok, z = _aimed(np.concatenate(parts), cut, np.take_along_axis(target[rows], index, axis=1))
-        found[rows[~ok]], v, rows, cut = False, np.matmul(u[ok][:, :, 1:], z[ok][:, :, None]), rows[ok], cut[ok]
-        least = [np.min(np.abs(unit[rows[cut == c]][:, :, :c].transpose(0, 2, 1) @ v[cut == c]), axis=1) for c in cuts]
-        sides = _split(np.concatenate(least)[:, :, None], unit[rows, :, cut], v)
+        rows, cut = rows[moving], np.argmax(wrong[moving], axis=1)
+        at[rows], bases = cut, _hyperplane_bases(unit[rows, :, cut].T)
+        index = np.where(np.arange(cut.max()) < cut[:, None], np.arange(cut.max()), 0)  # then copies of column 0
+        earlier = np.take_along_axis(unit[rows], index[:, None, :], axis=2)
+        ok, z = _aimed(np.matmul(bases.transpose(0, 2, 1), earlier), cut, np.take_along_axis(target[rows], index, 1))
+        found[rows[~ok]], rows, cut, v = False, rows[ok], cut[ok], np.matmul(bases[ok], z[ok][:, :, None])
+        least = np.min(np.abs(np.matmul(earlier[ok].transpose(0, 2, 1), v)), axis=1)
+        sides = _split(least[:, :, None], unit[rows, :, cut], v)
         w[rows] = np.where(target[rows, cut][:, None], sides[:, :, 0], sides[:, :, 1])
 
 

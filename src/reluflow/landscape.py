@@ -109,10 +109,9 @@ def _virtual_minimizers(ds: Dataset, masks: np.ndarray, keep_all: bool = False) 
         witnesses = points.copy()
         for r in set(ranks[ranks < ds.d].tolist()):
             sel = np.flatnonzero(ranks == r)
-            # each (d, M) slice F-ordered, as gathered columns are: target_cells rounds as one pattern alone
             x = ds.x[:, np.nonzero(~group[sel])[1].reshape(len(sel), ds.n - k)].transpose(1, 0, 2)
             unit, null, p = x / np.linalg.norm(x, axis=1)[:, None, :], u[sel][:, :, r:], points[sel]
-            scale = np.maximum(1.0, np.sqrt(np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0]))  # each |p| by one dot
+            scale = np.maximum(1.0, np.linalg.norm(p, axis=1))
             cols = np.zeros((len(sel), ds.d - r + 1, ds.n - k + 1))  # column 0 is the s axis, the last row s
             cols[:, -1, 0], cols[:, :-1, 1:] = 1.0, np.matmul(null.transpose(0, 2, 1), unit)
             cols[:, -1, 1:] = np.matmul(p[:, None, :], unit)[:, 0] / scale[:, None]

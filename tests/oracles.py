@@ -24,7 +24,10 @@ census that the grouped one replaced, and shares the package's enumeration
 its rank-deficient containment search.  That search, ``aimed_cell`` (one
 arrangement, one target sign vector, one witness), is the one that the
 lockstep ``geometry.target_cells`` replaced; it shares the package's
-``hyperplane_classes``, and the tests hold the two bitwise equal.
+``hyperplane_classes``, and the tests hold the two to the same cells and
+witness sign rows, and both to the margin program ``_margin_lp``.
+Witness floats are never compared: their last bits follow the library's
+rounding of each product.
 """
 
 from __future__ import annotations

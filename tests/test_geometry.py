@@ -26,6 +26,7 @@ from reluflow.geometry import (
 from reluflow.landscape import minima_census
 
 from oracles import (
+    _margin_lp,
     aimed_cell,
     enumerate_partitions_lp,
     lstsq_minnorm,
@@ -376,11 +377,32 @@ class TestArrangementCells:
                                              np.ones(signs.shape, dtype=bool), signs)
             assert np.array_equal(found, present) and w.shape == (len(signs), d)
             assert np.array_equal(w[found] @ cols > 0.0, signs[found])
-            for key, hit, witness in zip(signs, found, w):
-                # bitwise the one-cell search, on columns laid out as picked out of a matrix
-                aimed, alone = aimed_cell(np.asfortranarray(cols), key)
-                assert aimed.tolist() == [key.tolist()] * int(hit)
-                assert alone.shape == (d, int(hit)) and alone.T.tobytes() == (witness.tobytes() if hit else b"")
+            for key, hit in zip(signs, found):
+                # the one-cell search finds the same cells, with the same sign rows, and so does
+                # the margin program, which shares none of its algorithm
+                aimed, alone = aimed_cell(cols, key)
+                assert aimed.tolist() == [key.tolist()] * int(hit) and alone.shape == (d, int(hit))
+                assert np.array_equal(cols.T @ alone > 0.0, aimed.T)
+                assert (_margin_lp(cols / np.linalg.norm(cols, axis=0), np.where(key, 1.0, -1.0))[1]
+                        > geometry.BOUNDARY_MARGIN) == hit
+
+    def test_one_call_mixes_widths_and_ranks(self):
+        # rows of full-rank, rank-3 and rank-2 arrangements in d = 4, one with an antiparallel copy,
+        # each cut to its own columns: every row's found flag is the one-cell search's and the
+        # margin program's, and a found witness has the target's sign row on the kept columns
+        rng = np.random.default_rng(32)
+        sets = [rng.normal(size=(4, 8)), *(rng.normal(size=(4, r)) @ rng.normal(size=(r, 8)) for r in (3, 2))]
+        sets[0][:, 5] = -2.0 * sets[0][:, 2]
+        cols = np.stack([sets[j % 3] for j in range(120)])
+        keep, target = rng.uniform(size=(120, 8)) < 0.7, rng.uniform(size=(120, 8)) < 0.5
+        keep[:, 0] = True
+        found, w = geometry.target_cells(cols, keep, target)
+        assert 0 < found.sum() < len(found) and len(set(keep.sum(axis=1).tolist())) > 3
+        for c, k, t, hit, witness in zip(cols, keep, target, found, w):
+            assert aimed_cell(c[:, k], t[k])[1].shape[1] == int(hit)
+            lp = _margin_lp(c[:, k] / np.linalg.norm(c[:, k], axis=0), np.where(t[k], 1.0, -1.0))[1]
+            assert (lp > geometry.BOUNDARY_MARGIN) == hit
+            assert not hit or np.array_equal(witness @ c[:, k] > 0.0, t[k])
 
     def test_stacked_hyperplane_bases_equal_single_column_svds(self):
         # the tree takes every hyperplane basis of a depth from one stacked SVD

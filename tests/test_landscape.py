@@ -9,6 +9,7 @@ import reluflow
 from reluflow import campaigns, geometry, landscape
 from reluflow.campaigns import random_dataset, realizable_dataset
 from reluflow.dataset import Dataset
+from reluflow.expsum import TIE_RTOL
 from reluflow.flow import simulate_flow
 from reluflow.geometry import ActivationPattern, enumerate_partitions, pattern_of
 from reluflow.landscape import (
@@ -304,24 +305,51 @@ class TestTerminalFaceKey:
         assert census.index_of(tr.terminal_face) is None
 
 
-def _entry_bytes(pattern, point, null_basis, rank, total, witness):
-    """A census entry as exact bytes, so that equal entries are bitwise equal."""
-    return (pattern, point.tobytes(), null_basis.shape, null_basis.tobytes(), rank, float(total).hex(),
-            None if witness is None else witness.tobytes())
+def _entry_bytes(pattern, point, null_basis, rank, total):
+    """A census entry's verdicts as exact bytes, so that equal entries are bitwise equal."""
+    return pattern, point.tobytes(), null_basis.shape, null_basis.tobytes(), rank, float(total).hex()
+
+
+def clearances(ds, w):
+    """``geometry.clearance`` at each row of ``w`` (m, d), as (m, n) rows."""
+    return (w @ ds.x) / np.multiply.outer(np.maximum(1.0, np.linalg.norm(w, axis=1)), np.linalg.norm(ds.x, axis=0))
+
+
+def sign_rows(ds, w):
+    """Each datum's side at each row of ``w``: 1, -1, or 0 within BOUNDARY_MARGIN of its boundary."""
+    c = clearances(ds, w)
+    return np.where(np.abs(c) <= geometry.BOUNDARY_MARGIN, 0.0, np.sign(c))
+
+
+def contains(ds, active, w):
+    """The census's clearance rule at each row of ``w``: active data beyond the margin, the rest at most a tie."""
+    c = clearances(ds, w)
+    return np.all(np.where(active, c > geometry.BOUNDARY_MARGIN, c <= TIE_RTOL), axis=1)
+
+
+def assert_entry_is(ds, vm, entry):
+    """One census entry is the loop's: its verdicts bitwise, and a witness on both sides or on neither,
+    with one sign row, the package's passing the census's clearance rule."""
+    *verdicts, witness = entry
+    assert _entry_bytes(vm.pattern.to_string(), vm.point, vm.null_basis, vm.rank, vm.loss) == _entry_bytes(*verdicts)
+    assert (vm.witness is None) == (witness is None)
+    if witness is not None:
+        assert np.array_equal(sign_rows(ds, vm.witness[None]), sign_rows(ds, witness[None]))
+        assert contains(ds, vm.pattern.as_bool(), vm.witness[None])[0]
 
 
 def assert_census_is_the_loop(ds):
-    """The grouped census equals the per-pattern loop bitwise: patterns,
-    points, losses, ranks, null bases, witnesses and the cone."""
+    """The grouped census equals the per-pattern loop: patterns, points, losses, ranks and null bases
+    bitwise, and each witness by its sign row, for every minimum and the cone."""
     census = minima_census(ds)
     minima, cone = census_loop(ds)
-    got = [_entry_bytes(m.pattern.to_string(), m.point, m.null_basis, m.rank, m.loss, m.witness)
-           for m in census.minima]
-    assert got == [_entry_bytes(*e) for e in minima]
+    assert [m.pattern.to_string() for m in census.minima] == [e[0] for e in minima]
+    for vm, entry in zip(census.minima, minima):
+        assert_entry_is(ds, vm, entry)
     c = census.stationary_cone
     assert (c is None) == (cone is None)
     if c is not None:
-        assert _entry_bytes(c.pattern.to_string(), c.point, c.null_basis, c.rank, c.loss, c.witness) == _entry_bytes(*cone)
+        assert_entry_is(ds, c, cone)
     return census
 
 
@@ -391,6 +419,24 @@ class TestGroupedCensus:
         census = minima_census(random_dataset(np.random.default_rng((0, 2, 0)), 4, 10))
         returned = [m.pattern.bits for m in census.minima] + [census.stationary_cone.pattern.bits]
         assert sorted(built) == sorted(returned)
+
+
+class TestVerdictsAreNotRoundoff:
+    def test_moving_every_witness_keeps_every_verdict(self):
+        # a witness's last bits follow the library's rounding (moves below 1e-12 relative), while
+        # the seed 0-2 pools clear every boundary by more than 600 BOUNDARY_MARGIN: moving every
+        # witness by 1e-10 relative changes no contained flag and no sign row
+        rng = np.random.default_rng(32)
+        for seed in range(3):
+            for i in range(64):
+                ds = random_dataset(np.random.default_rng((seed, 2, i)), 4, 10)
+                census = minima_census(ds)
+                entries = [vm for vm in (*census.minima, census.stationary_cone) if vm is not None and vm.contained]
+                w, active = np.array([vm.witness for vm in entries]), np.array([vm.pattern.bits for vm in entries])
+                step = rng.normal(size=w.shape)
+                moved = w + 1e-10 * np.linalg.norm(w, axis=1)[:, None] * step / np.linalg.norm(step, axis=1)[:, None]
+                assert contains(ds, active == 1, w).all() and contains(ds, active == 1, moved).all()
+                assert np.array_equal(sign_rows(ds, moved), sign_rows(ds, w))
 
 
 class TestSupportOrdering:

@@ -42,14 +42,14 @@ activation or deactivation crossing of those flows and writes one
 The case ``census-pools`` runs ``minima_census`` in process on the seed 0-2 pools of
 the ``census-cells`` benchmark, ``random_dataset(default_rng((seed, 2, i)),
 4, 10)`` for i < 64, and writes one ``stdout`` line per dataset: the global
-index, then the pattern and the ``repr`` of the point, loss and witness of
-each minimum and of the all-off cone.  The case ``census-deep`` does
+index, then the pattern, the ``repr`` of the point and loss, and the
+witness's sign row over all data of each minimum and of the all-off cone
+(see :func:`entry`).  The case ``census-deep`` does
 the same on 16 draws each at (d, n) = (5, 12) and (6, 12), from
 ``default_rng((d, n, i))``: odd draws with normal x and y, even ones
 ``random_dataset``; their minimizer sets reach dimension 6 and take
 nested walks.  The file ``OUT_DIR/versions`` names the Python, numpy,
-scipy and BLAS that made the snapshot: the census witnesses' last bits
-depend on how numpy and the BLAS round.  Two checkouts whose snapshots
+scipy and BLAS that made the snapshot.  Two checkouts whose snapshots
 give an empty ``diff -r`` behave identically on these commands, draws
 and datasets.
 """
@@ -171,19 +171,28 @@ def _stress_crossings(out_dir: Path) -> None:
     (case_dir / "stdout").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def entry(ds, m):
+    """A census entry as its pattern, point and loss, and its witness (None if it has none) as a sign
+    row over all data: ``+`` or ``-`` by side, ``0`` within ``BOUNDARY_MARGIN`` of the boundary.  A
+    witness's last bits follow how numpy and the BLAS round; its sign row does not."""
+    from reluflow.geometry import BOUNDARY_MARGIN, clearance
+
+    row = None if m.witness is None else "".join(
+        "0" if abs(c) <= BOUNDARY_MARGIN else "+" if c > 0.0 else "-" for c in clearance(ds, m.witness).tolist())
+    return m.pattern.to_string(), m.point.tolist(), m.loss, row
+
+
 def _census_pools(out_dir: Path) -> None:
     from reluflow.campaigns import random_dataset
     from reluflow.landscape import minima_census
 
-    def entry(m):
-        return m.pattern.to_string(), m.point.tolist(), m.loss, None if m.witness is None else m.witness.tolist()
-
     lines = []
     for seed in range(3):
         for i in range(64):
-            census = minima_census(random_dataset(np.random.default_rng((seed, 2, i)), 4, 10))
-            cone = None if census.stationary_cone is None else entry(census.stationary_cone)
-            lines.append(f"{seed} {i} {census.global_index!r} {[entry(m) for m in census.minima]!r} {cone!r}")
+            ds = random_dataset(np.random.default_rng((seed, 2, i)), 4, 10)
+            census = minima_census(ds)
+            cone = None if census.stationary_cone is None else entry(ds, census.stationary_cone)
+            lines.append(f"{seed} {i} {census.global_index!r} {[entry(ds, m) for m in census.minima]!r} {cone!r}")
     case_dir = out_dir / "census-pools"
     case_dir.mkdir(parents=True)
     (case_dir / "stdout").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -194,17 +203,14 @@ def _census_deep(out_dir: Path) -> None:
     from reluflow.dataset import Dataset
     from reluflow.landscape import minima_census
 
-    def entry(m):
-        return m.pattern.to_string(), m.point.tolist(), m.loss, None if m.witness is None else m.witness.tolist()
-
     lines = []
     for d, n in ((5, 12), (6, 12)):
         for i in range(16):
             rng = np.random.default_rng((d, n, i))
             ds = Dataset(x=rng.normal(size=(d, n)), y=rng.normal(size=n)) if i % 2 else random_dataset(rng, d, n)
             census = minima_census(ds)
-            cone = None if census.stationary_cone is None else entry(census.stationary_cone)
-            lines.append(f"{d} {n} {i} {census.global_index!r} {[entry(m) for m in census.minima]!r} {cone!r}")
+            cone = None if census.stationary_cone is None else entry(ds, census.stationary_cone)
+            lines.append(f"{d} {n} {i} {census.global_index!r} {[entry(ds, m) for m in census.minima]!r} {cone!r}")
     case_dir = out_dir / "census-deep"
     case_dir.mkdir(parents=True)
     (case_dir / "stdout").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
