@@ -15,7 +15,9 @@ method on f' splits the cell at the extremum into two monotone halves,
 and a zero there is a touch.  Other cells are bisected; one narrower than
 ``TIE_RTOL * max(1, t)`` that is still undecided raises NumericalError.
 Enclosures are taken term by term and, sharp on near-equal rates, in the
-nested form ``c + e^{-mu_1 t}(a_1 + e^{-(mu_2 - mu_1) t}(a_2 + ...))``.
+nested form ``c + e^{-mu_1 t}(a_1 + e^{-(mu_2 - mu_1) t}(a_2 + ...))``,
+the latter only on the cells that the former leaves within
+``BOUND_SLACK_RTOL`` of 0, where no flag is yet decided.
 :class:`RootBatch` decides the cells of many sums with shared rates in one
 pass, each row bitwise as alone; ``ExpSum.roots`` is its one-row case.
 
@@ -111,9 +113,12 @@ def _clearance(rates, coeffs, consts, edges) -> np.ndarray:
     A decaying term is least on a cell at its right end if its coefficient
     is positive, else at its left end: the term-by-term bounds are ``c +
     pos . E_right + neg . E_left`` and its mirror, as stacked per-row
-    products so that no row depends on the others.  One ``exp`` table over
-    the edges also gives the nested form's factors.  A row with ``c == 0``
-    is also bounded by its nested bracket alone, which has its sign.
+    products so that no row depends on the others.  Where that bound clears
+    0 by more than ``BOUND_SLACK_RTOL``, the largest of ``_SLACKS``, it is
+    the value and decides every flag.  The other (row, cell) pairs are
+    gathered and also bounded in the nested form, from the factors of the
+    same ``exp`` table, and a row with ``c == 0`` by its nested bracket
+    alone, which has its sign; there the value is the largest of the three.
     """
     r = rates.size
     steps = np.concatenate(([rates[0]], np.diff(rates)))
@@ -122,15 +127,20 @@ def _clearance(rates, coeffs, consts, edges) -> np.ndarray:
     ends = np.concatenate((np.hstack((right[:r], left[:r])), np.hstack((left[:r], right[:r]))))
     signed = np.concatenate((np.maximum(coeffs, 0.0), np.minimum(coeffs, 0.0)), axis=1)
     lo, hi = np.split(np.matmul(signed[:, None, :], ends)[:, 0], 2, axis=1)
-    h_lo = h_hi = coeffs[:, -1:]
-    for k in range(r - 1, 0, -1):
-        h_lo, h_hi = _interval_mul(right[r + k], left[r + k], h_lo, h_hi)
-        h_lo = h_lo + coeffs[:, k - 1 : k]
-        h_hi = h_hi + coeffs[:, k - 1 : k]
     c = consts[:, None]
+    clear = np.maximum(c + lo, -(c + hi))
+    i, j = np.nonzero(clear <= BOUND_SLACK_RTOL)
+    if not i.size:
+        return clear
+    a, e_lo, e_hi, c = coeffs.T[:, i], right[r:, j], left[r:, j], consts[i]
+    h_lo = h_hi = a[-1]
+    for k in range(r - 1, 0, -1):
+        h_lo, h_hi = _interval_mul(e_lo[k], e_hi[k], h_lo, h_hi)
+        h_lo, h_hi = h_lo + a[k - 1], h_hi + a[k - 1]
     bracket = np.where(c == 0.0, np.maximum(h_lo, -h_hi), -np.inf)
-    h_lo, h_hi = _interval_mul(right[r], left[r], h_lo, h_hi)
-    return np.maximum(np.maximum(np.maximum(c + lo, -(c + hi)), np.maximum(c + h_lo, -(c + h_hi))), bracket)
+    h_lo, h_hi = _interval_mul(e_lo[0], e_hi[0], h_lo, h_hi)
+    clear[i, j] = np.maximum(np.maximum(clear[i, j], np.maximum(c + h_lo, -(c + h_hi))), bracket)
+    return clear
 
 
 def _polish(f: "ExpSum", t_a: float, t_b: float) -> float:

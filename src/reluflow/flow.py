@@ -100,15 +100,13 @@ class FlowSegment:
         """Flow point(s) at local time(s) ``tau`` since ``t_start``."""
         tau = np.asarray(tau, dtype=float)
         decay = np.exp(-np.multiply.outer(tau, self.eigenvalues))
-        out = self.target + (decay * self.delta) @ self.eigenvectors.T
-        return out if tau.ndim else np.asarray(out)
+        return self.target + (decay * self.delta) @ self.eigenvectors.T
 
     def derivative_local(self, tau):
         tau = np.asarray(tau, dtype=float)
         decay = np.exp(-np.multiply.outer(tau, self.eigenvalues))
         coeff = -(self.eigenvalues * self.delta)
-        out = (decay * coeff) @ self.eigenvectors.T
-        return out if tau.ndim else np.asarray(out)
+        return (decay * coeff) @ self.eigenvectors.T
 
     def observable(self, v, offset: float = 0.0) -> ExpSum:
         """The exponential sum ``v . w(tau) - offset`` along the segment."""
@@ -538,9 +536,7 @@ def _sample_rows(tr: Trajectory | GDRun, samples: int) -> tuple[list[tuple[float
         horizon = seg.local_horizon()
         count = base if i < n_seg - 1 else max(2, samples - base * (n_seg - 1))
         taus = np.linspace(0.0, horizon, count)
-        points = seg.value_local(taus)
-        for tau, p in zip(taus, points):
-            rows.append((seg.t_start + float(tau), np.asarray(p)))
+        rows.extend(zip((seg.t_start + taus).tolist(), seg.value_local(taus)))
         on += [i] * count
     if not np.isfinite(tr.segments[-1].t_end):
         rows.append((tr.segments[-1].t_start + tr.segments[-1].local_horizon(), tr.terminal_point))
@@ -649,9 +645,9 @@ def trajectory_to_csv(tr: Trajectory | GDRun) -> str:
     else:
         r = np.maximum(h, 0.0) - ds.y
         g = np.empty(len(w))
-        signs = np.array([seg.pattern.bits for seg in tr.segments], dtype=bool)[on] if on else h > 0.0
+        signs = np.array([seg.pattern.bits for seg in tr.segments], dtype=bool) if on else h > 0.0
         masks, which = np.unique(signs, axis=0, return_inverse=True)
-        which = which.ravel()
+        which = which.ravel()[on] if on else which.ravel()
         for k, mask in enumerate(masks):
             rows = which == k
             xa = ds.x[:, mask]

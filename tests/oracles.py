@@ -27,7 +27,9 @@ lockstep ``geometry.target_cells`` replaced; it shares the package's
 ``hyperplane_classes``, and the tests hold the two to the same cells and
 witness sign rows, and both to the margin program ``_margin_lp``.
 Witness floats are never compared: their last bits follow the library's
-rounding of each product.
+rounding of each product.  ``clearance_both_forms`` is the event search's
+enclosure before it took the nested form only on the cells that the
+term-by-term bound leaves open; the tests hold the two to the same flags.
 """
 
 from __future__ import annotations
@@ -472,6 +474,36 @@ def census_loop(ds) -> tuple[list[tuple], tuple | None]:
         elif witness is not None:
             minima.append(entry)
     return minima, cone
+
+
+def _interval_mul(e_lo, e_hi, h_lo, h_hi):
+    """[e_lo, e_hi] * [h_lo, h_hi] for 0 <= e_lo <= e_hi."""
+    return np.minimum(e_lo * h_lo, e_hi * h_lo), np.maximum(e_lo * h_hi, e_hi * h_hi)
+
+
+def clearance_both_forms(rates, coeffs, consts, edges) -> np.ndarray:
+    """How far the enclosure of each row clears 0 on each cell: the larger of
+    the term-by-term and the nested bound, both taken on every cell, and for
+    a row with ``c == 0`` its nested bracket too.  This is the enclosure that
+    ``expsum._clearance`` replaced, which takes the nested form only where
+    the term-by-term bound is within ``BOUND_SLACK_RTOL``; the flags the two
+    give against ``expsum._SLACKS`` must agree."""
+    r = rates.size
+    steps = np.concatenate(([rates[0]], np.diff(rates)))
+    decay = np.exp(-np.multiply.outer(np.concatenate((rates, steps)), edges))
+    right, left = decay[:, 1:], decay[:, :-1]
+    ends = np.concatenate((np.hstack((right[:r], left[:r])), np.hstack((left[:r], right[:r]))))
+    signed = np.concatenate((np.maximum(coeffs, 0.0), np.minimum(coeffs, 0.0)), axis=1)
+    lo, hi = np.split(np.matmul(signed[:, None, :], ends)[:, 0], 2, axis=1)
+    h_lo = h_hi = coeffs[:, -1:]
+    for k in range(r - 1, 0, -1):
+        h_lo, h_hi = _interval_mul(right[r + k], left[r + k], h_lo, h_hi)
+        h_lo = h_lo + coeffs[:, k - 1 : k]
+        h_hi = h_hi + coeffs[:, k - 1 : k]
+    c = consts[:, None]
+    bracket = np.where(c == 0.0, np.maximum(h_lo, -h_hi), -np.inf)
+    h_lo, h_hi = _interval_mul(right[r], left[r], h_lo, h_hi)
+    return np.maximum(np.maximum(np.maximum(c + lo, -(c + hi)), np.maximum(c + h_lo, -(c + h_hi))), bracket)
 
 
 def _mp_value(c, coeffs, rates, t):

@@ -10,7 +10,7 @@ from reluflow.campaigns import random_dataset, small_norm_start
 from reluflow.criteria import crossing_context
 from reluflow.dataset import Dataset
 from reluflow.errors import NumericalError, PreconditionError, ReluFlowError, StructuralError
-from reluflow.expsum import ExpSum, RootBatch, _clearance, _grid, _merge
+from reluflow.expsum import BOUND_SLACK_RTOL, _SLACKS, ExpSum, RootBatch, _clearance, _grid, _merge
 from reluflow.flow import (
     count_hyperplane_crossings,
     norm_certificate,
@@ -25,8 +25,8 @@ from reluflow.flow import (
 from reluflow.geometry import ActivationPattern, g_value, pattern_of
 from reluflow.landscape import linear_loss, loss
 
-from oracles import assert_matches_oracle, boundary_candidates_exhaustive, lstsq_minnorm, segment_certificate
-from oracles import norm_growth_mp, trajectory_csv
+from oracles import assert_matches_oracle, boundary_candidates_exhaustive, clearance_both_forms, lstsq_minnorm
+from oracles import norm_growth_mp, segment_certificate, trajectory_csv
 from snapshot_outputs import stress_draw
 
 
@@ -1185,6 +1185,56 @@ class TestGapBounds:
             single = RootBatch(case[0], case[1][k : k + 1].copy(), c)
             np.testing.assert_array_equal(single.free[0], batch.free[k])
             assert single.lower[0] == batch.lower[k]
+
+    @staticmethod
+    def assert_flags_are_the_oracles(rates, coeffs, consts):
+        # each row in turn as an f, f' and f'' row against its slack, and the
+        # batch's own rows; the oracle takes the nested form on every cell
+        batch = RootBatch(rates, coeffs, consts)
+        rates, coeffs = _merge(np.asarray(rates, dtype=float), np.asarray(coeffs, dtype=float))
+        consts = np.asarray(consts, dtype=float)
+        edges = _grid(rates)
+        slacks = np.resize(_SLACKS, (consts.size, 1))
+        want = clearance_both_forms(rates, coeffs, consts, edges) > slacks
+        np.testing.assert_array_equal(_clearance(rates, coeffs, consts, edges) > slacks, want)
+        rows, row_consts = batch.rows.reshape(-1, rates.size), batch.row_consts.ravel()
+        want = clearance_both_forms(rates, rows, row_consts, edges).reshape(consts.size, 3, -1) > _SLACKS
+        np.testing.assert_array_equal(batch.free, want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(ill_conditioned_sums(), wide_ill_conditioned_batches()))
+    def test_flags_are_the_two_form_oracles(self, case):
+        self.assert_flags_are_the_oracles(*case)
+
+    @pytest.mark.parametrize(
+        "rates, coeffs, consts",
+        [
+            ([2.0], [[1.0], [-1.0], [0.5], [1e-3]], [-0.5, 1.0, 0.0, -1e-3]),  # r = 1
+            ([1.0, 1.0 + 1e-9, 3.0], [[1.0, -1.0, 0.2], [-0.3, 0.3, 1e-6], [0.5, 0.5, -2.0]], [0.0, 0.0, 0.0]),
+        ],
+        ids=["one-rate", "zero-constants"],
+    )
+    def test_flags_are_the_oracles_at_one_rate_and_zero_constants(self, rates, coeffs, consts):
+        self.assert_flags_are_the_oracles(rates, coeffs, consts)
+
+    def test_a_batch_that_the_term_by_term_bound_clears_everywhere(self):
+        # no pair is left for the nested form
+        rates, consts = np.array([1.0, 2.0]), np.array([0.5, 2.0, 1.0])
+        coeffs = np.array([[1.0, 1.0], [-1.0, 0.5], [0.2, -0.1]])
+        assert (_clearance(rates, coeffs, consts, _grid(rates)) > BOUND_SLACK_RTOL).all()
+        self.assert_flags_are_the_oracles(rates, coeffs, consts)
+
+    def test_the_nested_form_decides_a_cell_the_term_by_term_bound_leaves_in_the_slack(self):
+        # 5e-6 + e^{-t} - 1.000001 e^{-1.0001 t} > 0: on cell 3 the term-by-term
+        # bound clears 0 by only 8.3e-10, within the slack; the nested form by 4e-6
+        rates, coeffs, consts = np.array([1.0, 1.0001]), np.array([[1.0, -1.000001]]), np.array([5e-6])
+        edges = _grid(rates)
+        right, left = np.exp(-np.multiply.outer(rates, edges[1:])), np.exp(-np.multiply.outer(rates, edges[:-1]))
+        pos, neg = np.maximum(coeffs, 0.0), np.minimum(coeffs, 0.0)
+        term_by_term = np.maximum(consts + pos @ right + neg @ left, -(consts + pos @ left + neg @ right))[0, 3]
+        assert 0.0 < term_by_term <= BOUND_SLACK_RTOL
+        assert _clearance(rates, coeffs, consts, edges)[0, 3] > BOUND_SLACK_RTOL
+        self.assert_flags_are_the_oracles(rates, coeffs, consts)
 
     def test_a_row_with_a_vanishing_term_is_isolated_on_its_own_grid(self):
         # without its fastest term row 0's grid starts later, so its cells,
