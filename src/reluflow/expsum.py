@@ -114,8 +114,8 @@ def _clearance(rates, coeffs, consts, edges) -> np.ndarray:
     is positive, else at its left end: the term-by-term bounds are ``c +
     pos . E_right + neg . E_left`` and its mirror, as stacked per-row
     products so that no row depends on the others.  Where that bound clears
-    0 by more than ``BOUND_SLACK_RTOL``, the largest of ``_SLACKS``, it is
-    the value and decides every flag.  The other (row, cell) pairs are
+    0 by more than the largest of ``_SLACKS``, it is the value and decides
+    every flag.  The other (row, cell) pairs are
     gathered and also bounded in the nested form, from the factors of the
     same ``exp`` table, and a row with ``c == 0`` by its nested bracket
     alone, which has its sign; there the value is the largest of the three.
@@ -129,9 +129,7 @@ def _clearance(rates, coeffs, consts, edges) -> np.ndarray:
     lo, hi = np.split(np.matmul(signed[:, None, :], ends)[:, 0], 2, axis=1)
     c = consts[:, None]
     clear = np.maximum(c + lo, -(c + hi))
-    i, j = np.nonzero(clear <= BOUND_SLACK_RTOL)
-    if not i.size:
-        return clear
+    i, j = np.nonzero(clear <= _SLACKS.max())
     a, e_lo, e_hi, c = coeffs.T[:, i], right[r:, j], left[r:, j], consts[i]
     h_lo = h_hi = a[-1]
     for k in range(r - 1, 0, -1):

@@ -1211,17 +1211,11 @@ class TestGapBounds:
         [
             ([2.0], [[1.0], [-1.0], [0.5], [1e-3]], [-0.5, 1.0, 0.0, -1e-3]),  # r = 1
             ([1.0, 1.0 + 1e-9, 3.0], [[1.0, -1.0, 0.2], [-0.3, 0.3, 1e-6], [0.5, 0.5, -2.0]], [0.0, 0.0, 0.0]),
+            ([1.0, 2.0], [[1.0, 1.0], [-1.0, 0.5], [0.2, -0.1]], [0.5, 2.0, 1.0]),  # no pair for the nested form
         ],
-        ids=["one-rate", "zero-constants"],
+        ids=["one-rate", "zero-constants", "no-open-pair"],
     )
     def test_flags_are_the_oracles_at_one_rate_and_zero_constants(self, rates, coeffs, consts):
-        self.assert_flags_are_the_oracles(rates, coeffs, consts)
-
-    def test_a_batch_that_the_term_by_term_bound_clears_everywhere(self):
-        # no pair is left for the nested form
-        rates, consts = np.array([1.0, 2.0]), np.array([0.5, 2.0, 1.0])
-        coeffs = np.array([[1.0, 1.0], [-1.0, 0.5], [0.2, -0.1]])
-        assert (_clearance(rates, coeffs, consts, _grid(rates)) > BOUND_SLACK_RTOL).all()
         self.assert_flags_are_the_oracles(rates, coeffs, consts)
 
     def test_the_nested_form_decides_a_cell_the_term_by_term_bound_leaves_in_the_slack(self):
