@@ -142,10 +142,10 @@ class ValidationReport:
 
 def _assumption_report(x: np.ndarray, y: np.ndarray, require) -> ValidationReport:
     """Check the assumption flags ``require`` against inputs ``x`` and labels ``y``."""
-    require = tuple(sorted(set(require)))
     unknown = set(require) - set(ASSUMPTIONS)
-    if unknown:
-        raise StructuralError(f"unknown assumption flags: {sorted(unknown)}")
+    if unknown:  # sorted by text, so that a non-string flag from JSON is named, not compared
+        raise StructuralError(f"unknown assumption flags: {sorted(unknown, key=str)}")
+    require = tuple(sorted(set(require)))
     rank = matrix_rank(x)
     # A3 failures carry no column indices; the deficient rank is reported instead.
     offending = {

@@ -576,8 +576,7 @@ def count_hyperplane_crossings(tr: Trajectory, v, c: float) -> int:
     """
     total = 0
     last_t = -np.inf
-    for seg in tr.segments:
-        f = seg.observable(v, offset=float(c))
+    for seg, f in zip(tr.segments, _observables(tr, v, c)):
         for root in f.roots():
             if not (root.is_crossing and seg.covers(root.t)):
                 continue
@@ -591,8 +590,15 @@ def count_hyperplane_crossings(tr: Trajectory, v, c: float) -> int:
 
 def segment_root_counts(tr: Trajectory, v, c: float) -> list[tuple[int, int]]:
     """(number of isolated roots, number of exponential terms) per segment."""
-    sums = [seg.observable(v, offset=float(c)) for seg in tr.segments]
-    return [(len(f.roots()), f.n_terms) for f in sums]
+    return [(len(f.roots()), f.n_terms) for f in _observables(tr, v, c)]
+
+
+def _observables(tr: Trajectory, v, c: float) -> list[ExpSum]:
+    """``v . w(tau) - c`` on each segment, ``v`` a finite point of the dataset's dimension and ``c`` finite."""
+    v = check_point(tr.dataset, v, "v")
+    if not math.isfinite(c := float(c)):
+        raise PreconditionError(f"c must be finite, got {c!r}")
+    return [seg.observable(v, offset=c) for seg in tr.segments]
 
 
 def revisit_report(tr: Trajectory | GDRun) -> tuple[int, ...]:

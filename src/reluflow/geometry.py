@@ -6,9 +6,10 @@ of strict activation indicators is constant; points on a boundary belong
 to no partition and are mapped to the deactivated side by convention.
 This module enumerates the nonempty cones with certified strict-interior
 witnesses and counts them on one breadth-first deletion-restriction tree,
-checks the one against the other (or finds the one cone of a given sign
-vector), and builds the per-pattern spectral kernel and norm-derivative
-quantities used by the flow analysis.
+checks the one against the other, decides whether one open polyhedral cone
+is nonempty by its max-margin direction (a least-distance program), and
+builds the per-pattern spectral kernel and norm-derivative quantities used
+by the flow analysis.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .dataset import Dataset, RANK_RTOL, check_point, freeze_fields
-from .errors import GeometryError, SizeError, StructuralError
+from .errors import GeometryError, NumericalError, SizeError, StructuralError
 
 # A point clears a datum's boundary when its relative clearance (see
 # ``clearance``) is at least BOUNDARY_MARGIN in size.  It decides feasible
@@ -288,76 +290,24 @@ def region_count(cols: np.ndarray) -> int:
     return _cells([cols])[0][1]
 
 
-def arrangement_cells(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every cell of the columns' central arrangement as (m, k) sign rows, True on the active side, and
-    ``_cells``' (d, m) unit witnesses."""
-    return (cols.T @ (w := _cells([cols])[0][0])).T > 0.0, w
-
-
-def target_cells(cols: np.ndarray, keep: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For g stacked (d, k) column sets, each cut to its ``keep`` row (column 0 kept), whether the cell of
-    its ``target`` sign row exists (g,), and a (g, d) unit witness, read only where it does: one path down
-    ``_cells``' tree, all rows in lockstep; kept columns are packed first, then copies of column 0."""
-    width = keep.sum(axis=1)
-    order = np.argsort(~keep, axis=1, kind="stable")[:, :width.max()]
-    order = np.where(np.arange(order.shape[1]) < width[:, None], order, 0)
-    return _aimed(np.take_along_axis(cols, order[:, None, :], axis=2), width, np.take_along_axis(target, order, axis=1))
-
-
-def _aimed(cols: np.ndarray, width: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``target_cells`` on packed rows (``width`` columns, then copies of column 0) as a node of ``_cells``:
-    classes, sweep, span, walk.  One SVD of the stack, its padding columns zeroed, gives every row's rank;
-    the rank-deficient rows are searched on their span, one call per rank, the full-rank ones walked."""
-    g, dim, k = cols.shape
-    unit = cols / np.linalg.norm(cols, axis=1)[:, None, :]
-    found, w, keep = np.ones(g, dtype=bool), np.zeros((g, dim)), np.arange(k) < width[:, None]
-    near = _near_parallel(np.matmul(unit.transpose(0, 2, 1), unit)) & keep[:, :, None] & keep[:, None, :]
-    for i in np.flatnonzero(np.count_nonzero(near, axis=(1, 2)) > width):
-        reps, classes = hyperplane_classes(unit[i, :, :width[i]])
-        keep[i] = np.isin(np.arange(k), reps)
-        found[i] = all(target[i, j] == (target[i, reps[c]] != flip) for j, (c, flip) in enumerate(classes))
-    if (merged := np.flatnonzero(keep.sum(axis=1) < width)).size:
-        ok, w[merged] = target_cells(cols[merged], keep[merged], target[merged])
-        found[merged] &= ok
-    rest = np.flatnonzero(keep.sum(axis=1) == width)
-    if dim == 2:
-        keys, arcs, ok = _sweep_2d(cols[rest])
-        hit = ok & np.all(keys == target[rest][:, None, :], axis=2)
-        found[rest], w[rest] = hit.any(axis=1), arcs[np.arange(rest.size), :, np.argmax(hit, axis=1)]
-        return found, w
-    u, s, _ = np.linalg.svd(np.where(keep[rest][:, None, :], unit[rest], 0.0), full_matrices=False)
-    ranks = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
-    for r in set(ranks[ranks < dim].tolist()):
-        sub, basis = rest[ranks == r], u[ranks == r][:, :, :r]
-        ok, z = _aimed(np.matmul(basis.transpose(0, 2, 1), unit[sub]), width[sub], target[sub])
-        found[sub], w[sub] = ok, np.matmul(basis, z[:, :, None])[:, :, 0]
-    walk = rest[ranks == dim]
-    found[walk], w[walk] = _walk(unit[walk], target[walk])
-    return found, w
-
-
-def _walk(unit: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns' insertion aimed at each row's target cell, with one witness: each row's first later
-    column on the wrong side restricts the target cell to its hyperplane, whose witness, split by half
-    its least clearance on the earlier columns, is the next (none: the cell is empty).  One ``_aimed``
-    call searches all rows' restrictions, their earlier columns padded with copies of column 0."""
-    g, dim, k = unit.shape
-    found, w = np.ones(g, dtype=bool), np.where(target[:, :1], unit[:, :, 0], -unit[:, :, 0])
-    at, rows = np.zeros(g, dtype=int), np.arange(g)
-    while True:
-        wrong = (np.matmul(unit[rows].transpose(0, 2, 1), w[rows][:, :, None])[:, :, 0] > 0.0) != target[rows]
-        wrong &= np.arange(k) > at[rows][:, None]
-        if not (moving := wrong.any(axis=1)).any():
-            return found, w
-        rows, cut = rows[moving], np.argmax(wrong[moving], axis=1)
-        at[rows], bases = cut, _hyperplane_bases(unit[rows, :, cut].T)
-        index = np.where(np.arange(cut.max()) < cut[:, None], np.arange(cut.max()), 0)  # then copies of column 0
-        earlier = np.take_along_axis(unit[rows], index[:, None, :], axis=2)
-        ok, z = _aimed(np.matmul(bases.transpose(0, 2, 1), earlier), cut, np.take_along_axis(target[rows], index, 1))
-        found[rows[~ok]], rows, cut, v = False, rows[ok], cut[ok], np.matmul(bases[ok], z[ok][:, :, None])
-        least = np.min(np.abs(np.matmul(earlier[ok].transpose(0, 2, 1), v)), axis=1)
-        sides = _split(least[:, :, None], unit[rows, :, cut], v)
-        w[rows] = np.where(target[rows, cut][:, None], sides[:, :, 0], sides[:, :, 1])
+def cone_witness(normals: np.ndarray) -> np.ndarray | None:
+    """The unit max-margin direction ``w`` of the open cone ``normals[:, j] . w > 0`` for every nonzero
+    (k, m) column, or None when it clears some unit column by at most BOUNDARY_MARGIN, so no direction
+    clears them all by more.  It is Lawson and Hanson's least-distance program (Solving Least Squares
+    Problems, ch. 23): one NNLS solve of the unit columns over a row of ones against e_{k+1} picks the
+    support columns, those ``w`` clears by the least margin, and ``w`` is along the minimum-norm ``x``
+    with ``support . x = 1``.  The NNLS residual points along ``w`` too, but only to about 1e-16 / margin
+    radians, which loses cones thinner than about 3e-8; this solve keeps working accuracy."""
+    unit = normals / np.linalg.norm(normals, axis=0)
+    k, m = unit.shape
+    try:
+        u = nnls(np.vstack([unit, np.ones(m)]), np.eye(k + 1)[-1])[0]
+    except RuntimeError as exc:
+        raise NumericalError(f"least-distance program: {exc}") from None
+    x = np.linalg.lstsq((support := unit[:, u > 0.0]).T, np.ones(support.shape[1]))[0]
+    if (size := np.linalg.norm(x)) > 0.0 and np.min(unit.T @ (w := x / size)) > BOUNDARY_MARGIN:
+        return w
+    return None
 
 
 def partition_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,9 +9,10 @@ only candidates for interior local minima.  The census groups its
 patterns by active count: one stacked spectral kernel call per group
 gives every point and null basis, and one clearance product decides the
 group's full-rank containment.  A rank-deficient pattern contains its
-minimizer when its affine minimizer set meets the open cell, which is one
-more cell question: one batched target-cell search of ``geometry`` per
-(active count, rank) group decides it; no linear program is solved.
+minimizer when its affine minimizer set meets the open cell, which is
+whether one open polyhedral cone is nonempty: one least-distance program
+per pattern (``geometry.cone_witness``, a single NNLS solve) decides it,
+and its max-margin direction gives the witness.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import GeometryError, StructuralError
 from .expsum import TIE_RTOL
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, partition_rows
-from .geometry import pattern_spectra, target_cells
+from .geometry import cone_witness, pattern_spectra
 
 # A point interpolates the data when its loss is at most INTERPOLATION_RTOL * 0.5 |y|^2, the loss at 0.
 INTERPOLATION_RTOL = 1e-10
@@ -87,14 +88,15 @@ def _virtual_minimizers(ds: Dataset, masks: np.ndarray, keep_all: bool = False) 
     """Each boolean row of ``masks`` (m, n) as a pattern's minimum-norm minimizer and
     containment, by active count: one :func:`pattern_spectra` call and one clearance
     product per group.  The witness is ``point`` at full rank, else a member of the
-    minimizer set ``p + N z`` strictly on the deactivated side of every datum off, found by
-    one :func:`target_cells` search per rank: active data clear every member as they clear
-    ``p``, and in homogeneous coordinates ``(z, s)``, ``p`` scaled by ``1 / max(1, |p|)``,
-    the set meets the cell exactly when "s positive, every deactivated datum negative" is
-    a cell of their arrangement (a datum whose column vanishes there is dropped).  It is
-    contained when its active data clear their boundaries by more than ``BOUNDARY_MARGIN``
-    and its deactivated data sit at a relative clearance of at most ``TIE_RTOL``.  Rows
-    neither contained nor all-off are left out, unless ``keep_all``.
+    minimizer set ``p + N z`` strictly on the deactivated side of every datum off, read
+    from one :func:`cone_witness` solve per pattern: active data clear every member as they
+    clear ``p``, and in homogeneous coordinates ``(z, s)``, ``p`` scaled by ``1 / max(1, |p|)``,
+    the set meets the cell exactly when the open cone "s positive, every deactivated datum
+    negative" is nonempty (a datum whose column vanishes there is dropped); its max-margin
+    direction is the member, found when it clears every kept column by more than
+    ``BOUNDARY_MARGIN``.  It is contained when its active data clear their boundaries by
+    more than ``BOUNDARY_MARGIN`` and its deactivated data sit at a relative clearance of at
+    most ``TIE_RTOL``.  Rows neither contained nor all-off are left out, unless ``keep_all``.
     """
     counts = masks.sum(axis=1)
     out: list[VirtualMinimizer | None] = [None] * len(masks)
@@ -115,11 +117,10 @@ def _virtual_minimizers(ds: Dataset, masks: np.ndarray, keep_all: bool = False) 
             cols = np.zeros((len(sel), ds.d - r + 1, ds.n - k + 1))  # column 0 is the s axis, the last row s
             cols[:, -1, 0], cols[:, :-1, 1:] = 1.0, np.matmul(null.transpose(0, 2, 1), unit)
             cols[:, -1, 1:] = np.matmul(p[:, None, :], unit)[:, 0] / scale[:, None]
-            keep = np.linalg.norm(cols, axis=1) > RANK_RTOL
-            found, v = target_cells(cols, keep, keep & (np.arange(keep.shape[1]) == 0))
-            witnesses[sel[~found]] = np.nan  # a set that misses its cell: NaN fails both clearance tests
-            coef, hit = scale[found, None] * v[found, :-1] / v[found, -1:], sel[found]
-            witnesses[hit] = points[hit] + np.matmul(u[hit][:, :, r:], coef[:, :, None])[:, :, 0]
+            cols[:, :, 1:] *= -1.0  # the cone's normals: s positive, every deactivated datum negative
+            for i, normals, kept, sc in zip(sel, cols, np.linalg.norm(cols, axis=1) > RANK_RTOL, scale):
+                v = cone_witness(normals[:, kept])  # None: the set misses its cell, and NaN fails both tests
+                witnesses[i] = np.nan if v is None else points[i] + u[i, :, r:] @ (sc * v[:-1] / v[-1])
         c = (ds.x.T @ witnesses.T) / np.multiply.outer(
             np.linalg.norm(ds.x, axis=0), np.maximum(1.0, np.linalg.norm(witnesses, axis=1)))
         contained = np.all(np.where(group.T, c > BOUNDARY_MARGIN, c <= TIE_RTOL), axis=0)

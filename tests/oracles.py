@@ -22,12 +22,14 @@ census that the grouped one replaced, and shares the package's enumeration
 (``geometry.partition_rows``, one breadth-first deletion-restriction tree);
 ``pattern_system_single`` is its one SVD per pattern, and ``minimizer_in_cell``
 its rank-deficient containment search.  That search, ``aimed_cell`` (one
-arrangement, one target sign vector, one witness), is the one that the
-lockstep ``geometry.target_cells`` replaced; it shares the package's
-``hyperplane_classes``, and the tests hold the two to the same cells and
-witness sign rows, and both to the margin program ``_margin_lp``.
-Witness floats are never compared: their last bits follow the library's
-rounding of each product.  ``clearance_both_forms`` is the event search's
+arrangement, one target sign vector, one witness), is a deletion-restriction
+walk aimed at one cell; it shares the package's ``hyperplane_classes`` but
+none of ``geometry.cone_witness``, the least-distance program that decides
+containment in the package.  The tests hold the two to the same cells and
+to the same witness sign rows wherever the walk's row is nonzero (its
+all-off cone witness is the origin), and both to the margin program
+``_margin_lp``.  Witness floats are never compared: their last bits follow
+the library's rounding of each product.  ``clearance_both_forms`` is the event search's
 enclosure before it took the nested form only on the cells that the
 term-by-term bound leaves open; the tests hold the two to the same flags.
 """
@@ -395,7 +397,7 @@ def _split_single(earlier: np.ndarray, uk: np.ndarray, v: np.ndarray) -> np.ndar
 
 def aimed_cell(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one cell of the columns' central arrangement with the boolean ``target``
-    sign vector, searched alone, as ``geometry.target_cells`` searches a stack:
+    sign vector, by a deletion-restriction walk aimed at it:
     ((1, k) sign rows, (d, 1) unit witness), or zero rows when the cell is empty."""
     unit = cols / np.linalg.norm(cols, axis=0)
     reps, classes = hyperplane_classes(unit)

@@ -103,6 +103,11 @@ class TestValidation:
         (lambda ds: dataset_from_json({"x": [[1.0, 2.0], [1.0]], "y": [1.0, 1.0]}), "share one length"),
         (lambda ds: dataset_from_json({"d": 3, "x": [[1.0, 2.0]], "y": [1.0]}), "declared d=3"),
         (lambda ds: dataset_from_json({"n": 2, "x": [[1.0, 2.0]], "y": [1.0]}), "declared n=2"),
+        # JSON can carry any scalar as a flag: it is named, not compared with the string flags
+        (lambda ds: dataset_from_json({"x": [[1.0]], "y": [1.0], "assumptions": ["A1", 3]}),
+         r"unknown assumption flags: \[3\]"),
+        (lambda ds: dataset_from_json({"x": [[1.0]], "y": [1.0], "assumptions": [None, "A9"]}),
+         r"unknown assumption flags: \['A9', None\]"),
         (lambda ds: ActivationPattern((0, 2)), "pattern bits must be 0 or 1"),
         (lambda ds: active_matrices(ds, SHORT), "pattern length does not match"),
         (lambda ds: pattern_system(ds, SHORT), "pattern length does not match"),

@@ -431,6 +431,20 @@ class TestCrossings:
         assert past.is_crossing and not first.covers(past.t)
         assert [count_hyperplane_crossings(tr, ds.x[:, 0], c) for c in (0.25, -0.5)] == [1, 0]
 
+    @pytest.mark.parametrize("v, c, error, message", [
+        ([1.0, 1.0], 0.5, StructuralError, r"v must have length 3, got shape \(2,\)"),
+        (1.0, 0.5, StructuralError, r"v must have length 3, got shape \(\)"),
+        ([1.0, np.inf, 0.0], 0.5, PreconditionError, "v must be finite"),
+        ([1.0, 1.0, 0.0], np.nan, PreconditionError, "c must be finite, got nan"),
+        ([1.0, 1.0, 0.0], -np.inf, PreconditionError, "c must be finite, got -inf"),
+    ])
+    def test_a_malformed_hyperplane_is_refused(self, ds_deactivation, v, c, error, message):
+        # a hyperplane of the wrong dimension, or not finite, is a typed error before any root search
+        tr = simulate_linear_flow(ds_deactivation, np.full(3, 1e-4))
+        for count in (count_hyperplane_crossings, segment_root_counts):
+            with pytest.raises(error, match=message):
+                count(tr, v, c)
+
 
 class TestTrajectoryStructure:
     def test_segments_chain_continuously(self, trajectory):

@@ -7,7 +7,7 @@ import pytest
 
 from reluflow import geometry
 from reluflow.dataset import Dataset
-from reluflow.errors import GeometryError, SizeError, StructuralError
+from reluflow.errors import GeometryError, NumericalError, SizeError, StructuralError
 from reluflow.flow import simulate_flow
 from reluflow.geometry import (
     ActivationPattern,
@@ -361,48 +361,82 @@ class TestHyperplaneClasses:
 
 class TestArrangementCells:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_an_aimed_search_returns_only_its_cell(self, d):
+    def test_a_cone_witness_finds_only_present_cells(self, d):
         # an exact and an antiparallel copy, of d + 2 data and of d + 1 data
-        # that span d - 1 dimensions and are reduced to their span; every
-        # present and missing sign vector is one row of one batch
+        # that span d - 1 dimensions; every present and missing sign vector
+        # is one cone, its columns signed by the vector
         rng = np.random.default_rng((25, d))
         spanned = rng.normal(size=(d, d - 1)) @ rng.normal(size=(d - 1, d + 1))
         for x in (rng.normal(size=(d, d + 2)), spanned):
             cols = np.column_stack([x, x[:, 0], -x[:, 1]])
-            keys = geometry.arrangement_cells(cols)[0]
+            keys = partition_rows(Dataset(x=cols, y=np.zeros(cols.shape[1])))[0]
             signs = np.array(list(itertools.product((False, True), repeat=cols.shape[1])))
             present = np.any(np.all(signs[:, None, :] == keys[None, :, :], axis=2), axis=1)
             assert present.sum() == len(keys) and not present.all()
-            found, w = geometry.target_cells(np.broadcast_to(cols, (len(signs), *cols.shape)),
-                                             np.ones(signs.shape, dtype=bool), signs)
-            assert np.array_equal(found, present) and w.shape == (len(signs), d)
-            assert np.array_equal(w[found] @ cols > 0.0, signs[found])
-            for key, hit in zip(signs, found):
-                # the one-cell search finds the same cells, with the same sign rows, and so does
-                # the margin program, which shares none of its algorithm
+            for key, hit in zip(signs, present):
+                # the cone witness, the one-cell search and the margin program, which share
+                # none of their algorithms, find the same cells, with the same sign rows
+                w = geometry.cone_witness(cols * np.where(key, 1.0, -1.0))
+                assert (w is not None) == hit
+                assert w is None or (w.shape == (d,) and np.array_equal(cols.T @ w > 0.0, key))
                 aimed, alone = aimed_cell(cols, key)
                 assert aimed.tolist() == [key.tolist()] * int(hit) and alone.shape == (d, int(hit))
                 assert np.array_equal(cols.T @ alone > 0.0, aimed.T)
                 assert (_margin_lp(cols / np.linalg.norm(cols, axis=0), np.where(key, 1.0, -1.0))[1]
                         > geometry.BOUNDARY_MARGIN) == hit
 
-    def test_one_call_mixes_widths_and_ranks(self):
+    def test_rows_mix_widths_and_ranks(self):
         # rows of full-rank, rank-3 and rank-2 arrangements in d = 4, one with an antiparallel copy,
-        # each cut to its own columns: every row's found flag is the one-cell search's and the
-        # margin program's, and a found witness has the target's sign row on the kept columns
+        # each cut to its own columns: every row's cone witness exists where the one-cell search and
+        # the margin program find the cell, and has the target's sign row on the kept columns
         rng = np.random.default_rng(32)
         sets = [rng.normal(size=(4, 8)), *(rng.normal(size=(4, r)) @ rng.normal(size=(r, 8)) for r in (3, 2))]
         sets[0][:, 5] = -2.0 * sets[0][:, 2]
-        cols = np.stack([sets[j % 3] for j in range(120)])
         keep, target = rng.uniform(size=(120, 8)) < 0.7, rng.uniform(size=(120, 8)) < 0.5
         keep[:, 0] = True
-        found, w = geometry.target_cells(cols, keep, target)
-        assert 0 < found.sum() < len(found) and len(set(keep.sum(axis=1).tolist())) > 3
-        for c, k, t, hit, witness in zip(cols, keep, target, found, w):
-            assert aimed_cell(c[:, k], t[k])[1].shape[1] == int(hit)
-            lp = _margin_lp(c[:, k] / np.linalg.norm(c[:, k], axis=0), np.where(t[k], 1.0, -1.0))[1]
+        hits = []
+        for j, (k, t) in enumerate(zip(keep, target)):
+            c = sets[j % 3][:, k]
+            w = geometry.cone_witness(c * np.where(t[k], 1.0, -1.0))
+            hits.append(hit := w is not None)
+            assert aimed_cell(c, t[k])[1].shape[1] == int(hit)
+            lp = _margin_lp(c / np.linalg.norm(c, axis=0), np.where(t[k], 1.0, -1.0))[1]
             assert (lp > geometry.BOUNDARY_MARGIN) == hit
-            assert not hit or np.array_equal(witness @ c[:, k] > 0.0, t[k])
+            assert not hit or np.array_equal(w @ c > 0.0, t[k])
+        assert 0 < sum(hits) < len(hits) and len(set(keep.sum(axis=1).tolist())) > 3
+
+    def test_a_contradicting_antiparallel_pair_has_no_witness(self):
+        # u . w > 0 and (-2u) . w > 0 exclude each other; the pair alone, and with a third column
+        u = np.array([0.3, -1.2, 0.5])
+        assert geometry.cone_witness(np.column_stack([u, -2.0 * u])) is None
+        assert geometry.cone_witness(np.column_stack([u, [0.0, 0.0, 1.0], -2.0 * u])) is None
+        w = geometry.cone_witness(np.column_stack([u, 2.0 * u]))
+        assert w is not None and np.allclose(w, u / np.linalg.norm(u), rtol=0.0, atol=1e-15)
+
+    def test_a_cone_just_wider_than_the_margin_is_found(self):
+        # n unit columns at equal angles around q[:, 3], each cleared by exactly ``margin`` there, so
+        # q[:, 3] is the max-margin direction: found to working accuracy a little above
+        # BOUNDARY_MARGIN (the NNLS residual alone points off by about 1e-16 / margin radians), and
+        # refused below it
+        q = np.linalg.qr(np.random.default_rng(33).normal(size=(4, 4)))[0]
+        for n in (4, 5, 7):
+            t = 2.0 * np.pi * np.arange(n) / n
+            for margin in (3e-9, 1.5e-9, 0.5e-9):
+                c = np.sqrt(1.0 - margin**2)
+                cols = q @ np.vstack([c * np.cos(t), c * np.sin(t), np.zeros(n), np.full(n, margin)])
+                w = geometry.cone_witness(cols)
+                if margin < geometry.BOUNDARY_MARGIN:
+                    assert w is None
+                else:
+                    assert w is not None and np.min(cols.T @ w) > (1.0 - 1e-6) * margin
+
+    def test_a_failed_least_distance_program_is_a_numerical_error(self, monkeypatch):
+        def stuck(a, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(geometry, "nnls", stuck)
+        with pytest.raises(NumericalError, match="least-distance program: Maximum number of iterations"):
+            geometry.cone_witness(np.eye(3))
 
     def test_stacked_hyperplane_bases_equal_single_column_svds(self):
         # the tree takes every hyperplane basis of a depth from one stacked SVD

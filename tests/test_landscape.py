@@ -237,6 +237,13 @@ class TestMinimaCensus:
         assert census.stationary_cone is not None
         assert census.stationary_cone.loss == pytest.approx(0.5)
 
+    def test_the_stationary_cone_witness_clears_every_datum(self, ds_deactivation):
+        # the all-off cone's witness is its max-margin direction, strictly off every datum's boundary
+        pool = (random_dataset(np.random.default_rng((0, 2, i)), 4, 10) for i in range(8))
+        for ds in (Dataset(x=np.array([[1.0], [0.0]]), y=np.array([1.0])), ds_deactivation, *pool):
+            cone = minima_census(ds).stationary_cone
+            assert cone.contained and np.array_equal(sign_rows(ds, cone.witness[None]), -np.ones((1, ds.n)))
+
     def test_deactivation_dataset_census(self, ds_deactivation):
         census = minima_census(ds_deactivation)
         by_pattern = {m.pattern.to_string(): m for m in census.minima}
@@ -329,12 +336,15 @@ def contains(ds, active, w):
 
 def assert_entry_is(ds, vm, entry):
     """One census entry is the loop's: its verdicts bitwise, and a witness on both sides or on neither,
-    with one sign row, the package's passing the census's clearance rule."""
+    with the loop's sign row wherever that row is nonzero, the package's passing the census's clearance
+    rule.  The loop's walk may stop on a boundary (its all-off cone witness is the origin), where the
+    package's max-margin witness clears it."""
     *verdicts, witness = entry
     assert _entry_bytes(vm.pattern.to_string(), vm.point, vm.null_basis, vm.rank, vm.loss) == _entry_bytes(*verdicts)
     assert (vm.witness is None) == (witness is None)
     if witness is not None:
-        assert np.array_equal(sign_rows(ds, vm.witness[None]), sign_rows(ds, witness[None]))
+        loop = sign_rows(ds, witness[None])
+        assert np.array_equal(np.where(loop != 0.0, sign_rows(ds, vm.witness[None]), 0.0), loop)
         assert contains(ds, vm.pattern.as_bool(), vm.witness[None])[0]
 
 
@@ -363,7 +373,7 @@ class TestGroupedCensus:
 
     @pytest.mark.parametrize("d, n", [(5, 12), (6, 12)])
     def test_seeded_random_datasets_in_more_dimensions(self, d, n):
-        # minimizer sets of dimension 3 and more take nested walks, and many miss their cells
+        # minimizer sets of dimension 3 and more, many of which miss their cells
         for s in range(2):
             ds = random_dataset(np.random.default_rng((26, d, n, s)), d, n)
             census = assert_census_is_the_loop(ds)

@@ -176,6 +176,12 @@ class TestCli:
         )
         assert main(["validate", "--dataset", str(bad), "--require", "A2"]) == 1
 
+    def test_validate_names_a_non_string_flag(self, tmp_path, capsys):
+        path = tmp_path / "flags.json"
+        path.write_text(json.dumps({"x": [[1.0, 0.0]], "y": [1.0], "assumptions": ["A1", 3]}))
+        assert main(["validate", "--dataset", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown assumption flags: [3]\n"
+
     def test_flow_writes_artifacts(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "artifacts"
         code = main(

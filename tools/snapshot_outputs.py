@@ -47,8 +47,8 @@ witness's sign row over all data of each minimum and of the all-off cone
 (see :func:`entry`).  The case ``census-deep`` does
 the same on 16 draws each at (d, n) = (5, 12) and (6, 12), from
 ``default_rng((d, n, i))``: odd draws with normal x and y, even ones
-``random_dataset``; their minimizer sets reach dimension 6 and take
-nested walks.  The file ``OUT_DIR/versions`` names the Python, numpy,
+``random_dataset``; their minimizer sets reach dimension 6, each one's
+containment a least-distance program in up to 7 dimensions.  The file ``OUT_DIR/versions`` names the Python, numpy,
 scipy and BLAS that made the snapshot.  Two checkouts whose snapshots
 give an empty ``diff -r`` behave identically on these commands, draws
 and datasets.
