@@ -28,7 +28,7 @@ from .flow import (
     simulate_linear_flow,
 )
 from .geometry import BOUNDARY_MARGIN, clearance, partition_count_bound
-from .landscape import LOSS_ORDER_RTOL, compare_support_losses, linear_least_squares, linear_loss
+from .landscape import compare_support_losses, linear_least_squares, linear_loss, undercuts
 from .landscape import minima_census, relu_vs_linear_gap
 
 # The sampled engine check of a linear flow: between samples its loss may
@@ -226,7 +226,7 @@ def _trial_census_orderings(rng, index: int) -> TrialResult:
     except GeometryError:
         problems.append("census empty")
     else:
-        if relu > lin + LOSS_ORDER_RTOL * max(1.0, lin):
+        if undercuts(lin, relu):
             problems.append(f"rectified global {relu:.3e} exceeds linear {lin:.3e}")
     total = len(census.minima) + (1 if census.stationary_cone else 0)
     if total > partition_count_bound(n, d):

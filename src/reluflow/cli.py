@@ -33,11 +33,10 @@ from .deepnet import DeepNet, backprop_labels, forward_trace
 from .errors import ReluFlowError
 from .flow import revisit_report, simulate_flow, simulate_gd, simulate_linear_flow, write_run
 from .landscape import (
-    INTERPOLATION_RTOL,
     census_to_jsonl,
     compare_support_losses,
+    interpolates,
     linear_least_squares,
-    loss,
     minima_census,
     relu_vs_linear_gap,
 )
@@ -146,7 +145,7 @@ def _cmd_criteria(args) -> int:
         w_gm = _parse_vector(args.w_gm)
     else:
         w_gm, _ = linear_least_squares(ds)
-        if loss(ds, w_gm) > INTERPOLATION_RTOL * 0.5 * float(ds.y @ ds.y):
+        if not interpolates(ds, w_gm):
             raise ReluFlowError("data admits no interpolating solution; pass --w-gm explicitly")
     census = minima_census(ds)
     per_index = {str(j): no_deactivation_certificate(ds, w0, w_gm, j) for j in range(ds.n)}

@@ -20,7 +20,7 @@ from .errors import DegenerateDirectionError, PreconditionError, StructuralError
 from .expsum import TIE_RTOL
 from .flow import Trajectory
 from .geometry import active_matrices, pattern_of, pattern_system
-from .landscape import INTERPOLATION_RTOL, MinimaCensus, loss
+from .landscape import MinimaCensus, interpolates, loss
 
 
 def alpha_star(ds: Dataset, w0, j: int) -> float:
@@ -52,9 +52,8 @@ def _datum(ds: Dataset, j) -> int:
 def _require_interpolating(ds: Dataset, w_gm) -> np.ndarray:
     """``w_gm`` as a checked point of zero loss up to ``INTERPOLATION_RTOL``."""
     w_gm = check_point(ds, w_gm, "reference point")
-    value = loss(ds, w_gm)
-    if value > INTERPOLATION_RTOL * 0.5 * float(ds.y @ ds.y):
-        raise PreconditionError(f"reference point is not interpolating: loss = {value:.3e}")
+    if not interpolates(ds, w_gm):
+        raise PreconditionError(f"reference point is not interpolating: loss = {loss(ds, w_gm):.3e}")
     return w_gm
 
 

@@ -183,40 +183,32 @@ def balancedness_drift(
         raise PreconditionError(f"step must be positive and finite, got {step!r}")
     iters = check_count(iters, "iters")
     step = np.float64(step)  # so that step**2 overflows to inf, not OverflowError
-    weights = [w.copy() for w in net.weights]
-    l = len(weights)
 
     def squares(mats):
         return np.array([np.sum(m**2) for m in mats])
 
-    base = np.diff(squares(weights))
-    drift = np.zeros((iters, max(l - 1, 0)))
-    residual = np.zeros_like(drift)
-    losses = np.zeros(iters + 1)
-    y = np.asarray(y, dtype=float)
+    base = np.diff(squares(net.weights))
+    current, problems = net, backprop_labels(net, x, y)
+    losses = [0.5 * float(np.sum(problems[-1].delta ** 2))]  # bitwise the forward pass's loss
+    drift, residual = [], []
     diverged = False
-    current = DeepNet(weights=tuple(weights))
-    out = forward_trace(current, x)[-1][1]
-    losses[0] = 0.5 * float(np.sum((out - y) ** 2))
-    for it in range(iters):
-        grads = network_gradients(current, x, y)
+    for _ in range(iters):
+        grads = [p.weight_gradient() for p in problems]
         before = squares(current.weights)
         with np.errstate(over="ignore", invalid="ignore"):
             weights = [w - step * g for w, g in zip(current.weights, grads)]
             if not all(np.all(np.isfinite(w)) for w in weights):
-                diverged, kept = True, it  # the step left no network to evaluate
+                diverged = True  # the step left no network to evaluate
                 break
             current = DeepNet(weights=tuple(weights))
-            out = forward_trace(current, x)[-1][1]
-            losses[it + 1] = 0.5 * float(np.sum((out - y) ** 2))
-            if l > 1:
-                after = np.diff(squares(weights))
-                drift[it] = np.abs(after - base)
-                moved = after - np.diff(before) - step**2 * np.diff(squares(grads))
-                residual[it] = np.abs(moved) / np.maximum(before[:-1] + before[1:], np.finfo(float).tiny)
-        if not np.all(np.isfinite([*drift[it], *residual[it], losses[it + 1]])) or losses[it + 1] > 1e12:
-            diverged, kept = True, it + 1
+            problems = backprop_labels(current, x, y)
+            losses.append(0.5 * float(np.sum(problems[-1].delta ** 2)))
+            after = np.diff(squares(weights))
+            drift.append(np.abs(after - base))
+            moved = after - np.diff(before) - step**2 * np.diff(squares(grads))
+            residual.append(np.abs(moved) / np.maximum(before[:-1] + before[1:], np.finfo(float).tiny))
+        if not np.all(np.isfinite([*drift[-1], *residual[-1], losses[-1]])) or losses[-1] > 1e12:
+            diverged = True
             break
-    if diverged:
-        drift, residual, losses = drift[:kept], residual[:kept], losses[:kept + 1]
-    return BalancednessResult(drift=drift, residual=residual, losses=losses, diverged=diverged)
+    shape = (len(drift), net.depth - 1)
+    return BalancednessResult(np.reshape(drift, shape), np.reshape(residual, shape), np.array(losses), diverged)

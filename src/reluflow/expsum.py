@@ -12,8 +12,8 @@ infinity split by doubling.  A cell where the enclosure of f clears 0
 has no root.  Where that of f' does, f is monotone: the end signs decide,
 and Brent's method polishes the root.  Where that of f'' does, Brent's
 method on f' splits the cell at the extremum into two monotone halves,
-and a zero there is a touch.  Other cells are bisected; one narrower than
-``TIE_RTOL * max(1, t)`` that is still undecided raises NumericalError.
+and a zero there is a touch.  Other cells are bisected; one whose ends
+tie (:func:`tied`) that is still undecided raises NumericalError.
 Enclosures are taken term by term and, sharp on near-equal rates, in the
 nested form ``c + e^{-mu_1 t}(a_1 + e^{-(mu_2 - mu_1) t}(a_2 + ...))``,
 the latter only on the cells that the former leaves within
@@ -42,8 +42,8 @@ ZERO_RTOL = 1e-13
 # are combined into one term; a term whose coefficient sums to exactly 0 goes.
 MERGE_RTOL = 1e-12
 
-# Two instants, or two values, within TIE_RTOL * max(1, |t|) of each other
-# tie: they count as the same root, event or value.
+# Two instants tie when the later is within TIE_RTOL * max(1, t) of the
+# earlier t (:func:`tied`); values tie on scales of their own.
 TIE_RTOL = 1e-12
 
 # The grid ends at TERMINAL_HORIZON_RATES / mu_min, where exp(-50) is far
@@ -61,6 +61,11 @@ _SLACKS = np.array([[BOUND_SLACK_RTOL], [0.0], [0.0]])
 
 _BRENTQ_RTOL = 4 * np.finfo(float).eps
 _BRENTQ_XTOL = 1e-30  # absolute term must not mask the machine-relative target
+
+
+def tied(a: float, b: float) -> bool:
+    """Whether instant ``b``, at or after ``a``, ties with ``a``: the one rule for instants, anchored on ``a``."""
+    return b - a <= TIE_RTOL * max(1.0, a)
 
 
 @dataclass(frozen=True)
@@ -254,7 +259,7 @@ class RootBatch:
                 cuts.append(t_b)
                 continue
             mid = 0.5 * (t_a + t_b) if finite else 2.0 * t_a
-            if t_b - t_a <= TIE_RTOL * max(1.0, t_a) or mid == np.inf:
+            if tied(t_a, t_b) or mid == np.inf:
                 raise NumericalError(f"no certified root isolation on [{t_a!r}, {t_b!r}]")
             edges = np.array([t_a, mid, t_b])
             todo.extend(cells(edges, _clearance(self.rates, rows, consts, edges) > _SLACKS)[::-1])
@@ -280,4 +285,4 @@ class RootBatch:
                 found.append(Root(_polish(f, cuts[last], t), signs[last], s))
             last = i
         # tied roots are one root
-        return [r for i, r in enumerate(found) if not i or r.t - found[i - 1].t > TIE_RTOL * max(1.0, r.t)]
+        return [r for i, r in enumerate(found) if not i or not tied(found[i - 1].t, r.t)]

@@ -9,8 +9,8 @@ segment's shared decay rates, and the next event is the earliest
 admissible zero among the gaps and the held multipliers.  One
 :class:`reluflow.expsum.RootBatch` pass over all of them bounds each first
 zero from below; rows are then isolated in order of that bound until the
-next lies beyond the tie window of the best zero found, so no row that
-could win or tie is skipped.
+next bound no longer ties with the best zero found, so no row that could
+win or tie is skipped.  Every tie of instants is :func:`reluflow.expsum.tied`.
 
 At an event the data on their boundaries decide together (Filippov,
 *Differential Equations with Discontinuous Righthand Sides*, 1988).  B
@@ -47,7 +47,7 @@ import numpy as np
 
 from .dataset import Dataset, check_count, check_point, freeze_fields, matrix_rank
 from .errors import NumericalError, PreconditionError
-from .expsum import TERMINAL_HORIZON_RATES, TIE_RTOL, ExpSum, RootBatch
+from .expsum import TERMINAL_HORIZON_RATES, TIE_RTOL, ExpSum, RootBatch, tied
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, active_matrices, clearance
 from .geometry import pattern_system
 from .landscape import gradient
@@ -127,8 +127,8 @@ class FlowSegment:
         return ExpSum(0.0, coeffs, np.concatenate([lam, 2.0 * lam]))
 
     def covers(self, tau: float) -> bool:
-        """Whether local time ``tau`` lies on the segment, its end widened by ``TIE_RTOL`` relative."""
-        return not np.isfinite(self.t_end) or tau <= self.duration * (1 + TIE_RTOL) + 1e-300
+        """Whether local time ``tau`` lies on the segment or ties with its end (:func:`~reluflow.expsum.tied`)."""
+        return not np.isfinite(self.t_end) or tied(self.duration, tau)
 
     def local_horizon(self) -> float:
         """Finite sampling horizon: the duration, or the decay horizon if infinite."""
@@ -237,18 +237,13 @@ def _segment_from(
     return seg
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    tau: float
-    index: int
-    side: int  # OFF or ON: the side the datum heads to
+def _next_event(ds: Dataset, seg: FlowSegment) -> tuple[float, dict[int, int]]:
+    """``(tau, heading)``: the next event's local time and the side (OFF or ON) each datum in it heads to.
 
-
-def _boundary_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
-    """Earliest admissible zero of each row that can come first: every datum's gap
-    crossing to the side it is not on, held data's own skipped, and each held
-    multiplier less 0 (heading off) and less 1 (on).  Rows are isolated in order of
-    their batch bounds until the next lies beyond the tie window of the best zero."""
+    Rows, each datum's gap crossing to the side it is not on (held data's skipped) and each held
+    multiplier less 0 (off) and less 1 (on), are isolated in order of their batch bounds until the
+    next bound no longer ties with the best zero.  The earliest zeros that tie with it are the event;
+    the lowest index among them sets its time.  With no event the result is ``(inf, {})``."""
     consts, coeffs = seg.observables(ds.x.T)
     rows = [(k, 1 - bit, 1 if bit == OFF else -1) for k, bit in enumerate(seg.pattern.bits)]
     if seg.held:
@@ -259,16 +254,17 @@ def _boundary_candidates(ds: Dataset, seg: FlowSegment) -> list[_Candidate]:
     batch = RootBatch(seg.eigenvalues, coeffs, consts)
     lower = batch.lower.copy()
     lower[list(seg.held)] = np.inf
-    out, best = [], np.inf
+    found, best = [], np.inf
     for i in np.argsort(lower, kind="stable").tolist():
-        if np.isinf(lower[i]) or lower[i] > best + TIE_RTOL * max(1.0, best):
+        if np.isinf(lower[i]) or not tied(best, lower[i]):
             break
         index, side, after = rows[i]
         root = next((r for r in batch.roots(i) if r.is_crossing and r.after == after), None)
         if root is not None:
-            out.append(_Candidate(tau=root.t, index=index, side=side))
+            found.append((root.t, index, side))
             best = min(best, root.t)
-    return out
+    event = [c for c in found if tied(best, c[0])]
+    return min(event, key=lambda c: c[1], default=(math.inf,))[0], {index: side for _, index, side in event}
 
 
 def _multipliers(ds: Dataset, seg: FlowSegment) -> tuple[np.ndarray, np.ndarray]:
@@ -351,19 +347,13 @@ def simulate_flow(ds: Dataset, w0, t_max: float = math.inf) -> Trajectory:
 
     while terminal is None:
         seg = _segment_from(ds, face[0], w, t, face[1])
-        candidates = _boundary_candidates(ds, seg)
-        tau = math.inf  # no event follows
-        if candidates:
-            # the candidates tied with the earliest join B; the lowest index sets the time
-            tau_min = min(c.tau for c in candidates)
-            tied = [c for c in candidates if c.tau <= tau_min + TIE_RTOL * max(1.0, tau_min)]
-            tau = min(tied, key=lambda c: c.index).tau
+        tau, heading = _next_event(ds, seg)
         if t + tau > t_max:
             segments.append(replace(seg, t_end=t_max))
             terminal = "horizon"
             terminal_point = seg.value_local(t_max - t)
             break
-        if not candidates:
+        if not heading:
             segments.append(seg)
             terminal = _classify_limit(ds, seg)
             terminal_point = seg.target
@@ -372,7 +362,6 @@ def simulate_flow(ds: Dataset, w0, t_max: float = math.inf) -> Trajectory:
         if not np.all(np.isfinite(w_ev)):
             raise NumericalError("non-finite event point")
         t_ev = t + tau
-        heading = {c.index: c.side for c in tied}
         b = sorted(set(seg.held) | set(heading))
         states = _face_states(ds, state, b, heading, w_ev)
         if states is None:
@@ -484,7 +473,8 @@ def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
 
     Pattern flips between iterates are logged as events at pseudo-time
     ``iteration * lr`` so event sequences are comparable with the exact
-    engine's.  The start is checked as the exact engines check it.
+    engine's.  The start is checked as the exact engines check it; a run
+    whose iterate leaves the finite range raises ``NumericalError``.
     """
     w = check_point(ds, w0).copy()
     if not (np.isfinite(lr) and lr > 0.0):
@@ -493,20 +483,24 @@ def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
     iterates = [w.copy()]
     events = []
     bits = tuple((ds.x.T @ w > 0.0).tolist())
-    for k in range(iters):
-        w = w - lr * gradient(ds, w)
-        iterates.append(w.copy())
-        new_bits = tuple((ds.x.T @ w > 0.0).tolist())
-        if new_bits != bits:
-            for j, (a, b) in enumerate(zip(bits, new_bits)):
-                if a != b:
-                    kind = "activation" if b else "deactivation"
-                    events.append(FlowEvent(t=(k + 1) * lr, index=j, kind=kind, point=w.copy()))
-            bits = new_bits
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters):
+            w = w - lr * gradient(ds, w)
+            iterates.append(w.copy())
+            new_bits = tuple((ds.x.T @ w > 0.0).tolist())
+            if new_bits != bits:
+                for j, (a, b) in enumerate(zip(bits, new_bits)):
+                    if a != b:
+                        kind = "activation" if b else "deactivation"
+                        events.append(FlowEvent(t=(k + 1) * lr, index=j, kind=kind, point=w.copy()))
+                bits = new_bits
+    finite = np.isfinite(iterates := np.array(iterates)).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"descent left the finite range at iteration {int(np.argmin(finite))}")
     return GDRun(
         dataset=ds,
         lr=lr,
-        iterates=np.array(iterates),
+        iterates=iterates,
         events=tuple(events),
         terminal_point=w,
     )
@@ -581,7 +575,7 @@ def count_hyperplane_crossings(tr: Trajectory, v, c: float) -> int:
             if not (root.is_crossing and seg.covers(root.t)):
                 continue
             t_abs = seg.t_start + root.t
-            if t_abs - last_t <= TIE_RTOL * max(1.0, abs(t_abs)):
+            if tied(last_t, t_abs):
                 continue
             total += 1
             last_t = t_abs

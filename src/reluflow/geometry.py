@@ -178,12 +178,9 @@ def hyperplane_classes(unit: np.ndarray) -> tuple[list[int], list[tuple[int, boo
     or of its negative, joins the first such class (so membership is not
     transitive): every cell between the two is thinner than the margin.
     """
-    k = unit.shape[1]
     near = _near_parallel(gram := unit.T @ unit)
-    if np.count_nonzero(near) == k:
-        return list(range(k)), [(j, False) for j in range(k)]
     reps, classes = [], []
-    for j in range(k):
+    for j in range(unit.shape[1]):
         for i, rep in enumerate(reps):
             sign = math.copysign(1.0, gram[rep, j])
             if near[rep, j] and np.linalg.norm(unit[:, j] - sign * unit[:, rep]) <= 2.0 * BOUNDARY_MARGIN:

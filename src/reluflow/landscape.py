@@ -31,8 +31,7 @@ from .geometry import cone_witness, pattern_spectra
 # A point interpolates the data when its loss is at most INTERPOLATION_RTOL * 0.5 |y|^2, the loss at 0.
 INTERPOLATION_RTOL = 1e-10
 
-# One loss undercuts another only when it is lower by more than
-# LOSS_ORDER_RTOL * max(1, |other loss|).
+# A loss undercuts another only when lower by more than LOSS_ORDER_RTOL * max(1, |other loss|).
 LOSS_ORDER_RTOL = 1e-9
 
 
@@ -41,6 +40,16 @@ def loss(ds: Dataset, w) -> float:
     w = np.asarray(w, dtype=float)
     r = np.maximum(ds.x.T @ w, 0.0) - ds.y
     return 0.5 * float(r @ r)
+
+
+def interpolates(ds: Dataset, w) -> bool:
+    """Whether ``w``'s loss is at most ``INTERPOLATION_RTOL`` times the loss at the origin."""
+    return loss(ds, w) <= INTERPOLATION_RTOL * 0.5 * float(ds.y @ ds.y)
+
+
+def undercuts(a: float, b: float) -> bool:
+    """Whether loss ``a`` is lower than loss ``b`` by more than ``LOSS_ORDER_RTOL * max(1, |b|)``."""
+    return b - a > LOSS_ORDER_RTOL * max(1.0, abs(b))
 
 
 def linear_loss(ds: Dataset, w) -> float:
@@ -211,7 +220,7 @@ def compare_support_losses(census: MinimaCensus) -> SupportOrderingReport:
                 loss_inner=census.minima[j].loss,
             )
             pairs.append(pair)
-            if pair.margin < -LOSS_ORDER_RTOL * max(1.0, abs(pair.loss_outer)):
+            if undercuts(pair.loss_inner, pair.loss_outer):
                 holds = False
     return SupportOrderingReport(pairs=tuple(pairs), holds=holds)
 

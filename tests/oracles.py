@@ -11,7 +11,7 @@ the zeros of exponential sums and the sign of the norm's slope through a
 dense grid whose sign changes are bisected in 50-digit mpmath arithmetic.
 Expected values in the tests are produced by these routines (or frozen
 from them), never by the code under test.  Four exceptions share package
-code.  ``boundary_candidates_exhaustive`` shares the flow's root isolator
+code.  ``next_event_exhaustive`` shares the flow's root isolator
 and is the reference for the flow's pruned, batched event search, from
 which it differs by isolating every gap and held multiplier alone.
 ``trajectory_csv`` is the per-row writer that the batched
@@ -174,16 +174,18 @@ def fd_layer_gradient(weights, x, y, layer: int, step: float = 1e-6) -> np.ndarr
     return grad
 
 
-def boundary_candidates_exhaustive(ds, seg):
-    """Earliest admissible zero of every gap and held multiplier, each isolated in full.
+def next_event_exhaustive(ds, seg):
+    """The next event, as ``flow._next_event``'s ``(tau, heading)``, from every gap and held
+    multiplier's earliest admissible zero, each isolated in full.
 
     The flow's bounded search must select the same event as this scan,
     which isolates every root of every datum's gap and of every held
     multiplier less 0 and less 1 on [0, inf), one ``ExpSum`` at a time,
-    with no pruning.
+    with no pruning, and then takes the candidates that tie with the
+    earliest, the lowest index setting the time.
     """
-    from reluflow.expsum import ExpSum
-    from reluflow.flow import OFF, ON, _Candidate, _multipliers
+    from reluflow.expsum import ExpSum, tied
+    from reluflow.flow import OFF, ON, _multipliers
 
     out = []
     for k in range(ds.n):
@@ -192,7 +194,7 @@ def boundary_candidates_exhaustive(ds, seg):
         want = -1 if seg.pattern.bits[k] else 1
         for root in seg.observable(ds.x[:, k]).roots():
             if root.is_crossing and root.after == want:
-                out.append(_Candidate(tau=root.t, index=k, side=1 - seg.pattern.bits[k]))
+                out.append((root.t, k, 1 - seg.pattern.bits[k]))
                 break
     if seg.held:
         alphas, coeffs = _multipliers(ds, seg)
@@ -201,8 +203,12 @@ def boundary_candidates_exhaustive(ds, seg):
                 roots = ExpSum(alpha - level, a, seg.eigenvalues).roots()
                 root = next((r for r in roots if r.is_crossing and r.after == after), None)
                 if root is not None:
-                    out.append(_Candidate(tau=root.t, index=j, side=side))
-    return out
+                    out.append((root.t, j, side))
+    if not out:
+        return math.inf, {}
+    best = min(c[0] for c in out)
+    event = [c for c in out if tied(best, c[0])]
+    return min(event, key=lambda c: c[1])[0], {j: side for _, j, side in event}
 
 
 def trajectory_csv(tr) -> str:

@@ -166,6 +166,8 @@ class TestBalancedness:
             with pytest.raises(StructuralError, match="iters must be a nonnegative integer"):
                 balancedness_drift(net, x, y, 1e-3, iters)
         assert balancedness_drift(net, x, y, 1e-3, np.int64(2)).losses.shape == (3,)
+        with pytest.raises(StructuralError, match="label must have length 1"):
+            balancedness_drift(net, x, np.ones(3), 1e-3, 0)  # checked even with no step to take
         with np.errstate(over="ignore", invalid="ignore"):
             # step**2 is formed in float64: it overflows to inf, not to OverflowError
             run = balancedness_drift(net, x, y, 1e200, 5)

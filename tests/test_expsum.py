@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reluflow.errors import NumericalError
-from reluflow.expsum import ExpSum, Root
+from reluflow.expsum import ExpSum, Root, tied
 
 from oracles import assert_matches_oracle
 
@@ -128,6 +128,20 @@ class TestEdgeCases:
         f = ExpSum(-(u**3), [3.0 * u**2, -3.0 * u, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(NumericalError, match=r"no certified root isolation on \[0\.99"):
             f.roots()
+
+
+class TestTies:
+    def test_the_sentinels(self):
+        # -inf ties with no instant and no instant with inf, but inf with every instant
+        for t in (0.0, 0.5, 1e300):
+            assert not tied(-np.inf, t)
+            assert not tied(t, np.inf)
+            assert tied(np.inf, t)
+
+    def test_the_window_is_anchored_on_the_earlier_instant(self):
+        # 1e-12 absolute up to t = 1, then 1e-12 relative to the earlier instant
+        assert tied(1e-3, 1e-3 + 0.9e-12) and not tied(1e-3, 1e-3 + 1.1e-12)
+        assert tied(1e6, 1e6 + 0.9e-6) and not tied(1e6, 1e6 + 1.1e-6)
 
 
 class TestConventions:

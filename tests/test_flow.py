@@ -1,5 +1,7 @@
 """Event-driven exact flow: segments, events, terminals, and crossings."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from reluflow.flow import (
 from reluflow.geometry import ActivationPattern, g_value, pattern_of
 from reluflow.landscape import linear_loss, loss
 
-from oracles import assert_matches_oracle, boundary_candidates_exhaustive, clearance_both_forms, lstsq_minnorm
+from oracles import assert_matches_oracle, clearance_both_forms, lstsq_minnorm, next_event_exhaustive
 from oracles import norm_growth_mp, segment_certificate, trajectory_csv
 from snapshot_outputs import stress_draw
 
@@ -430,6 +432,13 @@ class TestCrossings:
         (past,) = first.observable(ds.x[:, 0], offset=-0.5).roots()
         assert past.is_crossing and not first.covers(past.t)
         assert [count_hyperplane_crossings(tr, ds.x[:, 0], c) for c in (0.25, -0.5)] == [1, 0]
+
+    def test_a_short_segment_covers_the_tie_window_past_its_end(self, ds_deactivation):
+        # below a duration of 1 the window is 1e-12 absolute, as every tie of instants is
+        (seg,) = simulate_flow(ds_deactivation, np.array([1e-4, 5e-5, 8e-5]), t_max=1e-3).segments
+        assert seg.duration == 1e-3
+        assert seg.covers(seg.duration + 5e-13)
+        assert not seg.covers(seg.duration + 2e-12)
 
     @pytest.mark.parametrize("v, c, error, message", [
         ([1.0, 1.0], 0.5, StructuralError, r"v must have length 3, got shape \(2,\)"),
@@ -862,6 +871,14 @@ class TestDescentProxy:
             simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, -1)
         assert len(simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, 0).iterates) == 1
 
+    def test_a_descent_that_overflows_is_refused(self, ds_showcase):
+        # a step of 1e300 overflows at the second iterate: a typed error, with no
+        # numpy warning and no run of inf and nan iterates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^descent left the finite range at iteration 2$"):
+                simulate_gd(ds_showcase, [0.3, 0.3], 1e300, 50)
+
     def test_negative_time_is_rejected_like_the_exact_engine(self, ds_deactivation):
         run = simulate_gd(ds_deactivation, [1.0, 0.0, 0.0], 0.01, 20)
         np.testing.assert_array_equal(run.at(0.0), run.iterates[0])
@@ -1008,7 +1025,7 @@ class TestBoundedEventSearch:
     def both_ways(monkeypatch, cases):
         bounded = [flow_outcome(ds, w0) for ds, w0 in cases]
         with monkeypatch.context() as patch:
-            patch.setattr(flow_engine, "_boundary_candidates", boundary_candidates_exhaustive)
+            patch.setattr(flow_engine, "_next_event", next_event_exhaustive)
             exhaustive = [flow_outcome(ds, w0) for ds, w0 in cases]
         return bounded, exhaustive
 

@@ -472,6 +472,16 @@ class TestCli:
         assert capsys.readouterr().err == "error: --lr and --iters need --engine gd\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--dataset", str(fixture_path("example-5-1")), "--w0", "0.3,0.3"],
+        ["reproduce", "example-5-3"],
+    ])
+    def test_a_descent_that_overflows_exits_2(self, argv, tmp_path, capsys):
+        # not a summary with -Infinity, which is not JSON, nor inf and nan CSV rows
+        assert main(argv + ["--engine", "gd", "--lr", "1e300", "--iters", "50", "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: descent left the finite range at iteration 2\n")
+
     def test_the_horizon_needs_the_exact_engine(self, dataset_file, tmp_path, capsys):
         # the descent proxy has no horizon: --t-max is refused before --out is made, not ignored
         argv = ["flow", "--dataset", str(dataset_file), "--w0", "0.0001,0.00005,0.00008", "--engine", "gd",

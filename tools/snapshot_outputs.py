@@ -23,7 +23,9 @@ pool, most of whose minima are rank deficient; ``flow`` on a d=3 dataset
 whose data 0 and 1 reach their boundaries at one instant
 (``flow-simultaneous``); ``backprop`` on a small net and through weights
 of 1e200 (``backprop-overflow``); ``flow`` with an empty field in
-``--w0`` (``flow-empty-field``); every campaign with ``--trials 20
+``--w0`` (``flow-empty-field``); ``flow --engine gd --lr 1e300 --iters 50``
+on ``example_5_1.json``, whose descent overflows (``flow-gd-overflow``,
+refused); every campaign with ``--trials 20
 --seed 3``; an unknown scenario and an unknown campaign; and ``reproduce
 example-5-2`` and ``campaign crossing-bound`` with ``--seed -1``.  Each command gets a
 directory ``OUT_DIR/<case>/`` holding its ``stdout``, ``stderr``,
@@ -291,6 +293,8 @@ def main(argv: list[str]) -> int:
     net.write_text(json.dumps({"weights": [[[1e200]], [[1e200]]]}) + "\n", encoding="utf-8")
     _run(out_dir, "backprop-overflow", ["backprop", "--net", str(net), "--x", "1", "--y", "1"])
     _run(out_dir, "flow-empty-field", ["flow", "--dataset", str(DATA / "example_5_1.json"), "--w0", "1,,2"])
+    _run(out_dir, "flow-gd-overflow", ["flow", "--dataset", str(DATA / "example_5_1.json"), "--w0", "0.3,0.3",
+                                       "--engine", "gd", "--lr", "1e300", "--iters", "50"])
     for kind in CAMPAIGN_IDS:
         _run(out_dir, f"campaign-{kind}", ["campaign", kind, "--trials", "20", "--seed", "3"])
     _run(out_dir, "reproduce-unknown", ["reproduce", "example-9-9"])
