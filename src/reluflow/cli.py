@@ -4,8 +4,7 @@ Subcommands cover the whole laboratory: dataset validation, landscape
 censuses, exact and proxy flow runs, initialization certificates, deep
 decomposition probes, the built-in reproductions, and the randomized
 campaigns.  Outputs are plot-ready CSV/JSON files; the exit status
-reports expectation or campaign failures.  The ``RELUFLOW_OUT``
-environment variable overrides ``--out``.
+reports expectation or campaign failures.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -31,7 +29,7 @@ from .criteria import (
 from .dataset import augment_bias, load_dataset, load_json, validate_dataset, write_json
 from .deepnet import DeepNet, backprop_labels, forward_trace
 from .errors import ReluFlowError
-from .flow import revisit_report, simulate_flow, simulate_gd, simulate_linear_flow, write_run
+from .flow import DESCENT_ITERS, DESCENT_LR, revisit_report, simulate_flow, simulate_gd, simulate_linear_flow, write_run
 from .landscape import (
     census_to_jsonl,
     compare_support_losses,
@@ -50,8 +48,7 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _out_dir(args) -> Path:
-    out = os.environ.get("RELUFLOW_OUT") or args.out
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -71,7 +68,7 @@ def _descent(args) -> tuple[float, int]:
         raise ReluFlowError("--lr and --iters need --engine gd")
     if args.engine == "gd" and getattr(args, "t_max", math.inf) != math.inf:  # the proxy has no horizon
         raise ReluFlowError("--t-max needs --engine exact")
-    return (0.005 if args.lr is None else args.lr), (20000 if args.iters is None else args.iters)
+    return (DESCENT_LR if args.lr is None else args.lr), (DESCENT_ITERS if args.iters is None else args.iters)
 
 
 def _cmd_validate(args) -> int:
@@ -212,9 +209,9 @@ def _cmd_backprop(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    lr, iters = _descent(args)
+    _descent(args)  # refuses the descent options; run_scenario fills in their defaults
     scenario = scen.builtin_scenario(args.name, seed=args.seed)
-    result = scen.run_scenario(scenario, _out_dir(args), engine=args.engine, lr=lr, iters=iters)
+    result = scen.run_scenario(scenario, _out_dir(args), engine=args.engine, lr=args.lr, iters=args.iters)
     for name, ok, detail in result.checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {result.name}: {name} ({detail})")
     return 0 if result.passed else 1
@@ -250,8 +247,8 @@ def _add_common(p, dataset=False, flow=False, horizon=False, engine=False, seed=
         p.add_argument("--out", default="reluflow-out", help="output directory")
     if engine:
         p.add_argument("--engine", choices=("exact", "gd"), default="exact")
-        p.add_argument("--lr", type=float, help="descent step, with --engine gd (default 0.005)")
-        p.add_argument("--iters", type=int, help="descent iterations, with --engine gd (default 20000)")
+        p.add_argument("--lr", type=float, help=f"descent step, with --engine gd (default {DESCENT_LR})")
+        p.add_argument("--iters", type=int, help=f"descent iterations, with --engine gd (default {DESCENT_ITERS})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -68,6 +68,10 @@ CONVERGE_RTOL = 1e-12
 # A flow ends "event-cap" after EVENT_CAP_FACTOR * n * d events.
 EVENT_CAP_FACTOR = 10
 
+# The descent proxy's step and iteration count where none is given (the CLI and the scenarios).
+DESCENT_LR = 0.005
+DESCENT_ITERS = 20000
+
 
 @dataclass(frozen=True)
 class FlowSegment:
@@ -140,17 +144,28 @@ class FlowSegment:
 @dataclass(frozen=True)
 class FlowEvent:
     """One datum changing state; ``before`` and ``after`` are the ``(pattern, held)`` faces it
-    leaves and enters, as in :attr:`Trajectory.terminal_face` (None for a descent proxy)."""
+    leaves and enters, as in :attr:`Trajectory.terminal_face`."""
 
     t: float
     index: int
-    kind: str  # "activation" (turns on) | "deactivation" (turns off) | "sliding" (held or let go)
     point: np.ndarray
-    before: tuple[ActivationPattern, tuple[int, ...]] | None = None
-    after: tuple[ActivationPattern, tuple[int, ...]] | None = None
+    before: tuple[ActivationPattern, tuple[int, ...]]
+    after: tuple[ActivationPattern, tuple[int, ...]]
 
     def __post_init__(self):
         freeze_fields(self, "point")
+
+    def states(self) -> tuple[int, int]:
+        """The datum's state (OFF, ON or HELD) on the ``before`` face and on the ``after`` face."""
+        j = self.index
+        return tuple(ON if p.bits[j] else HELD if j in held else OFF for p, held in (self.before, self.after))
+
+    @property
+    def kind(self) -> str:
+        """Read off :meth:`states`: "activation" (turns on), "deactivation" (on to off) or "sliding"
+        (held or let go)."""
+        old, new = self.states()
+        return "activation" if new == ON else "deactivation" if (old, new) == (ON, OFF) else "sliding"
 
     def to_json(self) -> dict:
         return {"t": self.t, "index": self.index, "kind": self.kind, "point": self.point.tolist()}
@@ -371,12 +386,9 @@ def simulate_flow(ds: Dataset, w0, t_max: float = math.inf) -> Trajectory:
             segments.append(closed)
         # one event per changed datum in index order, each entering its own face
         for j, s in [(j, s) for j, s in zip(b, states.tolist()) if s != state[j]]:
-            kind = "activation" if s == ON else "sliding"
-            if (state[j], s) == (ON, OFF):
-                kind = "deactivation"
             state[j] = s
             before, face = face, (ActivationPattern(state == ON), tuple(np.flatnonzero(state == HELD).tolist()))
-            events.append(FlowEvent(t=t_ev, index=j, kind=kind, point=w_ev, before=before, after=face))
+            events.append(FlowEvent(t=t_ev, index=j, point=w_ev, before=before, after=face))
         t = t_ev
         w = w_ev
         terminal_point = w_ev
@@ -449,17 +461,24 @@ def simulate_linear_flow(ds: Dataset, w0) -> Trajectory:
 class GDRun:
     """Small-step descent proxy of a flow run (qualitative cross-check).
 
-    It shares the exact trajectory's artifact interface: ``events`` are
-    ``FlowEvent`` records and :func:`trajectory_to_csv` samples the iterates.
+    It shares the exact trajectory's artifact interface: ``events`` are ``FlowEvent`` records
+    between the strict-sign faces of two iterates, and :func:`trajectory_to_csv` samples the iterates.
     """
 
     dataset: Dataset
     lr: float
     iterates: np.ndarray  # (iters + 1, d)
-    events: tuple
-    terminal_point: np.ndarray
+    events: tuple[FlowEvent, ...]
 
     linear = False  # the proxy descends the rectified loss
+
+    def __post_init__(self):
+        freeze_fields(self, "iterates")
+
+    @property
+    def terminal_point(self) -> np.ndarray:
+        """The last iterate."""
+        return self.iterates[-1]
 
     def at(self, t: float) -> np.ndarray:
         """The iterate nearest pseudo-time ``t``; past the run, the last one."""
@@ -471,39 +490,31 @@ class GDRun:
 def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
     """Fixed-step descent with the strict-indicator gradient.
 
-    Pattern flips between iterates are logged as events at pseudo-time
-    ``iteration * lr`` so event sequences are comparable with the exact
-    engine's.  The start is checked as the exact engines check it; a run
-    whose iterate leaves the finite range raises ``NumericalError``.
+    Each sign flip between two iterates is an event at pseudo-time ``iteration * lr``
+    (by step, then by data index) between their strict-sign faces, so event sequences
+    are comparable with the exact engine's.  The start is checked as the exact engines
+    check it; a run whose iterate leaves the finite range raises ``NumericalError``.
     """
-    w = check_point(ds, w0).copy()
+    w0 = check_point(ds, w0)
     if not (np.isfinite(lr) and lr > 0.0):
         raise PreconditionError("lr must be positive and finite")
     iters = check_count(iters, "iters")
-    iterates = [w.copy()]
-    events = []
-    bits = tuple((ds.x.T @ w > 0.0).tolist())
+    iterates = np.empty((iters + 1, ds.d))
+    iterates[0] = w0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iters):
-            w = w - lr * gradient(ds, w)
-            iterates.append(w.copy())
-            new_bits = tuple((ds.x.T @ w > 0.0).tolist())
-            if new_bits != bits:
-                for j, (a, b) in enumerate(zip(bits, new_bits)):
-                    if a != b:
-                        kind = "activation" if b else "deactivation"
-                        events.append(FlowEvent(t=(k + 1) * lr, index=j, kind=kind, point=w.copy()))
-                bits = new_bits
-    finite = np.isfinite(iterates := np.array(iterates)).all(axis=1)
+            iterates[k + 1] = iterates[k] - lr * gradient(ds, iterates[k])
+    finite = np.isfinite(iterates).all(axis=1)
     if not finite.all():
         raise NumericalError(f"descent left the finite range at iteration {int(np.argmin(finite))}")
-    return GDRun(
-        dataset=ds,
-        lr=lr,
-        iterates=iterates,
-        events=tuple(events),
-        terminal_point=w,
+    on = _row_products(ds.x.T, iterates) > 0.0
+    steps, data = np.nonzero(on[1:] != on[:-1])
+    events = tuple(
+        FlowEvent(t=(k + 1) * lr, index=j, point=iterates[k + 1],
+                  before=(ActivationPattern(on[k]), ()), after=(ActivationPattern(on[k + 1]), ()))
+        for k, j in zip(steps.tolist(), data.tolist())
     )
+    return GDRun(dataset=ds, lr=lr, iterates=iterates, events=events)
 
 
 def sample_trajectory(tr: Trajectory | GDRun, samples: int) -> list[tuple[float, np.ndarray]]:
@@ -597,15 +608,10 @@ def _observables(tr: Trajectory, v, c: float) -> list[ExpSum]:
 
 def revisit_report(tr: Trajectory | GDRun) -> tuple[int, ...]:
     """Data indices that are active, later off (neither active nor held) and later active again
-    (empty = no revisit), each datum's states read from its events' ``before`` and ``after`` faces;
-    a descent proxy's events carry no faces and turn their datum on or off."""
-    states: dict[int, str] = {}  # each datum's states in order: 1 on, 0 off, h held
+    (empty = no revisit), each datum's states read from its events' ``before`` and ``after`` faces."""
+    states: dict[int, str] = {}  # each datum's states in order: 1 on, 0 off, 2 held
     for ev in tr.events:
-        j, on = ev.index, ev.kind == "activation"
-        for face, state in ((ev.before, "0" if on else "1"), (ev.after, "1" if on else "0")):
-            if face is not None:
-                state = "1" if face[0].bits[j] else "h" if j in face[1] else "0"
-            states[j] = states.get(j, "") + state
+        states[ev.index] = states.get(ev.index, "") + "".join(map(str, ev.states()))
     return tuple(sorted(j for j, seq in states.items() if re.search("1.*0.*1", seq)))
 
 

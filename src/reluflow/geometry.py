@@ -77,13 +77,19 @@ def pattern_of(ds: Dataset, w) -> ActivationPattern:
 
 
 def clearance(ds: Dataset, w) -> np.ndarray:
-    """Each datum's signed relative clearance ``(x_i . w) / (|x_i| max(1, |w|))``.
+    """Each datum's signed relative clearance ``(x_i . w) / (|x_i| max(1, |w|))``: (n,) at one
+    point ``w`` (d,), and (n, m) at the columns of a stack ``w`` (d, m), each column bitwise that
+    of its own point, as the products are stacked one per contiguous point.
 
     Positive on the active side of a boundary, negative on the deactivated
     side; scaling a datum, or a ``w`` of norm at least 1, leaves it unchanged.
     """
     w = np.asarray(w, dtype=float)
-    return (ds.x.T @ w) / (np.linalg.norm(ds.x, axis=0) * max(1.0, float(np.linalg.norm(w))))
+    points = np.ascontiguousarray(w.T).reshape(-1, ds.d, 1)
+    h = np.matmul(ds.x.T[None], points)[:, :, 0]
+    sizes = np.sqrt(np.matmul(points.transpose(0, 2, 1), points)[:, 0, 0])
+    c = h / np.multiply.outer(np.maximum(1.0, sizes), np.linalg.norm(ds.x, axis=0))
+    return c.T.reshape(ds.n, *w.shape[1:])
 
 
 def active_matrices(ds: Dataset, pattern: ActivationPattern) -> tuple[np.ndarray, np.ndarray]:
@@ -129,9 +135,8 @@ def pattern_spectra(ds: Dataset, active: np.ndarray, held=()):
     floor = np.maximum(RANK_RTOL * s[:, :1], 1e-13 * float(np.max(np.linalg.norm(ds.x, axis=0))))
     ranks = np.sum(s > floor, axis=1)
     points, moments = np.zeros(u.shape[:2]), np.matmul(cols, ys[:, :, None])
-    found = set(ranks.tolist())
-    for r in found - {0}:
-        rows = slice(None) if found == {r} else ranks == r  # a view, not a copy, for one pattern
+    for r in set(ranks.tolist()) - {0}:
+        rows = ranks == r
         basis = u[rows][:, :, :r]
         coef = np.matmul(basis.transpose(0, 2, 1), moments[rows]) / (s[rows, :r] ** 2)[:, :, None]
         points[rows] = np.matmul(basis, coef)[:, :, 0]

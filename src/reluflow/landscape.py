@@ -26,7 +26,7 @@ from .dataset import Dataset, RANK_RTOL, freeze_fields
 from .errors import GeometryError, StructuralError
 from .expsum import TIE_RTOL
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, partition_rows
-from .geometry import cone_witness, pattern_spectra
+from .geometry import clearance, cone_witness, pattern_spectra
 
 # A point interpolates the data when its loss is at most INTERPOLATION_RTOL * 0.5 |y|^2, the loss at 0.
 INTERPOLATION_RTOL = 1e-10
@@ -130,8 +130,7 @@ def _virtual_minimizers(ds: Dataset, masks: np.ndarray, keep_all: bool = False) 
             for i, normals, kept, sc in zip(sel, cols, np.linalg.norm(cols, axis=1) > RANK_RTOL, scale):
                 v = cone_witness(normals[:, kept])  # None: the set misses its cell, and NaN fails both tests
                 witnesses[i] = np.nan if v is None else points[i] + u[i, :, r:] @ (sc * v[:-1] / v[-1])
-        c = (ds.x.T @ witnesses.T) / np.multiply.outer(
-            np.linalg.norm(ds.x, axis=0), np.maximum(1.0, np.linalg.norm(witnesses, axis=1)))
+        c = clearance(ds, witnesses.T)
         contained = np.all(np.where(group.T, c > BOUNDARY_MARGIN, c <= TIE_RTOL), axis=0)
         for i in np.flatnonzero(contained | keep_all | (k == 0)):
             witness = witnesses[i] if contained[i] else None

@@ -20,8 +20,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dataset import Dataset, RANK_RTOL, as_readonly, check_count, load_dataset, write_json
-from .errors import StructuralError
+from .errors import PreconditionError, StructuralError
 from .flow import (
+    DESCENT_ITERS,
+    DESCENT_LR,
     Trajectory,
     revisit_report,
     simulate_flow,
@@ -250,17 +252,19 @@ def run_scenario(
     scenario: Scenario,
     out_dir,
     engine: str = "exact",
-    lr: float = 0.005,
-    iters: int = 20000,
+    lr: float | None = None,
+    iters: int | None = None,
 ) -> ScenarioResult:
     """Execute every run, write artifacts, and evaluate expectations.
 
-    With ``engine="gd"`` the rectified runs use the descent proxy and only
-    the event-sequence expectations are evaluated (the proxy is a
-    qualitative check, not an exact one).
+    With ``engine="gd"`` the rectified runs use the descent proxy, ``lr`` and ``iters`` taking
+    ``DESCENT_LR`` and ``DESCENT_ITERS`` where None (the exact engine refuses them), and only the
+    event-sequence expectations are evaluated (the proxy is a qualitative check, not an exact one).
     """
     if engine not in ("exact", "gd"):
         raise StructuralError(f"unknown engine {engine!r}")
+    if engine != "gd" and (lr is not None or iters is not None):
+        raise PreconditionError(f"lr and iters need engine 'gd', not {engine!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = scenario.dataset
@@ -270,7 +274,7 @@ def run_scenario(
         if label == "linear":
             tr = simulate_linear_flow(ds, w0)
         elif engine == "gd":
-            tr = simulate_gd(ds, w0, lr, iters)
+            tr = simulate_gd(ds, w0, DESCENT_LR if lr is None else lr, DESCENT_ITERS if iters is None else iters)
         else:
             tr = simulate_flow(ds, w0)
         results[label] = tr

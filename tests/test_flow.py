@@ -858,6 +858,13 @@ class TestDescentProxy:
         ]
         assert [(e.t, e.index, e.kind) for e in run.events] == flips
         assert [e.kind for e in run.events] == ["deactivation", "activation"]
+        # each event joins the strict-sign faces of the iterates before and after its step
+        for ev in run.events:
+            k = round(ev.t / 0.005)
+            assert ev.before == (pattern_of(ds_reactivation, run.iterates[k - 1]), ())
+            assert ev.after == (pattern_of(ds_reactivation, run.iterates[k]), ())
+            np.testing.assert_array_equal(ev.point, run.iterates[k])
+        assert revisit_report(run) == (3,)
 
     def test_descent_start_is_checked_like_the_exact_engines(self, ds_deactivation):
         with pytest.raises(PreconditionError):

@@ -106,6 +106,21 @@ class TestPatternOf:
         assert pat.inactive_indices == (2,)
 
 
+class TestClearance:
+    @pytest.mark.parametrize("d, n, m", [(2, 3, 5), (4, 10, 17), (5, 12, 40), (8, 32, 9), (12, 3, 100)])
+    def test_a_stack_is_each_point_bitwise(self, d, n, m):
+        rng = np.random.default_rng((d, n, m))
+        ds = Dataset(x=rng.normal(size=(d, n)), y=rng.normal(size=n))
+        w = rng.normal(size=(d, m)) * rng.uniform(0.1, 10.0, size=m)
+        for stack in (w, np.ascontiguousarray(w.T).T):  # C and Fortran layouts
+            c = geometry.clearance(ds, stack)
+            assert c.shape == (n, m)
+            for k in range(m):
+                np.testing.assert_array_equal(c[:, k], geometry.clearance(ds, stack[:, k]))
+        scale = np.multiply.outer(np.linalg.norm(ds.x, axis=0), np.maximum(1.0, np.linalg.norm(w, axis=0)))
+        np.testing.assert_allclose(geometry.clearance(ds, w), (ds.x.T @ w) / scale, rtol=1e-13)
+
+
 class TestEnumeratePartitions:
     def test_single_datum_has_two_cells(self, rng):
         for d in (1, 2, 3):

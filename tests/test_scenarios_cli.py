@@ -14,7 +14,7 @@ from reluflow import scenarios
 from reluflow.campaigns import run_campaign
 from reluflow.cli import _descent, build_parser, main
 from reluflow.dataset import save_dataset
-from reluflow.errors import StructuralError
+from reluflow.errors import PreconditionError, StructuralError
 from reluflow.flow import Trajectory, write_run
 from reluflow.scenarios import (
     builtin_scenario,
@@ -123,6 +123,13 @@ class TestScenarios:
         names = [name for name, _, _ in result.checks]
         assert names == ["one-deactivation-of-index-0", "no-reactivation"]
         assert result.passed
+
+    @pytest.mark.parametrize("options", [{"lr": 0.1}, {"iters": 50}, {"lr": 0.005, "iters": 20000}])
+    def test_the_exact_engine_refuses_descent_options(self, options, tmp_path):
+        # not ignored: the exact engine reads neither a step nor an iteration count, not even the defaults
+        with pytest.raises(PreconditionError, match="^lr and iters need engine 'gd', not 'exact'$"):
+            run_scenario(builtin_scenario("example-5-2"), tmp_path / "out", **options)
+        assert not (tmp_path / "out").exists()
 
 
 class TestCampaignInterface:
@@ -400,22 +407,6 @@ class TestCli:
                 for suffix in (".csv", "-events.jsonl")]
         assert list(result.artifacts) == runs
         assert all((out / name).is_file() for name in runs)
-
-    def test_env_var_overrides_out(self, dataset_file, tmp_path, monkeypatch):
-        override = tmp_path / "env-out"
-        monkeypatch.setenv("RELUFLOW_OUT", str(override))
-        code = main(
-            [
-                "landscape",
-                "--dataset",
-                str(dataset_file),
-                "--out",
-                str(tmp_path / "ignored"),
-            ]
-        )
-        assert code == 0
-        assert (override / "census.jsonl").exists()
-        assert not (tmp_path / "ignored").exists()
 
     def test_augment_bias_flag(self, tmp_path, capsys):
         path = tmp_path / "one.json"

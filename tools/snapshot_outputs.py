@@ -90,8 +90,7 @@ def _run(out_dir: Path, case: str, args: list[str]) -> None:
     case_dir = out_dir / case
     files = case_dir / "out"
     files.mkdir(parents=True)
-    env = {k: v for k, v in os.environ.items() if k != "RELUFLOW_OUT"}
-    env["PYTHONPATH"] = str(SRC)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     if args[0] != "validate":  # the one subcommand without --out
         args = args + ["--out", str(files)]
     proc = subprocess.run(
