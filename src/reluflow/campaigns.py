@@ -141,16 +141,11 @@ def _trial_no_deactivation(rng, index: int) -> TrialResult:
     for j in certified:
         if j in deactivated:
             problems.append(f"certified datum {j} deactivated")
-    if len(certified) == ds.n:
+    if len(certified) == ds.n:  # no datum leaves: the flow is the linear flow's one closed form
         lin = simulate_linear_flow(ds, w0)
-        horizon = tr.segments[-1].t_start + tr.segments[-1].local_horizon()
-        gaps = [
-            float(np.linalg.norm(tr.at(t) - lin.at(t)))
-            for t in np.linspace(0.0, horizon, 32)
-        ]
-        gap_inf = float(np.linalg.norm(tr.terminal_point - lin.terminal_point))
-        if max(max(gaps), gap_inf) > 1e-8:
-            problems.append(f"certified flow differs from linear by {max(gaps):.2e}")
+        if tr.events or not np.array_equal(tr.terminal_point, lin.terminal_point):
+            off = (tr.terminal_point - lin.terminal_point).tolist()
+            problems.append(f"certified flow makes {len(tr.events)} events and ends {off} from linear")
     return TrialResult(index, not problems, "; ".join(problems) or "ok")
 
 

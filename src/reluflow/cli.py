@@ -108,11 +108,9 @@ def _run_and_store(args) -> int:
     gd = not args.linear and args.engine == "gd"
     if args.linear:
         tr = simulate_linear_flow(ds, w0)
-    elif gd:
-        tr = simulate_gd(ds, w0, *_descent(args))
     else:
-        _descent(args)  # refuses the descent options
-        tr = simulate_flow(ds, w0, t_max=args.t_max)
+        lr, iters = _descent(args)  # refuses the options the engine does not take
+        tr = simulate_gd(ds, w0, lr, iters) if gd else simulate_flow(ds, w0, t_max=args.t_max)
     write_run(_out_dir(args), "linear-flow" if args.linear else "flow", tr)
     if gd:
         summary = {

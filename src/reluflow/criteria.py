@@ -180,9 +180,7 @@ def crossing_context(ds: Dataset, tr: Trajectory, event_pos: int) -> BoundaryCro
     vec_pre = vec_pre * sign_pre
     # nearest-subspace pairing of the post basis to the pre basis
     overlap = np.abs(vec_pre.T @ vec_post)
-    rows, cols = linear_sum_assignment(-overlap)
-    perm = np.empty(ds.d, dtype=int)
-    perm[rows] = cols
+    _, perm = linear_sum_assignment(-overlap)  # a square problem's rows come back in order
     vec_post = vec_post[:, perm]
     sign_post = np.where(np.sum(vec_pre * vec_post, axis=0) < 0.0, -1.0, 1.0)
     vec_post = vec_post * sign_post

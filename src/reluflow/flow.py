@@ -522,7 +522,7 @@ def sample_trajectory(tr: Trajectory | GDRun, samples: int) -> list[tuple[float,
 
     Infinite terminal segments are sampled up to their decay horizon and
     the analytic limit is appended as the final row.  A descent run is
-    sampled at every ``len(iterates) // samples``-th iterate instead.
+    sampled at every ``len(iterates) // samples``-th iterate, ending at its last.
     """
     return _sample_rows(tr, samples)[0]
 
@@ -532,8 +532,9 @@ def _sample_rows(tr: Trajectory | GDRun, samples: int) -> tuple[list[tuple[float
     if samples < 2:
         raise PreconditionError("need at least 2 samples")
     if isinstance(tr, GDRun):
+        last = len(tr.iterates) - 1
         stride = max(1, len(tr.iterates) // samples)
-        return [(k * tr.lr, tr.iterates[k]) for k in range(0, len(tr.iterates), stride)], []
+        return [(k * tr.lr, tr.iterates[k]) for k in [*range(0, last, stride), last]], []
     n_seg = len(tr.segments)
     base = max(2, samples // n_seg)
     rows, on = [], []

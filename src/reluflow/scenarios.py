@@ -24,7 +24,6 @@ from .errors import PreconditionError, StructuralError
 from .flow import (
     DESCENT_ITERS,
     DESCENT_LR,
-    Trajectory,
     revisit_report,
     simulate_flow,
     simulate_gd,
@@ -77,11 +76,6 @@ def _event_signature(tr) -> list[tuple[str, int]]:
     return [(ev.kind, ev.index) for ev in tr.events]
 
 
-def _coincide_before(tr_a: Trajectory, tr_b: Trajectory, t_stop: float) -> float:
-    ts = np.linspace(0.0, t_stop, 64)
-    return max(float(np.linalg.norm(tr_a.at(t) - tr_b.at(t))) for t in ts)
-
-
 def _small_start(ds: Dataset, seed: int) -> dict[str, np.ndarray]:
     """One seeded small positive start, run rectified and unrectified."""
     w0 = 1e-4 * np.random.default_rng(seed).uniform(0.0, 1.0, ds.d)
@@ -112,9 +106,11 @@ def _scenario_5_2(ds: Dataset, seed: int):
         return err <= 1e-8, f"linear terminal error {err:.2e}"
 
     def exp_coincide(results):
-        t_ev = results["relu"].events[0].t
-        gap = _coincide_before(results["relu"], results["linear"], t_ev * (1 - 1e-9))
-        return gap <= 1e-8, f"max pre-event gap {gap:.2e}"
+        # from one start time, point and face the relu run's first segment is the linear run's closed form
+        firsts = [results[label].segments[0] for label in ("relu", "linear")]
+        starts = [(s.t_start, tuple(s.w_start.tolist()), s.pattern, s.held) for s in firsts]
+        same = starts[0] == starts[1]
+        return same, "max pre-event gap 0.00e+00" if same else f"first segments start at {starts[0]} and {starts[1]}"
 
     return _small_start(ds, seed), (
         Expectation("one-deactivation-of-index-0", exp_events, gd_applicable=True),
@@ -139,7 +135,7 @@ def _scenario_5_3(ds: Dataset, seed: int):
         err = float(
             np.linalg.norm(results["relu"].terminal_point - results["linear"].terminal_point)
         )
-        return err <= 1e-6, f"terminal gap {err:.2e}"
+        return err == 0.0, f"terminal gap {err:.2e}"
 
     def exp_terminal_lstsq(results):
         oracle, _ = linear_least_squares(ds)
@@ -195,7 +191,7 @@ def _scenario_5_1(ds: Dataset, seed: int):
     def exp_cluster_agree(results):
         terms = [results[f"cluster-{i}"].terminal_point for i in range(len(_EX51_CLUSTER))]
         spread = max(float(np.linalg.norm(t - terms[0])) for t in terms)
-        return spread <= 1e-6, f"terminal spread {spread:.2e}"
+        return spread == 0.0, f"terminal spread {spread:.2e}"
 
     def exp_cluster_descent(results):
         bad = [

@@ -866,6 +866,17 @@ class TestDescentProxy:
             np.testing.assert_array_equal(ev.point, run.iterates[k])
         assert revisit_report(run) == (3,)
 
+    def test_a_descent_is_sampled_up_to_its_last_iterate(self, ds_reactivation):
+        w0 = np.array([1e-4, 5e-5, 8e-5])
+        # 3,000 is no multiple of the stride 3001 // 400 = 7: the last iterate is appended
+        run = simulate_gd(ds_reactivation, w0, lr=0.005, iters=3000)
+        rows = sample_trajectory(run, 400)
+        assert [t for t, _ in rows] == [k * 0.005 for k in range(0, 3000, 7)] + [15.0]
+        assert rows[-1][0] == 15.0 and np.array_equal(rows[-1][1], run.terminal_point)
+        # 2,800 is a multiple of its stride 7: its last sampled iterate is the last, and is not repeated
+        run = simulate_gd(ds_reactivation, w0, lr=0.005, iters=2800)
+        assert [t for t, _ in sample_trajectory(run, 400)] == [k * 0.005 for k in range(0, 2801, 7)]
+
     def test_descent_start_is_checked_like_the_exact_engines(self, ds_deactivation):
         with pytest.raises(PreconditionError):
             simulate_gd(ds_deactivation, [np.nan, 1.0, 0.0], 0.01, 5)

@@ -1,6 +1,7 @@
 """Built-in scenarios, artifact reproducibility, and the command line."""
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -10,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reluflow import scenarios
+from reluflow import campaigns, scenarios
 from reluflow.campaigns import run_campaign
 from reluflow.cli import _descent, build_parser, main
 from reluflow.dataset import save_dataset
 from reluflow.errors import PreconditionError, StructuralError
-from reluflow.flow import Trajectory, write_run
+from reluflow.flow import Trajectory, simulate_flow, simulate_linear_flow, write_run
 from reluflow.scenarios import (
     builtin_scenario,
     fixture_dataset,
@@ -116,6 +117,44 @@ class TestScenarios:
             assert isinstance(tr, Trajectory) and tr.linear == (label == "linear"), label
         assert ("linear" in labels) == (name != "example-5-1")
 
+    @staticmethod
+    def recorded_runs(name, tmp_path, monkeypatch):
+        """Scenario ``name``, its runs by label as it writes them, and one of its checks by name."""
+        scenario = builtin_scenario(name)
+        runs = {}
+
+        def record(out_dir, stem, tr):
+            runs[stem.removeprefix(f"{name}-")] = tr
+            return write_run(out_dir, stem, tr)
+
+        monkeypatch.setattr(scenarios, "write_run", record)
+        assert run_scenario(scenario, tmp_path).passed
+        return runs, lambda check, results: next(e for e in scenario.expectations if e.name == check).fn(results)
+
+    def test_small_ball_runs_share_one_terminal_bitwise(self, tmp_path, monkeypatch):
+        runs, check = self.recorded_runs("example-5-1", tmp_path, monkeypatch)
+        assert check("small-ball-runs-share-one-terminal", runs) == (True, "terminal spread 0.00e+00")
+        cluster = runs["cluster-3"]
+        off = dataclasses.replace(cluster, terminal_point=np.nextafter(cluster.terminal_point, np.inf))
+        ok, detail = check("small-ball-runs-share-one-terminal", runs | {"cluster-3": off})
+        assert not ok and detail != "terminal spread 0.00e+00", detail
+
+    def test_relu_and_linear_terminals_agree_bitwise(self, tmp_path, monkeypatch):
+        runs, check = self.recorded_runs("example-5-3", tmp_path, monkeypatch)
+        assert check("relu-and-linear-terminals-agree", runs) == (True, "terminal gap 0.00e+00")
+        off = dataclasses.replace(runs["relu"], terminal_point=np.nextafter(runs["relu"].terminal_point, np.inf))
+        ok, detail = check("relu-and-linear-terminals-agree", runs | {"relu": off})
+        assert not ok and detail != "terminal gap 0.00e+00", detail
+
+    def test_flows_coincide_only_from_one_start(self, tmp_path, monkeypatch):
+        runs, check = self.recorded_runs("example-5-2", tmp_path, monkeypatch)
+        assert check("flows-coincide-before-the-event", runs) == (True, "max pre-event gap 0.00e+00")
+        ds, w0 = runs["relu"].dataset, runs["relu"].segments[0].w_start
+        off = simulate_flow(ds, np.nextafter(w0, np.inf))
+        assert [(e.kind, e.index) for e in off.events] == [("deactivation", 0)]
+        ok, detail = check("flows-coincide-before-the-event", runs | {"relu": off})
+        assert not ok and detail.startswith("first segments start at"), detail
+
     def test_descent_proxy_checks_event_sequence_only(self, tmp_path):
         result = run_scenario(
             builtin_scenario("example-5-2"), tmp_path, engine="gd", iters=10000
@@ -158,6 +197,18 @@ class TestCampaignInterface:
         report = run_campaign("crossing-bound", np.int64(3), trials=1)
         assert json.loads(json.dumps(report.to_json()))["seed"] == 3
         assert type(report.seed) is int and type(report.trials) is int
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_certified_flow_ends_on_the_linear_terminal_bitwise(self, seed, monkeypatch):
+        assert run_campaign("no-deactivation", seed, trials=1).passed
+
+        def one_ulp_off(ds, w0):
+            lin = simulate_linear_flow(ds, w0)
+            return dataclasses.replace(lin, terminal_point=np.nextafter(lin.terminal_point, np.inf))
+
+        monkeypatch.setattr(campaigns, "simulate_linear_flow", one_ulp_off)
+        (result,) = run_campaign("no-deactivation", seed, trials=1).results
+        assert not result.passed and result.detail.startswith("certified flow makes 0 events"), result.detail
 
     def test_deterministic_under_seed(self):
         a = run_campaign("crossing-bound", seed=9, trials=10)
