@@ -83,11 +83,15 @@ def clearance(ds: Dataset, w) -> np.ndarray:
 
     Positive on the active side of a boundary, negative on the deactivated
     side; scaling a datum, or a ``w`` of norm at least 1, leaves it unchanged.
+    A NaN point has NaN clearances; one whose norm overflows raises ``NumericalError``.
     """
     w = np.asarray(w, dtype=float)
     points = np.ascontiguousarray(w.T).reshape(-1, ds.d, 1)
-    h = np.matmul(ds.x.T[None], points)[:, :, 0]
-    sizes = np.sqrt(np.matmul(points.transpose(0, 2, 1), points)[:, 0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.matmul(ds.x.T[None], points)[:, :, 0]
+        sizes = np.sqrt(np.matmul(points.transpose(0, 2, 1), points)[:, 0, 0])
+    if np.isinf(sizes).any():
+        raise NumericalError("clearance: a point's norm overflows")
     c = h / np.multiply.outer(np.maximum(1.0, sizes), np.linalg.norm(ds.x, axis=0))
     return c.T.reshape(ds.n, *w.shape[1:])
 
@@ -292,24 +296,28 @@ def region_count(cols: np.ndarray) -> int:
     return _cells([cols])[0][1]
 
 
-def cone_witness(normals: np.ndarray) -> np.ndarray | None:
-    """The unit max-margin direction ``w`` of the open cone ``normals[:, j] . w > 0`` for every nonzero
-    (k, m) column, or None when it clears some unit column by at most BOUNDARY_MARGIN, so no direction
-    clears them all by more.  It is Lawson and Hanson's least-distance program (Solving Least Squares
-    Problems, ch. 23): one NNLS solve of the unit columns over a row of ones against e_{k+1} picks the
-    support columns, those ``w`` clears by the least margin, and ``w`` is along the minimum-norm ``x``
-    with ``support . x = 1``.  The NNLS residual points along ``w`` too, but only to about 1e-16 / margin
-    radians, which loses cones thinner than about 3e-8; this solve keeps working accuracy."""
-    unit = normals / np.linalg.norm(normals, axis=0)
-    k, m = unit.shape
+def cone_witness(normals: np.ndarray) -> np.ndarray:
+    """The (g, k) unit max-margin directions ``w`` of a (g, k, m) stack of open cones, each
+    ``normals[i, :, j] . w > 0`` for its nonzero columns, with a NaN row where ``w`` clears some unit
+    column by at most BOUNDARY_MARGIN, so no direction clears them all by more: each row bitwise its
+    cone's alone.  It is Lawson and Hanson's least-distance program (Solving Least Squares Problems,
+    ch. 23): one NNLS solve per cone, of the unit columns over a row of ones (a zero column left zero,
+    so never weighted) against e_{k+1}, picks the support columns, those ``w`` clears by the least
+    margin, and ``w`` is along the minimum-norm ``x`` with ``support . x = 1``, one stacked SVD-based
+    pseudoinverse.  The NNLS residual points along ``w`` too, but only to about 1e-16 / margin radians,
+    which loses cones thinner than about 3e-8; this solve keeps working accuracy."""
+    kept = (sizes := np.linalg.norm(normals, axis=1)) > 0.0
+    if not np.all(np.any(kept, axis=1)):
+        raise StructuralError("a cone needs a nonzero normal")
+    lifted = np.concatenate([unit := normals / np.where(kept, sizes, 1.0)[:, None, :], kept[:, None]], axis=1)
     try:
-        u = nnls(np.vstack([unit, np.ones(m)]), np.eye(k + 1)[-1])[0]
+        support = np.array([nnls(a, np.eye(len(a))[-1])[0] > 0.0 for a in lifted], bool).reshape(kept.shape)
     except RuntimeError as exc:
         raise NumericalError(f"least-distance program: {exc}") from None
-    x = np.linalg.lstsq((support := unit[:, u > 0.0]).T, np.ones(support.shape[1]))[0]
-    if (size := np.linalg.norm(x)) > 0.0 and np.min(unit.T @ (w := x / size)) > BOUNDARY_MARGIN:
-        return w
-    return None
+    x = np.matmul(np.linalg.pinv(unit.transpose(0, 2, 1) * support[:, :, None]), support[:, :, None].astype(float))
+    w = x[:, :, 0] / np.where((size := np.linalg.norm(x, axis=1)) > 0.0, size, 1.0)  # 0 if support . x = 1 contradicts
+    least = np.min(np.matmul(w[:, None, :], unit)[:, 0], axis=1, initial=np.inf, where=kept)
+    return np.where((least > BOUNDARY_MARGIN)[:, None], w, np.nan)
 
 
 def partition_rows(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

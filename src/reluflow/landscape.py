@@ -10,9 +10,10 @@ patterns by active count: one stacked spectral kernel call per group
 gives every point and null basis, and one clearance product decides the
 group's full-rank containment.  A rank-deficient pattern contains its
 minimizer when its affine minimizer set meets the open cell, which is
-whether one open polyhedral cone is nonempty: one least-distance program
-per pattern (``geometry.cone_witness``, a single NNLS solve) decides it,
-and its max-margin direction gives the witness.
+whether one open polyhedral cone is nonempty: a least-distance program
+(a single NNLS solve) decides it, and its max-margin direction gives the
+witness; one ``geometry.cone_witness`` call takes every such cone of an
+(active count, rank) group.
 """
 
 from __future__ import annotations
@@ -98,12 +99,12 @@ def _virtual_minimizers(ds: Dataset, masks: np.ndarray, keep_all: bool = False) 
     containment, by active count: one :func:`pattern_spectra` call and one clearance
     product per group.  The witness is ``point`` at full rank, else a member of the
     minimizer set ``p + N z`` strictly on the deactivated side of every datum off, read
-    from one :func:`cone_witness` solve per pattern: active data clear every member as they
-    clear ``p``, and in homogeneous coordinates ``(z, s)``, ``p`` scaled by ``1 / max(1, |p|)``,
-    the set meets the cell exactly when the open cone "s positive, every deactivated datum
-    negative" is nonempty (a datum whose column vanishes there is dropped); its max-margin
-    direction is the member, found when it clears every kept column by more than
-    ``BOUNDARY_MARGIN``.  It is contained when its active data clear their boundaries by
+    from one :func:`cone_witness` call per rank of a group: active data clear every member
+    as they clear ``p``, and in homogeneous coordinates ``(z, s)``, ``p`` scaled by
+    ``1 / max(1, |p|)``, the set meets the cell exactly when the open cone "s positive,
+    every deactivated datum negative" is nonempty (a datum whose column vanishes there is
+    zeroed, so absent); its max-margin direction is the member, found when it clears every
+    other column by more than ``BOUNDARY_MARGIN``.  It is contained when its active data clear their boundaries by
     more than ``BOUNDARY_MARGIN`` and its deactivated data sit at a relative clearance of at
     most ``TIE_RTOL``.  Rows neither contained nor all-off are left out, unless ``keep_all``.
     """
@@ -127,9 +128,9 @@ def _virtual_minimizers(ds: Dataset, masks: np.ndarray, keep_all: bool = False) 
             cols[:, -1, 0], cols[:, :-1, 1:] = 1.0, np.matmul(null.transpose(0, 2, 1), unit)
             cols[:, -1, 1:] = np.matmul(p[:, None, :], unit)[:, 0] / scale[:, None]
             cols[:, :, 1:] *= -1.0  # the cone's normals: s positive, every deactivated datum negative
-            for i, normals, kept, sc in zip(sel, cols, np.linalg.norm(cols, axis=1) > RANK_RTOL, scale):
-                v = cone_witness(normals[:, kept])  # None: the set misses its cell, and NaN fails both tests
-                witnesses[i] = np.nan if v is None else points[i] + u[i, :, r:] @ (sc * v[:-1] / v[-1])
+            cols *= (np.linalg.norm(cols, axis=1) > RANK_RTOL)[:, None, :]  # a vanished column is absent
+            v = cone_witness(cols)  # a NaN row: the set misses its cell, and NaN fails both tests
+            witnesses[sel] = p + np.matmul(null, (scale[:, None] * v[:, :-1] / v[:, -1:])[:, :, None])[:, :, 0]
         c = clearance(ds, witnesses.T)
         contained = np.all(np.where(group.T, c > BOUNDARY_MARGIN, c <= TIE_RTOL), axis=0)
         for i in np.flatnonzero(contained | keep_all | (k == 0)):

@@ -1,6 +1,9 @@
 """Partition enumeration, counting and the d=2 circular order, the per-pattern spectral kernel, and g."""
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,12 @@ from oracles import (
     region_count_whitney,
     sweep_patterns_2d,
 )
+
+
+def cone_witness(normals):
+    """``geometry.cone_witness`` of one (k, m) cone as a stack of one: its direction, or None for a NaN row."""
+    w = geometry.cone_witness(normals[None])[0]
+    return None if np.isnan(w).any() else w
 
 
 def random_a1_dataset(rng, d, n):
@@ -119,6 +128,16 @@ class TestClearance:
                 np.testing.assert_array_equal(c[:, k], geometry.clearance(ds, stack[:, k]))
         scale = np.multiply.outer(np.linalg.norm(ds.x, axis=0), np.maximum(1.0, np.linalg.norm(w, axis=0)))
         np.testing.assert_allclose(geometry.clearance(ds, w), (ds.x.T @ w) / scale, rtol=1e-13)
+
+    def test_a_nan_point_reads_nan_and_an_overflowing_norm_is_refused(self):
+        # NaN is the census's "no witness"; a norm past the float range would read every clearance as 0
+        ds = Dataset(x=np.array([[1.0, 0.0], [0.0, 1.0]]), y=np.ones(2))
+        w = np.array([[np.nan, 1.0], [np.nan, 2.0]])
+        c = geometry.clearance(ds, w)
+        assert np.isnan(c[:, 0]).all() and np.array_equal(c[:, 1], geometry.clearance(ds, w[:, 1]))
+        for big in (np.array([1e155, 1e155]), np.array([[1.0, 1e200], [1.0, 0.0]]), np.array([np.inf, 0.0])):
+            with pytest.raises(NumericalError, match="norm overflows"):
+                geometry.clearance(ds, big)
 
 
 class TestEnumeratePartitions:
@@ -391,7 +410,7 @@ class TestArrangementCells:
             for key, hit in zip(signs, present):
                 # the cone witness, the one-cell search and the margin program, which share
                 # none of their algorithms, find the same cells, with the same sign rows
-                w = geometry.cone_witness(cols * np.where(key, 1.0, -1.0))
+                w = cone_witness(cols * np.where(key, 1.0, -1.0))
                 assert (w is not None) == hit
                 assert w is None or (w.shape == (d,) and np.array_equal(cols.T @ w > 0.0, key))
                 aimed, alone = aimed_cell(cols, key)
@@ -412,7 +431,7 @@ class TestArrangementCells:
         hits = []
         for j, (k, t) in enumerate(zip(keep, target)):
             c = sets[j % 3][:, k]
-            w = geometry.cone_witness(c * np.where(t[k], 1.0, -1.0))
+            w = cone_witness(c * np.where(t[k], 1.0, -1.0))
             hits.append(hit := w is not None)
             assert aimed_cell(c, t[k])[1].shape[1] == int(hit)
             lp = _margin_lp(c / np.linalg.norm(c, axis=0), np.where(t[k], 1.0, -1.0))[1]
@@ -423,9 +442,9 @@ class TestArrangementCells:
     def test_a_contradicting_antiparallel_pair_has_no_witness(self):
         # u . w > 0 and (-2u) . w > 0 exclude each other; the pair alone, and with a third column
         u = np.array([0.3, -1.2, 0.5])
-        assert geometry.cone_witness(np.column_stack([u, -2.0 * u])) is None
-        assert geometry.cone_witness(np.column_stack([u, [0.0, 0.0, 1.0], -2.0 * u])) is None
-        w = geometry.cone_witness(np.column_stack([u, 2.0 * u]))
+        assert cone_witness(np.column_stack([u, -2.0 * u])) is None
+        assert cone_witness(np.column_stack([u, [0.0, 0.0, 1.0], -2.0 * u])) is None
+        w = cone_witness(np.column_stack([u, 2.0 * u]))
         assert w is not None and np.allclose(w, u / np.linalg.norm(u), rtol=0.0, atol=1e-15)
 
     def test_a_cone_just_wider_than_the_margin_is_found(self):
@@ -439,7 +458,7 @@ class TestArrangementCells:
             for margin in (3e-9, 1.5e-9, 0.5e-9):
                 c = np.sqrt(1.0 - margin**2)
                 cols = q @ np.vstack([c * np.cos(t), c * np.sin(t), np.zeros(n), np.full(n, margin)])
-                w = geometry.cone_witness(cols)
+                w = cone_witness(cols)
                 if margin < geometry.BOUNDARY_MARGIN:
                     assert w is None
                 else:
@@ -451,7 +470,45 @@ class TestArrangementCells:
 
         monkeypatch.setattr(geometry, "nnls", stuck)
         with pytest.raises(NumericalError, match="least-distance program: Maximum number of iterations"):
-            geometry.cone_witness(np.eye(3))
+            geometry.cone_witness(np.eye(3)[None])
+
+    @pytest.mark.parametrize("k, m", [(2, 8), (3, 9), (4, 10), (5, 11), (3, 4), (6, 3)])
+    def test_a_stack_is_each_cone_alone_and_a_zero_column_is_absent(self, k, m):
+        # each row of a stack is bitwise its cone's as a stack of one; an appended zero column keeps
+        # every cone's found flag and sign row; a third of the cones have a nonnegative first row, so
+        # many are found, and m <= k independent columns always are
+        rng = np.random.default_rng((34, k, m))
+        stack = rng.normal(size=(200, k, m))
+        stack[::3, 0] = np.abs(stack[::3, 0])
+        w = geometry.cone_witness(stack)
+        padded = geometry.cone_witness(np.concatenate([stack, np.zeros((200, k, 1))], axis=2))
+        found = ~np.isnan(w[:, 0])
+        assert w.shape == padded.shape == (200, k) and found.any() and found.all() == (m <= k)
+        for cone, row, pad in zip(stack, w, padded):
+            np.testing.assert_array_equal(geometry.cone_witness(cone[None])[0], row)
+            assert np.isnan(pad).any() == np.isnan(row).any() == np.isnan(row).all()
+            assert np.isnan(row).any() or np.array_equal(cone.T @ pad > 0.0, cone.T @ row > 0.0)
+
+    def test_a_cone_without_a_nonzero_column_is_refused(self):
+        # scipy's nnls on a matrix of no columns corrupts the heap and aborts the interpreter, and an
+        # all-zero column divides 0 by 0, so both are refused before NNLS: run apart, as an abort
+        # would end the whole test session
+        script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from reluflow import geometry
+from reluflow.errors import StructuralError
+for cones in (np.zeros((1, 3, 0)), np.zeros((2, 3, 2)), np.stack([np.eye(3), np.zeros((3, 3))])):
+    try:
+        geometry.cone_witness(cones)
+    except StructuralError as exc:
+        print(type(exc).__name__, exc)
+"""
+        src = str(Path(geometry.__file__).resolve().parents[1])  # the reluflow under test
+        proc = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True, check=False)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "StructuralError a cone needs a nonzero normal\n" * 3
 
     def test_stacked_hyperplane_bases_equal_single_column_svds(self):
         # the tree takes every hyperplane basis of a depth from one stacked SVD

@@ -9,6 +9,7 @@ import reluflow
 from reluflow import campaigns, geometry, landscape
 from reluflow.campaigns import random_dataset, realizable_dataset
 from reluflow.dataset import Dataset
+from reluflow.errors import NumericalError
 from reluflow.expsum import TIE_RTOL
 from reluflow.flow import simulate_flow
 from reluflow.geometry import ActivationPattern, enumerate_partitions, pattern_of
@@ -273,6 +274,16 @@ class TestMinimaCensus:
                 active = m.pattern.as_bool()
                 assert np.all(h[active] >= 1e-9 * scale[active])
                 assert np.all(h[~active] <= 0.0)
+
+    def test_a_minimizer_whose_norm_overflows_is_refused_not_dropped(self):
+        # at y = 2^510 some minimizers' squared norms pass the float range, which would read every
+        # clearance as 0 and drop them; at 2^500 the census keeps every minimum of y = 1
+        x = np.random.default_rng(1).normal(size=(3, 6))
+        patterns = [m.pattern for m in minima_census(Dataset(x=x, y=np.ones(6))).minima]
+        assert len(patterns) == 13
+        assert [m.pattern for m in minima_census(Dataset(x=x, y=2.0**500 * np.ones(6))).minima] == patterns
+        with pytest.raises(NumericalError, match="norm overflows"):
+            minima_census(Dataset(x=x, y=2.0**510 * np.ones(6)))
 
 
 class TestTerminalFaceKey:

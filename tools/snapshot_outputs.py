@@ -19,8 +19,10 @@ count, and on seeded normal (d, n) = (4, 10) and (5, 12) datasets,
 whose enumeration restricts to 3-D arrangements and whose rank-deficient
 patterns take the containment search in d >= 4, and on a positive (4, 10)
 ``random_dataset`` drawn as the first of the ``census-cells`` benchmark
-pool, most of whose minima are rank deficient; ``flow`` on a d=3 dataset
-whose data 0 and 1 reach their boundaries at one instant
+pool, most of whose minima are rank deficient, and on normal x of
+``default_rng(1)`` at (d, n) = (3, 6) with every label 2^510, where some
+minimizers' norms overflow (``landscape-overflow``, refused); ``flow`` on
+a d=3 dataset whose data 0 and 1 reach their boundaries at one instant
 (``flow-simultaneous``); ``backprop`` on a small net and through weights
 of 1e200 (``backprop-overflow``); ``flow`` with an empty field in
 ``--w0`` (``flow-empty-field``); ``flow --engine gd --lr 1e300 --iters 50``
@@ -282,6 +284,10 @@ def main(argv: list[str]) -> int:
     path = out_dir / "positive-d4.json"
     path.write_text(json.dumps({"x": pool.x.T.tolist(), "y": pool.y.tolist()}) + "\n", encoding="utf-8")
     _run(out_dir, "landscape-positive-d4", ["landscape", "--dataset", str(path)])
+    x = np.random.default_rng(1).normal(size=(3, 6))
+    path = out_dir / "overflow-d3.json"
+    path.write_text(json.dumps({"x": x.T.tolist(), "y": [2.0**510] * 6}) + "\n", encoding="utf-8")
+    _run(out_dir, "landscape-overflow", ["landscape", "--dataset", str(path)])
     net = out_dir / "net.json"
     net.write_text(json.dumps(NET) + "\n", encoding="utf-8")
     _run(out_dir, "backprop", ["backprop", "--net", str(net), "--x", "1,2", "--y", "3"])
