@@ -29,7 +29,7 @@ from .criteria import (
 from .dataset import augment_bias, load_dataset, load_json, validate_dataset, write_json
 from .deepnet import DeepNet, backprop_labels, forward_trace
 from .errors import ReluFlowError
-from .flow import DESCENT_ITERS, DESCENT_LR, revisit_report, simulate_flow, simulate_gd, simulate_linear_flow, write_run
+from .flow import DESCENT_ITERS, DESCENT_LR, revisit_report, simulate, simulate_flow, simulate_linear_flow, write_run
 from .landscape import (
     census_to_jsonl,
     compare_support_losses,
@@ -60,15 +60,6 @@ def _load(args):
     if args.augment_bias:
         ds = augment_bias(ds)
     return ds
-
-
-def _descent(args) -> tuple[float, int]:
-    """The descent options, refused where they do not apply: ``--lr`` and ``--iters`` need ``--engine gd``."""
-    if args.engine != "gd" and (args.lr is not None or args.iters is not None):
-        raise ReluFlowError("--lr and --iters need --engine gd")
-    if args.engine == "gd" and getattr(args, "t_max", math.inf) != math.inf:  # the proxy has no horizon
-        raise ReluFlowError("--t-max needs --engine exact")
-    return (DESCENT_LR if args.lr is None else args.lr), (DESCENT_ITERS if args.iters is None else args.iters)
 
 
 def _cmd_validate(args) -> int:
@@ -106,11 +97,7 @@ def _run_and_store(args) -> int:
         raise ReluFlowError("--w0 v1,v2,... is required")
     w0 = _parse_vector(args.w0)
     gd = not args.linear and args.engine == "gd"
-    if args.linear:
-        tr = simulate_linear_flow(ds, w0)
-    else:
-        lr, iters = _descent(args)  # refuses the options the engine does not take
-        tr = simulate_gd(ds, w0, lr, iters) if gd else simulate_flow(ds, w0, t_max=args.t_max)
+    tr = simulate_linear_flow(ds, w0) if args.linear else simulate(ds, w0, args.engine, args.lr, args.iters, args.t_max)
     write_run(_out_dir(args), "linear-flow" if args.linear else "flow", tr)
     if gd:
         summary = {
@@ -207,9 +194,8 @@ def _cmd_backprop(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    _descent(args)  # refuses the descent options; run_scenario fills in their defaults
     scenario = scen.builtin_scenario(args.name, seed=args.seed)
-    result = scen.run_scenario(scenario, _out_dir(args), engine=args.engine, lr=args.lr, iters=args.iters)
+    result = scen.run_scenario(scenario, args.out, engine=args.engine, lr=args.lr, iters=args.iters)
     for name, ok, detail in result.checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {result.name}: {name} ({detail})")
     return 0 if result.passed else 1

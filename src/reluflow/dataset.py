@@ -56,7 +56,7 @@ class Dataset:
 
     ``assumptions`` lists the data assumptions the caller asserts; asserted
     assumptions are verified at construction time.  Columns must be nonzero
-    regardless of flags.
+    regardless of flags, each with a positive norm, and |X|_F^2 and |y|^2 finite.
     """
 
     x: np.ndarray
@@ -78,10 +78,13 @@ class Dataset:
             raise StructuralError("need at least one sample")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise StructuralError("non-finite entries in dataset")
-        norms = np.linalg.norm(x, axis=0)
-        if np.any(norms == 0.0):
-            bad = np.nonzero(norms == 0.0)[0].tolist()
-            raise StructuralError(f"zero input column(s) at indices {bad}")
+        if not np.all(nonzero := np.any(x, axis=0)):
+            raise StructuralError(f"zero input column(s) at indices {np.flatnonzero(~nonzero).tolist()}")
+        with np.errstate(over="ignore"):  # |X|_F^2 bounds the Gram matrix, |y|^2 is twice the loss at 0
+            norms, fro2, yy = np.linalg.norm(x, axis=0), float(np.sum(x * x)), float(np.sum(y * y))
+        if not (np.all(norms > 0.0) and np.isfinite(fro2) and np.isfinite(yy)):
+            raise StructuralError(f"data scale not representable: |X|_F^2 = {fro2:.3g}, |y|^2 = {yy:.3g}, "
+                                  f"least column norm {norms.min():.3g}; rescale the data")
         flags = frozenset(self.assumptions)
         report = _assumption_report(x, y, flags)
         for flag in report.required:
@@ -168,8 +171,8 @@ def validate_dataset(ds: Dataset, require=ASSUMPTIONS) -> ValidationReport:
     """Check the required assumption flags against the data.
 
     Passes iff every required assumption holds.  Structural problems (shape
-    mismatch, zero columns) are rejected by the :class:`Dataset` constructor
-    itself and never reach this report.
+    mismatch, zero columns, an unrepresentable scale) are rejected by the
+    :class:`Dataset` constructor itself and never reach this report.
     """
     return _assumption_report(ds.x, ds.y, require)
 

@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, check_count, check_point, freeze_fields, matrix_rank
-from .errors import NumericalError, PreconditionError
+from .errors import NumericalError, PreconditionError, StructuralError
 from .expsum import TERMINAL_HORIZON_RATES, TIE_RTOL, ExpSum, RootBatch, tied
 from .geometry import BOUNDARY_MARGIN, ActivationPattern, active_matrices, clearance
 from .geometry import pattern_system
@@ -68,7 +68,7 @@ CONVERGE_RTOL = 1e-12
 # A flow ends "event-cap" after EVENT_CAP_FACTOR * n * d events.
 EVENT_CAP_FACTOR = 10
 
-# The descent proxy's step and iteration count where none is given (the CLI and the scenarios).
+# The descent proxy's step and iteration count where none is given to simulate.
 DESCENT_LR = 0.005
 DESCENT_ITERS = 20000
 
@@ -259,19 +259,18 @@ def _next_event(ds: Dataset, seg: FlowSegment) -> tuple[float, dict[int, int]]:
     multiplier less 0 (off) and less 1 (on), are isolated in order of their batch bounds until the
     next bound no longer ties with the best zero.  The earliest zeros that tie with it are the event;
     the lowest index among them sets its time.  With no event the result is ``(inf, {})``."""
-    consts, coeffs = seg.observables(ds.x.T)
-    rows = [(k, 1 - bit, 1 if bit == OFF else -1) for k, bit in enumerate(seg.pattern.bits)]
+    free = [k for k in range(ds.n) if k not in seg.held]
+    consts, coeffs = (a[free] for a in seg.observables(ds.x.T))  # taken on all data, so each row keeps its bits
+    rows = [(k, 1 - seg.pattern.bits[k], 1 if seg.pattern.bits[k] == OFF else -1) for k in free]
     if seg.held:
         alphas, alpha_coeffs = _multipliers(ds, seg)
         consts = np.concatenate((consts, alphas, alphas - 1.0))
         coeffs = np.concatenate((coeffs, alpha_coeffs, alpha_coeffs))
         rows += [(j, OFF, -1) for j in seg.held] + [(j, ON, 1) for j in seg.held]
     batch = RootBatch(seg.eigenvalues, coeffs, consts)
-    lower = batch.lower.copy()
-    lower[list(seg.held)] = np.inf
     found, best = [], np.inf
-    for i in np.argsort(lower, kind="stable").tolist():
-        if np.isinf(lower[i]) or not tied(best, lower[i]):
+    for i in np.argsort(batch.lower, kind="stable").tolist():
+        if np.isinf(batch.lower[i]) or not tied(best, batch.lower[i]):
             break
         index, side, after = rows[i]
         root = next((r for r in batch.roots(i) if r.is_crossing and r.after == after), None)
@@ -515,6 +514,22 @@ def simulate_gd(ds: Dataset, w0, lr: float, iters: int) -> GDRun:
         for k, j in zip(steps.tolist(), data.tolist())
     )
     return GDRun(dataset=ds, lr=lr, iterates=iterates, events=events)
+
+
+def simulate(ds: Dataset, w0, engine: str = "exact", lr: float | None = None, iters: int | None = None,
+             t_max: float = math.inf) -> Trajectory | GDRun:
+    """One start's rectified run: the exact flow up to ``t_max``, or with ``engine="gd"`` the descent proxy,
+    ``lr`` and ``iters`` taking ``DESCENT_LR`` and ``DESCENT_ITERS`` where None.  An option the engine does
+    not read is refused, not ignored: ``lr`` or ``iters`` on the exact engine, a finite ``t_max`` on the proxy."""
+    if engine == "exact":
+        if lr is not None or iters is not None:
+            raise PreconditionError("lr and iters need engine 'gd', not 'exact'")
+        return simulate_flow(ds, w0, t_max=t_max)
+    if engine != "gd":
+        raise StructuralError(f"unknown engine {engine!r}")
+    if t_max != math.inf:  # the proxy has no horizon
+        raise PreconditionError("t_max needs engine 'exact', not 'gd'")
+    return simulate_gd(ds, w0, DESCENT_LR if lr is None else lr, DESCENT_ITERS if iters is None else iters)
 
 
 def sample_trajectory(tr: Trajectory | GDRun, samples: int) -> list[tuple[float, np.ndarray]]:

@@ -206,17 +206,17 @@ def _hyperplane_bases(unit: np.ndarray) -> np.ndarray:
     return np.linalg.svd(unit.T[:, :, None])[0][:, :, 1:]
 
 
-def _sweep_2d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sweep_2d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The exact d=2 sweep of g stacks of k distinct hyperplanes (g, 2, k): the (g, 2, 2k) arc
-    midpoints between consecutive boundary angles, each arc's (g, 2k, k) sign vector, and (g, 2k)
-    True where its clearance is above BOUNDARY_MARGIN."""
+    midpoints between consecutive boundary angles, and (g, 2k) True where its clearance is above
+    BOUNDARY_MARGIN."""
     unit = x / np.linalg.norm(x, axis=1)[:, None, :]
     thetas = np.arctan2(x[:, 1], x[:, 0])
     angles = np.sort(np.hstack([(thetas + half) % (2.0 * math.pi) for half in (math.pi / 2.0, -math.pi / 2.0)]))
     mids = 0.5 * (angles + np.hstack([angles[:, 1:], angles[:, :1] + 2.0 * math.pi]))
     w = np.stack([np.cos(mids), np.sin(mids)], axis=1)
     ok = np.min(np.abs(np.matmul(unit.transpose(0, 2, 1), w)), axis=1) > BOUNDARY_MARGIN
-    return np.matmul(x.transpose(0, 2, 1), w).transpose(0, 2, 1) > 0.0, w, ok
+    return w, ok
 
 
 def _split(least: np.ndarray, uk: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -242,7 +242,7 @@ def _cells(level: list) -> dict:
         lifts += [(ids[j], None, stack[j][:, r]) for j, r in reps.items()]
         rest = np.array([j for j in range(len(ids)) if j not in reps], dtype=int)
         if rest.size and dim == 2:
-            found.update(zip(ids[rest].tolist(), ((a[:, ok], 2 * wd) for a, ok in zip(*_sweep_2d(stack[rest])[1:]))))
+            found.update(zip(ids[rest].tolist(), ((a[:, ok], 2 * wd) for a, ok in zip(*_sweep_2d(stack[rest])))))
         elif rest.size:
             u, s, _ = np.linalg.svd(unit[rest], full_matrices=False)
             ranks = np.sum(s > RANK_RTOL * s[:, :1], axis=1)

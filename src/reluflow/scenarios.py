@@ -20,16 +20,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dataset import Dataset, RANK_RTOL, as_readonly, check_count, load_dataset, write_json
-from .errors import PreconditionError, StructuralError
-from .flow import (
-    DESCENT_ITERS,
-    DESCENT_LR,
-    revisit_report,
-    simulate_flow,
-    simulate_gd,
-    simulate_linear_flow,
-    write_run,
-)
+from .errors import StructuralError
+from .flow import revisit_report, simulate, simulate_linear_flow, write_run
 from .landscape import gradient, linear_least_squares, minima_census
 
 DEFAULT_SEED = 0
@@ -253,29 +245,19 @@ def run_scenario(
 ) -> ScenarioResult:
     """Execute every run, write artifacts, and evaluate expectations.
 
-    With ``engine="gd"`` the rectified runs use the descent proxy, ``lr`` and ``iters`` taking
-    ``DESCENT_LR`` and ``DESCENT_ITERS`` where None (the exact engine refuses them), and only the
-    event-sequence expectations are evaluated (the proxy is a qualitative check, not an exact one).
+    The rectified runs are :func:`reluflow.flow.simulate` on ``engine`` with ``lr`` and ``iters``; with
+    ``engine="gd"`` only the event-sequence expectations are evaluated (the proxy is a qualitative check,
+    not an exact one).  Every run is made before ``out_dir`` is, so a refused option or a failed run writes nothing.
     """
-    if engine not in ("exact", "gd"):
-        raise StructuralError(f"unknown engine {engine!r}")
-    if engine != "gd" and (lr is not None or iters is not None):
-        raise PreconditionError(f"lr and iters need engine 'gd', not {engine!r}")
+    ds = scenario.dataset
+    results = {
+        label: simulate_linear_flow(ds, w0) if label == "linear" else simulate(ds, w0, engine, lr, iters)
+        for label, w0 in scenario.runs.items()
+    }
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ds = scenario.dataset
-    results: dict[str, object] = {}
-    artifacts: list[str] = []
-    for label, w0 in scenario.runs.items():
-        if label == "linear":
-            tr = simulate_linear_flow(ds, w0)
-        elif engine == "gd":
-            tr = simulate_gd(ds, w0, DESCENT_LR if lr is None else lr, DESCENT_ITERS if iters is None else iters)
-        else:
-            tr = simulate_flow(ds, w0)
-        results[label] = tr
-        # names only: reports stay portable
-        artifacts += write_run(out_dir, f"{scenario.name}-{label}", tr)
+    # names only: reports stay portable
+    artifacts = [name for label, tr in results.items() for name in write_run(out_dir, f"{scenario.name}-{label}", tr)]
     checks = []
     for exp in scenario.expectations:
         if engine == "gd" and not exp.gd_applicable:

@@ -364,6 +364,16 @@ class TestCrossingContext:
         assert ctx.evals_pre[0] == pytest.approx(0.92924369, abs=1e-8)
         assert (ctx.rank_pre, ctx.rank_post) == (1, 1)
 
+    def test_only_a_crossing_event_has_a_context(self):
+        # stress draw 4 holds datum 7 at event 5 and lets it go at event 8, its last
+        ds, tr = stress_flow(4)
+        assert [(e.kind, e.index) for e in (tr.events[5], tr.events[8])] == [("sliding", 7)] * 2
+        with pytest.raises(StructuralError, match="^event 5 is a sliding transition, not a crossing$"):
+            crossing_context(ds, tr, 5)
+        for pos in (-1, 9):
+            with pytest.raises(StructuralError, match=f"^trajectory has no event {pos}$"):
+                crossing_context(ds, tr, pos)
+
     def test_a_rank_zero_pre_side_leaves_b1_and_b2_undefined(self):
         # stress draw 56 activates datum 1 at event 2 from the all-off sliding
         # segment: the pre side has no modes, so there is no ratio to read

@@ -45,6 +45,20 @@ class TestValidation:
         with pytest.raises(StructuralError):
             Dataset(x=np.array([[1.0, 0.0], [1.0, 0.0]]), y=np.array([1.0, 1.0]))
 
+    # normal x of default_rng(1) at (d, n) = (3, 6), rescaled past the floating-point range: the census
+    # raised a raw ValueError or gave every minimum loss inf, the flow called a start converged, and
+    # columns whose norms underflow were called zero
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x_exp, y_exp, scale", [
+        (600, 0, r"\|X\|_F\^2 = inf, "),
+        (300, 520, r"\|y\|\^2 = inf, "),
+        (-600, 0, r"least column norm 0; "),
+    ], ids=["inputs-overflow", "labels-overflow", "columns-underflow"])
+    def test_a_scale_floating_point_cannot_hold_is_refused(self, x_exp, y_exp, scale):
+        x = np.random.default_rng(1).normal(size=(3, 6)) * 2.0**x_exp
+        with pytest.raises(StructuralError, match=r"^data scale not representable: .*" + scale):
+            Dataset(x=x, y=2.0**y_exp * np.ones(6))
+
     def test_shape_mismatch_is_a_hard_error(self):
         with pytest.raises(StructuralError):
             Dataset(x=np.eye(2), y=np.array([1.0, 2.0, 3.0]))

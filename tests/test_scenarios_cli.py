@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reluflow import campaigns, scenarios
+from reluflow import campaigns, flow, scenarios
 from reluflow.campaigns import run_campaign
-from reluflow.cli import _descent, build_parser, main
+from reluflow.cli import build_parser, main
 from reluflow.dataset import save_dataset
 from reluflow.errors import PreconditionError, StructuralError
-from reluflow.flow import Trajectory, simulate_flow, simulate_linear_flow, write_run
+from reluflow.flow import Trajectory, simulate, simulate_flow, simulate_linear_flow, write_run
 from reluflow.scenarios import (
     builtin_scenario,
     fixture_dataset,
@@ -511,7 +511,7 @@ class TestCli:
         else:
             argv = ["reproduce", "example-5-2"]
         assert main(argv + option + ["--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == "error: --lr and --iters need --engine gd\n"
+        assert capsys.readouterr().err == "error: lr and iters need engine 'gd', not 'exact'\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -529,15 +529,16 @@ class TestCli:
         argv = ["flow", "--dataset", str(dataset_file), "--w0", "0.0001,0.00005,0.00008", "--engine", "gd",
                 "--iters", "3000", "--t-max", "0.001", "--out", str(tmp_path / "out")]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: --t-max needs --engine exact\n"
+        assert capsys.readouterr().err == "error: t_max needs engine 'exact', not 'gd'\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [["flow"], ["reproduce", "example-5-2"]])
-    def test_the_descent_engine_keeps_its_defaults(self, command):
+    def test_the_descent_engine_keeps_its_defaults(self, command, monkeypatch):
+        monkeypatch.setattr(flow, "simulate_gd", lambda ds, w0, lr, iters: (lr, iters))
         args = build_parser().parse_args(command + ["--engine", "gd"])
-        assert _descent(args) == (0.005, 20000)
+        assert simulate(None, None, args.engine, args.lr, args.iters) == (0.005, 20000)
         args = build_parser().parse_args(command + ["--engine", "gd", "--lr", "0.5", "--iters", "7"])
-        assert _descent(args) == (0.5, 7)
+        assert simulate(None, None, args.engine, args.lr, args.iters) == (0.5, 7)
 
     def test_each_subcommand_takes_only_the_options_it_reads(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -589,6 +590,17 @@ class TestCli:
         argv = ["backprop", "--net", missing, "--x", "1,2", "--y", "1", "--out", str(tmp_path)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["landscape"], "--dataset FILE is required"),
+        (["criteria", "--dataset", "DATA"], "--w0 v1,v2,... is required"),
+        (["backprop", "--x", "1,2", "--y", "1"], "--net FILE is required"),
+    ])
+    def test_a_missing_input_option_exits_2_and_writes_nothing(self, argv, message, dataset_file, tmp_path, capsys):
+        argv = [str(dataset_file) if a == "DATA" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_console_script_round_trip(self, tmp_path):
         # the entry point must work as a real subprocess; it imports the

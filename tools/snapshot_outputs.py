@@ -21,7 +21,12 @@ patterns take the containment search in d >= 4, and on a positive (4, 10)
 ``random_dataset`` drawn as the first of the ``census-cells`` benchmark
 pool, most of whose minima are rank deficient, and on normal x of
 ``default_rng(1)`` at (d, n) = (3, 6) with every label 2^510, where some
-minimizers' norms overflow (``landscape-overflow``, refused); ``flow`` on
+minimizers' norms overflow (``landscape-overflow``, refused), and on
+that x times 2^600 with labels 1 (``landscape-scale-overflow``, and
+``flow`` from (0.3, -0.2, 0.5) in ``flow-scale-overflow``), on x times 2^300 with
+labels 2^520 (``landscape-label-overflow``) and ``validate`` on x times
+2^-600 (``validate-scale-underflow``), each refused as a scale the
+floating-point range cannot hold; ``flow`` on
 a d=3 dataset whose data 0 and 1 reach their boundaries at one instant
 (``flow-simultaneous``); ``backprop`` on a small net and through weights
 of 1e200 (``backprop-overflow``); ``flow`` with an empty field in
@@ -288,6 +293,12 @@ def main(argv: list[str]) -> int:
     path = out_dir / "overflow-d3.json"
     path.write_text(json.dumps({"x": x.T.tolist(), "y": [2.0**510] * 6}) + "\n", encoding="utf-8")
     _run(out_dir, "landscape-overflow", ["landscape", "--dataset", str(path)])
+    for case, x_exp, y_exp in (("landscape-scale-overflow", 600, 0), ("flow-scale-overflow", 600, 0),
+                               ("landscape-label-overflow", 300, 520), ("validate-scale-underflow", -600, 0)):
+        path = out_dir / f"{case}.json"
+        path.write_text(json.dumps({"x": (x * 2.0**x_exp).T.tolist(), "y": [2.0**y_exp] * 6}) + "\n", encoding="utf-8")
+        start = ["--w0", "0.3,-0.2,0.5"] if case.startswith("flow") else []
+        _run(out_dir, case, [case.split("-")[0], "--dataset", str(path), *start])
     net = out_dir / "net.json"
     net.write_text(json.dumps(NET) + "\n", encoding="utf-8")
     _run(out_dir, "backprop", ["backprop", "--net", str(net), "--x", "1,2", "--y", "3"])
